@@ -43,6 +43,7 @@ from .orthant import (
     orthant_weight_pair3,
 )
 from .planner import (
+    bound_is_vacuous,
     build_plan,
     cumulative_weight,
     failure_bound,
@@ -69,11 +70,14 @@ def _add_common(parser):
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
 
 
-def _add_experiment(parser, with_mp=True):
-    if with_mp:
+def _add_plan(parser, strategy=True):
+    if strategy:
         parser.add_argument("--strategy", help="grid placement strategy")
-        parser.add_argument("--m", help="number of grid cells")
-        parser.add_argument("--p", help="failure probability budget")
+    parser.add_argument("--m", help="number of grid cells")
+    parser.add_argument("--p", help="target success probability")
+
+
+def _add_experiment(parser):
     parser.add_argument("--trials", help="Monte Carlo trials")
     parser.add_argument("--seed", help="base RNG seed")
     parser.add_argument("--oracle-resolution", help="dense scan points for the reference count")
@@ -184,9 +188,8 @@ def cmd_bound(args) -> int:
         m = int(exp["m"])
         if m < 1:
             raise ConfigError("m must be at least 1")
-        bound = failure_bound(total, m)
-        header += ["m", "failure_bound", "bound_vacuous"]
-        row += [m, bound, bound >= 1.0]
+        header += ["m", "success_bound", "bound_vacuous"]
+        row += [m, failure_bound(total, m), bound_is_vacuous(total, m)]
     if "p" in exp:
         p = float(exp["p"])
         if not 0.0 <= p < 1.0:
@@ -279,6 +282,8 @@ def cmd_scaling(args) -> int:
     n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     if not n_list:
         raise ConfigError("scaling needs --n-list")
+    if not 0.0 <= args.p < 1.0:
+        raise ConfigError("p must lie in [0, 1)")
     rows_data = scaling_study(family, n_list, args.p)
     header = [
         "n",
@@ -427,36 +432,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="print the planned sample points")
     _add_common(p)
-    p.add_argument("--strategy", help="grid placement strategy")
-    p.add_argument("--m", help="number of grid cells")
-    p.add_argument("--p", help="failure probability budget")
+    _add_plan(p)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("bound", help="failure bound and sample size calculator")
     _add_common(p)
-    p.add_argument("--m", help="number of grid cells")
-    p.add_argument("--p", help="failure probability budget")
+    _add_plan(p, strategy=False)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("experiment", help="grid versus reference component counts")
     _add_common(p)
+    _add_plan(p)
     _add_experiment(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("compare", help="run every strategy on the same paths")
     _add_common(p)
+    _add_plan(p)
     _add_experiment(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("zeros", help="mean zero count against its prediction")
     _add_common(p)
-    _add_experiment(p, with_mp=False)
+    _add_experiment(p)
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("scaling", help="predicted sample counts across family sizes")
     _add_common(p)
     p.add_argument("--n-list", required=True, help="comma separated family sizes")
-    p.add_argument("--p", type=float, default=0.95, help="failure probability budget")
+    p.add_argument("--p", type=float, default=0.95, help="target success probability")
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser(

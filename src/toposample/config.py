@@ -35,17 +35,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import (
+    FAMILY_BUILDERS,
     FieldModel,
     ThresholdFn,
-    binomial_model,
-    chebyshev_model,
-    cosine_model,
     periodic_model,
     threshold_constant,
     threshold_cubic_shift,
     threshold_polynomial,
     threshold_zero,
-    unit_model,
 )
 
 _MODEL_KEYS = {"family", "n", "amplitudes", "period"}
@@ -124,20 +121,14 @@ def build_model(spec: dict[str, str]) -> FieldModel:
             return periodic_model(amps, period)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    builders = {
-        "chebyshev": chebyshev_model,
-        "cosine": cosine_model,
-        "binomial": binomial_model,
-        "unit": unit_model,
-    }
-    if family not in builders:
+    if family not in FAMILY_BUILDERS:
         raise ConfigError(f"unknown model family {family!r}")
     if "n" not in spec:
         raise ConfigError(f"{family} model requires model.n")
     n = _need_int(spec["n"], "model.n")
     if n < 0:
         raise ConfigError("model.n must be nonnegative")
-    return builders[family](n)
+    return FAMILY_BUILDERS[family](n)
 
 
 def build_threshold(spec: dict[str, str] | None) -> ThresholdFn:

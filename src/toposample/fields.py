@@ -204,6 +204,15 @@ def unit_model(n: int) -> FieldModel:
     return FieldModel("unit", n + 1, (-3.0, 3.0), variances=np.ones(n + 1))
 
 
+# builders of the families fixed by one truncation order n
+FAMILY_BUILDERS = {
+    "chebyshev": chebyshev_model,
+    "cosine": cosine_model,
+    "binomial": binomial_model,
+    "unit": unit_model,
+}
+
+
 def custom_model(basis_table, domain, variances=None, covariance=None) -> FieldModel:
     """Model over a user-supplied basis.
 

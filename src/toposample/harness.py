@@ -1,8 +1,8 @@
 """Experiment drivers, deterministic parallelism, and result output.
 
-Correctness experiments draw many independent paths, compare grid
-component counts against the dense-scan reference for each, and
-aggregate match frequencies. Reproducibility rules:
+Correctness experiments draw many independent paths, take the
+dense-scan reference count of each path once, grade every grid of the
+run against it, and aggregate match frequencies. Reproducibility rules:
 
 * trial t of a run with seed s uses the coefficient stream (s, t), so
   results do not depend on how trials are split across workers;
@@ -29,6 +29,7 @@ from .density import density_profile
 from .errors import ConfigError
 from .fields import FieldModel, ThresholdFn, sample_path, threshold_zero
 from .planner import (
+    STRATEGIES,
     SamplingPlan,
     build_plan,
     cumulative_weight,
@@ -57,36 +58,33 @@ class ExperimentResult:
     trial_log: list | None = None
 
 
-def _match_chunk(args):
-    (model, threshold, grid, resolution, seed, start, stop, keep_log) = args
+def _trial_chunk(args):
+    """Trials [start, stop): one oracle count per path, every grid graded on it."""
+    (model, threshold, grids, resolution, seed, start, stop, keep_log) = args
     a, b = model.domain
-    pos = neg = both = degenerate = 0
-    log = [] if keep_log else None
+    matches = [[0, 0, 0] for _ in grids]
+    logs = [[] for _ in grids] if keep_log else None
+    n = total = total_sq = 0
     for trial in range(start, stop):
         path = sample_path(model, seed, stream=trial)
         oracle = oracle_beta0(path, threshold, a, b, resolution)
-        values = path.value(grid) - threshold.value(grid)
-        grid_pos, grid_neg = cubical_beta0(values)
-        if oracle.degenerate:
-            degenerate += 1
-        else:
-            mp = grid_pos == oracle.beta0_pos
-            mn = grid_neg == oracle.beta0_neg
-            pos += mp
-            neg += mn
-            both += mp and mn
-        if keep_log:
-            log.append(
-                (
-                    trial,
-                    oracle.beta0_pos,
-                    oracle.beta0_neg,
-                    grid_pos,
-                    grid_neg,
-                    oracle.degenerate,
-                )
-            )
-    return start, (pos, neg, both, degenerate), log
+        if not oracle.degenerate:
+            count = int(oracle.zeros.size)
+            n += 1
+            total += count
+            total_sq += count * count
+        truth = (oracle.beta0_pos, oracle.beta0_neg)
+        for g, grid in enumerate(grids):
+            counts = cubical_beta0(path.value(grid) - threshold.value(grid))
+            if not oracle.degenerate:
+                mp = counts[0] == truth[0]
+                mn = counts[1] == truth[1]
+                matches[g][0] += mp
+                matches[g][1] += mn
+                matches[g][2] += mp and mn
+            if keep_log:
+                logs[g].append((trial, *truth, *counts, oracle.degenerate))
+    return start, matches, (n, total, total_sq), logs
 
 
 def _run_chunked(worker, args_list, workers):
@@ -99,60 +97,92 @@ def _run_chunked(worker, args_list, workers):
     return sorted(results, key=lambda r: r[0])
 
 
-def run_experiment(config: ExperimentConfig, keep_log: bool = False) -> ExperimentResult:
-    """Run a correctness experiment described by ``config``.
-
-    Requires a seed. Degenerate trials (suspected double roots) are
-    excluded from the match statistics but counted in the result.
-    """
-    if config.seed is None:
-        raise ConfigError("a seed is required for experiments")
-    plan = build_plan(
-        config.model, config.threshold, config.strategy, m=config.m, p=config.p
-    )
-    resolution = config.oracle_resolution
-    if resolution is None:
-        resolution = default_oracle_resolution(config.model)
-    tasks = [
-        (
-            config.model,
-            config.threshold,
-            plan.grid,
-            resolution,
-            config.seed,
-            start,
-            min(start + _TRIAL_CHUNK, config.trials),
-            keep_log,
-        )
-        for start in range(0, config.trials, _TRIAL_CHUNK)
-    ]
-    pos = neg = both = degenerate = 0
-    log = [] if keep_log else None
-    for _, counts, chunk_log in _run_chunked(_match_chunk, tasks, config.workers):
-        pos += counts[0]
-        neg += counts[1]
-        both += counts[2]
-        degenerate += counts[3]
-        if keep_log:
-            log.extend(chunk_log)
-    valid = config.trials - degenerate
+def _experiment_result(plan, trials, seed, valid, counts, log) -> ExperimentResult:
+    pos, neg, both = counts
     correctness = both / valid if valid else float("nan")
     stderr = (
         math.sqrt(correctness * (1.0 - correctness) / valid) if valid else float("nan")
     )
     return ExperimentResult(
         plan=plan,
-        trials=config.trials,
+        trials=trials,
         valid=valid,
         matches_pos=pos,
         matches_neg=neg,
         matches_both=both,
-        degenerate=degenerate,
+        degenerate=trials - valid,
         correctness=correctness,
         stderr=stderr,
-        seed=config.seed,
+        seed=seed,
         trial_log=log,
     )
+
+
+def trial_pass(
+    model: FieldModel,
+    threshold: ThresholdFn,
+    plans: list[SamplingPlan],
+    trials: int,
+    seed: int,
+    oracle_resolution: int | None = None,
+    workers: int = 1,
+    keep_log: bool = False,
+) -> tuple[list[ExperimentResult], tuple[int, int, int]]:
+    """Grade every plan's grid against one dense-scan count per path.
+
+    Trial t draws the path of stream (seed, t). Returns one result per
+    plan, in order, and the zero-count sums (valid paths, total zeros,
+    total squared zeros) over the nondegenerate paths; with no plans the
+    pass only counts zeros.
+    """
+    if seed is None:
+        raise ConfigError("a seed is required for experiments")
+    resolution = oracle_resolution
+    if resolution is None:
+        resolution = default_oracle_resolution(model)
+    common = (model, threshold, [plan.grid for plan in plans], resolution, seed)
+    tasks = [
+        common + (start, min(start + _TRIAL_CHUNK, trials), keep_log)
+        for start in range(0, trials, _TRIAL_CHUNK)
+    ]
+    matches = [[0, 0, 0] for _ in plans]
+    sums = [0, 0, 0]
+    logs = [[] for _ in plans] if keep_log else [None] * len(plans)
+    for _, chunk_matches, chunk_sums, chunk_logs in _run_chunked(
+        _trial_chunk, tasks, workers
+    ):
+        for g, counts in enumerate(chunk_matches):
+            matches[g] = [x + y for x, y in zip(matches[g], counts)]
+            if keep_log:
+                logs[g].extend(chunk_logs[g])
+        sums = [x + y for x, y in zip(sums, chunk_sums)]
+    results = [
+        _experiment_result(plan, trials, seed, sums[0], counts, log)
+        for plan, counts, log in zip(plans, matches, logs)
+    ]
+    return results, tuple(sums)
+
+
+def run_experiment(config: ExperimentConfig, keep_log: bool = False) -> ExperimentResult:
+    """Run a correctness experiment described by ``config``.
+
+    Requires a seed. Degenerate trials (suspected double roots) are
+    excluded from the match statistics but counted in the result.
+    """
+    plan = build_plan(
+        config.model, config.threshold, config.strategy, m=config.m, p=config.p
+    )
+    (result,), _ = trial_pass(
+        config.model,
+        config.threshold,
+        [plan],
+        config.trials,
+        config.seed,
+        config.oracle_resolution,
+        config.workers,
+        keep_log,
+    )
+    return result
 
 
 def compare_strategies(
@@ -165,20 +195,11 @@ def compare_strategies(
     workers: int = 1,
 ) -> list[tuple[str, ExperimentResult]]:
     """Run all strategies at equal cell count on identical paths."""
-    out = []
-    for strategy in ("topology", "uniform", "density"):
-        config = ExperimentConfig(
-            model=model,
-            threshold=threshold,
-            strategy=strategy,
-            m=m,
-            trials=trials,
-            seed=seed,
-            oracle_resolution=oracle_resolution,
-            workers=workers,
-        )
-        out.append((strategy, run_experiment(config)))
-    return out
+    plans = [build_plan(model, threshold, s, m=m) for s in STRATEGIES]
+    results, _ = trial_pass(
+        model, threshold, plans, trials, seed, oracle_resolution, workers
+    )
+    return list(zip(STRATEGIES, results))
 
 
 @dataclass(frozen=True)
@@ -195,24 +216,6 @@ class ZeroCountResult:
     seed: int
 
 
-def _zero_chunk(args):
-    (model, resolution, seed, start, stop) = args
-    a, b = model.domain
-    threshold = threshold_zero()
-    n = total = total_sq = degenerate = 0
-    for trial in range(start, stop):
-        path = sample_path(model, seed, stream=trial)
-        oracle = oracle_beta0(path, threshold, a, b, resolution)
-        if oracle.degenerate:
-            degenerate += 1
-            continue
-        count = int(oracle.zeros.size)
-        n += 1
-        total += count
-        total_sq += count * count
-    return start, (n, total, total_sq, degenerate)
-
-
 def zero_count_experiment(
     model: FieldModel,
     trials: int,
@@ -221,27 +224,17 @@ def zero_count_experiment(
     workers: int = 1,
 ) -> ZeroCountResult:
     """Compare the Monte Carlo mean zero count with its exact integral."""
-    resolution = oracle_resolution
-    if resolution is None:
-        resolution = default_oracle_resolution(model)
     expected = expected_zero_count(model)
-    tasks = [
-        (model, resolution, seed, start, min(start + _TRIAL_CHUNK, trials))
-        for start in range(0, trials, _TRIAL_CHUNK)
-    ]
-    n = total = total_sq = degenerate = 0
-    for _, counts in _run_chunked(_zero_chunk, tasks, workers):
-        n += counts[0]
-        total += counts[1]
-        total_sq += counts[2]
-        degenerate += counts[3]
+    _, (n, total, total_sq) = trial_pass(
+        model, threshold_zero(), [], trials, seed, oracle_resolution, workers
+    )
     mean = total / n if n else float("nan")
     var = (total_sq / n - mean * mean) if n else float("nan")
     stderr = math.sqrt(max(var, 0.0) / n) if n else float("nan")
     return ZeroCountResult(
         trials=trials,
         valid=n,
-        degenerate=degenerate,
+        degenerate=trials - n,
         mean_zeros=mean,
         stderr=stderr,
         expected=expected,

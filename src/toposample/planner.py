@@ -22,15 +22,7 @@ import numpy as np
 from .density import _CROSSOVER_FRACTION as _CROSSOVER_FRACTION_OF_DENSITY
 from .density import density_profile
 from .errors import DegenerateDensityError
-from .fields import (
-    FieldModel,
-    ThresholdFn,
-    binomial_model,
-    chebyshev_model,
-    cosine_model,
-    threshold_zero,
-    unit_model,
-)
+from .fields import FAMILY_BUILDERS, FieldModel, ThresholdFn, threshold_zero
 from .quadrature import (
     CumulativeIntegral,
     adaptive_simpson,
@@ -276,19 +268,11 @@ def expected_zero_count(model: FieldModel, rel_tol=1e-10) -> float:
     return float(value)
 
 
-_FAMILY_BUILDERS = {
-    "chebyshev": chebyshev_model,
-    "cosine": cosine_model,
-    "binomial": binomial_model,
-    "unit": unit_model,
-}
-
-
 def _family_builder(family):
     if callable(family):
         return family
     try:
-        return _FAMILY_BUILDERS[family]
+        return FAMILY_BUILDERS[family]
     except KeyError:
         raise ValueError(f"no scaling-study builder for family {family!r}") from None
 

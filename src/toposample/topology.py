@@ -29,7 +29,8 @@ _DEFAULT_ADMISSIBILITY_DEPTH = 12
 def cubical_beta0(values) -> tuple[int, int]:
     """Component counts of the grid approximations from point values.
 
-    ``values`` holds u - mu at the grid points. A value >= 0 flags the
+    ``values`` holds u - mu at the grid points and must be finite (a NaN
+    or an infinity raises ValueError). A value >= 0 flags the
     cell for the nonnegative set, <= 0 for the nonpositive set; an exact
     zero flags both. Each maximal run of flagged points is one component
     (the final point's degenerate cell included), so the count is the
@@ -38,6 +39,8 @@ def cubical_beta0(values) -> tuple[int, int]:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("grid values must form a nonempty vector")
+    if not np.isfinite(v).all():
+        raise ValueError("grid values must be finite")
 
     def runs(flags):
         f = flags.astype(np.int8)

@@ -15,9 +15,9 @@ import pytest
 
 import toposample as ts
 from toposample.cli import main as cli_main
-from toposample.harness import profile_dump
+from toposample.harness import profile_dump, trial_pass
 from toposample.planner import cumulative_weight, sampling_density_fn
-from toposample.topology import cubical_beta0, oracle_beta0
+from toposample.topology import cubical_beta0
 
 # pre-committed seeds for the stochastic criteria
 SEED_LOCAL_LAW = 505
@@ -189,25 +189,15 @@ def match_rates(cheb5, thr):
     plan8 = ts.build_plan(cheb5, thr, "topology", p=0.95)
     assert plan8.m == 8
     plan16 = ts.build_plan(cheb5, thr, "topology", m=16)
-    trials = 100_000
-    valid = match8 = match16 = 0
     start = time.monotonic()
-    for trial in range(trials):
-        path = ts.sample_path(cheb5, SEED_MATCH, stream=trial)
-        count = oracle_beta0(path, thr, -1.0, 1.0, 4096)
-        if count.degenerate:
-            continue
-        valid += 1
-        truth = (count.beta0_pos, count.beta0_neg)
-        if cubical_beta0(path.value(plan8.grid)) == truth:
-            match8 += 1
-        if cubical_beta0(path.value(plan16.grid)) == truth:
-            match16 += 1
+    (at8, at16), _ = trial_pass(
+        cheb5, thr, [plan8, plan16], 100_000, SEED_MATCH, oracle_resolution=4096
+    )
     elapsed = time.monotonic() - start
     return {
-        "valid": valid,
-        "rate8": match8 / valid,
-        "rate16": match16 / valid,
+        "valid": at8.valid,
+        "rate8": at8.correctness,
+        "rate16": at16.correctness,
         "bound8": plan8.bound,
         "bound16": plan16.bound,
         "elapsed": elapsed,

@@ -58,6 +58,26 @@ def test_bound_command(capsys):
     )
 
 
+def test_bound_columns_flag_a_vacuous_bound(capsys):
+    # K^3 ~ 236 exceeds M^2 = 4: the clamped success bound is 0 and vacuous
+    code, out, _ = _run(capsys, "bound", "--family", "chebyshev", "--n", "20", "--m", "2")
+    assert code == 0
+    header, rows = _csv_rows(out)
+    row = dict(zip(header, rows[0]))
+    assert header == ["total_weight", "m", "success_bound", "bound_vacuous"]
+    assert float(row["success_bound"]) == 0.0
+    assert row["bound_vacuous"] == "1"
+
+
+def test_scaling_bad_p_is_config_error(capsys):
+    code, _, err = _run(
+        capsys, "scaling", "--family", "chebyshev", "--n-list", "3,5", "--p", "1.5"
+    )
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_experiment_csv_and_validate_pass(tmp_path, capsys):
     out_path = tmp_path / "exp.csv"
     code, _, _ = _run(

@@ -2,11 +2,13 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import toposample as ts
+from toposample import harness
 from toposample.config import ExperimentConfig
 from toposample.errors import ConfigError
 from toposample.harness import (
@@ -126,6 +128,41 @@ def test_compare_strategies_rows(binom5, thr):
     topo, unif = by_name["topology"], by_name["uniform"]
     joint_se = math.hypot(topo.stderr, unif.stderr)
     assert topo.correctness >= unif.correctness - 4.0 * joint_se
+
+
+def test_compare_strategies_calls_the_oracle_once_per_path(binom5, thr, monkeypatch):
+    calls = []
+    oracle = harness.oracle_beta0
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "oracle_beta0", counted)
+    ts.compare_strategies(binom5, thr, m=7, trials=40, seed=8, oracle_resolution=512)
+    assert len(calls) == 40
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_compare_rows_equal_single_strategy_runs(binom5, workers):
+    threshold = ts.threshold_cubic_shift(0.5)
+    rows = ts.compare_strategies(
+        binom5, threshold, m=7, trials=600, seed=13, oracle_resolution=1024, workers=workers
+    )
+    for name, row in rows:
+        config = _config(
+            binom5,
+            threshold=threshold,
+            strategy=name,
+            m=7,
+            trials=600,
+            seed=13,
+            oracle_resolution=1024,
+            workers=workers,
+        )
+        single = ts.run_experiment(config)
+        assert np.array_equal(row.plan.grid, single.plan.grid)
+        assert replace(row, plan=None) == replace(single, plan=None)
 
 
 def test_compare_strategies_periodic_grids_coincide(mode5, thr):

@@ -38,6 +38,9 @@ def test_cubical_beta0_validation():
         cubical_beta0(np.array([]))
     with pytest.raises(ValueError):
         cubical_beta0(np.zeros((2, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            cubical_beta0(np.array([1.0, bad, 1.0]))
 
 
 def test_double_crossover_truth_table():

@@ -25,7 +25,7 @@ from .config import (
 )
 from .density import sampling_density
 from .errors import ConfigError, ToposampleError
-from .fields import correlation_jet, threshold_jet
+from .fields import FAMILY_BUILDERS, correlation_jet, threshold_jet
 from .harness import (
     compare_strategies,
     emit_table,
@@ -230,6 +230,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_compare(args) -> int:
     sections = _merge_sections(args)
+    if "strategy" in sections.get("experiment", {}):
+        raise ConfigError("compare runs every strategy; remove experiment.strategy")
     config = build_experiment_config(sections)
     _require_seed(config.seed)
     m = config.m
@@ -279,9 +281,19 @@ def cmd_scaling(args) -> int:
     family = sections.get("model", {}).get("family")
     if family is None:
         raise ConfigError("scaling needs --family")
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+    family = family.lower()
+    if family not in FAMILY_BUILDERS:
+        raise ConfigError(
+            f"scaling supports the families {', '.join(FAMILY_BUILDERS)}, not {family!r}"
+        )
+    try:
+        n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"--n-list must list integers, got {args.n_list!r}") from None
     if not n_list:
         raise ConfigError("scaling needs --n-list")
+    if min(n_list) < 0:
+        raise ConfigError("--n-list sizes must be nonnegative")
     if not 0.0 <= args.p < 1.0:
         raise ConfigError("p must lie in [0, 1)")
     rows_data = scaling_study(family, n_list, args.p)
@@ -448,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run every strategy on the same paths")
     _add_common(p)
-    _add_plan(p)
+    _add_plan(p, strategy=False)
     _add_experiment(p)
     p.set_defaults(func=cmd_compare)
 

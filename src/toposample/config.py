@@ -15,7 +15,7 @@ numbers use '.' decimals; vectors are comma-separated.
     coefficients = 0, 1    ; polynomial, ascending powers
 
     [experiment]
-    strategy = topology | uniform | density
+    strategy = topology | uniform | density  ; not for compare
     m = 13                 ; exactly one of m / p
     p = 0.95
     trials = 100000

@@ -589,6 +589,20 @@ def eval_path(path: SamplePath, x):
     return path.value_and_slope(x)
 
 
+def _horner(c, x):
+    """Ascending-power polynomial ``c`` at ``x``.
+
+    The Horner steps of ``numpy.polynomial.polynomial.polyval``, bit for
+    bit, without its per-call set-up.
+    """
+    if isinstance(x, (tuple, list)):
+        x = np.asarray(x)
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
 @dataclass(frozen=True, eq=False)
 class ThresholdFn:
     """Deterministic threshold level mu with two derivatives.
@@ -607,13 +621,13 @@ class ThresholdFn:
         object.__setattr__(self, "_d2", np.polynomial.polynomial.polyder(c, 2))
 
     def value(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
+        return _horner(self.coeffs, x)
 
     def d1(self, x):
-        return np.polynomial.polynomial.polyval(x, self._d1)
+        return _horner(self._d1, x)
 
     def d2(self, x):
-        return np.polynomial.polynomial.polyval(x, self._d2)
+        return _horner(self._d2, x)
 
     def jet(self, x):
         return self.value(x), self.d1(x), self.d2(x)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import pickle
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -88,10 +89,21 @@ def _trial_chunk(args):
 
 
 def _run_chunked(worker, args_list, workers):
-    """Evaluate chunk tasks and reduce in chunk order regardless of pool."""
+    """Evaluate chunk tasks and reduce in chunk order regardless of pool.
+
+    Raises ConfigError before any pool starts when the tasks cannot be
+    sent to worker processes, as with a custom model built on lambdas.
+    """
     if workers <= 1 or len(args_list) <= 1:
         results = [worker(a) for a in args_list]
     else:
+        try:
+            pickle.dumps(args_list[0])
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ConfigError(
+                f"the model cannot be sent to worker processes ({exc}); "
+                "it needs workers=1"
+            ) from None
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, args_list, chunksize=1))
     return sorted(results, key=lambda r: r[0])

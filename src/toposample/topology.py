@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SamplePath, ThresholdFn
+from .fields import SamplePath, ThresholdFn, basis_values
 from .planner import SamplingPlan, expected_zero_count
 
 # scan minima below this absolute size with no sign change nearby are
@@ -24,6 +24,11 @@ _DEGENERATE_TOL = 1e-9
 _ROOT_XTOL = 1e-12
 _SCAN_POINTS_PER_ZERO = 4096
 _DEFAULT_ADMISSIBILITY_DEPTH = 12
+
+# the scan grid and basis rows of the last oracle call, as one
+# ((model, a, b, resolution), xs, rows) entry; the key holds the model
+# itself, so a model built later can never match a stale entry
+_scan_basis_slot = [None]
 
 
 def cubical_beta0(values) -> tuple[int, int]:
@@ -117,6 +122,27 @@ def _polish_roots(diff, lo, hi, flo, fhi):
         lo[todo], hi[todo], flo[todo], fhi[todo] = new_l, new_h, fl, fh
 
 
+def _scan_basis(model, a, b, resolution):
+    """Scan points and basis rows on them, rebuilt only for a new key.
+
+    Paths of one model share the scan, so the rows are built once per
+    (model, a, b, resolution); the model is matched by identity. The slot
+    is emptied before a new build, so two row matrices are never alive at
+    once (about 79 MB each at Chebyshev n=64). Both arrays are read-only.
+    """
+    key = (model, a, b, resolution)
+    entry = _scan_basis_slot[0]
+    if entry is not None and entry[0] == key:
+        return entry[1], entry[2]
+    _scan_basis_slot[0] = None
+    xs = np.linspace(a, b, resolution)
+    rows = basis_values(model, xs)
+    xs.flags.writeable = False
+    rows.flags.writeable = False
+    _scan_basis_slot[0] = (key, xs, rows)
+    return xs, rows
+
+
 def oracle_beta0(
     path: SamplePath,
     threshold: ThresholdFn,
@@ -126,20 +152,22 @@ def oracle_beta0(
 ) -> OracleCount:
     """Count components of the true sign sets of u - mu on [a, b].
 
-    The difference is scanned at ``resolution`` equispaced points; each
-    sign change between neighbouring scan points is polished to within
-    1e-12 by a bracket-safeguarded Illinois step, and the segments between
+    The difference is scanned at ``resolution`` equispaced points, as the
+    path's coefficients times basis rows that every path of the model
+    shares (bit for bit ``path.value``). Each sign change between
+    neighbouring scan points is polished to within 1e-12 by a
+    bracket-safeguarded Illinois step, and the segments between
     consecutive roots are classified by their midpoint sign. The
     resolution should comfortably exceed twice the expected zero count.
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    xs = np.linspace(a, b, resolution)
+    xs, rows = _scan_basis(path.model, a, b, resolution)
 
     def diff(x):
         return path.value(x) - threshold.value(x)
 
-    fs = diff(xs)
+    fs = path.coeffs @ rows - threshold.value(xs)
     signs = np.sign(fs)
 
     interior = np.abs(fs[1:-1])

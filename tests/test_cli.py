@@ -78,6 +78,16 @@ def test_scaling_bad_p_is_config_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "family, n_list", [("fourier", "3"), ("periodic", "3"), ("chebyshev", "3,x")]
+)
+def test_scaling_bad_family_or_sizes_is_config_error(capsys, family, n_list):
+    code, _, err = _run(capsys, "scaling", "--family", family, "--n-list", n_list)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_experiment_csv_and_validate_pass(tmp_path, capsys):
     out_path = tmp_path / "exp.csv"
     code, _, _ = _run(
@@ -204,6 +214,28 @@ def test_compare_emits_three_rows(capsys):
     assert code == 0
     header, rows = _csv_rows(out)
     assert [row[0] for row in rows] == ["topology", "uniform", "density"]
+
+
+def test_compare_takes_no_strategy_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--family", "binomial", "--n", "5", "--m", "6",
+              "--trials", "10", "--seed", "1", "--strategy", "uniform"])
+    assert exc.value.code == 2
+    assert "--strategy" in capsys.readouterr().err
+
+
+def test_compare_strategy_config_key_is_config_error(tmp_path, capsys):
+    ini = tmp_path / "compare.ini"
+    ini.write_text(
+        "[model]\nfamily = binomial\nn = 5\n\n"
+        "[experiment]\nstrategy = uniform\nm = 6\ntrials = 10\nseed = 1\n",
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, "compare", "--config", str(ini))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert "strategy" in err
 
 
 def test_zeros_json_structure(tmp_path, capsys):

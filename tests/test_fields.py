@@ -210,6 +210,24 @@ def test_threshold_jet_vectorized():
     assert d2 == pytest.approx(np.full(3, -2.0), rel=1e-14)
 
 
+def test_threshold_values_equal_polyval_bit_for_bit():
+    polyval = np.polynomial.polynomial.polyval
+    thresholds = (
+        ts.threshold_zero(),
+        ts.threshold_constant(-0.7),
+        ts.threshold_cubic_shift(0.5),
+        ts.threshold_polynomial([0.3, -1.1, 0.25, 2.0, -0.125, 1.0 / 3.0]),
+    )
+    xs = np.linspace(-3.0, 3.0, 1001)
+    for thr in thresholds:
+        for fn, coeffs in ((thr.value, thr.coeffs), (thr.d1, thr._d1), (thr.d2, thr._d2)):
+            assert fn(xs).tobytes() == polyval(xs, coeffs).tobytes()
+            for x in (0.0, -2.5, 1.0 / 7.0):
+                got, want = fn(x), polyval(x, coeffs)
+                assert type(got) is type(want)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_basis_values_are_the_jet_value_rows(cheb5, cosine5, binom5, mode5):
     table = tuple((f, f, f) for f in (np.sin, np.cos, np.exp))
     custom = ts.custom_model(table, (0.0, 2.0))

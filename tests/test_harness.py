@@ -165,6 +165,21 @@ def test_compare_rows_equal_single_strategy_runs(binom5, workers):
         assert replace(row, plan=None) == replace(single, plan=None)
 
 
+def test_unpicklable_custom_model_needs_one_worker(monkeypatch):
+    table = (
+        (lambda x: np.ones_like(x), np.zeros_like, np.zeros_like),
+        (lambda x: x, np.ones_like, np.zeros_like),
+    )
+    model = ts.custom_model(table, (-1.0, 1.0))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ConfigError, match="workers=1"):
+        harness.trial_pass(model, ts.threshold_zero(), [], 1100, 1, 256, workers=2)
+
+
 def test_compare_strategies_periodic_grids_coincide(mode5, thr):
     # stationary density: the equal-mass grid IS the uniform grid
     rows = dict(ts.compare_strategies(mode5, thr, m=5, trials=50, seed=2, oracle_resolution=1024))

@@ -1,9 +1,13 @@
 """Component counting on grids and against the dense oracle."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import toposample as ts
-from toposample.fields import SamplePath
+from toposample import topology
+from toposample.fields import SamplePath, basis_values
 from toposample.topology import (
     admissibility_failure_bound,
     admissible_to_depth,
@@ -172,3 +176,93 @@ def test_oracle_zeros_match_exact_chebyshev_roots(cheb5, thr):
         assert count.zeros == pytest.approx(exact, rel=0.0, abs=1e-11)
         checked += count.zeros.size
     assert checked > 500
+
+
+def _uncached_oracle(monkeypatch, path, threshold, a, b, resolution):
+    # the oracle with its scan basis built afresh for this call
+    def fresh(model, a, b, resolution):
+        xs = np.linspace(a, b, resolution)
+        return xs, basis_values(model, xs)
+
+    with monkeypatch.context() as m:
+        m.setattr(topology, "_scan_basis", fresh)
+        return oracle_beta0(path, threshold, a, b, resolution)
+
+
+def _same_count(got, want):
+    return (
+        (got.beta0_pos, got.beta0_neg, got.degenerate)
+        == (want.beta0_pos, want.beta0_neg, want.degenerate)
+        and got.zeros.tobytes() == want.zeros.tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "family", ["chebyshev", "binomial_cubic_shift", "cosine_constant", "periodic"]
+)
+def test_oracle_equals_uncached_reference_scan(family, cheb5, binom5, cosine5, mode5, monkeypatch):
+    model, threshold = {
+        "chebyshev": (cheb5, ts.threshold_zero()),
+        "binomial_cubic_shift": (binom5, ts.threshold_cubic_shift(0.5)),
+        "cosine_constant": (cosine5, ts.threshold_constant(0.3)),
+        "periodic": (mode5, ts.threshold_zero()),
+    }[family]
+    a, b = model.domain
+    resolution = 4096
+    ref_xs = np.linspace(a, b, resolution)
+    for stream in range(300):
+        path = ts.sample_path(model, seed=4242, stream=stream)
+        count = oracle_beta0(path, threshold, a, b, resolution)
+        assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, a, b, resolution))
+        # the cached product is the scan of path.value and polyval, bit for bit
+        _, xs, rows = topology._scan_basis_slot[0]
+        scan = path.coeffs @ rows - threshold.value(xs)
+        ref = path.value(ref_xs) - np.polynomial.polynomial.polyval(ref_xs, threshold.coeffs)
+        assert scan.tobytes() == ref.tobytes()
+
+
+def test_scan_basis_is_never_stale(cheb5, monkeypatch):
+    # two models with equally many terms, so stale rows would go unnoticed
+    # by the shapes; two domains and two resolutions, interleaved
+    unit5 = ts.unit_model(5)
+    keys = [
+        (model, domain, resolution)
+        for model in (cheb5, unit5)
+        for domain in ((-1.0, 1.0), (-0.5, 0.75))
+        for resolution in (513, 1024)
+    ]
+    order = [keys[i % len(keys)] for i in range(0, 5 * len(keys), 3)]
+    threshold = ts.threshold_zero()
+    for stream, (model, (a, b), resolution) in enumerate(order):
+        path = ts.sample_path(model, seed=99, stream=stream)
+        count = oracle_beta0(path, threshold, a, b, resolution)
+        assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, a, b, resolution))
+        assert topology._scan_basis_slot[0][0] == (model, a, b, resolution)
+
+
+def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
+    builds = []
+
+    def recording(model, xs):
+        builds.append(topology._scan_basis_slot[0])  # state while building
+        return basis_values(model, xs)
+
+    monkeypatch.setattr(topology, "basis_values", recording)
+    for model, stream in ((cheb5, 0), (cheb5, 1), (binom5, 0), (binom5, 1), (cheb5, 2)):
+        a, b = model.domain
+        oracle_beta0(ts.sample_path(model, seed=5, stream=stream), thr, a, b, 640)
+    # one build per change of key, each into an emptied slot
+    assert builds == [None, None, None]
+    assert len(topology._scan_basis_slot) == 1
+    key, xs, rows = topology._scan_basis_slot[0]
+    assert key == (cheb5, -1.0, 1.0, 640)
+    assert rows.shape == (cheb5.n_terms, 640)
+    for array in (xs, rows):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_scan_basis_is_not_built_at_import():
+    code = "from toposample import topology; assert topology._scan_basis_slot == [None]"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

@@ -18,6 +18,8 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    _need_float,
+    _need_int,
     build_experiment_config,
     build_model,
     build_threshold,
@@ -150,6 +152,8 @@ def _meta(sections, command):
 def cmd_density(args) -> int:
     sections = _merge_sections(args)
     model, threshold = _model_threshold(sections)
+    if args.grid_size < 2:
+        raise ConfigError("--grid-size must be at least 2")
     header, rows = profile_dump(model, threshold, args.grid_size)
     output, fmt = _out_fmt(sections)
     emit_table(header, rows, output, fmt, _meta(sections, "density"))
@@ -185,13 +189,13 @@ def cmd_bound(args) -> int:
     header = ["total_weight"]
     row = [total]
     if "m" in exp:
-        m = int(exp["m"])
+        m = _need_int(exp["m"], "m")
         if m < 1:
             raise ConfigError("m must be at least 1")
         header += ["m", "success_bound", "bound_vacuous"]
         row += [m, failure_bound(total, m), bound_is_vacuous(total, m)]
     if "p" in exp:
-        p = float(exp["p"])
+        p = _need_float(exp["p"], "p")
         if not 0.0 <= p < 1.0:
             raise ConfigError("p must lie in [0, 1)")
         peak = peak_crossover_rate(model, threshold)
@@ -346,6 +350,8 @@ def cmd_orthant_check(args) -> int:
     x = args.x
     if x is None:
         x = 0.5 * (model.a + model.b)
+    if not model.a <= x <= model.b:
+        raise ConfigError(f"--x {x} lies outside the model domain [{model.a}, {model.b}]")
     spacings = _parse_floats(args.spacings, "--spacings")
 
     if args.mode == "eigen":
@@ -395,8 +401,10 @@ def cmd_orthant_check(args) -> int:
 
     # Monte Carlo crossover probability against the rate prediction
     exp = sections.get("experiment", {})
-    trials = int(exp.get("trials", "100000"))
-    seed = _require_seed(int(exp["seed"]) if "seed" in exp else None)
+    trials = _need_int(exp.get("trials", "100000"), "trials")
+    if trials < 1:
+        raise ConfigError("trials must be positive")
+    seed = _require_seed(_need_int(exp["seed"], "seed") if "seed" in exp else None)
     jet = correlation_jet(model, x)
     rate = sampling_density(jet, threshold_jet(threshold, x)).crossover_rate
     header = [

@@ -202,6 +202,10 @@ def build_experiment_config(sections: dict[str, dict[str, str]]) -> ExperimentCo
         resolution = _need_int(exp["oracle_resolution"], "experiment.oracle_resolution")
         if resolution <= 0:
             resolution = None
+        elif resolution < 3:
+            raise ConfigError(
+                "experiment.oracle_resolution must be 0 (automatic) or at least 3"
+            )
     workers = _need_int(exp.get("workers", "1"), "experiment.workers")
     if workers < 1:
         raise ConfigError("experiment.workers must be at least 1")

@@ -26,14 +26,13 @@ from .fields import FAMILY_BUILDERS, FieldModel, ThresholdFn, threshold_zero
 from .quadrature import (
     CumulativeIntegral,
     adaptive_simpson,
-    bisect_increasing,
     cumulative_integral,
     golden_max,
 )
+# perfbench/tracing.py wraps planner.bisect_increasing, so the name stays
+from .quadrature import bisect_increasing  # noqa: F401
 
 STRATEGIES = ("topology", "uniform", "density")
-
-_GRID_XTOL = 1e-12
 
 
 def sampling_density_fn(model: FieldModel, threshold: ThresholdFn):
@@ -89,24 +88,17 @@ def cumulative_weight(density_fn, a, b, rel_tol=1e-10):
 def place_grid(cumulative: CumulativeIntegral, total: float, m: int) -> np.ndarray:
     """Equal-mass grid: x_k with F(x_k) = k K / M, endpoints pinned.
 
-    Interior points are located by bisection on the monotone cumulative;
-    the density must not vanish on intervals of positive length, or
-    consecutive points would collide.
+    Interior points come from one vectorised inversion of the monotone
+    cumulative; the density must not vanish on intervals of positive
+    length, or consecutive points would collide.
     """
     if m < 1:
         raise ValueError("grid needs at least one interval")
     if not total > 0.0 or not math.isfinite(total):
         raise DegenerateDensityError("cube-root mass is zero; no guided grid exists")
-    a, b = cumulative.a, cumulative.b
     grid = np.empty(m + 1)
-    grid[0], grid[m] = a, b
-    lo = a
-    for k in range(1, m):
-        target = total * k / m
-        grid[k] = bisect_increasing(
-            lambda x: cumulative(x) - target, lo, b, xtol=_GRID_XTOL
-        )
-        lo = grid[k]
+    grid[0], grid[m] = cumulative.a, cumulative.b
+    grid[1:m] = cumulative.inverse(total * np.arange(1, m) / m)
     if np.any(np.diff(grid) <= 0.0):
         raise DegenerateDensityError(
             "guided grid points collide; the density vanishes on a subinterval"

@@ -1,11 +1,13 @@
 """Adaptive quadrature and scalar search utilities.
 
 Composite Simpson integration with per-panel adaptive refinement, a
-cumulative-integral object that supports pointwise queries of
-F(x) = int_a^x f, golden-section maximization, and bisection for
-monotone functions. Integrands must accept numpy arrays.
+cumulative-integral object that evaluates F(x) = int_a^x f and inverts
+it for many targets at once, golden-section maximization, and bisection
+for monotone functions. Integrands must accept numpy arrays.
 """
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -118,41 +120,100 @@ def adaptive_simpson(fn, a, b, rel_tol=1e-10, min_intervals=64):
     return float(np.sum(integ)), (left, right, integ)
 
 
+_INVERSE_XTOL_REL = 1e-13  # of the span b - a
+_MAX_NEWTON_STEPS = 100
+
+
+@cache
+def _gauss_legendre():
+    """Node positions in [0, 1] and half weights of the 8-node rule.
+
+    The rule for a partial integral inside one accepted panel; 8 nodes
+    integrate degree 15 exactly, far past the panel's Simpson tolerance.
+    Built on first use, so importing the package does not import
+    numpy.polynomial.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
 class CumulativeIntegral:
     """Callable F with F(x) = int_a^x f over an accepted panel table.
 
-    A query lands inside one panel; the partial piece is re-integrated
-    with a short adaptive Simpson pass so point evaluations inherit the
-    panel tolerance.
+    F(x) is the prefix sum of the panels left of x plus an 8-node
+    Gauss-Legendre rule on [left_i, x] inside the panel i that holds x.
+    :meth:`inverse` solves F(x) = t for many targets at once.
     """
 
-    def __init__(self, fn, a, b, total, panels, rel_tol):
+    def __init__(self, fn, a, b, total, panels):
         self.fn = fn
         self.a = float(a)
         self.b = float(b)
         self.total = float(total)
-        self.rel_tol = rel_tol
         left, right, integ = panels
         self._left = left
         self._right = right
         self._prefix = np.concatenate([[0.0], np.cumsum(integ)])
 
+    def _partial(self, i, x):
+        """(int_{left_i}^x f, f(x)) for each pair (i, x), in one integrand call."""
+        fractions, half_weights = _gauss_legendre()
+        lo = self._left[i]
+        h = x - lo
+        nodes = lo[:, None] + h[:, None] * fractions
+        vals = _eval(self.fn, np.concatenate([nodes.ravel(), x]))
+        part = h * (vals[:-x.size].reshape(nodes.shape) @ half_weights)
+        return part, vals[-x.size:]
+
     def __call__(self, x):
-        x = float(x)
-        if x <= self.a:
-            return 0.0
-        if x >= self.b:
-            return self.total
-        i = int(np.searchsorted(self._right, x, side="left"))
-        i = min(i, self._left.size - 1)
+        xs = np.clip(np.asarray(x, dtype=float), self.a, self.b)
+        flat = xs.ravel()
+        i = np.searchsorted(self._left, flat, side="right") - 1
+        i = np.clip(i, 0, self._left.size - 1)
+        out = self._prefix[i] + self._partial(i, flat)[0]
+        out[flat >= self.b] = self.total
+        if xs.ndim == 0:
+            return float(out[0])
+        return out.reshape(xs.shape)
+
+    def inverse(self, targets):
+        """Points x with F(x) = t, for a 1-D array of targets in [0, total].
+
+        Each target's panel comes from the prefix sums; inside it,
+        Newton steps on F' = f run for all targets together, each kept
+        in its shrinking bracket by a midpoint step when the Newton point
+        leaves it.
+        """
+        t = np.clip(np.asarray(targets, dtype=float), 0.0, self.total)
+        n_panels = self._left.size
+        i = np.clip(np.searchsorted(self._prefix, t, side="right") - 1, 0, n_panels - 1)
         base = self._prefix[i]
         lo = self._left[i]
-        if x <= lo:
-            return float(base)
-        part, _ = adaptive_simpson(
-            self.fn, lo, x, rel_tol=max(self.rel_tol, 1e-13), min_intervals=4
-        )
-        return float(base + part)
+        hi = self._right[i]
+        mass = self._prefix[i + 1] - base
+        frac = np.divide(t - base, mass, out=np.full_like(t, 0.5), where=mass > 0.0)
+        x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+        xtol = _INVERSE_XTOL_REL * (self.b - self.a)
+        todo = np.arange(t.size)
+        for _ in range(_MAX_NEWTON_STEPS):
+            if todo.size == 0:
+                break
+            xk = x[todo]
+            part, f = self._partial(i[todo], xk)
+            resid = base[todo] + part - t[todo]
+            below = resid < 0.0
+            lo[todo] = np.where(below, xk, lo[todo])
+            hi[todo] = np.where(below, hi[todo], xk)
+            l, h = lo[todo], hi[todo]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = xk - resid / f
+            # closed bracket: the update above may have moved an end onto
+            # the converged point, which must still be accepted
+            step = np.where((l <= step) & (step <= h), step, 0.5 * (l + h))
+            x[todo] = step
+            done = (np.abs(step - xk) <= xtol) | (h - l <= xtol)
+            todo = todo[~done]
+        return x
 
 
 def cumulative_integral(fn, a, b, rel_tol=1e-10, min_intervals=64):
@@ -160,7 +221,7 @@ def cumulative_integral(fn, a, b, rel_tol=1e-10, min_intervals=64):
     total, panels = adaptive_simpson(
         fn, a, b, rel_tol=rel_tol, min_intervals=min_intervals
     )
-    return total, CumulativeIntegral(fn, a, b, total, panels, rel_tol)
+    return total, CumulativeIntegral(fn, a, b, total, panels)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0

@@ -88,6 +88,33 @@ def test_scaling_bad_family_or_sizes_is_config_error(capsys, family, n_list):
     assert "Traceback" not in err
 
 
+CHEB5 = ("--family", "chebyshev", "--n", "5")
+RUN = ("--trials", "10", "--seed", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", *CHEB5, "--m", "x"),
+        ("bound", *CHEB5, "--p", "abc"),
+        ("density", *CHEB5, "--grid-size", "1"),
+        ("orthant-check", *CHEB5, "--mode", "mc", "--trials", "abc", "--seed", "1"),
+        ("orthant-check", *CHEB5, "--mode", "mc", "--trials", "0", "--seed", "1"),
+        ("orthant-check", *CHEB5, "--mode", "mc", "--trials", "10", "--seed", "x"),
+        ("orthant-check", *CHEB5, "--x", "5"),
+        ("orthant-check", *CHEB5, "--mode", "mc", "--x", "-1.5", *RUN),
+        ("experiment", *CHEB5, "--m", "4", *RUN, "--oracle-resolution", "2"),
+        ("zeros", *CHEB5, *RUN, "--oracle-resolution", "1"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_value_is_config_error(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_experiment_csv_and_validate_pass(tmp_path, capsys):
     out_path = tmp_path / "exp.csv"
     code, _, _ = _run(

@@ -129,6 +129,11 @@ def test_build_experiment_config_errors():
         ts.build_experiment_config(
             {**base, "experiment": {"m": "4", "workers": "0"}}
         )
+    for resolution in ("1", "2"):
+        with pytest.raises(ConfigError):
+            ts.build_experiment_config(
+                {**base, "experiment": {"m": "4", "oracle_resolution": resolution}}
+            )
 
 
 def test_validate_flag_parsing():

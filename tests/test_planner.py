@@ -13,6 +13,7 @@ from toposample.planner import (
     sampling_density_fn,
     uniform_bound_samples,
 )
+from toposample.quadrature import adaptive_simpson
 
 # cube-root masses frozen from high-precision runs of this code base,
 # cross-checked against closed forms where one exists
@@ -68,6 +69,44 @@ def test_place_grid_equal_mass(cheb5, thr):
     assert grid[1:4] == pytest.approx(
         [-0.81569833475396081, -0.60849270425420898, -0.30990716366503246], abs=1e-9
     )
+
+
+@pytest.mark.parametrize("m", [4, 7, 16])
+def test_binomial_grid_closed_form(binom5, thr, m):
+    # C^(1/3) is proportional to 1 / (1 + x^2) on [-3, 3], so the
+    # equal-mass points are x_k = tan(atan(3) (2k/M - 1))
+    plan = ts.build_plan(binom5, thr, "topology", m=m)
+    want = np.tan(np.arctan(3.0) * (2.0 * np.arange(m + 1) / m - 1.0))
+    assert np.max(np.abs(plan.grid - want)) <= 1e-11
+
+
+def test_cheb64_cells_hold_equal_mass():
+    model = ts.chebyshev_model(64)
+    plan = ts.build_plan(model, ts.threshold_zero(), "topology", p=0.95)
+    assert plan.m == 404
+    density = sampling_density_fn(model, ts.threshold_zero())
+    weight = lambda x: np.cbrt(density(x))
+    masses = np.array(
+        [
+            adaptive_simpson(weight, lo, hi, rel_tol=1e-12)[0]
+            for lo, hi in zip(plan.grid[:-1], plan.grid[1:])
+        ]
+    )
+    k = plan.total_weight
+    assert np.max(np.abs(masses - k / plan.m)) <= 1e-10 * k
+
+
+@pytest.mark.parametrize("strategy", ["topology", "density"])
+def test_cosine_grid_with_vanishing_end_density(strategy, thr):
+    # the cosine family's density is zero at both domain ends, where the
+    # inversion's Newton slope vanishes
+    model = ts.cosine_model(8)
+    plan = ts.build_plan(model, thr, strategy, m=20)
+    assert not plan.uniform_fallback
+    assert plan.grid[0] == model.a and plan.grid[-1] == model.b
+    assert np.all(np.diff(plan.grid) > 0)
+    # mirror symmetry of the family about the midpoint survives the inversion
+    assert np.max(np.abs(plan.grid + plan.grid[::-1] - (model.a + model.b))) < 1e-11
 
 
 def test_place_grid_validation(cheb5, thr):

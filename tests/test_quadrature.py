@@ -73,6 +73,49 @@ def test_cumulative_is_monotone():
     assert vals[-1] == pytest.approx(total, rel=1e-12)
 
 
+def test_inverse_round_trip():
+    # F = sin on [0, pi/2]
+    total, cum = cumulative_integral(np.cos, 0.0, np.pi / 2)
+    targets = np.linspace(0.0, total, 101)
+    xs = cum.inverse(targets)
+    assert np.max(np.abs(cum(xs) - targets)) <= 1e-14
+    # compared in F, since arcsin is steep near the right end
+    assert np.max(np.abs(np.sin(xs) - targets)) <= 1e-14
+    assert xs[0] == 0.0
+
+
+def test_inverse_round_trip_with_vanishing_integrand():
+    # f = 3 x^2 vanishes at the left end, where Newton slopes are zero
+    total, cum = cumulative_integral(lambda x: 3.0 * x * x, 0.0, 2.0)
+    targets = total * np.arange(1, 40) / 40
+    xs = cum.inverse(targets)
+    assert np.max(np.abs(cum(xs) - targets)) <= 1e-14 * total
+    assert xs == pytest.approx(np.cbrt(targets), abs=1e-12)
+
+
+@pytest.mark.parametrize("fn", [np.cos, lambda x: 3.0 * x * x])
+def test_inverse_converges_in_a_few_vectorised_passes(fn):
+    # each pass evaluates the integrand once for every unfinished target;
+    # a Newton point that lands on a bracket end is still accepted, so
+    # no target falls back to a long run of midpoint steps
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return fn(x)
+
+    total, cum = cumulative_integral(counted, 0.0, 1.5)
+    calls.clear()
+    cum.inverse(total * np.arange(1, 100) / 100)
+    assert len(calls) <= 6
+
+
+def test_cumulative_array_query_matches_scalar_queries():
+    total, cum = cumulative_integral(lambda x: 1.0 + x * x, -1.0, 2.0)
+    xs = np.array([-2.0, -1.0, -0.3, 0.0, 1.7, 2.0, 3.0])
+    assert np.array_equal(cum(xs), np.array([cum(float(x)) for x in xs]))
+
+
 def test_golden_max_quadratic():
     x, v = golden_max(lambda x: -((x - 0.3) ** 2), -1.0, 1.0)
     assert x == pytest.approx(0.3, abs=1e-8)

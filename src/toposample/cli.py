@@ -18,16 +18,18 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    CONFIG_KEYS,
     _need_float,
+    _need_floats,
     _need_int,
     build_experiment_config,
     build_model,
     build_threshold,
     read_config_file,
 )
-from .density import sampling_density
+from .density import density_profile
 from .errors import ConfigError, ToposampleError
-from .fields import FAMILY_BUILDERS, correlation_jet, threshold_jet
+from .fields import FAMILY_BUILDERS
 from .harness import (
     compare_strategies,
     emit_table,
@@ -85,43 +87,25 @@ def _add_experiment(parser):
     parser.add_argument("--oracle-resolution", help="dense scan points for the reference count")
     parser.add_argument("--workers", help="worker processes")
     parser.add_argument(
-        "--validate", action="store_true", help="exit 4 if the result misses its guarantee"
+        "--validate",
+        action="store_const",
+        const="true",
+        help="exit 4 if the result misses its guarantee",
     )
 
 
-_MODEL_KEYS = ("family", "n", "amplitudes", "period")
-_THRESHOLD_KEYS = (("threshold_kind", "kind"), ("tau", "tau"), ("coefficients", "coefficients"))
-_EXPERIMENT_KEYS = (
-    "strategy",
-    "m",
-    "p",
-    "trials",
-    "seed",
-    "oracle_resolution",
-    "workers",
-    "output",
-    "fmt",
-)
+# flags whose argparse destination differs from their config key
+_FLAG_DEST = {"kind": "threshold_kind", "format": "fmt"}
 
 
 def _merge_sections(args) -> dict:
     """Config file sections with command line overrides applied."""
     sections = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _MODEL_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            sections.setdefault("model", {})[key] = value
-    for attr, key in _THRESHOLD_KEYS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            sections.setdefault("threshold", {})[key] = value
-    for key in _EXPERIMENT_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            target = "format" if key == "fmt" else key
-            sections.setdefault("experiment", {})[target] = str(value)
-    if getattr(args, "validate", False):
-        sections.setdefault("experiment", {})["validate"] = "true"
+    for section, keys in CONFIG_KEYS.items():
+        for key in keys:
+            value = getattr(args, _FLAG_DEST.get(key, key), None)
+            if value is not None:
+                sections.setdefault(section, {})[key] = str(value)
     return sections
 
 
@@ -317,16 +301,6 @@ def cmd_scaling(args) -> int:
     return 0
 
 
-def _parse_floats(text, what):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{what}: expected comma separated numbers") from exc
-    if not values:
-        raise ConfigError(f"{what}: empty list")
-    return values
-
-
 def cmd_orthant_check(args) -> int:
     sections = _merge_sections(args)
     output, fmt = _out_fmt(sections)
@@ -335,7 +309,7 @@ def cmd_orthant_check(args) -> int:
     if args.mode == "weight":
         if args.shift is None:
             raise ConfigError("weight mode needs --shift")
-        shift = _parse_floats(args.shift, "--shift")
+        shift = _need_floats(args.shift, "--shift").tolist()
         weight = orthant_weight(shift)
         header = ["n", "weight"]
         row = [len(shift), weight]
@@ -352,7 +326,13 @@ def cmd_orthant_check(args) -> int:
         x = 0.5 * (model.a + model.b)
     if not model.a <= x <= model.b:
         raise ConfigError(f"--x {x} lies outside the model domain [{model.a}, {model.b}]")
-    spacings = _parse_floats(args.spacings, "--spacings")
+    spacings = _need_floats(args.spacings, "--spacings").tolist()
+    for spacing in spacings:
+        if spacing <= 0.0 or x + spacing > model.b:
+            raise ConfigError(
+                f"--spacings: each spacing must be positive with x + spacing <= "
+                f"{model.b}, got {spacing:g} at x = {x:g}"
+            )
 
     if args.mode == "eigen":
         report = eigen_expansion_check(model, threshold, x, spacings)
@@ -405,8 +385,7 @@ def cmd_orthant_check(args) -> int:
     if trials < 1:
         raise ConfigError("trials must be positive")
     seed = _require_seed(_need_int(exp["seed"], "seed") if "seed" in exp else None)
-    jet = correlation_jet(model, x)
-    rate = sampling_density(jet, threshold_jet(threshold, x)).crossover_rate
+    rate = float(density_profile(model, threshold, x, strict=True).crossover_rate[0])
     header = [
         "x",
         "spacing",

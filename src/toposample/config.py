@@ -29,6 +29,7 @@ Command-line flags override file keys one for one.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +46,15 @@ from .fields import (
     threshold_zero,
 )
 
-_MODEL_KEYS = {"family", "n", "amplitudes", "period"}
-_THRESHOLD_KEYS = {"kind", "tau", "coefficients"}
-_EXPERIMENT_KEYS = {
-    "strategy", "m", "p", "trials", "seed", "oracle_resolution",
-    "workers", "output", "format", "validate",
+# the keys each config section accepts; the command line offers one flag
+# per key
+CONFIG_KEYS = {
+    "model": ("family", "n", "amplitudes", "period"),
+    "threshold": ("kind", "tau", "coefficients"),
+    "experiment": (
+        "strategy", "m", "p", "trials", "seed", "oracle_resolution",
+        "workers", "output", "format", "validate",
+    ),
 }
 
 
@@ -67,17 +72,11 @@ def read_config_file(path: str) -> dict[str, dict[str, str]]:
     for section in parser.sections():
         name = section.strip().lower()
         out[name] = {k.strip().lower(): v.strip() for k, v in parser[section].items()}
-    known = {"model", "threshold", "experiment"}
     for name in out:
-        if name not in known:
+        if name not in CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{name}]")
-    allowed = {
-        "model": _MODEL_KEYS,
-        "threshold": _THRESHOLD_KEYS,
-        "experiment": _EXPERIMENT_KEYS,
-    }
     for name, keys in out.items():
-        stray = set(keys) - allowed[name]
+        stray = set(keys) - set(CONFIG_KEYS[name])
         if stray:
             raise ConfigError(
                 f"unknown key(s) in [{name}]: {', '.join(sorted(stray))}"
@@ -94,16 +93,24 @@ def _need_int(raw: str, key: str) -> int:
 
 def _need_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def _need_floats(raw: str, key: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in raw.split(",") if v.strip() != ""])
+        values = np.array([float(v) for v in raw.split(",") if v.strip() != ""])
     except ValueError:
         raise ConfigError(f"{key} must be a comma-separated list, got {raw!r}") from None
+    if values.size == 0:
+        raise ConfigError(f"{key} must list at least one number")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return values
 
 
 def build_model(spec: dict[str, str]) -> FieldModel:

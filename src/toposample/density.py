@@ -19,125 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NondegeneracyError, NonFiniteDensityError
-from .fields import (
-    CorrelationJet,
-    FieldModel,
-    ThresholdFn,
-    jet_tables,
-)
+from .fields import FieldModel, ThresholdFn, jet_tables
 
 _PREFACTOR = 1.0 / (48.0 * np.pi)
 # fraction of the two-crossing rate that flips a sign pattern
 _CROSSOVER_FRACTION = 0.75
-
-
-@dataclass(frozen=True)
-class DensityBreakdown:
-    """Sampling density at one point, with its factors split out.
-
-    Attributes
-    ----------
-    x : float
-    density : float
-        The d^3-rate coefficient itself.
-    threshold_gain : float
-        Nonnegative polynomial correction picked up when the threshold
-        bends relative to the process.
-    threshold_decay : float
-        Nonnegative Gaussian exponent suppressing unlikely level values.
-    threshold_factor : float
-        (1 + threshold_gain) * exp(-threshold_decay); equals 1 for a
-        zero threshold.
-    crossover_rate : float
-        3/4 of ``density``: the coefficient of the sign-pattern flip
-        probability used by the uniform-grid bound.
-    zero_density : float
-        First-moment density of zeros of u - mu ... kept alongside for
-        profile dumps (threshold level ignored, as for a centered
-        process).
-    """
-
-    x: float
-    density: float
-    threshold_gain: float
-    threshold_decay: float
-    threshold_factor: float
-    crossover_rate: float
-    zero_density: float
-
-
-def _breakdown_from_pieces(x, jet_vals, mu_jet):
-    r00, r10, r11, r20, r21, r22, m33, m32, m31, det3 = jet_vals
-    mu, dmu, ddmu = mu_jet
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        base = _PREFACTOR * det3 / np.sqrt(m33) ** 3
-        shift = m31 * mu - m32 * dmu + m33 * ddmu
-        gain = shift * shift / (m33 * det3)
-        slope_term = r10 * mu - r00 * dmu
-        decay = (slope_term * slope_term + m33 * mu * mu) / (2.0 * r00 * m33)
-        factor = (1.0 + gain) * np.exp(-decay)
-        dens = base * factor
-        zero_dens = np.sqrt(np.clip(m33, 0.0, None)) / (np.pi * r00)
-    return dens, gain, decay, factor, zero_dens
-
-
-def sampling_density(jet: CorrelationJet, mu_jet) -> DensityBreakdown:
-    """Sampling density at the jet's base point.
-
-    Parameters
-    ----------
-    jet : CorrelationJet
-        Diagonal derivative jet of the correlation function; must be
-        nondegenerate.
-    mu_jet : tuple of float
-        (mu, mu', mu'') of the threshold at the same point.
-
-    Raises
-    ------
-    NondegeneracyError
-        If the derivative covariance is singular there, or if the
-        correction term overflows.
-    """
-    if not jet.nondegenerate():
-        raise NondegeneracyError(
-            f"derivative covariance is singular at x={jet.x:g}", x=jet.x
-        )
-    vals = (
-        jet.r00, jet.r10, jet.r11, jet.r20, jet.r21, jet.r22,
-        jet.minor33, jet.minor32, jet.minor31, jet.det3,
-    )
-    dens, gain, decay, factor, zero_dens = _breakdown_from_pieces(
-        jet.x, vals, tuple(float(v) for v in mu_jet)
-    )
-    if not np.isfinite(dens) or not np.isfinite(gain):
-        raise NondegeneracyError(
-            f"sampling density overflowed at x={jet.x:g}", x=jet.x
-        )
-    return DensityBreakdown(
-        jet.x, float(dens), float(gain), float(decay), float(factor),
-        _CROSSOVER_FRACTION * float(dens), float(zero_dens),
-    )
-
-
-def sampling_density_constant_threshold(jet: CorrelationJet, tau: float):
-    """Sampling density for the constant threshold mu = tau."""
-    return sampling_density(jet, (float(tau), 0.0, 0.0))
-
-
-def zero_density(jet: CorrelationJet) -> float:
-    """First-moment density of zeros: sqrt(minor33) / (pi r00).
-
-    Only requires the (u, u') covariance block to be nonsingular, so it
-    also applies to models whose full jet is degenerate.
-    """
-    if jet.r00 <= 0.0:
-        raise NondegeneracyError(f"process variance vanishes at x={jet.x:g}", x=jet.x)
-    m33 = jet.minor33
-    if m33 < -1e-12 * jet.r00 * jet.r11:
-        raise NondegeneracyError(
-            f"slope covariance block is indefinite at x={jet.x:g}", x=jet.x
-        )
-    return float(np.sqrt(max(m33, 0.0)) / (np.pi * jet.r00))
 
 
 def periodic_density_closed_form(m0, m1, m2, period, mu_jet) -> float:
@@ -153,8 +39,8 @@ def periodic_density_closed_form(m0, m1, m2, period, mu_jet) -> float:
     mu_jet : tuple of float
         (mu, mu', mu'') at the evaluation point.
 
-    The value agrees with :func:`sampling_density` evaluated through the
-    trigonometric jet; the spread m0 m2 - m1^2 must be positive, which
+    The value agrees with :func:`density_profile` evaluated on the
+    periodic model; the spread m0 m2 - m1^2 must be positive, which
     is exactly the nondegeneracy of the derivative covariance.
     """
     mu, dmu, ddmu = (float(v) for v in mu_jet)
@@ -190,7 +76,17 @@ def binomial_zero_density_closed_form(n: int, x):
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Vectorized density evaluation along a grid of points."""
+    """Sampling density along a grid of points, with its factors split out.
+
+    ``density`` is the d^3-rate coefficient itself. ``threshold_gain``
+    (polynomial correction where the threshold bends relative to the
+    process) and ``threshold_decay`` (Gaussian exponent suppressing
+    unlikely levels) combine into ``threshold_factor`` = (1 + gain)
+    exp(-decay), which is 1 for a zero threshold. ``crossover_rate`` is
+    3/4 of ``density``, the coefficient of the sign-pattern flip
+    probability. ``zero_density`` is the first-moment density of zeros,
+    threshold level ignored.
+    """
 
     x: np.ndarray
     density: np.ndarray
@@ -208,7 +104,9 @@ def density_profile(
     """Evaluate the density breakdown on an array of points.
 
     Degenerate points get NaN densities and a False flag; with
-    ``strict`` they raise instead. The zero density column is filled
+    ``strict`` they raise instead, which makes
+    ``density_profile(model, threshold, x, strict=True).density[0]`` the
+    checked value at a single point. The zero density column is filled
     wherever the (u, u') block allows it.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -219,16 +117,18 @@ def density_profile(
         raise NondegeneracyError(
             f"derivative covariance is singular at x={bad:g}", x=bad
         )
-    vals = tuple(
-        t[k]
-        for k in (
-            "r00", "r10", "r11", "r20", "r21", "r22",
-            "minor33", "minor32", "minor31", "det3",
-        )
-    )
-    dens, gain, decay, factor, zero_dens = _breakdown_from_pieces(
-        x, vals, threshold.jet(x)
-    )
+    r00, r10, r11 = t["r00"], t["r10"], t["r11"]
+    m33, m32, m31, det3 = t["minor33"], t["minor32"], t["minor31"], t["det3"]
+    mu, dmu, ddmu = threshold.jet(x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        base = _PREFACTOR * det3 / np.sqrt(m33) ** 3
+        shift = m31 * mu - m32 * dmu + m33 * ddmu
+        gain = shift * shift / (m33 * det3)
+        slope_term = r10 * mu - r00 * dmu
+        decay = (slope_term * slope_term + m33 * mu * mu) / (2.0 * r00 * m33)
+        factor = (1.0 + gain) * np.exp(-decay)
+        dens = base * factor
+        zero_dens = np.sqrt(np.clip(m33, 0.0, None)) / (np.pi * r00)
     if strict and not np.all(np.isfinite(dens)):
         raise NonFiniteDensityError("sampling density overflowed on the profile grid")
     dens = np.where(ok, dens, np.nan)
@@ -236,7 +136,7 @@ def density_profile(
     decay = np.where(ok, decay, np.nan)
     factor = np.where(ok, factor, np.nan)
     with np.errstate(invalid="ignore"):
-        zero_ok = (t["r00"] > 0.0) & (t["minor33"] > -1e-12 * t["r00"] * t["r11"])
+        zero_ok = (r00 > 0.0) & (m33 > -1e-12 * r00 * r11)
     zero_dens = np.where(zero_ok, zero_dens, np.nan)
     return DensityProfile(
         x, dens, gain, decay, factor, _CROSSOVER_FRACTION * dens, zero_dens, ok

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FactorizationError, NondegeneracyError
+from .errors import FactorizationError
 
 FAMILIES = ("chebyshev", "cosine", "periodic", "binomial", "unit", "custom")
 
@@ -110,6 +110,9 @@ class FieldModel:
             raise ValueError("at least one basis term is required")
         if (self.variances is None) == (self.covariance is None):
             raise ValueError("exactly one of variances/covariance is required")
+        coefficient_cov = self.variances if self.covariance is None else self.covariance
+        if not np.all(np.isfinite(coefficient_cov)):
+            raise ValueError("coefficient variances and covariance must be finite")
         if self.variances is not None and self.variances.shape != (self.n_terms,):
             raise ValueError("variance vector length must equal n_terms")
         if self.covariance is not None:
@@ -381,14 +384,6 @@ def basis_jets(model: FieldModel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return (b0, *derivatives(model, x, b0))
 
 
-def basis_eval(model: FieldModel, k: int, x: float) -> tuple[float, float, float]:
-    """(phi_k, phi_k', phi_k'') at a single point."""
-    if not 0 <= k < model.n_terms:
-        raise IndexError(f"basis index {k} out of range for {model.n_terms} terms")
-    b0, b1, b2 = basis_jets(model, x)
-    return float(b0[k, 0]), float(b1[k, 0]), float(b2[k, 0])
-
-
 def _pair_contract(model, left, right):
     """sum_ij cov_ij left_i right_j for each column."""
     if model.variances is not None:
@@ -411,65 +406,22 @@ def correlation(model: FieldModel, x, y):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class CorrelationJet:
-    """Diagonal derivative jet of the correlation function at one point.
+def jet_tables(model: FieldModel, x) -> dict[str, np.ndarray]:
+    """Diagonal derivative jet of the correlation function at each point.
 
     ``rkl`` is the covariance of the k-th and l-th spatial derivatives
-    of the process at ``x``. The three stored 2x2 minors and the full
-    3x3 determinant of the symmetric matrix
+    of the process at ``x``. The three 2x2 minors and the full 3x3
+    determinant of the symmetric matrix
 
         [[r00, r10, r20],
          [r10, r11, r21],
          [r20, r21, r22]]
 
-    are precomputed because every density formula is built from them.
+    are included because every density formula is built from them, and
+    ``nondegenerate`` flags the points where (u, u') and (u, u', u'')
+    are jointly nonsingular. Returns a dict of arrays, one entry per
+    point of ``x``.
     """
-
-    x: float
-    r00: float
-    r10: float
-    r11: float
-    r20: float
-    r21: float
-    r22: float
-    minor33: float
-    minor32: float
-    minor31: float
-    det3: float
-
-    @classmethod
-    def from_derivatives(cls, x, r00, r10, r11, r20, r21, r22):
-        minor33 = r00 * r11 - r10 * r10
-        minor32 = r00 * r21 - r10 * r20
-        minor31 = r10 * r21 - r11 * r20
-        det3 = (
-            r00 * (r11 * r22 - r21 * r21)
-            - r10 * (r10 * r22 - r20 * r21)
-            + r20 * (r10 * r21 - r11 * r20)
-        )
-        return cls(x, r00, r10, r11, r20, r21, r22, minor33, minor32, minor31, det3)
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.r00, self.r10, self.r20],
-                [self.r10, self.r11, self.r21],
-                [self.r20, self.r21, self.r22],
-            ]
-        )
-
-    def nondegenerate(self) -> bool:
-        """Whether (u, u') and (u, u', u'') are jointly nonsingular here."""
-        return (
-            self.r00 > 0.0
-            and self.minor33 > _DEGENERACY_TOL * self.r00 * self.r11
-            and self.det3 > _DEGENERACY_TOL * self.r00 * self.r11 * self.r22
-        )
-
-
-def jet_tables(model: FieldModel, x) -> dict[str, np.ndarray]:
-    """Vectorized diagonal jets: arrays keyed like CorrelationJet fields."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     b0, b1, b2 = basis_jets(model, x)
     r00 = _pair_contract(model, b0, b0)
@@ -507,27 +459,6 @@ def jet_tables(model: FieldModel, x) -> dict[str, np.ndarray]:
     }
 
 
-def correlation_jet(model: FieldModel, x: float, require_nondegenerate: bool = True):
-    """Derivative jet of R at the diagonal point ``x``.
-
-    With ``require_nondegenerate`` (the default) a singular or
-    indefinite derivative covariance raises
-    :class:`~toposample.errors.NondegeneracyError`; zero-count formulas
-    that only need the (u, u') block may pass ``False``.
-    """
-    t = jet_tables(model, x)
-    jet = CorrelationJet(
-        float(x),
-        *(float(t[k][0]) for k in ("r00", "r10", "r11", "r20", "r21", "r22")),
-        *(float(t[k][0]) for k in ("minor33", "minor32", "minor31", "det3")),
-    )
-    if require_nondegenerate and not jet.nondegenerate():
-        raise NondegeneracyError(
-            f"derivative covariance is singular at x={float(x):g}", x=float(x)
-        )
-    return jet
-
-
 def spectral_moment(model: FieldModel, order: int) -> float:
     """sum_k k^(2 order) a_k^2 for the periodic family."""
     if model.family != "periodic":
@@ -547,15 +478,6 @@ class SamplePath:
         scalar = np.isscalar(x)
         out = self.coeffs @ basis_values(self.model, x)
         return float(out[0]) if scalar else out
-
-    def value_and_slope(self, x):
-        scalar = np.isscalar(x)
-        b0, b1, _ = basis_jets(self.model, x)
-        u = self.coeffs @ b0
-        du = self.coeffs @ b1
-        if scalar:
-            return float(u[0]), float(du[0])
-        return u, du
 
     def __call__(self, x):
         return self.value(x)
@@ -582,11 +504,6 @@ def sample_path(model: FieldModel, seed: int, stream: int = 0) -> SamplePath:
     factor = model._factor
     coeffs = factor * z if factor.ndim == 1 else factor @ z
     return SamplePath(model, coeffs)
-
-
-def eval_path(path: SamplePath, x):
-    """(u(x), u'(x)) for a sampled path."""
-    return path.value_and_slope(x)
 
 
 def _horner(c, x):
@@ -650,7 +567,3 @@ def threshold_cubic_shift(tau: float) -> ThresholdFn:
     """mu(x) = x - x^3 + tau, the bent level used in the demos."""
     return ThresholdFn("cubic_shift", np.array([float(tau), 1.0, 0.0, -1.0]))
 
-
-def threshold_jet(threshold: ThresholdFn, x):
-    """(mu, mu', mu'') at ``x``; arrays broadcast through."""
-    return threshold.jet(x)

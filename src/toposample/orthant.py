@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
+from .errors import NondegeneracyError, NotPositiveDefiniteError
 from .fields import (
     FieldModel,
     ThresholdFn,
     basis_values,
     coefficient_rng,
     correlation,
-    correlation_jet,
+    jet_tables,
 )
 from .quadrature import adaptive_simpson
 
@@ -273,16 +273,23 @@ def eigen_expansion_check(
     plus the matching threshold projections. Eigenvector signs are
     aligned with the limit directions.
     """
-    jet = correlation_jet(model, x)
+    t = jet_tables(model, x)
+    if not t["nondegenerate"][0]:
+        raise NondegeneracyError(
+            f"derivative covariance is singular at x={float(x):g}", x=float(x)
+        )
+    r00, r10, m33, m32, m31, det3 = (
+        float(t[k][0]) for k in ("r00", "r10", "minor33", "minor32", "minor31", "det3")
+    )
     mu, dmu, ddmu = (float(v) for v in threshold.jet(x))
-    pred_small = jet.det3 / (96.0 * jet.minor33)
-    pred_mid = jet.minor33 / (2.0 * jet.r00)
-    pred_large = 3.0 * jet.r00
-    bend = jet.minor31 * mu - jet.minor32 * dmu + jet.minor33 * ddmu
-    pred_proj_small = bend / (4.0 * math.sqrt(6.0) * jet.minor33)
-    pred_proj_mid = (jet.r10 * mu - jet.r00 * dmu) / (math.sqrt(2.0) * jet.r00)
+    pred_small = det3 / (96.0 * m33)
+    pred_mid = m33 / (2.0 * r00)
+    pred_large = 3.0 * r00
+    bend = m31 * mu - m32 * dmu + m33 * ddmu
+    pred_proj_small = bend / (4.0 * math.sqrt(6.0) * m33)
+    pred_proj_mid = (r10 * mu - r00 * dmu) / (math.sqrt(2.0) * r00)
     pred_proj_large = math.sqrt(3.0) * mu
-    pred_det = jet.det3 / 64.0
+    pred_det = det3 / 64.0
 
     steps = []
     for d in spacings:

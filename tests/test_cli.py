@@ -105,6 +105,19 @@ RUN = ("--trials", "10", "--seed", "1")
         ("orthant-check", *CHEB5, "--mode", "mc", "--x", "-1.5", *RUN),
         ("experiment", *CHEB5, "--m", "4", *RUN, "--oracle-resolution", "2"),
         ("zeros", *CHEB5, *RUN, "--oracle-resolution", "1"),
+        ("orthant-check", *CHEB5, "--mode", "mc", "--spacings", "-0.1", *RUN),
+        ("orthant-check", *CHEB5, "--spacings", "0"),
+        ("orthant-check", *CHEB5, "--spacings", "nan"),
+        ("orthant-check", *CHEB5, "--spacings", "-0.1"),
+        ("orthant-check", *CHEB5, "--x", "0.9", "--spacings", "0.25"),
+        ("orthant-check", *CHEB5, "--mode", "mc", "--x", "0.9", "--spacings", "0.25", *RUN),
+        ("orthant-check", "--mode", "weight", "--shift", "nan,0,0"),
+        ("orthant-check", "--mode", "weight", "--shift", "inf,0,0"),
+        ("orthant-check", "--mode", "weight", "--shift", ","),
+        ("density", *CHEB5, "--threshold", "constant", "--tau", "nan"),
+        ("density", *CHEB5, "--threshold", "polynomial", "--coefficients", "1,inf"),
+        ("grid", "--family", "periodic", "--amplitudes", "nan,1", "--m", "8"),
+        ("grid", "--family", "periodic", "--amplitudes", "0,1,1", "--period", "inf", "--m", "8"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -184,21 +197,11 @@ def test_unknown_family_is_config_error(capsys):
 
 def test_degenerate_point_is_numerical_error(capsys):
     # cosine family jets collapse at the left endpoint
-    code, _, err = _run(
-        capsys,
-        "orthant-check",
-        "--family",
-        "cosine",
-        "--n",
-        "5",
-        "--mode",
-        "eigen",
-        "--x",
-        "0.0",
-        "--spacings",
-        "0.01",
-    )
-    assert code == 3
+    cosine_at_0 = ("--family", "cosine", "--n", "5", "--x", "0.0", "--spacings", "0.01")
+    for mode in (("--mode", "eigen"), ("--mode", "mc", *RUN)):
+        code, _, err = _run(capsys, "orthant-check", *cosine_at_0, *mode)
+        assert code == 3
+        assert err.startswith("numerical failure:")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -8,30 +8,28 @@ from toposample.errors import NondegeneracyError
 SQRT5 = 5.0 ** 0.5
 
 
+def _at(model, threshold, x):
+    return ts.density_profile(model, threshold, x, strict=True)
+
+
 def test_binomial_density_at_origin(binom5):
-    jet = ts.correlation_jet(binom5, 0.0)
-    got = ts.sampling_density_constant_threshold(jet, 0.0)
-    assert got.density == pytest.approx(SQRT5 / (6.0 * np.pi), rel=1e-13)
-    assert got.crossover_rate == pytest.approx(0.75 * got.density, rel=1e-14)
+    got = _at(binom5, ts.threshold_constant(0.0), 0.0)
+    assert got.density[0] == pytest.approx(SQRT5 / (6.0 * np.pi), rel=1e-13)
+    assert got.crossover_rate[0] == pytest.approx(0.75 * got.density[0], rel=1e-14)
 
 
 def test_binomial_density_closed_form_grid(binom5):
     xs = np.linspace(-2.8, 2.8, 29)
     want = ts.binomial_density_closed_form(5, xs)
-    for x, w in zip(xs, want):
-        jet = ts.correlation_jet(binom5, float(x))
-        got = ts.sampling_density_constant_threshold(jet, 0.0)
-        assert got.density == pytest.approx(w, rel=1e-11)
+    got = _at(binom5, ts.threshold_constant(0.0), xs)
+    assert got.density == pytest.approx(want, rel=1e-11)
 
 
-def test_binomial_zero_density(binom5):
-    jet = ts.correlation_jet(binom5, 0.0)
-    assert ts.zero_density(jet) == pytest.approx(SQRT5 / np.pi, rel=1e-13)
+def test_binomial_zero_density(binom5, thr):
+    assert _at(binom5, thr, 0.0).zero_density[0] == pytest.approx(SQRT5 / np.pi, rel=1e-13)
     xs = np.linspace(-2.5, 2.5, 11)
     want = ts.binomial_zero_density_closed_form(5, xs)
-    for x, w in zip(xs, want):
-        jet = ts.correlation_jet(binom5, float(x))
-        assert ts.zero_density(jet) == pytest.approx(w, rel=1e-11)
+    assert _at(binom5, thr, xs).zero_density == pytest.approx(want, rel=1e-11)
 
 
 def test_periodic_closed_form_matches_profile(mode5, thr):
@@ -48,38 +46,32 @@ def test_periodic_closed_form_matches_profile(mode5, thr):
 
 
 def test_zero_threshold_factor_is_one(cheb5):
-    jet = ts.correlation_jet(cheb5, 0.3)
-    got = ts.sampling_density(jet, (0.0, 0.0, 0.0))
-    assert got.threshold_gain == 0.0
-    assert got.threshold_decay == 0.0
-    assert got.threshold_factor == 1.0
-    same = ts.sampling_density_constant_threshold(jet, 0.0)
-    assert same.density == got.density
+    got = _at(cheb5, ts.threshold_zero(), 0.3)
+    assert got.threshold_gain[0] == 0.0
+    assert got.threshold_decay[0] == 0.0
+    assert got.threshold_factor[0] == 1.0
+    same = _at(cheb5, ts.threshold_constant(0.0), 0.3)
+    assert same.density[0] == got.density[0]
 
 
 def test_large_threshold_suppresses_density(cheb5):
     # decay scales with tau^2 and wins over the polynomial gain
-    jet = ts.correlation_jet(cheb5, 0.2)
-    base = ts.sampling_density_constant_threshold(jet, 0.0).density
-    levels = [ts.sampling_density_constant_threshold(jet, t).density for t in (3.0, 6.0, 12.0)]
+    base = _at(cheb5, ts.threshold_constant(0.0), 0.2).density[0]
+    levels = [_at(cheb5, ts.threshold_constant(t), 0.2).density[0] for t in (3.0, 6.0, 12.0)]
     assert base > levels[0] > levels[1] > levels[2]
     assert levels[2] < 1e-6 * base
-    assert ts.sampling_density_constant_threshold(jet, 6.0).threshold_decay > 0.0
+    assert _at(cheb5, ts.threshold_constant(6.0), 0.2).threshold_decay[0] > 0.0
 
 
 def test_breakdown_factor_consistency(binom5):
-    jet = ts.correlation_jet(binom5, 0.8)
-    got = ts.sampling_density(jet, (0.7, -0.4, 1.2))
-    want_factor = (1.0 + got.threshold_gain) * np.exp(-got.threshold_decay)
-    assert got.threshold_factor == pytest.approx(want_factor, rel=1e-14)
-    base = ts.sampling_density_constant_threshold(jet, 0.0).density
-    assert got.density == pytest.approx(base * got.threshold_factor, rel=1e-13)
-
-
-def test_degenerate_jet_rejected(cosine5):
-    jet = ts.correlation_jet(cosine5, 0.0, require_nondegenerate=False)
-    with pytest.raises(NondegeneracyError):
-        ts.sampling_density_constant_threshold(jet, 0.0)
+    # mu = 0.7 - 0.4 (x - 0.8) + 0.6 (x - 0.8)^2, whose jet at 0.8 is (0.7, -0.4, 1.2)
+    bent = ts.threshold_polynomial([1.404, -1.36, 0.6])
+    assert bent.jet(0.8) == pytest.approx((0.7, -0.4, 1.2), rel=1e-14)
+    got = _at(binom5, bent, 0.8)
+    want_factor = (1.0 + got.threshold_gain[0]) * np.exp(-got.threshold_decay[0])
+    assert got.threshold_factor[0] == pytest.approx(want_factor, rel=1e-14)
+    base = _at(binom5, ts.threshold_constant(0.0), 0.8).density[0]
+    assert got.density[0] == pytest.approx(base * got.threshold_factor[0], rel=1e-13)
 
 
 def test_profile_masks_degenerate_rows(cosine5, thr):
@@ -95,9 +87,9 @@ def test_profile_masks_degenerate_rows(cosine5, thr):
 def test_profile_zero_density_column(binom5, thr):
     xs = np.linspace(-2.0, 2.0, 9)
     prof = ts.density_profile(binom5, thr, xs, strict=True)
-    for i, x in enumerate(xs):
-        jet = ts.correlation_jet(binom5, float(x))
-        assert prof.zero_density[i] == pytest.approx(ts.zero_density(jet), rel=1e-12)
+    t = ts.jet_tables(binom5, xs)
+    want = np.sqrt(t["minor33"]) / (np.pi * t["r00"])
+    assert prof.zero_density == pytest.approx(want, rel=1e-12)
 
 
 def test_chebyshev_density_even(cheb5, thr):

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample.fields import FactorizationError, NondegeneracyError, basis_values
+from toposample.errors import FactorizationError
+from toposample.fields import basis_values
 
 
 def _fd_check(model, xs, h, tol1, tol2):
@@ -29,7 +30,7 @@ def test_basis_jets_match_finite_differences(cheb5, cosine5, binom5, mode5):
 
 
 def test_chebyshev_recurrence_values(cheb5):
-    v, d1, d2 = ts.basis_eval(cheb5, 2, 0.5)
+    v, d1, d2 = (float(row[2, 0]) for row in ts.basis_jets(cheb5, 0.5))
     assert v == pytest.approx(-0.5, abs=1e-14)
     assert d1 == pytest.approx(2.0, abs=1e-13)
     assert d2 == pytest.approx(4.0, abs=1e-12)
@@ -37,7 +38,7 @@ def test_chebyshev_recurrence_values(cheb5):
 
 def test_monomial_values():
     model = ts.unit_model(4)
-    v, d1, d2 = ts.basis_eval(model, 3, 2.0)
+    v, d1, d2 = (float(row[3, 0]) for row in ts.basis_jets(model, 2.0))
     assert (v, d1, d2) == (8.0, 12.0, 12.0)
 
 
@@ -72,33 +73,20 @@ def test_binomial_correlation_closed_form(binom5):
 
 
 def test_binomial_jet_at_origin(binom5):
-    jet = ts.correlation_jet(binom5, 0.0)
-    assert jet.r00 == pytest.approx(1.0, rel=1e-14)
-    assert jet.r10 == pytest.approx(0.0, abs=1e-14)
-    assert jet.r11 == pytest.approx(5.0, rel=1e-14)
-    assert jet.r22 == pytest.approx(40.0, rel=1e-13)
-    assert jet.minor33 == pytest.approx(5.0, rel=1e-13)
-    assert jet.det3 == pytest.approx(200.0, rel=1e-12)
-    assert jet.nondegenerate()
+    jet = {key: col[0] for key, col in ts.jet_tables(binom5, 0.0).items()}
+    assert jet["r00"] == pytest.approx(1.0, rel=1e-14)
+    assert jet["r10"] == pytest.approx(0.0, abs=1e-14)
+    assert jet["r11"] == pytest.approx(5.0, rel=1e-14)
+    assert jet["r22"] == pytest.approx(40.0, rel=1e-13)
+    assert jet["minor33"] == pytest.approx(5.0, rel=1e-13)
+    assert jet["det3"] == pytest.approx(200.0, rel=1e-12)
+    assert jet["nondegenerate"]
 
 
 def test_cosine_endpoints_degenerate(cosine5):
     # constant-derivative direction dies at the ends of the half period
     tables = ts.jet_tables(cosine5, np.array([0.0, 0.5, 1.0]))
     assert list(tables["nondegenerate"]) == [False, True, False]
-    with pytest.raises(NondegeneracyError):
-        ts.correlation_jet(cosine5, 0.0)
-    jet = ts.correlation_jet(cosine5, 0.0, require_nondegenerate=False)
-    assert not jet.nondegenerate()
-
-
-def test_jet_tables_columns(cheb5):
-    xs = np.linspace(-0.9, 0.9, 11)
-    tables = ts.jet_tables(cheb5, xs)
-    jet = ts.correlation_jet(cheb5, float(xs[3]))
-    for key in ("r00", "r10", "r11", "r20", "r21", "r22", "minor33", "det3"):
-        assert tables[key][3] == pytest.approx(getattr(jet, key), rel=1e-12)
-    assert bool(tables["nondegenerate"].all())
 
 
 def test_spectral_moments(mode5):
@@ -117,6 +105,8 @@ def test_periodic_validation():
         ts.periodic_model([0.0, 0.0])
     with pytest.raises(ValueError):
         ts.periodic_model([1.0], period=-2.0)
+    with pytest.raises(ValueError):
+        ts.periodic_model([np.inf, 1.0])
 
 
 def test_custom_model_matches_monomials():
@@ -141,6 +131,12 @@ def test_custom_covariance_must_factor():
     # indefinite covariances are rejected at construction time
     with pytest.raises(FactorizationError):
         ts.custom_model(table, (0.0, 1.0), covariance=bad)
+    # so are non-finite ones
+    for v in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ts.custom_model(table, (0.0, 1.0), variances=[1.0, v])
+        with pytest.raises(ValueError):
+            ts.custom_model(table, (0.0, 1.0), covariance=[[1.0, v], [v, 1.0]])
 
 
 def test_domain_enforced(cheb5):
@@ -161,15 +157,9 @@ def test_sample_path_reproducible(cheb5):
 def test_sample_path_evaluation(binom5):
     path = ts.sample_path(binom5, seed=11)
     xs = np.linspace(-2.0, 2.0, 9)
-    b0, b1, _ = ts.basis_jets(binom5, xs)
-    want = path.coeffs @ b0
+    want = path.coeffs @ ts.basis_jets(binom5, xs)[0]
     assert path.value(xs) == pytest.approx(want, rel=1e-13)
     assert path(xs) == pytest.approx(want, rel=1e-13)
-    v, s = path.value_and_slope(xs)
-    assert v == pytest.approx(want, rel=1e-13)
-    assert s == pytest.approx(path.coeffs @ b1, rel=1e-13)
-    ev, es = ts.eval_path(path, xs)
-    assert np.array_equal(ev, v) and np.array_equal(es, s)
 
 
 def test_coefficient_rng_streams():
@@ -201,10 +191,10 @@ def test_threshold_functions():
     assert cubic.d2(x) == pytest.approx(-6.0 * x, rel=1e-14)
 
 
-def test_threshold_jet_vectorized():
+def test_threshold_fn_jet_vectorized():
     poly = ts.threshold_polynomial([0.0, 1.0, -1.0])
     xs = np.array([0.0, 0.5, 1.0])
-    v, d1, d2 = ts.threshold_jet(poly, xs)
+    v, d1, d2 = poly.jet(xs)
     assert v == pytest.approx(xs - xs**2, rel=1e-14)
     assert d1 == pytest.approx(1.0 - 2.0 * xs, rel=1e-14)
     assert d2 == pytest.approx(np.full(3, -2.0), rel=1e-14)

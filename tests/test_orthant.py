@@ -167,11 +167,11 @@ def test_eigen_expansion_structure(binom5):
 def test_eigen_expansion_predictions_from_jet(mode5):
     # stationary family at zero threshold: odd-derivative terms vanish
     report = ts.eigen_expansion_check(mode5, ts.threshold_zero(), 0.5, [2.0**-6])
-    jet = ts.correlation_jet(mode5, 0.5)
-    assert report.predicted_large == pytest.approx(3.0 * jet.r00, rel=1e-12)
-    assert report.predicted_mid == pytest.approx(jet.minor33 / (2.0 * jet.r00), rel=1e-12)
-    assert report.predicted_small == pytest.approx(jet.det3 / (96.0 * jet.minor33), rel=1e-12)
-    assert report.predicted_det == pytest.approx(jet.det3 / 64.0, rel=1e-12)
+    r00, m33, det3 = (ts.jet_tables(mode5, 0.5)[k][0] for k in ("r00", "minor33", "det3"))
+    assert report.predicted_large == pytest.approx(3.0 * r00, rel=1e-12)
+    assert report.predicted_mid == pytest.approx(m33 / (2.0 * r00), rel=1e-12)
+    assert report.predicted_small == pytest.approx(det3 / (96.0 * m33), rel=1e-12)
+    assert report.predicted_det == pytest.approx(det3 / 64.0, rel=1e-12)
     assert report.predicted_proj_large == 0.0
     assert report.predicted_proj_mid == 0.0
     assert report.predicted_proj_small == 0.0

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Every subcommand accepts ``--config FILE`` plus flags that override
-individual config keys; flags win. Results go to ``--output`` as CSV or
-JSON, or to stdout when no path is given.
+Every subcommand accepts ``--config FILE`` plus one flag for each config
+key it reads (``COMMAND_KEYS``); flags win over the file. Flags must be
+spelled out in full. Results go to ``--output`` as CSV or JSON, or to
+stdout when no path is given.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (degenerate model, non-finite density, failed factorization), 4 a
@@ -59,53 +60,35 @@ from .planner import (
 )
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--family", help="model family")
-    parser.add_argument("--n", help="family size parameter")
-    parser.add_argument("--amplitudes", help="comma separated amplitudes")
-    parser.add_argument("--period", help="period for the periodic family")
-    parser.add_argument("--threshold", dest="threshold_kind", help="threshold kind")
-    parser.add_argument("--tau", help="threshold level")
-    parser.add_argument(
-        "--coefficients", help="comma separated polynomial threshold coefficients"
-    )
-    parser.add_argument("--output", help="output path (default stdout)")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
+# The config keys each subcommand reads. The parser offers one flag per
+# key (--key with '_' as '-', but --threshold for threshold.kind) and
+# _merge_sections reads the same keys back, so a command has a flag for
+# every key it reads and for no other.
+_MODEL = CONFIG_KEYS["model"]
+_THRESHOLD = CONFIG_KEYS["threshold"]
+_RUN = ("trials", "seed", "oracle_resolution", "workers")
+_OUT = ("output", "format")
+COMMAND_KEYS = {
+    "density": _MODEL + _THRESHOLD + _OUT,
+    "grid": _MODEL + _THRESHOLD + ("strategy", "m", "p") + _OUT,
+    "bound": _MODEL + _THRESHOLD + ("m", "p") + _OUT,
+    "experiment": _MODEL + _THRESHOLD + ("strategy", "m", "p") + _RUN + ("validate",) + _OUT,
+    "compare": _MODEL + _THRESHOLD + ("m", "p") + _RUN + _OUT,
+    "zeros": _MODEL + _RUN + ("validate",) + _OUT,
+    "scaling": ("family", "p") + _OUT,
+    "orthant-check": _MODEL + _THRESHOLD + ("trials", "seed") + _OUT,
+}
 
-
-def _add_plan(parser, strategy=True):
-    if strategy:
-        parser.add_argument("--strategy", help="grid placement strategy")
-    parser.add_argument("--m", help="number of grid cells")
-    parser.add_argument("--p", help="target success probability")
-
-
-def _add_experiment(parser):
-    parser.add_argument("--trials", help="Monte Carlo trials")
-    parser.add_argument("--seed", help="base RNG seed")
-    parser.add_argument("--oracle-resolution", help="dense scan points for the reference count")
-    parser.add_argument("--workers", help="worker processes")
-    parser.add_argument(
-        "--validate",
-        action="store_const",
-        const="true",
-        help="exit 4 if the result misses its guarantee",
-    )
-
-
-# flags whose argparse destination differs from their config key
-_FLAG_DEST = {"kind": "threshold_kind", "format": "fmt"}
+_SECTION_OF = {key: section for section, keys in CONFIG_KEYS.items() for key in keys}
 
 
 def _merge_sections(args) -> dict:
     """Config file sections with command line overrides applied."""
-    sections = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for section, keys in CONFIG_KEYS.items():
-        for key in keys:
-            value = getattr(args, _FLAG_DEST.get(key, key), None)
-            if value is not None:
-                sections.setdefault(section, {})[key] = str(value)
+    sections = read_config_file(args.config) if args.config else {}
+    for key in COMMAND_KEYS[args.command]:
+        value = getattr(args, key)
+        if value is not None:
+            sections.setdefault(_SECTION_OF[key], {})[key] = str(value)
     return sections
 
 
@@ -282,9 +265,12 @@ def cmd_scaling(args) -> int:
         raise ConfigError("scaling needs --n-list")
     if min(n_list) < 0:
         raise ConfigError("--n-list sizes must be nonnegative")
-    if not 0.0 <= args.p < 1.0:
+    exp = sections.setdefault("experiment", {})
+    p = _need_float(exp.get("p", "0.95"), "p")
+    if not 0.0 <= p < 1.0:
         raise ConfigError("p must lie in [0, 1)")
-    rows_data = scaling_study(family, n_list, args.p)
+    exp["p"] = str(p)  # the output's meta records the p in use
+    rows_data = scaling_study(family, n_list, p)
     header = [
         "n",
         "expected_zeros",
@@ -416,56 +402,50 @@ def cmd_orthant_check(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "density": (cmd_density, "tabulate densities across the domain"),
+    "grid": (cmd_grid, "print the planned sample points"),
+    "bound": (cmd_bound, "failure bound and sample size calculator"),
+    "experiment": (cmd_experiment, "grid versus reference component counts"),
+    "compare": (cmd_compare, "run every strategy on the same paths"),
+    "zeros": (cmd_zeros, "mean zero count against its prediction"),
+    "scaling": (cmd_scaling, "predicted sample counts across family sizes"),
+    "orthant-check": (cmd_orthant_check, "local covariance expansion and crossover checks"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with a flag for each key in COMMAND_KEYS.
+
+    Abbreviations are off, so a flag a command lacks is never read as
+    the prefix of another.
+    """
     parser = argparse.ArgumentParser(
         prog="toposample",
         description="Density guided sampling of smooth random field excursion sets",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, (func, help_text) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", help="INI config file")
+        for key in COMMAND_KEYS[name]:
+            flag = "--threshold" if key == "kind" else "--" + key.replace("_", "-")
+            p.add_argument(
+                flag,
+                dest=key,
+                help=f"config key {_SECTION_OF[key]}.{key}",
+                **({"action": "store_const", "const": "true"} if key == "validate" else {}),
+            )
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("density", help="tabulate densities across the domain")
-    _add_common(p)
-    p.add_argument("--grid-size", type=int, default=201, help="table rows")
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("grid", help="print the planned sample points")
-    _add_common(p)
-    _add_plan(p)
-    p.set_defaults(func=cmd_grid)
-
-    p = sub.add_parser("bound", help="failure bound and sample size calculator")
-    _add_common(p)
-    _add_plan(p, strategy=False)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("experiment", help="grid versus reference component counts")
-    _add_common(p)
-    _add_plan(p)
-    _add_experiment(p)
-    p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("compare", help="run every strategy on the same paths")
-    _add_common(p)
-    _add_plan(p, strategy=False)
-    _add_experiment(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("zeros", help="mean zero count against its prediction")
-    _add_common(p)
-    _add_experiment(p)
-    p.set_defaults(func=cmd_zeros)
-
-    p = sub.add_parser("scaling", help="predicted sample counts across family sizes")
-    _add_common(p)
-    p.add_argument("--n-list", required=True, help="comma separated family sizes")
-    p.add_argument("--p", type=float, default=0.95, help="target success probability")
-    p.set_defaults(func=cmd_scaling)
-
-    p = sub.add_parser(
-        "orthant-check", help="local covariance expansion and crossover checks"
+    commands["density"].add_argument("--grid-size", type=int, default=201, help="table rows")
+    commands["scaling"].add_argument(
+        "--n-list", required=True, help="comma separated family sizes"
     )
-    _add_common(p)
+    p = commands["orthant-check"]
     p.add_argument("--mode", choices=("eigen", "mc", "weight"), default="eigen")
     p.add_argument("--x", type=float, help="expansion point (default domain midpoint)")
     p.add_argument(
@@ -474,10 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma separated grid spacings",
     )
     p.add_argument("--shift", help="comma separated shift vector (weight mode)")
-    p.add_argument("--trials", help="Monte Carlo trials (mc mode)")
-    p.add_argument("--seed", help="base RNG seed (mc mode)")
-    p.set_defaults(func=cmd_orthant_check)
-
     return parser
 
 

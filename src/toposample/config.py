@@ -24,13 +24,15 @@ numbers use '.' decimals; vectors are comma-separated.
     workers = 1
     output = results.csv
 
-Command-line flags override file keys one for one.
+A key that the chosen family or threshold kind does not read is an
+error. Command-line flags override file keys one for one; each
+subcommand offers a flag for exactly the keys it reads.
 """
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +48,8 @@ from .fields import (
     threshold_zero,
 )
 
-# the keys each config section accepts; the command line offers one flag
-# per key
+# the keys each config section accepts; each subcommand offers a flag for
+# the keys it reads (cli.COMMAND_KEYS)
 CONFIG_KEYS = {
     "model": ("family", "n", "amplitudes", "period"),
     "threshold": ("kind", "tau", "coefficients"),
@@ -113,12 +115,36 @@ def _need_floats(raw: str, key: str) -> np.ndarray:
     return values
 
 
+# the keys each model family and each threshold kind reads
+_FAMILY_KEYS = {"periodic": ("amplitudes", "period"), **{f: ("n",) for f in FAMILY_BUILDERS}}
+_THRESHOLD_KEYS = {
+    "zero": (), "constant": ("tau",), "cubic_shift": ("tau",), "polynomial": ("coefficients",)
+}
+
+
+def _choose(spec, section, selector, table, default=None):
+    """``spec[selector]``, lower-cased, after checking it against ``table``.
+
+    ``table`` lists the keys each choice reads; a missing or unknown
+    choice, or a key of ``spec`` that the choice does not read, is a
+    ConfigError.
+    """
+    choice = spec.get(selector, default)
+    if choice is None:
+        raise ConfigError(f"{section}.{selector} is required")
+    choice = choice.lower()
+    if choice not in table:
+        raise ConfigError(f"unknown {section} {selector} {choice!r}")
+    stray = sorted(set(spec) - {selector, *table[choice]})
+    if stray:
+        names = ", ".join(f"{section}.{key}" for key in stray)
+        raise ConfigError(f"{names} does not apply to {section}.{selector} = {choice}")
+    return choice
+
+
 def build_model(spec: dict[str, str]) -> FieldModel:
     """Construct a FieldModel from a [model] mapping."""
-    family = spec.get("family")
-    if family is None:
-        raise ConfigError("model.family is required")
-    family = family.lower()
+    family = _choose(spec, "model", "family", _FAMILY_KEYS)
     if family == "periodic":
         if "amplitudes" not in spec:
             raise ConfigError("periodic model requires model.amplitudes")
@@ -128,8 +154,6 @@ def build_model(spec: dict[str, str]) -> FieldModel:
             return periodic_model(amps, period)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    if family not in FAMILY_BUILDERS:
-        raise ConfigError(f"unknown model family {family!r}")
     if "n" not in spec:
         raise ConfigError(f"{family} model requires model.n")
     n = _need_int(spec["n"], "model.n")
@@ -142,22 +166,17 @@ def build_threshold(spec: dict[str, str] | None) -> ThresholdFn:
     """Construct a ThresholdFn from a [threshold] mapping (default zero)."""
     if not spec:
         return threshold_zero()
-    kind = spec.get("kind", "zero").lower()
+    kind = _choose(spec, "threshold", "kind", _THRESHOLD_KEYS, default="zero")
     if kind == "zero":
         return threshold_zero()
-    if kind == "constant":
-        return threshold_constant(_need_float(spec.get("tau", "0.0"), "threshold.tau"))
-    if kind == "cubic_shift":
-        return threshold_cubic_shift(
-            _need_float(spec.get("tau", "0.0"), "threshold.tau")
-        )
     if kind == "polynomial":
         if "coefficients" not in spec:
             raise ConfigError("polynomial threshold requires threshold.coefficients")
         return threshold_polynomial(
             _need_floats(spec["coefficients"], "threshold.coefficients")
         )
-    raise ConfigError(f"unknown threshold kind {kind!r}")
+    tau = _need_float(spec.get("tau", "0.0"), "threshold.tau")
+    return threshold_constant(tau) if kind == "constant" else threshold_cubic_shift(tau)
 
 
 @dataclass
@@ -176,7 +195,6 @@ class ExperimentConfig:
     output: str | None = None
     fmt: str = "csv"
     validate: bool = False
-    sections: dict = field(default_factory=dict)
 
 
 def build_experiment_config(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
@@ -233,5 +251,4 @@ def build_experiment_config(sections: dict[str, dict[str, str]]) -> ExperimentCo
         output=exp.get("output"),
         fmt=fmt,
         validate=validate,
-        sections=sections,
     )

@@ -104,7 +104,8 @@ def _run_chunked(worker, args_list, workers):
                 f"the model cannot be sent to worker processes ({exc}); "
                 "it needs workers=1"
             ) from None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker at once, so never more than chunks
+        with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
             results = list(pool.map(worker, args_list, chunksize=1))
     return sorted(results, key=lambda r: r[0])
 

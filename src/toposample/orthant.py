@@ -28,6 +28,7 @@ from .fields import (
     jet_tables,
 )
 from .quadrature import adaptive_simpson
+from .topology import double_crossover
 
 _MC_CHUNK = 1 << 20
 
@@ -396,9 +397,7 @@ def crossover_probability_from(
         count = min(_MC_CHUNK, trials - chunk * _MC_CHUNK)
         z = coefficient_rng(seed, chunk).standard_normal((3, count))
         vals = chol @ z - tau[:, None]
-        up = (vals[0] >= 0.0) & (vals[1] <= 0.0) & (vals[2] >= 0.0)
-        down = (vals[0] <= 0.0) & (vals[1] >= 0.0) & (vals[2] <= 0.0)
-        hits += int(np.count_nonzero(up | down))
+        hits += int(np.count_nonzero(double_crossover(*vals)))
     p = hits / trials
     return CrossoverEstimate(
         trials=trials,

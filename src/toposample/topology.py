@@ -55,11 +55,10 @@ def cubical_beta0(values) -> tuple[int, int]:
     return runs(v >= 0.0), runs(v <= 0.0)
 
 
-def double_crossover(v_left, v_mid, v_right) -> bool:
-    """Whether three values show a there-and-back sign pattern."""
-    return bool(
-        (v_left >= 0.0 and v_mid <= 0.0 and v_right >= 0.0)
-        or (v_left <= 0.0 and v_mid >= 0.0 and v_right <= 0.0)
+def double_crossover(v_left, v_mid, v_right):
+    """Whether three values show a there-and-back sign pattern, elementwise."""
+    return ((v_left >= 0.0) & (v_mid <= 0.0) & (v_right >= 0.0)) | (
+        (v_left <= 0.0) & (v_mid >= 0.0) & (v_right <= 0.0)
     )
 
 
@@ -156,9 +155,11 @@ def oracle_beta0(
     path's coefficients times basis rows that every path of the model
     shares (bit for bit ``path.value``). Each sign change between
     neighbouring scan points is polished to within 1e-12 by a
-    bracket-safeguarded Illinois step, and the segments between
-    consecutive roots are classified by their midpoint sign. The
-    resolution should comfortably exceed twice the expected zero count.
+    bracket-safeguarded Illinois step. The components are counted from
+    the scan values by the grid rule of ``cubical_beta0``, so an exact
+    zero at a scan point (a touching root, or a root at a or b) belongs
+    to both sets, as it does on any grid that samples it. The resolution
+    should comfortably exceed twice the expected zero count.
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
@@ -186,14 +187,7 @@ def oracle_beta0(
     lo, hi = xs[:-1][bracket], xs[1:][bracket]
     roots = _polish_roots(diff, lo, hi, fs[:-1][bracket], fs[1:][bracket])
     zeros = np.sort(np.concatenate([roots, xs[exact]]))
-
-    edges = np.concatenate([[a], zeros, [b]])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    mid_signs = np.sign(diff(mids))
-    # a zero-length edge segment (root at a or b) contributes nothing
-    keep = np.diff(edges) > 0.0
-    pos = int(np.sum(keep & (mid_signs >= 0.0)))
-    neg = int(np.sum(keep & (mid_signs <= 0.0)))
+    pos, neg = cubical_beta0(fs)
     return OracleCount(pos, neg, zeros, degenerate)
 
 
@@ -231,9 +225,7 @@ def admissible_to_depth(
         lv = fs[0::stride][:-1]
         rv = fs[stride::stride]
         mv = fs[stride // 2::stride][: lv.size]
-        up = (lv >= 0.0) & (mv <= 0.0) & (rv >= 0.0)
-        down = (lv <= 0.0) & (mv >= 0.0) & (rv <= 0.0)
-        if np.any(up | down):
+        if np.any(double_crossover(lv, mv, rv)):
             return False
     return True
 

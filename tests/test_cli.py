@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import toposample as ts
 from toposample.cli import main
 
 
@@ -118,6 +119,15 @@ RUN = ("--trials", "10", "--seed", "1")
         ("density", *CHEB5, "--threshold", "polynomial", "--coefficients", "1,inf"),
         ("grid", "--family", "periodic", "--amplitudes", "nan,1", "--m", "8"),
         ("grid", "--family", "periodic", "--amplitudes", "0,1,1", "--period", "inf", "--m", "8"),
+        # a key the chosen threshold kind or model family does not read
+        ("density", *CHEB5, "--tau", "5"),
+        ("bound", *CHEB5, "--threshold", "zero", "--tau", "1", "--m", "4"),
+        ("grid", *CHEB5, "--threshold", "polynomial", "--coefficients", "1", "--tau", "1", "--m", "4"),
+        ("density", *CHEB5, "--coefficients", "1,2"),
+        ("experiment", *CHEB5, "--threshold", "cubic_shift", "--coefficients", "1", "--m", "4", *RUN),
+        ("compare", "--family", "periodic", "--amplitudes", "0,1", "--n", "3", "--m", "4", *RUN),
+        ("grid", *CHEB5, "--period", "2", "--m", "4"),
+        ("orthant-check", "--family", "binomial", "--n", "5", "--amplitudes", "1,1"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -246,12 +256,34 @@ def test_compare_emits_three_rows(capsys):
     assert [row[0] for row in rows] == ["topology", "uniform", "density"]
 
 
-def test_compare_takes_no_strategy_flag(capsys):
+SCALING = ("scaling", "--family", "chebyshev", "--n-list", "3")
+
+# flags that a command does not read, and abbreviations of flags it does
+NOT_OFFERED = {
+    "compare --strategy": ("compare", *CHEB5, "--m", "6", *RUN, "--strategy", "uniform"),
+    "compare --validate": ("compare", *CHEB5, "--m", "6", *RUN, "--validate"),
+    "zeros --threshold": ("zeros", *CHEB5, *RUN, "--threshold", "constant"),
+    "zeros --tau": ("zeros", *CHEB5, *RUN, "--tau", "1.5"),
+    "zeros --coefficients": ("zeros", *CHEB5, *RUN, "--coefficients", "1,2"),
+    "scaling --n": (*SCALING, "--n", "4"),
+    "scaling --amplitudes": (*SCALING, "--amplitudes", "0,1"),
+    "scaling --period": (*SCALING, "--period", "2"),
+    "scaling --threshold": (*SCALING, "--threshold", "constant"),
+    "scaling --tau": (*SCALING, "--tau", "2"),
+    "scaling --coefficients": (*SCALING, "--coefficients", "1"),
+    "density --fam": ("density", "--fam", "chebyshev", "--n", "5"),
+    "experiment --oracle-res": ("experiment", *CHEB5, "--m", "4", *RUN, "--oracle-res", "512"),
+}
+
+
+@pytest.mark.parametrize("flag", NOT_OFFERED)
+def test_flag_not_offered_exits_2(capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["compare", "--family", "binomial", "--n", "5", "--m", "6",
-              "--trials", "10", "--seed", "1", "--strategy", "uniform"])
+        main(list(NOT_OFFERED[flag]))
     assert exc.value.code == 2
-    assert "--strategy" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + flag.split()[1] in err
+    assert "Traceback" not in err
 
 
 def test_compare_strategy_config_key_is_config_error(tmp_path, capsys):
@@ -294,6 +326,22 @@ def test_zeros_json_structure(tmp_path, capsys):
     assert doc["meta"]["command"] == "zeros"
     idx = doc["columns"].index("mean_zeros")
     assert doc["rows"][0][idx] > 0.0
+
+
+def test_scaling_reads_p_from_the_config_file(tmp_path, capsys):
+    ini = tmp_path / "scaling.ini"
+    ini.write_text("[experiment]\np = 0.5\n", encoding="utf-8")
+    scaling = ("scaling", "--config", str(ini), "--family", "chebyshev", "--n-list", "8")
+    samples = {}
+    for extra in ((), ("--p", "0.95")):
+        code, out, _ = _run(capsys, *scaling, *extra)
+        assert code == 0
+        header, rows = _csv_rows(out)
+        samples[extra] = int(rows[0][header.index("samples_topology")])
+    # the flag overrides the file, and the file overrides the default
+    assert samples[()] == ts.scaling_study("chebyshev", [8], 0.5)[0].samples_topology
+    assert samples[("--p", "0.95")] == ts.scaling_study("chebyshev", [8], 0.95)[0].samples_topology
+    assert samples[()] < samples[("--p", "0.95")]
 
 
 def test_scaling_column_order(capsys):

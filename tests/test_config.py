@@ -74,6 +74,14 @@ def test_build_model_errors():
     # model-level validation surfaces as a config error too
     with pytest.raises(ConfigError):
         ts.build_model({"family": "periodic", "amplitudes": "0, 0"})
+    # a key the family does not read
+    for spec in (
+        {"family": "periodic", "amplitudes": "0, 1", "n": "3"},
+        {"family": "chebyshev", "n": "3", "amplitudes": "0, 1"},
+        {"family": "binomial", "n": "3", "period": "2.0"},
+    ):
+        with pytest.raises(ConfigError, match="does not apply"):
+            ts.build_model(spec)
 
 
 def test_build_threshold_kinds():
@@ -87,6 +95,18 @@ def test_build_threshold_kinds():
         ts.build_threshold({"kind": "staircase"})
     with pytest.raises(ConfigError):
         ts.build_threshold({"kind": "polynomial"})
+    assert ts.build_threshold({"kind": "constant"}).value(0.2) == 0.0
+    # a key the kind does not read, the default kind zero included
+    for spec in (
+        {"tau": "5"},
+        {"kind": "zero", "tau": "1"},
+        {"kind": "zero", "coefficients": "1, 2"},
+        {"kind": "polynomial", "coefficients": "1", "tau": "1"},
+        {"kind": "constant", "tau": "1", "coefficients": "1"},
+        {"kind": "cubic_shift", "coefficients": "1"},
+    ):
+        with pytest.raises(ConfigError, match="does not apply"):
+            ts.build_threshold(spec)
 
 
 def test_build_experiment_config():

@@ -180,6 +180,28 @@ def test_unpicklable_custom_model_needs_one_worker(monkeypatch):
         harness.trial_pass(model, ts.threshold_zero(), [], 1100, 1, 256, workers=2)
 
 
+def test_pool_never_exceeds_the_chunk_count(monkeypatch, cheb5, thr):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    for workers, trials, want in ((500, 1024, 2), (2, 1536, 2), (3, 1100, 3)):
+        harness.trial_pass(cheb5, thr, [], trials, 1, 16, workers=workers)
+        assert started[-1] == want
+
+
 def test_compare_strategies_periodic_grids_coincide(mode5, thr):
     # stationary density: the equal-mass grid IS the uniform grid
     rows = dict(ts.compare_strategies(mode5, thr, m=5, trials=50, seed=2, oracle_resolution=1024))

@@ -53,6 +53,9 @@ def test_double_crossover_truth_table():
     assert not double_crossover(1.0, 1.0, 1.0)
     assert not double_crossover(1.0, -1.0, -1.0)
     assert not double_crossover(-1.0, -1.0, 1.0)
+    # elementwise on arrays, each row as its scalar call
+    rows = np.array([[1.0, -1.0, 1.0], [0.0, 0.0, 0.0], [1.0, -1.0, -1.0], [-2.0, 0.5, -0.1]])
+    assert double_crossover(*rows.T).tolist() == [double_crossover(*r) for r in rows]
 
 
 def test_oracle_counts_linear_path(cheb5, thr):
@@ -78,6 +81,21 @@ def test_oracle_flags_tangential_zero(cheb5, thr):
     count = oracle_beta0(path, thr, -1.0, 1.0, 2049)
     assert count.degenerate
     assert count.zeros == pytest.approx([0.0], abs=1e-12)
+    # {u >= 0} is the whole interval and {u <= 0} the single point 0
+    assert (count.beta0_pos, count.beta0_neg) == (1, 1)
+
+
+@pytest.mark.parametrize("slope, root", [(1.0, -1.0), (-1.0, 1.0)], ids=["at a", "at b"])
+def test_oracle_counts_a_zero_at_an_end_like_any_grid(cheb5, thr, slope, root):
+    # u = 1 + x vanishes at a, u = 1 - x at b: {u <= 0} is that one point
+    path = _cheb_path(cheb5, {0: 1.0, 1: slope})
+    count = oracle_beta0(path, thr, -1.0, 1.0, 1024)
+    assert (count.beta0_pos, count.beta0_neg) == (1, 1)
+    assert np.array_equal(count.zeros, [root])
+    assert not count.degenerate
+    for m in (1, 4, 7):
+        plan = ts.build_plan(cheb5, thr, "uniform", m=m)
+        assert verify_match(path, thr, plan, resolution=1024).match
 
 
 def test_oracle_resolution_floor(cheb5, thr):

@@ -2,7 +2,8 @@
 
 Every subcommand accepts ``--config FILE`` plus one flag for each config
 key it reads (``COMMAND_KEYS``); flags win over the file. Flags must be
-spelled out in full. Results go to ``--output`` as CSV or JSON, or to
+spelled out in full, and ``orthant-check`` rejects a flag its ``--mode``
+does not read. Results go to ``--output`` as CSV or JSON, or to
 stdout when no path is given.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
@@ -54,7 +55,6 @@ from .planner import (
     failure_bound,
     min_samples,
     peak_crossover_rate,
-    sampling_density_fn,
     scaling_study,
     uniform_bound_samples,
 )
@@ -79,7 +79,20 @@ COMMAND_KEYS = {
     "orthant-check": _MODEL + _THRESHOLD + ("trials", "seed") + _OUT,
 }
 
+# the flags each orthant-check mode reads, besides --config and _OUT;
+# a flag given to a mode that does not read it is a configuration error
+_ORTHANT_MODE_FLAGS = {
+    "weight": ("shift",),
+    "eigen": _MODEL + _THRESHOLD + ("x", "spacings"),
+    "mc": _MODEL + _THRESHOLD + ("x", "spacings", "trials", "seed"),
+}
+_DEFAULT_SPACINGS = "0.0625,0.03125,0.015625,0.0078125,0.00390625,0.001953125"
+
 _SECTION_OF = {key: section for section, keys in CONFIG_KEYS.items() for key in keys}
+
+
+def _flag(key):
+    return "--threshold" if key == "kind" else "--" + key.replace("_", "-")
 
 
 def _merge_sections(args) -> dict:
@@ -152,7 +165,7 @@ def cmd_bound(args) -> int:
     exp = sections.get("experiment", {})
     if "m" not in exp and "p" not in exp:
         raise ConfigError("bound needs --m, --p, or both")
-    total, _ = cumulative_weight(sampling_density_fn(model, threshold), model.a, model.b)
+    total, _ = cumulative_weight(model, threshold)
     header = ["total_weight"]
     row = [total]
     if "m" in exp:
@@ -288,6 +301,14 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_orthant_check(args) -> int:
+    reads = _ORTHANT_MODE_FLAGS[args.mode]
+    stray = [
+        _flag(key)
+        for key in COMMAND_KEYS["orthant-check"] + ("x", "spacings", "shift")
+        if key not in reads + _OUT and getattr(args, key) is not None
+    ]
+    if stray:
+        raise ConfigError(f"--mode {args.mode} does not read {', '.join(stray)}")
     sections = _merge_sections(args)
     output, fmt = _out_fmt(sections)
     meta = _meta(sections, "orthant-check")
@@ -312,7 +333,8 @@ def cmd_orthant_check(args) -> int:
         x = 0.5 * (model.a + model.b)
     if not model.a <= x <= model.b:
         raise ConfigError(f"--x {x} lies outside the model domain [{model.a}, {model.b}]")
-    spacings = _need_floats(args.spacings, "--spacings").tolist()
+    spacings = args.spacings if args.spacings is not None else _DEFAULT_SPACINGS
+    spacings = _need_floats(spacings, "--spacings").tolist()
     for spacing in spacings:
         if spacing <= 0.0 or x + spacing > model.b:
             raise ConfigError(
@@ -432,9 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = commands[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="INI config file")
         for key in COMMAND_KEYS[name]:
-            flag = "--threshold" if key == "kind" else "--" + key.replace("_", "-")
             p.add_argument(
-                flag,
+                _flag(key),
                 dest=key,
                 help=f"config key {_SECTION_OF[key]}.{key}",
                 **({"action": "store_const", "const": "true"} if key == "validate" else {}),
@@ -449,9 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("eigen", "mc", "weight"), default="eigen")
     p.add_argument("--x", type=float, help="expansion point (default domain midpoint)")
     p.add_argument(
-        "--spacings",
-        default="0.0625,0.03125,0.015625,0.0078125,0.00390625,0.001953125",
-        help="comma separated grid spacings",
+        "--spacings", help=f"comma separated grid spacings (default {_DEFAULT_SPACINGS})"
     )
     p.add_argument("--shift", help="comma separated shift vector (weight mode)")
     return parser

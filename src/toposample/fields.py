@@ -479,9 +479,6 @@ class SamplePath:
         out = self.coeffs @ basis_values(self.model, x)
         return float(out[0]) if scalar else out
 
-    def __call__(self, x):
-        return self.value(x)
-
 
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 

@@ -35,7 +35,6 @@ from .planner import (
     build_plan,
     cumulative_weight,
     expected_zero_count,
-    sampling_density_fn,
 )
 from .topology import cubical_beta0, default_oracle_resolution, oracle_beta0
 
@@ -56,19 +55,16 @@ class ExperimentResult:
     correctness: float
     stderr: float
     seed: int
-    trial_log: list | None = None
 
 
 def _trial_chunk(args):
     """Trials [start, stop): one oracle count per path, every grid graded on it."""
-    (model, threshold, grids, resolution, seed, start, stop, keep_log) = args
-    a, b = model.domain
+    (model, threshold, grids, resolution, seed, start, stop) = args
     matches = [[0, 0, 0] for _ in grids]
-    logs = [[] for _ in grids] if keep_log else None
     n = total = total_sq = 0
     for trial in range(start, stop):
         path = sample_path(model, seed, stream=trial)
-        oracle = oracle_beta0(path, threshold, a, b, resolution)
+        oracle = oracle_beta0(path, threshold, resolution)
         if not oracle.degenerate:
             count = int(oracle.zeros.size)
             n += 1
@@ -83,9 +79,7 @@ def _trial_chunk(args):
                 matches[g][0] += mp
                 matches[g][1] += mn
                 matches[g][2] += mp and mn
-            if keep_log:
-                logs[g].append((trial, *truth, *counts, oracle.degenerate))
-    return start, matches, (n, total, total_sq), logs
+    return start, matches, (n, total, total_sq)
 
 
 def _run_chunked(worker, args_list, workers):
@@ -110,7 +104,7 @@ def _run_chunked(worker, args_list, workers):
     return sorted(results, key=lambda r: r[0])
 
 
-def _experiment_result(plan, trials, seed, valid, counts, log) -> ExperimentResult:
+def _experiment_result(plan, trials, seed, valid, counts) -> ExperimentResult:
     pos, neg, both = counts
     correctness = both / valid if valid else float("nan")
     stderr = (
@@ -127,7 +121,6 @@ def _experiment_result(plan, trials, seed, valid, counts, log) -> ExperimentResu
         correctness=correctness,
         stderr=stderr,
         seed=seed,
-        trial_log=log,
     )
 
 
@@ -139,7 +132,6 @@ def trial_pass(
     seed: int,
     oracle_resolution: int | None = None,
     workers: int = 1,
-    keep_log: bool = False,
 ) -> tuple[list[ExperimentResult], tuple[int, int, int]]:
     """Grade every plan's grid against one dense-scan count per path.
 
@@ -155,28 +147,23 @@ def trial_pass(
         resolution = default_oracle_resolution(model)
     common = (model, threshold, [plan.grid for plan in plans], resolution, seed)
     tasks = [
-        common + (start, min(start + _TRIAL_CHUNK, trials), keep_log)
+        common + (start, min(start + _TRIAL_CHUNK, trials))
         for start in range(0, trials, _TRIAL_CHUNK)
     ]
     matches = [[0, 0, 0] for _ in plans]
     sums = [0, 0, 0]
-    logs = [[] for _ in plans] if keep_log else [None] * len(plans)
-    for _, chunk_matches, chunk_sums, chunk_logs in _run_chunked(
-        _trial_chunk, tasks, workers
-    ):
+    for _, chunk_matches, chunk_sums in _run_chunked(_trial_chunk, tasks, workers):
         for g, counts in enumerate(chunk_matches):
             matches[g] = [x + y for x, y in zip(matches[g], counts)]
-            if keep_log:
-                logs[g].extend(chunk_logs[g])
         sums = [x + y for x, y in zip(sums, chunk_sums)]
     results = [
-        _experiment_result(plan, trials, seed, sums[0], counts, log)
-        for plan, counts, log in zip(plans, matches, logs)
+        _experiment_result(plan, trials, seed, sums[0], counts)
+        for plan, counts in zip(plans, matches)
     ]
     return results, tuple(sums)
 
 
-def run_experiment(config: ExperimentConfig, keep_log: bool = False) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run a correctness experiment described by ``config``.
 
     Requires a seed. Degenerate trials (suspected double roots) are
@@ -193,7 +180,6 @@ def run_experiment(config: ExperimentConfig, keep_log: bool = False) -> Experime
         config.seed,
         config.oracle_resolution,
         config.workers,
-        keep_log,
     )
     return result
 
@@ -270,9 +256,7 @@ def profile_dump(
     xs = np.linspace(model.a, model.b, grid_size)
     prof = density_profile(model, threshold, xs)
     try:
-        total, _ = cumulative_weight(
-            sampling_density_fn(model, threshold), model.a, model.b
-        )
+        total, _ = cumulative_weight(model, threshold)
     except Exception:
         total = float("nan")
     try:

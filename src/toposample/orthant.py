@@ -31,6 +31,8 @@ from .quadrature import adaptive_simpson
 from .topology import double_crossover
 
 _MC_CHUNK = 1 << 20
+_WEIGHT_REL_TOL = 1e-12
+_JACOBI_SWEEPS = 30
 
 
 def gaussian_upper_tail(x: float) -> float:
@@ -39,17 +41,15 @@ def gaussian_upper_tail(x: float) -> float:
     return math.sqrt(math.pi / 2.0) * math.erfc(x / math.sqrt(2.0))
 
 
-def orthant_weight(shift, n: int | None = None, rel_tol: float = 1e-12) -> float:
+def orthant_weight(shift) -> float:
     """Asymptotic orthant weight for an n-point sign pattern.
 
     Parameters
     ----------
     shift : sequence of float
         Normalized threshold offsets (alpha_1, ..., alpha_n) in the
-        eigenbasis ordering of the collapsing covariance.
-    n : int, optional
-        Number of points in the pattern; defaults to ``len(shift)`` and
-        must equal it when given.
+        eigenbasis ordering of the collapsing covariance; n is its
+        length, and an empty or non-vector shift raises ValueError.
 
     Returns
     -------
@@ -59,11 +59,10 @@ def orthant_weight(shift, n: int | None = None, rel_tol: float = 1e-12) -> float
 
     The weight of the all-zero shift is exactly 1 for every n.
     """
-    alpha = np.atleast_1d(np.asarray(shift, dtype=float))
-    if n is None:
-        n = alpha.size
-    if alpha.shape != (n,):
-        raise ValueError("shift vector length must equal n")
+    alpha = np.asarray(shift, dtype=float)
+    if alpha.ndim != 1 or alpha.size < 1:
+        raise ValueError("shift must be a nonempty vector")
+    n = alpha.size
     a1 = float(alpha[0])
     tail_decay = float(np.sum(alpha[1:] ** 2)) / 2.0
 
@@ -71,9 +70,7 @@ def orthant_weight(shift, n: int | None = None, rel_tol: float = 1e-12) -> float
         return (s - a1) ** (n - 1) * np.exp(-0.5 * s * s)
 
     upper = a1 + 40.0
-    integral, _ = adaptive_simpson(
-        integrand, a1, upper, rel_tol=rel_tol, min_intervals=64
-    )
+    integral, _ = adaptive_simpson(integrand, a1, upper, rel_tol=_WEIGHT_REL_TOL)
     norm = 2.0 / (2.0 ** (n / 2.0) * math.gamma(n / 2.0))
     return float(norm * math.exp(-tail_decay) * integral)
 
@@ -171,7 +168,7 @@ def _difference_gram(model, x, spacing):
     return psi.T @ model.covariance @ psi
 
 
-def jacobi_eigh3(mat: np.ndarray, sweeps: int = 30) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh3(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi eigen-decomposition of a symmetric 3x3 matrix.
 
     Jacobi rotations preserve the relative accuracy of small eigenvalues
@@ -180,7 +177,7 @@ def jacobi_eigh3(mat: np.ndarray, sweeps: int = 30) -> tuple[np.ndarray, np.ndar
     """
     a = np.array(mat, dtype=float)
     v = np.eye(3)
-    for _ in range(sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = abs(a[0, 1]) + abs(a[0, 2]) + abs(a[1, 2])
         if off == 0.0:
             break

@@ -61,15 +61,11 @@ def zero_density_fn(model: FieldModel):
     return fn
 
 
-def cumulative_weight(density_fn, a, b, rel_tol=1e-10):
+def cumulative_weight(model: FieldModel, threshold: ThresholdFn):
     """Total cube-root mass K and its cumulative F(x) = int_a^x C^(1/3).
 
-    Parameters
-    ----------
-    density_fn : callable
-        Vectorized sampling density C(x).
-    a, b : float
-        Domain endpoints.
+    The integral runs over the model's domain [a, b] with the sampling
+    density C of ``threshold``.
 
     Returns
     -------
@@ -78,11 +74,12 @@ def cumulative_weight(density_fn, a, b, rel_tol=1e-10):
     cumulative : CumulativeIntegral
         Monotone callable with cumulative(b) = K.
     """
+    density = sampling_density_fn(model, threshold)
 
     def weight(x):
-        return np.cbrt(density_fn(x))
+        return np.cbrt(density(x))
 
-    return cumulative_integral(weight, a, b, rel_tol=rel_tol)
+    return cumulative_integral(weight, model.a, model.b)
 
 
 def place_grid(cumulative: CumulativeIntegral, total: float, m: int) -> np.ndarray:
@@ -161,13 +158,13 @@ def peak_crossover_rate(model: FieldModel, threshold: ThresholdFn) -> float:
     def rate(x):
         return _CROSSOVER_FRACTION_OF_DENSITY * density(x)
 
-    _, peak = golden_max(rate, model.a, model.b, xtol=1e-10)
+    _, peak = golden_max(rate, model.a, model.b)
     return float(peak)
 
 
-def density_guided_grid(zero_density, a, b, m: int) -> np.ndarray:
+def density_guided_grid(model: FieldModel, m: int) -> np.ndarray:
     """Grid with equal zero-density mass per cell (crossing-count heuristic)."""
-    total, cumulative = cumulative_integral(zero_density, a, b, rel_tol=1e-10)
+    total, cumulative = cumulative_integral(zero_density_fn(model), model.a, model.b)
     return place_grid(cumulative, total, m)
 
 
@@ -222,9 +219,7 @@ def build_plan(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     a, b = model.domain
-    total, cumulative = cumulative_weight(
-        sampling_density_fn(model, threshold), a, b
-    )
+    total, cumulative = cumulative_weight(model, threshold)
     if m is None:
         m = min_samples(total, p)
     if m < 1:
@@ -234,7 +229,7 @@ def build_plan(
     if strategy == "uniform":
         grid = np.linspace(a, b, m + 1)
     elif strategy == "density":
-        grid = density_guided_grid(zero_density_fn(model), a, b, m)
+        grid = density_guided_grid(model, m)
     else:
         try:
             grid = place_grid(cumulative, total, m)
@@ -260,15 +255,6 @@ def expected_zero_count(model: FieldModel, rel_tol=1e-10) -> float:
     return float(value)
 
 
-def _family_builder(family):
-    if callable(family):
-        return family
-    try:
-        return FAMILY_BUILDERS[family]
-    except KeyError:
-        raise ValueError(f"no scaling-study builder for family {family!r}") from None
-
-
 @dataclass(frozen=True)
 class ScalingRow:
     """One truncation order of a scaling study."""
@@ -285,8 +271,8 @@ def scaling_study(family, n_list, p: float) -> list[ScalingRow]:
 
     Parameters
     ----------
-    family : str or callable
-        Built-in family name or a callable n -> FieldModel.
+    family : str
+        A family of :data:`FAMILY_BUILDERS`.
     n_list : sequence of int
         Truncation orders to evaluate.
     p : float
@@ -298,14 +284,13 @@ def scaling_study(family, n_list, p: float) -> list[ScalingRow]:
         Expected zero count, cube-root mass K, and the sample counts
         required by the topology-guided and uniform bounds.
     """
-    build = _family_builder(family)
+    if family not in FAMILY_BUILDERS:
+        raise ValueError(f"no scaling-study builder for family {family!r}")
     threshold = threshold_zero()
     rows = []
     for n in n_list:
-        model = build(n)
-        total, _ = cumulative_weight(
-            sampling_density_fn(model, threshold), model.a, model.b
-        )
+        model = FAMILY_BUILDERS[family](n)
+        total, _ = cumulative_weight(model, threshold)
         rows.append(
             ScalingRow(
                 n=int(n),

@@ -20,6 +20,8 @@ _MIN_PANEL_FRACTION = 2.0**-26
 # hard cap on simultaneously refined panels; smooth integrands stay in
 # the hundreds, so hitting this means the estimator is churning on noise
 _MAX_ACTIVE_PANELS = 1 << 18
+# initial uniform panel count; refinement only subdivides further
+_MIN_INTERVALS = 64
 
 
 def _simpson(width, fl, fm, fr):
@@ -33,7 +35,7 @@ def _eval(fn, x):
     return vals
 
 
-def adaptive_simpson(fn, a, b, rel_tol=1e-10, min_intervals=64):
+def adaptive_simpson(fn, a, b, rel_tol=1e-10):
     """Integrate ``fn`` over [a, b] and return (value, panel_table).
 
     Parameters
@@ -44,8 +46,6 @@ def adaptive_simpson(fn, a, b, rel_tol=1e-10, min_intervals=64):
         Integration limits with a < b.
     rel_tol : float
         Target relative error of the total integral.
-    min_intervals : int
-        Initial uniform panel count; refinement only subdivides further.
 
     Returns
     -------
@@ -62,12 +62,12 @@ def adaptive_simpson(fn, a, b, rel_tol=1e-10, min_intervals=64):
     """
     if not b > a:
         raise ValueError("integration interval must satisfy a < b")
-    edges = np.linspace(a, b, min_intervals + 1)
+    edges = np.linspace(a, b, _MIN_INTERVALS + 1)
     xl, xr = edges[:-1], edges[1:]
     sample = np.concatenate([xl, 0.5 * (xl + xr), [b]])
     vals = _eval(fn, sample)
-    fl = vals[:min_intervals]
-    fm = vals[min_intervals:2 * min_intervals]
+    fl = vals[:_MIN_INTERVALS]
+    fm = vals[_MIN_INTERVALS:2 * _MIN_INTERVALS]
     fr = np.concatenate([fl[1:], vals[-1:]])
     s0 = _simpson(xr - xl, fl, fm, fr)
 
@@ -216,33 +216,33 @@ class CumulativeIntegral:
         return x
 
 
-def cumulative_integral(fn, a, b, rel_tol=1e-10, min_intervals=64):
-    """Return (total, F) where F is a :class:`CumulativeIntegral`."""
-    total, panels = adaptive_simpson(
-        fn, a, b, rel_tol=rel_tol, min_intervals=min_intervals
-    )
+def cumulative_integral(fn, a, b):
+    """Return (total, F), F a :class:`CumulativeIntegral`, at rel_tol 1e-10."""
+    total, panels = adaptive_simpson(fn, a, b)
     return total, CumulativeIntegral(fn, a, b, total, panels)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_XTOL = 1e-10
+_GOLDEN_SCAN_POINTS = 1001
 
 
-def golden_max(fn, a, b, xtol=1e-10, scan_points=1001):
+def golden_max(fn, a, b):
     """Locate the maximum of ``fn`` on [a, b].
 
-    A dense scan brackets the best abscissa, then golden-section search
-    refines the bracket to ``xtol``. Returns (argmax, max_value).
+    A 1001-point scan brackets the best abscissa, then golden-section
+    search refines the bracket to 1e-10. Returns (argmax, max_value).
     """
-    xs = np.linspace(a, b, scan_points)
+    xs = np.linspace(a, b, _GOLDEN_SCAN_POINTS)
     vals = np.asarray(fn(xs), dtype=float)
     k = int(np.argmax(vals))
     lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, scan_points - 1)]
+    hi = xs[min(k + 1, _GOLDEN_SCAN_POINTS - 1)]
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1 = float(fn(np.array([x1]))[0])
     f2 = float(fn(np.array([x2]))[0])
-    while hi - lo > xtol:
+    while hi - lo > _GOLDEN_XTOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INVPHI * (hi - lo)

@@ -26,8 +26,8 @@ _SCAN_POINTS_PER_ZERO = 4096
 _DEFAULT_ADMISSIBILITY_DEPTH = 12
 
 # the scan grid and basis rows of the last oracle call, as one
-# ((model, a, b, resolution), xs, rows) entry; the key holds the model
-# itself, so a model built later can never match a stale entry
+# ((model, resolution), xs, rows) entry; the key holds the model itself,
+# so a model built later can never match a stale entry
 _scan_basis_slot = [None]
 
 
@@ -121,20 +121,20 @@ def _polish_roots(diff, lo, hi, flo, fhi):
         lo[todo], hi[todo], flo[todo], fhi[todo] = new_l, new_h, fl, fh
 
 
-def _scan_basis(model, a, b, resolution):
-    """Scan points and basis rows on them, rebuilt only for a new key.
+def _scan_basis(model, resolution):
+    """Scan points over the model's domain and basis rows on them.
 
     Paths of one model share the scan, so the rows are built once per
-    (model, a, b, resolution); the model is matched by identity. The slot
-    is emptied before a new build, so two row matrices are never alive at
+    (model, resolution); the model is matched by identity. The slot is
+    emptied before a new build, so two row matrices are never alive at
     once (about 79 MB each at Chebyshev n=64). Both arrays are read-only.
     """
-    key = (model, a, b, resolution)
+    key = (model, resolution)
     entry = _scan_basis_slot[0]
     if entry is not None and entry[0] == key:
         return entry[1], entry[2]
     _scan_basis_slot[0] = None
-    xs = np.linspace(a, b, resolution)
+    xs = np.linspace(model.a, model.b, resolution)
     rows = basis_values(model, xs)
     xs.flags.writeable = False
     rows.flags.writeable = False
@@ -142,14 +142,8 @@ def _scan_basis(model, a, b, resolution):
     return xs, rows
 
 
-def oracle_beta0(
-    path: SamplePath,
-    threshold: ThresholdFn,
-    a: float,
-    b: float,
-    resolution: int,
-) -> OracleCount:
-    """Count components of the true sign sets of u - mu on [a, b].
+def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> OracleCount:
+    """Count components of the true sign sets of u - mu on the domain [a, b].
 
     The difference is scanned at ``resolution`` equispaced points, as the
     path's coefficients times basis rows that every path of the model
@@ -163,7 +157,7 @@ def oracle_beta0(
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    xs, rows = _scan_basis(path.model, a, b, resolution)
+    xs, rows = _scan_basis(path.model, resolution)
 
     def diff(x):
         return path.value(x) - threshold.value(x)
@@ -262,8 +256,7 @@ def verify_match(
     """Compare grid component counts against the dense-scan reference."""
     if resolution is None:
         resolution = default_oracle_resolution(path.model)
-    a, b = path.model.domain
-    oracle = oracle_beta0(path, threshold, a, b, resolution)
+    oracle = oracle_beta0(path, threshold, resolution)
     values = path.value(plan.grid) - threshold.value(plan.grid)
     grid_pos, grid_neg = cubical_beta0(values)
     return NodalReport(

@@ -32,3 +32,21 @@ def test_tracer_installs_and_restores_every_target():
     after = [owner.__dict__[attr] for owner, attr, *_ in tracing.TARGETS]
     assert all(a is b for a, b in zip(after, before))
     assert {tracing.BUILD_PLAN, tracing.PLACE_GRID, tracing.DENSITY} <= set(tracer.names)
+
+
+def test_traced_trial_pass_counts_are_repeatable():
+    # two traced compare_strategies calls, as in the compare_binom5
+    # workload but small: one oracle call per path, and every count the
+    # benchmark requires to repeat is equal across the calls
+    model, threshold, trials = ts.binomial_model(5), ts.threshold_cubic_shift(0.5), 8
+    metrics = []
+    for _ in range(2):
+        with tracing.Tracer().installed() as tracer:
+            ts.harness.compare_strategies(
+                model, threshold, m=7, trials=trials, seed=1, oracle_resolution=512
+            )
+        metrics.append(tracing.layer_metrics(tracer, trials))
+    first, second = metrics
+    assert first["harness.oracle_calls_per_path"] == 1
+    assert first["topology.brackets"] > 0
+    assert {k: first[k] for k in tracing.REPEATABLE} == {k: second[k] for k in tracing.REPEATABLE}

@@ -273,16 +273,41 @@ NOT_OFFERED = {
     "scaling --coefficients": (*SCALING, "--coefficients", "1"),
     "density --fam": ("density", "--fam", "chebyshev", "--n", "5"),
     "experiment --oracle-res": ("experiment", *CHEB5, "--m", "4", *RUN, "--oracle-res", "512"),
+    # flags that the chosen orthant-check --mode does not read
+    "orthant-check weight --family": (
+        "orthant-check", "--mode", "weight", "--shift", "1,0,0", *CHEB5,
+    ),
+    "orthant-check weight --spacings": (
+        "orthant-check", "--mode", "weight", "--shift", "1,0,0",
+        "--family", "periodic", "--n", "3", "--spacings", "-1", "--tau", "5",
+    ),
+    "orthant-check weight --x": ("orthant-check", "--mode", "weight", "--shift", "1", "--x", "0"),
+    "orthant-check weight --seed": ("orthant-check", "--mode", "weight", "--shift", "1", *RUN),
+    "orthant-check eigen --trials": (
+        "orthant-check", *CHEB5, "--mode", "eigen", "--trials", "0", "--seed", "x",
+    ),
+    "orthant-check eigen --seed": ("orthant-check", *CHEB5, "--seed", "7"),
+    "orthant-check eigen --shift": ("orthant-check", *CHEB5, "--shift", "1,0,0"),
+    "orthant-check mc --shift": ("orthant-check", *CHEB5, "--mode", "mc", *RUN, "--shift", "1"),
 }
 
 
 @pytest.mark.parametrize("flag", NOT_OFFERED)
 def test_flag_not_offered_exits_2(capsys, flag):
-    with pytest.raises(SystemExit) as exc:
-        main(list(NOT_OFFERED[flag]))
-    assert exc.value.code == 2
+    # the parser rejects a flag its command lacks, and orthant-check a
+    # flag its --mode does not read
+    try:
+        code = main(list(NOT_OFFERED[flag]))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
-    assert "unrecognized arguments: " + flag.split()[1] in err
+    command, *mode, name = flag.split()
+    if mode:
+        assert err.startswith(f"config error: --mode {mode[0]} does not read ")
+        assert name in err.split("does not read ")[1].strip().split(", ")
+    else:
+        assert "unrecognized arguments: " + name in err
     assert "Traceback" not in err
 
 
@@ -355,18 +380,7 @@ def test_scaling_column_order(capsys):
 
 
 def test_orthant_weight_mode(capsys):
-    code, out, _ = _run(
-        capsys,
-        "orthant-check",
-        "--family",
-        "chebyshev",
-        "--n",
-        "3",
-        "--mode",
-        "weight",
-        "--shift",
-        "1,0,0",
-    )
+    code, out, _ = _run(capsys, "orthant-check", "--mode", "weight", "--shift", "1,0,0")
     assert code == 0
     header, rows = _csv_rows(out)
     idx = {name: i for i, name in enumerate(header)}

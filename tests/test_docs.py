@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import toposample as ts
-from toposample.cli import COMMAND_KEYS, build_parser
+from toposample.cli import COMMAND_KEYS, build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -30,6 +30,12 @@ def test_readme_shows_every_command():
 def test_readme_command_parses(command):
     argv = shlex.split(command)[1:]
     assert build_parser().parse_args(argv).command == argv[0]
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c.startswith("toposample orthant-check ")])
+def test_readme_orthant_check_runs(command, capsys):
+    assert main(shlex.split(command)[1:]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -159,7 +159,6 @@ def test_sample_path_evaluation(binom5):
     xs = np.linspace(-2.0, 2.0, 9)
     want = path.coeffs @ ts.basis_jets(binom5, xs)[0]
     assert path.value(xs) == pytest.approx(want, rel=1e-13)
-    assert path(xs) == pytest.approx(want, rel=1e-13)
 
 
 def test_coefficient_rng_streams():

@@ -59,13 +59,6 @@ def test_run_experiment_deterministic_across_workers(cheb5):
     )
 
 
-def test_run_experiment_trial_log(cheb5):
-    config = _config(cheb5, m=4, trials=20, seed=5, oracle_resolution=512)
-    result = ts.run_experiment(config, keep_log=True)
-    assert result.trial_log is not None
-    assert len(result.trial_log) == 20
-
-
 def test_null_model_match_rate_is_arcsine_exact(sinusoid, thr):
     # one frequency: the path is a pure phase-shifted wave, the truth is
     # always two components against one, and a 3-point grid matches it

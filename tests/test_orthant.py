@@ -59,8 +59,10 @@ def test_orthant_pair_identity():
 
 
 def test_orthant_weight_validation():
-    with pytest.raises(ValueError):
-        ts.orthant_weight([1.0, 2.0], n=3)
+    # the shift must be a nonempty vector
+    for shift in ([], [[1.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            ts.orthant_weight(shift)
 
 
 def test_jacobi_eigensolver_matches_lapack():

@@ -22,25 +22,29 @@ K_BINOM5 = 1.227447641647867
 K_COS8 = 2.3642546155833415
 
 
-def test_cumulative_weight_constant_density():
-    # C = 8 on [0, 2] gives K = 2 * 8^(1/3) = 4 and a linear cumulative
-    total, cum = cumulative_weight(lambda x: np.full_like(np.asarray(x, float), 8.0), 0.0, 2.0)
-    assert total == pytest.approx(4.0, rel=1e-12)
-    assert cum(0.5) == pytest.approx(1.0, rel=1e-10)
-    assert cum(1.5) == pytest.approx(3.0, rel=1e-10)
+def test_cumulative_weight_constant_density(thr):
+    # a stationary model on [0, 2] has a constant density C, so
+    # K = 2 C^(1/3) and the cumulative is linear
+    model = ts.periodic_model([0.0, 1.0, 1.0], period=2.0)
+    m0, m1, m2 = (ts.spectral_moment(model, j) for j in range(3))
+    density = ts.periodic_density_closed_form(m0, m1, m2, 2.0, (0.0, 0.0, 0.0))
+    total, cum = cumulative_weight(model, thr)
+    assert total == pytest.approx(2.0 * np.cbrt(density), rel=1e-12)
+    assert cum(0.5) == pytest.approx(total / 4.0, rel=1e-10)
+    assert cum(1.5) == pytest.approx(3.0 * total / 4.0, rel=1e-10)
 
 
 def test_total_weight_anchors(cheb5, binom5, thr):
     zero = thr
     for model, want in ((cheb5, K_CHEB5), (binom5, K_BINOM5), (ts.cosine_model(8), K_COS8)):
-        total, _ = cumulative_weight(sampling_density_fn(model, zero), model.a, model.b)
+        total, _ = cumulative_weight(model, zero)
         assert total == pytest.approx(want, rel=1e-9)
 
 
 def test_binomial_mass_closed_form(binom5, thr):
     # exact value: (sqrt(5) * 4 / (24 pi))^(1/3) * 2 * atan(3)
     want = (np.sqrt(5.0) * 4.0 / (24.0 * np.pi)) ** (1.0 / 3.0) * 2.0 * np.arctan(3.0)
-    total, _ = cumulative_weight(sampling_density_fn(binom5, thr), binom5.a, binom5.b)
+    total, _ = cumulative_weight(binom5, thr)
     assert total == pytest.approx(want, rel=1e-10)
 
 
@@ -50,14 +54,14 @@ def test_mass_invariant_under_reparametrization(n, thr):
     # and the cube-root mass is invariant under smooth reparametrization
     cheb = ts.chebyshev_model(n)
     cos = ts.cosine_model(n)
-    k_cheb, _ = cumulative_weight(sampling_density_fn(cheb, thr), cheb.a, cheb.b)
-    k_cos, _ = cumulative_weight(sampling_density_fn(cos, thr), cos.a, cos.b)
+    k_cheb, _ = cumulative_weight(cheb, thr)
+    k_cos, _ = cumulative_weight(cos, thr)
     assert k_cheb == pytest.approx(k_cos, rel=1e-9)
     assert expected_zero_count(cheb) == pytest.approx(expected_zero_count(cos), rel=1e-9)
 
 
 def test_place_grid_equal_mass(cheb5, thr):
-    total, cum = cumulative_weight(sampling_density_fn(cheb5, thr), cheb5.a, cheb5.b)
+    total, cum = cumulative_weight(cheb5, thr)
     grid = place_grid(cum, total, 8)
     assert grid.shape == (9,)
     assert grid[0] == -1.0 and grid[-1] == 1.0
@@ -110,7 +114,7 @@ def test_cosine_grid_with_vanishing_end_density(strategy, thr):
 
 
 def test_place_grid_validation(cheb5, thr):
-    total, cum = cumulative_weight(sampling_density_fn(cheb5, thr), cheb5.a, cheb5.b)
+    total, cum = cumulative_weight(cheb5, thr)
     with pytest.raises(ValueError):
         place_grid(cum, total, 0)
     with pytest.raises(DegenerateDensityError):
@@ -177,7 +181,7 @@ def test_build_plan_density_strategy(binom5, thr):
     assert plan.grid.shape == (7,)
     assert np.all(np.diff(plan.grid) > 0)
     # zero-density-guided cells each hold an equal share of expected zeros
-    grid = density_guided_grid(ts.planner.zero_density_fn(binom5), -3.0, 3.0, 4)
+    grid = density_guided_grid(binom5, 4)
     mid = np.arctan(3.0) / 2.0
     # quartiles of arctan-distributed mass sit at tan(+-atan(3)/2) and 0
     assert grid[2] == pytest.approx(0.0, abs=1e-9)

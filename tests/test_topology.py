@@ -1,6 +1,8 @@
 """Component counting on grids and against the dense oracle."""
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ def test_double_crossover_truth_table():
 
 def test_oracle_counts_linear_path(cheb5, thr):
     path = _cheb_path(cheb5, {1: 1.0})  # u(x) = x
-    count = oracle_beta0(path, thr, -1.0, 1.0, 1024)
+    count = oracle_beta0(path, thr, 1024)
     assert (count.beta0_pos, count.beta0_neg) == (1, 1)
     assert count.zeros == pytest.approx([0.0], abs=1e-10)
     assert not count.degenerate
@@ -68,7 +70,7 @@ def test_oracle_counts_linear_path(cheb5, thr):
 
 def test_oracle_counts_two_zeros(cheb5, thr):
     path = _cheb_path(cheb5, {2: 1.0})  # u(x) = 2x^2 - 1
-    count = oracle_beta0(path, thr, -1.0, 1.0, 2048)
+    count = oracle_beta0(path, thr, 2048)
     assert (count.beta0_pos, count.beta0_neg) == (2, 1)
     root = 0.5 ** 0.5
     assert count.zeros == pytest.approx([-root, root], abs=1e-10)
@@ -78,7 +80,7 @@ def test_oracle_counts_two_zeros(cheb5, thr):
 def test_oracle_flags_tangential_zero(cheb5, thr):
     # u(x) = x^2 grazes zero; an odd resolution lands a scan point on it
     path = _cheb_path(cheb5, {0: 0.5, 2: 0.5})
-    count = oracle_beta0(path, thr, -1.0, 1.0, 2049)
+    count = oracle_beta0(path, thr, 2049)
     assert count.degenerate
     assert count.zeros == pytest.approx([0.0], abs=1e-12)
     # {u >= 0} is the whole interval and {u <= 0} the single point 0
@@ -89,7 +91,7 @@ def test_oracle_flags_tangential_zero(cheb5, thr):
 def test_oracle_counts_a_zero_at_an_end_like_any_grid(cheb5, thr, slope, root):
     # u = 1 + x vanishes at a, u = 1 - x at b: {u <= 0} is that one point
     path = _cheb_path(cheb5, {0: 1.0, 1: slope})
-    count = oracle_beta0(path, thr, -1.0, 1.0, 1024)
+    count = oracle_beta0(path, thr, 1024)
     assert (count.beta0_pos, count.beta0_neg) == (1, 1)
     assert np.array_equal(count.zeros, [root])
     assert not count.degenerate
@@ -101,14 +103,14 @@ def test_oracle_counts_a_zero_at_an_end_like_any_grid(cheb5, thr, slope, root):
 def test_oracle_resolution_floor(cheb5, thr):
     path = _cheb_path(cheb5, {1: 1.0})
     with pytest.raises(ValueError):
-        oracle_beta0(path, thr, -1.0, 1.0, 2)
+        oracle_beta0(path, thr, 2)
 
 
 def test_oracle_sinusoid_period(sinusoid, thr):
     # every nonzero path of a single frequency crosses zero exactly twice
     for seed in range(5):
         path = ts.sample_path(sinusoid, seed=seed)
-        count = oracle_beta0(path, thr, 0.0, 1.0, 2048)
+        count = oracle_beta0(path, thr, 2048)
         assert count.zeros.size == 2
 
 
@@ -182,7 +184,7 @@ def test_oracle_zeros_match_exact_chebyshev_roots(cheb5, thr):
     checked = 0
     for stream in range(300):
         path = ts.sample_path(cheb5, seed=2718, stream=stream)
-        count = oracle_beta0(path, thr, -1.0, 1.0, resolution)
+        count = oracle_beta0(path, thr, resolution)
         fs = path.value(xs)
         bracket = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
         assert count.zeros.size == bracket.size
@@ -196,15 +198,15 @@ def test_oracle_zeros_match_exact_chebyshev_roots(cheb5, thr):
     assert checked > 500
 
 
-def _uncached_oracle(monkeypatch, path, threshold, a, b, resolution):
+def _uncached_oracle(monkeypatch, path, threshold, resolution):
     # the oracle with its scan basis built afresh for this call
-    def fresh(model, a, b, resolution):
-        xs = np.linspace(a, b, resolution)
+    def fresh(model, resolution):
+        xs = np.linspace(model.a, model.b, resolution)
         return xs, basis_values(model, xs)
 
     with monkeypatch.context() as m:
         m.setattr(topology, "_scan_basis", fresh)
-        return oracle_beta0(path, threshold, a, b, resolution)
+        return oracle_beta0(path, threshold, resolution)
 
 
 def _same_count(got, want):
@@ -230,8 +232,8 @@ def test_oracle_equals_uncached_reference_scan(family, cheb5, binom5, cosine5, m
     ref_xs = np.linspace(a, b, resolution)
     for stream in range(300):
         path = ts.sample_path(model, seed=4242, stream=stream)
-        count = oracle_beta0(path, threshold, a, b, resolution)
-        assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, a, b, resolution))
+        count = oracle_beta0(path, threshold, resolution)
+        assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
         # the cached product is the scan of path.value and polyval, bit for bit
         _, xs, rows = topology._scan_basis_slot[0]
         scan = path.coeffs @ rows - threshold.value(xs)
@@ -241,21 +243,16 @@ def test_oracle_equals_uncached_reference_scan(family, cheb5, binom5, cosine5, m
 
 def test_scan_basis_is_never_stale(cheb5, monkeypatch):
     # two models with equally many terms, so stale rows would go unnoticed
-    # by the shapes; two domains and two resolutions, interleaved
+    # by the shapes; two resolutions, interleaved
     unit5 = ts.unit_model(5)
-    keys = [
-        (model, domain, resolution)
-        for model in (cheb5, unit5)
-        for domain in ((-1.0, 1.0), (-0.5, 0.75))
-        for resolution in (513, 1024)
-    ]
+    keys = [(model, resolution) for model in (cheb5, unit5) for resolution in (513, 1024)]
     order = [keys[i % len(keys)] for i in range(0, 5 * len(keys), 3)]
     threshold = ts.threshold_zero()
-    for stream, (model, (a, b), resolution) in enumerate(order):
+    for stream, (model, resolution) in enumerate(order):
         path = ts.sample_path(model, seed=99, stream=stream)
-        count = oracle_beta0(path, threshold, a, b, resolution)
-        assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, a, b, resolution))
-        assert topology._scan_basis_slot[0][0] == (model, a, b, resolution)
+        count = oracle_beta0(path, threshold, resolution)
+        assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
+        assert topology._scan_basis_slot[0][0] == (model, resolution)
 
 
 def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
@@ -267,13 +264,12 @@ def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypat
 
     monkeypatch.setattr(topology, "basis_values", recording)
     for model, stream in ((cheb5, 0), (cheb5, 1), (binom5, 0), (binom5, 1), (cheb5, 2)):
-        a, b = model.domain
-        oracle_beta0(ts.sample_path(model, seed=5, stream=stream), thr, a, b, 640)
+        oracle_beta0(ts.sample_path(model, seed=5, stream=stream), thr, 640)
     # one build per change of key, each into an emptied slot
     assert builds == [None, None, None]
     assert len(topology._scan_basis_slot) == 1
     key, xs, rows = topology._scan_basis_slot[0]
-    assert key == (cheb5, -1.0, 1.0, 640)
+    assert key == (cheb5, 640)
     assert rows.shape == (cheb5.n_terms, 640)
     for array in (xs, rows):
         assert not array.flags.writeable
@@ -283,4 +279,6 @@ def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypat
 
 def test_scan_basis_is_not_built_at_import():
     code = "from toposample import topology; assert topology._scan_basis_slot == [None]"
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+    # the child imports the same package as this process, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(ts.__file__).resolve().parent.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)

@@ -21,13 +21,12 @@ import numpy as np
 from . import __version__
 from .config import (
     CONFIG_KEYS,
-    _need_float,
     _need_floats,
-    _need_int,
     build_experiment_config,
     build_model,
     build_threshold,
     read_config_file,
+    resolve_experiment,
 )
 from .density import density_profile
 from .errors import ConfigError, ToposampleError
@@ -111,20 +110,6 @@ def _model_threshold(sections):
     return model, threshold
 
 
-def _out_fmt(sections):
-    exp = sections.get("experiment", {})
-    fmt = exp.get("format", "csv").lower()
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format must be csv or json")
-    return exp.get("output"), fmt
-
-
-def _require_seed(config_seed):
-    if config_seed is None:
-        raise ConfigError("this command draws random paths; provide --seed")
-    return config_seed
-
-
 def _meta(sections, command):
     return {"command": command, "config": sections}
 
@@ -132,17 +117,17 @@ def _meta(sections, command):
 def cmd_density(args) -> int:
     sections = _merge_sections(args)
     model, threshold = _model_threshold(sections)
+    run = resolve_experiment(sections, COMMAND_KEYS["density"])
     if args.grid_size < 2:
         raise ConfigError("--grid-size must be at least 2")
     header, rows = profile_dump(model, threshold, args.grid_size)
-    output, fmt = _out_fmt(sections)
-    emit_table(header, rows, output, fmt, _meta(sections, "density"))
+    emit_table(header, rows, run["output"], run["format"], _meta(sections, "density"))
     return 0
 
 
 def cmd_grid(args) -> int:
     sections = _merge_sections(args)
-    config = build_experiment_config(sections)
+    config = build_experiment_config(sections, COMMAND_KEYS["grid"])
     plan = build_plan(
         config.model, config.threshold, config.strategy, m=config.m, p=config.p
     )
@@ -162,22 +147,17 @@ def cmd_grid(args) -> int:
 def cmd_bound(args) -> int:
     sections = _merge_sections(args)
     model, threshold = _model_threshold(sections)
-    exp = sections.get("experiment", {})
-    if "m" not in exp and "p" not in exp:
+    run = resolve_experiment(sections, COMMAND_KEYS["bound"])
+    m, p = run["m"], run["p"]
+    if m is None and p is None:
         raise ConfigError("bound needs --m, --p, or both")
     total, _ = cumulative_weight(model, threshold)
     header = ["total_weight"]
     row = [total]
-    if "m" in exp:
-        m = _need_int(exp["m"], "m")
-        if m < 1:
-            raise ConfigError("m must be at least 1")
+    if m is not None:
         header += ["m", "success_bound", "bound_vacuous"]
         row += [m, failure_bound(total, m), bound_is_vacuous(total, m)]
-    if "p" in exp:
-        p = _need_float(exp["p"], "p")
-        if not 0.0 <= p < 1.0:
-            raise ConfigError("p must lie in [0, 1)")
+    if p is not None:
         peak = peak_crossover_rate(model, threshold)
         header += ["p", "min_samples", "peak_crossover_rate", "uniform_samples"]
         row += [
@@ -186,15 +166,13 @@ def cmd_bound(args) -> int:
             peak,
             uniform_bound_samples(peak, model.b - model.a, p),
         ]
-    output, fmt = _out_fmt(sections)
-    emit_table(header, [row], output, fmt, _meta(sections, "bound"))
+    emit_table(header, [row], run["output"], run["format"], _meta(sections, "bound"))
     return 0
 
 
 def cmd_experiment(args) -> int:
     sections = _merge_sections(args)
-    config = build_experiment_config(sections)
-    _require_seed(config.seed)
+    config = build_experiment_config(sections, COMMAND_KEYS["experiment"])
     result = run_experiment(config)
     header, rows = experiment_table(result)
     emit_table(header, rows, config.output, config.fmt, _meta(sections, "experiment"))
@@ -216,8 +194,7 @@ def cmd_compare(args) -> int:
     sections = _merge_sections(args)
     if "strategy" in sections.get("experiment", {}):
         raise ConfigError("compare runs every strategy; remove experiment.strategy")
-    config = build_experiment_config(sections)
-    _require_seed(config.seed)
+    config = build_experiment_config(sections, COMMAND_KEYS["compare"])
     m = config.m
     if m is None:
         m = build_plan(config.model, config.threshold, "topology", p=config.p).m
@@ -238,22 +215,18 @@ def cmd_compare(args) -> int:
 
 def cmd_zeros(args) -> int:
     sections = _merge_sections(args)
-    exp = sections.setdefault("experiment", {})
-    # zero counting needs no grid, so satisfy the m/p rule artificially
-    if "m" not in exp and "p" not in exp:
-        exp["m"] = "1"
-    config = build_experiment_config(sections)
-    _require_seed(config.seed)
+    model = build_model(sections.get("model", {}))
+    run = resolve_experiment(sections, COMMAND_KEYS["zeros"])
     result = zero_count_experiment(
-        config.model,
-        config.trials,
-        config.seed,
-        oracle_resolution=config.oracle_resolution,
-        workers=config.workers,
+        model,
+        run["trials"],
+        run["seed"],
+        oracle_resolution=run["oracle_resolution"],
+        workers=run["workers"],
     )
     header, rows = zero_count_table(result)
-    emit_table(header, rows, config.output, config.fmt, _meta(sections, "zeros"))
-    if config.validate:
+    emit_table(header, rows, run["output"], run["format"], _meta(sections, "zeros"))
+    if run["validate"]:
         if not (result.stderr > 0 and abs(result.mean_zeros - result.expected) <= 4.0 * result.stderr):
             print("validation failed: mean zero count far from prediction", file=sys.stderr)
             return 4
@@ -278,11 +251,9 @@ def cmd_scaling(args) -> int:
         raise ConfigError("scaling needs --n-list")
     if min(n_list) < 0:
         raise ConfigError("--n-list sizes must be nonnegative")
-    exp = sections.setdefault("experiment", {})
-    p = _need_float(exp.get("p", "0.95"), "p")
-    if not 0.0 <= p < 1.0:
-        raise ConfigError("p must lie in [0, 1)")
-    exp["p"] = str(p)  # the output's meta records the p in use
+    run = resolve_experiment(sections, COMMAND_KEYS["scaling"], p="0.95")
+    p = run["p"]
+    sections.setdefault("experiment", {})["p"] = str(p)  # the output's meta records the p in use
     rows_data = scaling_study(family, n_list, p)
     header = [
         "n",
@@ -295,8 +266,7 @@ def cmd_scaling(args) -> int:
         [r.n, r.expected_zeros, r.samples_topology, r.samples_uniform, r.total_weight]
         for r in rows_data
     ]
-    output, fmt = _out_fmt(sections)
-    emit_table(header, rows, output, fmt, _meta(sections, "scaling"))
+    emit_table(header, rows, run["output"], run["format"], _meta(sections, "scaling"))
     return 0
 
 
@@ -310,7 +280,8 @@ def cmd_orthant_check(args) -> int:
     if stray:
         raise ConfigError(f"--mode {args.mode} does not read {', '.join(stray)}")
     sections = _merge_sections(args)
-    output, fmt = _out_fmt(sections)
+    run = resolve_experiment(sections, reads + _OUT, trials="100000")
+    output, fmt = run["output"], run["format"]
     meta = _meta(sections, "orthant-check")
 
     if args.mode == "weight":
@@ -388,11 +359,7 @@ def cmd_orthant_check(args) -> int:
         return 0
 
     # Monte Carlo crossover probability against the rate prediction
-    exp = sections.get("experiment", {})
-    trials = _need_int(exp.get("trials", "100000"), "trials")
-    if trials < 1:
-        raise ConfigError("trials must be positive")
-    seed = _require_seed(_need_int(exp["seed"], "seed") if "seed" in exp else None)
+    trials, seed = run["trials"], run["seed"]
     rate = float(density_profile(model, threshold, x, strict=True).crossover_rate[0])
     header = [
         "x",

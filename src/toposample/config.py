@@ -26,7 +26,8 @@ numbers use '.' decimals; vectors are comma-separated.
 
 A key that the chosen family or threshold kind does not read is an
 error. Command-line flags override file keys one for one; each
-subcommand offers a flag for exactly the keys it reads.
+subcommand offers a flag for exactly the keys it reads, and parses
+only those [experiment] keys, ignoring the others.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from .fields import (
     threshold_polynomial,
     threshold_zero,
 )
+from .planner import STRATEGIES
 
 # the keys each config section accepts; each subcommand offers a flag for
 # the keys it reads (cli.COMMAND_KEYS)
@@ -179,6 +181,68 @@ def build_threshold(spec: dict[str, str] | None) -> ThresholdFn:
     return threshold_constant(tau) if kind == "constant" else threshold_cubic_shift(tau)
 
 
+def _checked(need, ok, rule: str):
+    """Parse with ``need``, then reject a value failing ``ok``: "<name> must <rule>"."""
+    def parse(raw: str, name: str):
+        value = need(raw, name)
+        if not ok(value):
+            raise ConfigError(f"{name} must {rule}")
+        return value
+    return parse
+
+
+def _one_of(options, message: str):
+    def parse(raw: str, name: str) -> str:
+        value = raw.lower()
+        if value not in options:
+            raise ConfigError(message.format(name=name, value=value))
+        return value
+    return parse
+
+
+def _resolution(raw: str, name: str) -> int | None:
+    resolution = _need_int(raw, name)
+    if 0 < resolution < 3:
+        raise ConfigError(f"{name} must be 0 (automatic) or at least 3")
+    return resolution if resolution > 0 else None
+
+
+# each [experiment] key: parse(raw, name), which also checks the value,
+# and the raw default used when the key is absent (None: value None)
+_EXPERIMENT_KEYS = {
+    "strategy": (_one_of(STRATEGIES, "unknown strategy {value!r}"), "topology"),
+    "m": (_checked(_need_int, lambda m: m >= 1, "be at least 1"), None),
+    "p": (_checked(_need_float, lambda p: 0.0 <= p < 1.0, "lie in [0, 1)"), None),
+    "trials": (_checked(_need_int, lambda n: n >= 1, "be positive"), "10000"),
+    "seed": (_need_int, None),
+    "oracle_resolution": (_resolution, None),
+    "workers": (_checked(_need_int, lambda n: n >= 1, "be at least 1"), "1"),
+    "output": (lambda raw, name: raw, None),
+    "format": (_one_of(("csv", "json"), "{name} must be csv or json"), "csv"),
+    "validate": (lambda raw, name: raw.lower() in ("1", "true", "yes", "on"), "false"),
+}
+
+
+def resolve_experiment(sections, keys, **defaults) -> dict:
+    """Typed values of the [experiment] keys among ``keys``.
+
+    ``keys`` are the config keys a command reads; the [experiment] keys
+    not among them are neither parsed nor returned. An absent key takes
+    its raw default from ``defaults``, else from the key table. A read
+    seed is required: only commands that draw random paths read it.
+    """
+    exp = sections.get("experiment", {})
+    values = {}
+    for key in keys:
+        if key in _EXPERIMENT_KEYS:
+            parse, default = _EXPERIMENT_KEYS[key]
+            raw = exp.get(key, defaults.get(key, default))
+            values[key] = None if raw is None else parse(raw, f"experiment.{key}")
+    if "seed" in values and values["seed"] is None:
+        raise ConfigError("this command draws random paths; provide --seed")
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a correctness experiment needs, resolved and typed."""
@@ -197,58 +261,23 @@ class ExperimentConfig:
     validate: bool = False
 
 
-def build_experiment_config(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
+def build_experiment_config(sections: dict[str, dict[str, str]], keys=None) -> ExperimentConfig:
     """Resolve raw config sections into an ExperimentConfig.
 
-    Exactly one of experiment.m and experiment.p must be present; the
-    seed requirement is enforced by the stochastic commands themselves.
+    ``keys`` are the config keys the caller reads (see
+    :func:`resolve_experiment`); unread fields keep their defaults.
+    Without ``keys`` every [experiment] key is read, and a missing seed
+    is left to the run to reject. Exactly one of experiment.m and
+    experiment.p must be present.
     """
     model = build_model(sections.get("model", {}))
     threshold = build_threshold(sections.get("threshold"))
-    exp = sections.get("experiment", {})
-
-    strategy = exp.get("strategy", "topology").lower()
-    if strategy not in ("topology", "uniform", "density"):
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    m = _need_int(exp["m"], "experiment.m") if "m" in exp else None
-    p = _need_float(exp["p"], "experiment.p") if "p" in exp else None
-    if (m is None) == (p is None):
+    if keys is None:
+        exp = sections.get("experiment", {})
+        keys = [key for key in CONFIG_KEYS["experiment"] if key != "seed" or key in exp]
+    values = resolve_experiment(sections, keys)
+    if (values.get("m") is None) == (values.get("p") is None):
         raise ConfigError("exactly one of experiment.m and experiment.p is required")
-    if m is not None and m < 1:
-        raise ConfigError("experiment.m must be at least 1")
-    if p is not None and not 0.0 <= p < 1.0:
-        raise ConfigError("experiment.p must lie in [0, 1)")
-    trials = _need_int(exp.get("trials", "10000"), "experiment.trials")
-    if trials < 1:
-        raise ConfigError("experiment.trials must be positive")
-    seed = _need_int(exp["seed"], "experiment.seed") if "seed" in exp else None
-    resolution = None
-    if "oracle_resolution" in exp:
-        resolution = _need_int(exp["oracle_resolution"], "experiment.oracle_resolution")
-        if resolution <= 0:
-            resolution = None
-        elif resolution < 3:
-            raise ConfigError(
-                "experiment.oracle_resolution must be 0 (automatic) or at least 3"
-            )
-    workers = _need_int(exp.get("workers", "1"), "experiment.workers")
-    if workers < 1:
-        raise ConfigError("experiment.workers must be at least 1")
-    fmt = exp.get("format", "csv").lower()
-    if fmt not in ("csv", "json"):
-        raise ConfigError("experiment.format must be csv or json")
-    validate = exp.get("validate", "false").lower() in ("1", "true", "yes", "on")
-    return ExperimentConfig(
-        model=model,
-        threshold=threshold,
-        strategy=strategy,
-        m=m,
-        p=p,
-        trials=trials,
-        seed=seed,
-        oracle_resolution=resolution,
-        workers=workers,
-        output=exp.get("output"),
-        fmt=fmt,
-        validate=validate,
-    )
+    if "format" in values:
+        values["fmt"] = values.pop("format")
+    return ExperimentConfig(model=model, threshold=threshold, **values)

@@ -525,7 +525,6 @@ class ThresholdFn:
     cover the level-set cases used elsewhere.
     """
 
-    kind: str
     coeffs: np.ndarray
 
     def __post_init__(self):
@@ -548,19 +547,19 @@ class ThresholdFn:
 
 
 def threshold_zero() -> ThresholdFn:
-    return ThresholdFn("zero", np.zeros(1))
+    return ThresholdFn(np.zeros(1))
 
 
 def threshold_constant(tau: float) -> ThresholdFn:
-    return ThresholdFn("constant", np.array([float(tau)]))
+    return ThresholdFn(np.array([float(tau)]))
 
 
 def threshold_polynomial(coeffs) -> ThresholdFn:
     """Polynomial threshold from ascending-power coefficients."""
-    return ThresholdFn("polynomial", np.asarray(coeffs, dtype=float))
+    return ThresholdFn(np.asarray(coeffs, dtype=float))
 
 
 def threshold_cubic_shift(tau: float) -> ThresholdFn:
     """mu(x) = x - x^3 + tau, the bent level used in the demos."""
-    return ThresholdFn("cubic_shift", np.array([float(tau), 1.0, 0.0, -1.0]))
+    return ThresholdFn(np.array([float(tau), 1.0, 0.0, -1.0]))
 

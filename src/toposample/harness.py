@@ -224,6 +224,8 @@ def zero_count_experiment(
 ) -> ZeroCountResult:
     """Compare the Monte Carlo mean zero count with its exact integral."""
     expected = expected_zero_count(model)
+    if oracle_resolution is None:
+        oracle_resolution = default_oracle_resolution(model, expected)
     _, (n, total, total_sq) = trial_pass(
         model, threshold_zero(), [], trials, seed, oracle_resolution, workers
     )

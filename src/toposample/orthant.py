@@ -104,8 +104,6 @@ class LocalGaussian:
 
     cov: np.ndarray
     thresholds: np.ndarray
-    x: float | None = None
-    spacing: float | None = None
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
@@ -140,8 +138,6 @@ def local_gaussian(
     return LocalGaussian(
         cov=cov,
         thresholds=np.asarray(threshold.value(pts), dtype=float),
-        x=float(x),
-        spacing=float(spacing),
     )
 
 

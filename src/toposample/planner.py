@@ -247,11 +247,9 @@ def build_plan(
     )
 
 
-def expected_zero_count(model: FieldModel, rel_tol=1e-10) -> float:
+def expected_zero_count(model: FieldModel) -> float:
     """Integral of the zero density over the domain."""
-    value, _ = adaptive_simpson(
-        zero_density_fn(model), model.a, model.b, rel_tol=rel_tol
-    )
+    value, _ = adaptive_simpson(zero_density_fn(model), model.a, model.b)
     return float(value)
 
 

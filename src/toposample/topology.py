@@ -185,10 +185,11 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
     return OracleCount(pos, neg, zeros, degenerate)
 
 
-def default_oracle_resolution(model) -> int:
-    """Scan resolution scaled to the expected zero count."""
-    expected = expected_zero_count(model, rel_tol=1e-8)
-    return _SCAN_POINTS_PER_ZERO * max(1, int(np.ceil(expected)))
+def default_oracle_resolution(model, expected_zeros: float | None = None) -> int:
+    """Scan resolution scaled to the expected zero count (integrated unless given)."""
+    if expected_zeros is None:
+        expected_zeros = expected_zero_count(model)
+    return _SCAN_POINTS_PER_ZERO * max(1, int(np.ceil(expected_zeros)))
 
 
 def admissible_to_depth(

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample.cli import main
+from toposample.cli import _ORTHANT_MODE_FLAGS, _OUT, COMMAND_KEYS, main
+from toposample.config import CONFIG_KEYS
 
 
 def _run(capsys, *argv):
@@ -451,3 +452,52 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "toposample" in capsys.readouterr().out
+
+
+# an invalid value for each [experiment] key; output and format are read
+# by every command
+BAD_EXPERIMENT_VALUES = {
+    "strategy": "bogus", "m": "0", "p": "abc", "trials": "abc", "seed": "x",
+    "oracle_resolution": "2", "workers": "0", "validate": "maybe",
+}
+FAST = ("--trials", "10", "--seed", "1", "--oracle-resolution", "256")
+UNREAD_RUNS = {
+    "density": (("density", *CHEB5, "--grid-size", "5"), COMMAND_KEYS["density"]),
+    "grid": (("grid", *CHEB5, "--m", "4"), COMMAND_KEYS["grid"]),
+    "bound": (("bound", *CHEB5, "--m", "4"), COMMAND_KEYS["bound"]),
+    "experiment": (("experiment", *CHEB5, "--m", "4", *FAST), COMMAND_KEYS["experiment"]),
+    # compare rejects a strategy key by design, so its file leaves it out
+    "compare": (
+        ("compare", "--family", "binomial", "--n", "5", "--m", "4", *FAST),
+        COMMAND_KEYS["compare"] + ("strategy",),
+    ),
+    "zeros": (("zeros", *CHEB5, *FAST), COMMAND_KEYS["zeros"]),
+    "scaling": (SCALING, COMMAND_KEYS["scaling"]),
+    **{
+        f"orthant-check {mode}": (
+            ("orthant-check", "--mode", mode, *argv),
+            _ORTHANT_MODE_FLAGS[mode] + _OUT,
+        )
+        for mode, argv in (
+            ("weight", ("--shift", "1,0,0")),
+            ("eigen", (*CHEB5, "--spacings", "0.25")),
+            ("mc", (*CHEB5, "--spacings", "0.25", "--trials", "100", "--seed", "1")),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("run", UNREAD_RUNS)
+def test_unread_experiment_keys_are_not_parsed(tmp_path, capsys, run):
+    argv, reads = UNREAD_RUNS[run]
+    unread = [key for key in CONFIG_KEYS["experiment"] if key not in reads]
+    ini = tmp_path / "unread.ini"
+    ini.write_text(
+        "[experiment]\n" + "".join(f"{key} = {BAD_EXPERIMENT_VALUES[key]}\n" for key in unread),
+        encoding="utf-8",
+    )
+    code, plain, _ = _run(capsys, *argv)
+    assert code == 0
+    code, with_file, err = _run(capsys, *argv, "--config", str(ini))
+    assert (code, err) == (0, "")
+    assert with_file == plain

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import toposample as ts
+from toposample.config import _EXPERIMENT_KEYS, CONFIG_KEYS
 from toposample.errors import ConfigError
 
 
@@ -154,6 +155,10 @@ def test_build_experiment_config_errors():
             ts.build_experiment_config(
                 {**base, "experiment": {"m": "4", "oracle_resolution": resolution}}
             )
+
+
+def test_every_experiment_key_has_one_parse():
+    assert set(_EXPERIMENT_KEYS) == set(CONFIG_KEYS["experiment"])
 
 
 def test_validate_flag_parsing():

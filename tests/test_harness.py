@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample import harness
+from toposample import harness, planner
 from toposample.config import ExperimentConfig
 from toposample.errors import ConfigError
 from toposample.harness import (
@@ -20,6 +20,7 @@ from toposample.harness import (
     zero_count_table,
 )
 from toposample.planner import SamplingPlan
+from toposample.quadrature import adaptive_simpson
 from toposample.topology import verify_match
 
 
@@ -220,6 +221,20 @@ def test_zero_count_matches_prediction(binom5):
     assert result.rel_gap == pytest.approx(
         (result.mean_zeros - result.expected) / result.expected, rel=1e-12
     )
+
+
+def test_zero_count_integrates_the_zero_density_once(cheb5, monkeypatch):
+    # the expected count and the default scan resolution share one integral
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return adaptive_simpson(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "adaptive_simpson", counting)
+    result = ts.zero_count_experiment(cheb5, trials=2, seed=1)
+    assert len(calls) == 1
+    assert result.expected == ts.expected_zero_count(cheb5)
 
 
 def test_zero_count_deterministic_across_workers(binom5):

@@ -96,7 +96,6 @@ def test_local_gaussian_construction(binom5, thr):
             want = ts.correlation(binom5, float(pts[i]), float(pts[j]))
             assert local.cov[i, j] == pytest.approx(want, rel=1e-12)
     assert local.thresholds == pytest.approx(np.zeros(3), abs=0.0)
-    assert local.x == 0.4 and local.spacing == 0.25
 
 
 def test_local_gaussian_validation(binom5, thr):

@@ -21,6 +21,8 @@ import numpy as np
 from . import __version__
 from .config import (
     CONFIG_KEYS,
+    SIZED_FAMILY_KEYS,
+    _choose,
     _need_floats,
     build_experiment_config,
     build_model,
@@ -30,7 +32,6 @@ from .config import (
 )
 from .density import density_profile
 from .errors import ConfigError, ToposampleError
-from .fields import FAMILY_BUILDERS
 from .harness import (
     compare_strategies,
     emit_table,
@@ -41,6 +42,7 @@ from .harness import (
     zero_count_table,
 )
 from .orthant import (
+    EIGEN_QUANTITIES,
     crossover_probability_mc,
     eigen_expansion_check,
     orthant_weight,
@@ -235,14 +237,7 @@ def cmd_zeros(args) -> int:
 
 def cmd_scaling(args) -> int:
     sections = _merge_sections(args)
-    family = sections.get("model", {}).get("family")
-    if family is None:
-        raise ConfigError("scaling needs --family")
-    family = family.lower()
-    if family not in FAMILY_BUILDERS:
-        raise ConfigError(
-            f"scaling supports the families {', '.join(FAMILY_BUILDERS)}, not {family!r}"
-        )
+    family = _choose(sections.get("model", {}), "model", "family", SIZED_FAMILY_KEYS)
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError:
@@ -315,46 +310,12 @@ def cmd_orthant_check(args) -> int:
 
     if args.mode == "eigen":
         report = eigen_expansion_check(model, threshold, x, spacings)
-        header = [
-            "spacing",
-            "small_ratio",
-            "mid_ratio",
-            "large_value",
-            "det_ratio",
-            "proj_small_ratio",
-            "proj_mid_ratio",
-            "proj_large",
-            "angle_small",
-            "angle_mid",
-            "angle_large",
-        ]
+        header = ["spacing", *EIGEN_QUANTITIES, "angle_small", "angle_mid", "angle_large"]
         rows = [
-            [
-                s.spacing,
-                s.small_ratio,
-                s.mid_ratio,
-                s.large_value,
-                s.det_ratio,
-                s.proj_small_ratio,
-                s.proj_mid_ratio,
-                s.proj_large,
-                s.angles[0],
-                s.angles[1],
-                s.angles[2],
-            ]
+            [s.spacing, *(s.observed[name] for name in EIGEN_QUANTITIES), *s.angles]
             for s in report.steps
         ]
-        meta = dict(meta)
-        meta["predicted"] = {
-            "small_ratio": report.predicted_small,
-            "mid_ratio": report.predicted_mid,
-            "large_value": report.predicted_large,
-            "det_ratio": report.predicted_det,
-            "proj_small_ratio": report.predicted_proj_small,
-            "proj_mid_ratio": report.predicted_proj_mid,
-            "proj_large": report.predicted_proj_large,
-        }
-        meta["orders"] = report.orders
+        meta = dict(meta, predicted=report.predicted, orders=report.orders)
         emit_table(header, rows, output, fmt, meta)
         return 0
 

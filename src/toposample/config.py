@@ -117,8 +117,10 @@ def _need_floats(raw: str, key: str) -> np.ndarray:
     return values
 
 
-# the keys each model family and each threshold kind reads
-_FAMILY_KEYS = {"periodic": ("amplitudes", "period"), **{f: ("n",) for f in FAMILY_BUILDERS}}
+# the keys each model family and each threshold kind reads; the sized
+# families are those FAMILY_BUILDERS builds from n alone
+SIZED_FAMILY_KEYS = {f: ("n",) for f in FAMILY_BUILDERS}
+_FAMILY_KEYS = {"periodic": ("amplitudes", "period"), **SIZED_FAMILY_KEYS}
 _THRESHOLD_KEYS = {
     "zero": (), "constant": ("tau",), "cubic_shift": ("tau",), "polynomial": ("coefficients",)
 }
@@ -136,7 +138,9 @@ def _choose(spec, section, selector, table, default=None):
         raise ConfigError(f"{section}.{selector} is required")
     choice = choice.lower()
     if choice not in table:
-        raise ConfigError(f"unknown {section} {selector} {choice!r}")
+        raise ConfigError(
+            f"unknown {section} {selector} {choice!r}; choose one of {', '.join(table)}"
+        )
     stray = sorted(set(spec) - {selector, *table[choice]})
     if stray:
         names = ", ".join(f"{section}.{key}" for key in stray)

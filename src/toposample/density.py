@@ -98,6 +98,39 @@ class DensityProfile:
     nondegenerate: np.ndarray
 
 
+def _require_finite(finite, x, what):
+    """Raise NonFiniteDensityError at the first point where ``finite`` is False."""
+    if not np.all(finite):
+        bad = float(x[np.argmin(finite)])
+        raise NonFiniteDensityError(
+            f"{what} is not finite at x={bad:g}; it overflows double precision"
+        )
+
+
+def _zero_density(x, t):
+    """Zero density column of a jet table; NaN where the (u, u') block is singular.
+
+    A point is singular only where minor33, and with it r00, r10 and r11,
+    is finite; any other non-finite value raises.
+    """
+    r00, r11, m33 = t["r00"], t["r11"], t["minor33"]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        zero_dens = np.sqrt(np.clip(m33, 0.0, None)) / (np.pi * r00)
+        zero_ok = (r00 > 0.0) & (m33 > -1e-12 * r00 * r11)
+    _require_finite(np.isfinite(np.where(zero_ok, zero_dens, m33)), x, "zero density")
+    return np.where(zero_ok, zero_dens, np.nan)
+
+
+def zero_density(model: FieldModel, x) -> np.ndarray:
+    """First-moment density of zeros at each point of ``x``.
+
+    The ``zero_density`` column of :func:`density_profile`, without the
+    sampling density, whose jet may overflow where this one does not.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _zero_density(x, jet_tables(model, x))
+
+
 def density_profile(
     model: FieldModel, threshold: ThresholdFn, x, strict: bool = False
 ) -> DensityProfile:
@@ -107,17 +140,15 @@ def density_profile(
     ``strict`` they raise instead, which makes
     ``density_profile(model, threshold, x, strict=True).density[0]`` the
     checked value at a single point. The zero density column is filled
-    wherever the (u, u') block allows it.
+    wherever the (u, u') block allows it. A point is degenerate only
+    where the jet entries its test reads are finite; any other
+    non-finite value, such as a jet that overflows double precision,
+    raises NonFiniteDensityError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = jet_tables(model, x)
     ok = t["nondegenerate"]
-    if strict and not np.all(ok):
-        bad = float(x[np.argmin(ok)])
-        raise NondegeneracyError(
-            f"derivative covariance is singular at x={bad:g}", x=bad
-        )
-    r00, r10, r11 = t["r00"], t["r10"], t["r11"]
+    r00, r10 = t["r00"], t["r10"]
     m33, m32, m31, det3 = t["minor33"], t["minor32"], t["minor31"], t["det3"]
     mu, dmu, ddmu = threshold.jet(x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -128,16 +159,20 @@ def density_profile(
         decay = (slope_term * slope_term + m33 * mu * mu) / (2.0 * r00 * m33)
         factor = (1.0 + gain) * np.exp(-decay)
         dens = base * factor
-        zero_dens = np.sqrt(np.clip(m33, 0.0, None)) / (np.pi * r00)
-    if strict and not np.all(np.isfinite(dens)):
-        raise NonFiniteDensityError("sampling density overflowed on the profile grid")
+    # a point is degenerate only where the entries its mask reads are
+    # finite: minor33 and det3, whose finiteness implies every rkl's
+    finite = np.isfinite(np.where(ok, dens, det3)) & np.isfinite(m33)
+    _require_finite(finite, x, "sampling density")
+    if strict and not np.all(ok):
+        bad = float(x[np.argmin(ok)])
+        raise NondegeneracyError(
+            f"derivative covariance is singular at x={bad:g}", x=bad
+        )
     dens = np.where(ok, dens, np.nan)
     gain = np.where(ok, gain, np.nan)
     decay = np.where(ok, decay, np.nan)
     factor = np.where(ok, factor, np.nan)
-    with np.errstate(invalid="ignore"):
-        zero_ok = (r00 > 0.0) & (m33 > -1e-12 * r00 * r11)
-    zero_dens = np.where(zero_ok, zero_dens, np.nan)
+    zero_dens = _zero_density(x, t)
     return DensityProfile(
         x, dens, gain, decay, factor, _CROSSOVER_FRACTION * dens, zero_dens, ok
     )

@@ -406,6 +406,9 @@ def correlation(model: FieldModel, x, y):
     return float(out[0]) if scalar else out
 
 
+# entries of a large family may overflow to inf or NaN; the density code
+# tells such points from degenerate ones
+@np.errstate(over="ignore", invalid="ignore")
 def jet_tables(model: FieldModel, x) -> dict[str, np.ndarray]:
     """Diagonal derivative jet of the correlation function at each point.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NondegeneracyError, NotPositiveDefiniteError
+from .errors import NondegeneracyError, NonFiniteDensityError, NotPositiveDefiniteError
 from .fields import (
     FieldModel,
     ThresholdFn,
@@ -203,42 +203,48 @@ def jacobi_eigh3(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(a)[order], v[:, order]
 
 
+# The quantities the eigen check tracks, in output order, each with the
+# key of its convergence order in EigenExpansion.orders. v_k is the
+# eigenvector of the k-th smallest eigenvalue lambda_k, and tau the
+# threshold values at the three points.
+EIGEN_QUANTITIES = {
+    "small_ratio": "small_eig",  # lambda_1 / spacing^4
+    "mid_ratio": "mid_eig",  # lambda_2 / spacing^2
+    "large_value": "large_eig",  # lambda_3
+    "det_ratio": "det",  # det cov / spacing^6
+    "proj_small_ratio": "proj_small",  # (tau . v_1) / spacing^2
+    "proj_mid_ratio": "proj_mid",  # (tau . v_2) / spacing
+    "proj_large": "proj_large",  # tau . v_3
+}
+
+
 @dataclass(frozen=True)
 class EigenStep:
-    """Observed eigen-structure of the local covariance at one spacing."""
+    """Observed eigen-structure of the local covariance at one spacing.
+
+    ``observed`` maps each name of :data:`EIGEN_QUANTITIES` to its value;
+    ``angles`` holds the angle of each eigenvector to its limit direction.
+    """
 
     spacing: float
-    eigvals: np.ndarray
-    vectors: np.ndarray  # columns ordered smallest to largest eigenvalue
-    small_ratio: float  # lambda_1 / spacing^4
-    mid_ratio: float  # lambda_2 / spacing^2
-    large_value: float  # lambda_3
-    angles: np.ndarray  # angle of each eigenvector to its limit direction
-    proj_small_ratio: float  # (thresholds . v_1) / spacing^2
-    proj_mid_ratio: float  # (thresholds . v_2) / spacing
-    proj_large: float  # thresholds . v_3
-    det_ratio: float  # det cov / spacing^6
+    angles: np.ndarray
+    observed: dict[str, float]
 
 
 @dataclass(frozen=True)
 class EigenExpansion:
     """Eigen-structure of the collapsing local covariance across spacings.
 
-    ``steps`` holds the observations; the ``predicted_*`` fields hold
-    the limits implied by the correlation jet and threshold jet at x.
-    Convergence orders are log-log regression slopes of the error
-    against the spacing, computed per tracked quantity.
+    ``steps`` holds the observations and ``predicted`` the limits implied
+    by the correlation jet and threshold jet at x, keyed like
+    :data:`EIGEN_QUANTITIES`. ``orders`` holds, under each quantity's
+    order key, the log-log regression slope of its error against the
+    spacing.
     """
 
     x: float
     steps: list[EigenStep]
-    predicted_small: float
-    predicted_mid: float
-    predicted_large: float
-    predicted_proj_small: float
-    predicted_proj_mid: float
-    predicted_proj_large: float
-    predicted_det: float
+    predicted: dict[str, float]
     orders: dict[str, float]
 
 
@@ -268,22 +274,31 @@ def eigen_expansion_check(
     aligned with the limit directions.
     """
     t = jet_tables(model, x)
+    keys = ("r00", "r10", "minor33", "minor32", "minor31", "det3")
+    jet = {k: float(t[k][0]) for k in keys}
+    overflow = [k for k, v in jet.items() if not math.isfinite(v)]
+    if overflow:
+        raise NonFiniteDensityError(
+            f"correlation jet entry {', '.join(overflow)} is not finite at "
+            f"x={float(x):g}; it overflows double precision"
+        )
     if not t["nondegenerate"][0]:
         raise NondegeneracyError(
             f"derivative covariance is singular at x={float(x):g}", x=float(x)
         )
-    r00, r10, m33, m32, m31, det3 = (
-        float(t[k][0]) for k in ("r00", "r10", "minor33", "minor32", "minor31", "det3")
-    )
+    r00, r10, m33, m32, m31, det3 = jet.values()
     mu, dmu, ddmu = (float(v) for v in threshold.jet(x))
-    pred_small = det3 / (96.0 * m33)
-    pred_mid = m33 / (2.0 * r00)
-    pred_large = 3.0 * r00
     bend = m31 * mu - m32 * dmu + m33 * ddmu
-    pred_proj_small = bend / (4.0 * math.sqrt(6.0) * m33)
-    pred_proj_mid = (r10 * mu - r00 * dmu) / (math.sqrt(2.0) * r00)
-    pred_proj_large = math.sqrt(3.0) * mu
-    pred_det = det3 / 64.0
+    # the limits and, below, the observations in EIGEN_QUANTITIES order
+    predicted = dict(zip(EIGEN_QUANTITIES, (
+        det3 / (96.0 * m33),
+        m33 / (2.0 * r00),
+        3.0 * r00,
+        det3 / 64.0,
+        bend / (4.0 * math.sqrt(6.0) * m33),
+        (r10 * mu - r00 * dmu) / (math.sqrt(2.0) * r00),
+        math.sqrt(3.0) * mu,
+    )))
 
     steps = []
     for d in spacings:
@@ -301,8 +316,7 @@ def eigen_expansion_check(
                 g[:, j] = -g[:, j]
         pts = np.array([x, x + 0.5 * d, x + d])
         tau = np.asarray(threshold.value(pts), dtype=float)
-        tau_rot = _W.T @ tau
-        proj = tau_rot @ g
+        proj = (_W.T @ tau) @ g
         vectors = _W @ g
         angles = np.array(
             [
@@ -310,55 +324,22 @@ def eigen_expansion_check(
                 for j in range(3)
             ]
         )
+        observed = (
+            w[0] / d ** 4, w[1] / d ** 2, w[2], np.prod(w) / d ** 6,
+            proj[0] / d ** 2, proj[1] / d, proj[2],
+        )
         steps.append(
-            EigenStep(
-                spacing=d,
-                eigvals=w,
-                vectors=vectors,
-                small_ratio=float(w[0] / d ** 4),
-                mid_ratio=float(w[1] / d ** 2),
-                large_value=float(w[2]),
-                angles=angles,
-                proj_small_ratio=float(proj[0] / d ** 2),
-                proj_mid_ratio=float(proj[1] / d),
-                proj_large=float(proj[2]),
-                det_ratio=float(np.prod(w) / d ** 6),
-            )
+            EigenStep(d, angles, {k: float(v) for k, v in zip(EIGEN_QUANTITIES, observed)})
         )
 
     ds = [s.spacing for s in steps]
-
-    def errs(get, limit):
+    orders = {}
+    for name, key in EIGEN_QUANTITIES.items():
+        limit = predicted[name]
         scale = max(abs(limit), 1e-300)
-        return [abs(get(s) - limit) / scale for s in steps]
-
-    orders = {
-        "small_eig": _convergence_order(ds, errs(lambda s: s.small_ratio, pred_small)),
-        "mid_eig": _convergence_order(ds, errs(lambda s: s.mid_ratio, pred_mid)),
-        "large_eig": _convergence_order(ds, errs(lambda s: s.large_value, pred_large)),
-        "det": _convergence_order(ds, errs(lambda s: s.det_ratio, pred_det)),
-        "proj_small": _convergence_order(
-            ds, errs(lambda s: s.proj_small_ratio, pred_proj_small)
-        ),
-        "proj_mid": _convergence_order(
-            ds, errs(lambda s: s.proj_mid_ratio, pred_proj_mid)
-        ),
-        "proj_large": _convergence_order(
-            ds, errs(lambda s: s.proj_large, pred_proj_large)
-        ),
-    }
-    return EigenExpansion(
-        x=float(x),
-        steps=steps,
-        predicted_small=float(pred_small),
-        predicted_mid=float(pred_mid),
-        predicted_large=float(pred_large),
-        predicted_proj_small=float(pred_proj_small),
-        predicted_proj_mid=float(pred_proj_mid),
-        predicted_proj_large=float(pred_proj_large),
-        predicted_det=float(pred_det),
-        orders=orders,
-    )
+        errors = [abs(s.observed[name] - limit) / scale for s in steps]
+        orders[key] = _convergence_order(ds, errors)
+    return EigenExpansion(float(x), steps, predicted, orders)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import _CROSSOVER_FRACTION as _CROSSOVER_FRACTION_OF_DENSITY
-from .density import density_profile
+from .density import density_profile, zero_density
 from .errors import DegenerateDensityError
 from .fields import FAMILY_BUILDERS, FieldModel, ThresholdFn, threshold_zero
 from .quadrature import (
@@ -41,7 +41,8 @@ def sampling_density_fn(model: FieldModel, threshold: ThresholdFn):
     Families whose basis derivatives all vanish somewhere (cosine waves
     at the domain ends) have no density at those isolated points; the
     continuous extension there is 0, so quadrature and grid placement
-    stay well defined.
+    stay well defined. A density that overflows double precision raises
+    NonFiniteDensityError instead.
     """
 
     def fn(x):
@@ -55,7 +56,7 @@ def zero_density_fn(model: FieldModel):
     """Vectorized x -> zero density D(x), extended by 0 like C(x)."""
 
     def fn(x):
-        out = np.asarray(density_profile(model, threshold_zero(), x).zero_density)
+        out = zero_density(model, x)
         return np.where(np.isfinite(out), out, 0.0)
 
     return fn

@@ -97,9 +97,9 @@ def test_criterion_4_eigen_expansions(acceptance_record, mode5, binom5, thr):
         last = report.steps[-1]
         worst_err = max(
             worst_err,
-            abs(last.small_ratio / report.predicted_small - 1.0),
-            abs(last.mid_ratio / report.predicted_mid - 1.0),
-            abs(last.large_value / report.predicted_large - 1.0),
+            abs(last.observed["small_ratio"] / report.predicted["small_ratio"] - 1.0),
+            abs(last.observed["mid_ratio"] / report.predicted["mid_ratio"] - 1.0),
+            abs(last.observed["large_value"] / report.predicted["large_value"] - 1.0),
         )
         worst_angle = max(worst_angle, float(np.max(last.angles)))
         for key in ("small_eig", "mid_eig", "large_eig"):

@@ -394,6 +394,45 @@ def test_orthant_weight_mode(capsys):
     )
 
 
+def test_eigen_mode_layout(capsys):
+    code, out, _ = _run(
+        capsys, "orthant-check", "--family", "binomial", "--n", "5",
+        "--mode", "eigen", "--x", "0.7", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    names = [
+        "small_ratio", "mid_ratio", "large_value", "det_ratio",
+        "proj_small_ratio", "proj_mid_ratio", "proj_large",
+    ]
+    assert payload["columns"] == ["spacing", *names, "angle_small", "angle_mid", "angle_large"]
+    assert sorted(payload["meta"]["predicted"]) == sorted(names)
+    assert sorted(payload["meta"]["orders"]) == sorted(
+        ["small_eig", "mid_eig", "large_eig", "det", "proj_small", "proj_mid", "proj_large"]
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--family", "binomial", "--n", "120", "--m", "5"),
+        ("density", "--family", "binomial", "--n", "120"),
+        (
+            "orthant-check", "--family", "binomial", "--n", "150",
+            "--mode", "eigen", "--x", "2.9", "--spacings", "0.05",
+        ),
+    ],
+    ids=["bound", "density", "eigen"],
+)
+def test_overflowing_jet_is_numerical_error(capsys, argv):
+    # the correlation jet of binomial n >= 101 overflows double precision
+    code, out, err = _run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert "not finite" in err and "singular" not in err
+
+
 def test_orthant_mc_mode_deterministic(capsys):
     args = (
         "orthant-check",

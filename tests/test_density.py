@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample.errors import NondegeneracyError
+from toposample.density import zero_density
+from toposample.errors import NondegeneracyError, NonFiniteDensityError
 
 SQRT5 = 5.0 ** 0.5
 
@@ -103,3 +104,19 @@ def test_periodic_closed_form_validation():
         ts.periodic_density_closed_form(1.0, 2.0, 4.0, 1.0, (0.0, 0.0, 0.0))
     with pytest.raises(NondegeneracyError):
         ts.periodic_density_closed_form(0.0, 1.0, 2.0, 1.0, (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_overflowing_jet_raises_instead_of_masking(strict):
+    # binomial n=150 at x=2.9: det3 overflows, r00, r10, r11 and minor33 do not
+    model = ts.binomial_model(150)
+    with pytest.raises(NonFiniteDensityError, match="not finite at x=2.9"):
+        ts.density_profile(model, ts.threshold_zero(), [0.0, 2.9], strict=strict)
+    assert np.all(np.isfinite(zero_density(model, [0.0, 2.9])))
+
+
+def test_zero_density_is_the_profile_column(cosine5):
+    # cosine jets degenerate at both ends, so the NaN entries are compared too
+    xs = np.linspace(0.0, 1.0, 101)
+    prof = ts.density_profile(cosine5, ts.threshold_zero(), xs)
+    assert np.array_equal(zero_density(cosine5, xs), prof.zero_density, equal_nan=True)

@@ -1,8 +1,13 @@
-"""Every name a package module imports is used in that module.
+"""Source rules for the package modules, checked with the stdlib ``ast``.
 
-A stdlib-only stand-in for a linter's unused-import check (F401): the
-package's ``__init__.py`` imports to re-export and is skipped, and an
-import marked ``# noqa: F401`` is kept on purpose.
+Every name a package module imports is used in that module: a stand-in
+for a linter's unused-import check (F401). The package's ``__init__.py``
+imports to re-export and is skipped, and an import marked
+``# noqa: F401`` is kept on purpose.
+
+No module catches broadly: a bare ``except:``, ``except Exception`` or
+``except BaseException`` would turn a numerical failure into a silent
+fallback value instead of its exit code.
 """
 import ast
 from pathlib import Path
@@ -10,7 +15,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toposample"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
+BROAD = {"Exception", "BaseException"}
 
 
 def _unused_imports(path):
@@ -39,3 +46,21 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _broad_handlers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        names = {c.id for c in caught if isinstance(c, ast.Name)}
+        if node.type is None or names & BROAD:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_broad_exception_handlers(path):
+    assert _broad_handlers(path) == []

@@ -154,14 +154,15 @@ def test_eigen_expansion_structure(binom5):
     ):
         assert key in report.orders
     # scaled quantities settle onto their predicted limits as spacing shrinks
-    last = report.steps[-1]
-    assert last.large_value == pytest.approx(report.predicted_large, rel=0.05)
-    assert last.mid_ratio == pytest.approx(report.predicted_mid, rel=0.05)
-    assert last.small_ratio == pytest.approx(report.predicted_small, rel=0.05)
-    assert last.det_ratio == pytest.approx(report.predicted_det, rel=0.05)
-    first = report.steps[0]
-    gap_first = abs(first.large_value - report.predicted_large)
-    gap_last = abs(last.large_value - report.predicted_large)
+    last = report.steps[-1].observed
+    predicted = report.predicted
+    assert last["large_value"] == pytest.approx(predicted["large_value"], rel=0.05)
+    assert last["mid_ratio"] == pytest.approx(predicted["mid_ratio"], rel=0.05)
+    assert last["small_ratio"] == pytest.approx(predicted["small_ratio"], rel=0.05)
+    assert last["det_ratio"] == pytest.approx(predicted["det_ratio"], rel=0.05)
+    first = report.steps[0].observed
+    gap_first = abs(first["large_value"] - predicted["large_value"])
+    gap_last = abs(last["large_value"] - predicted["large_value"])
     assert gap_last <= gap_first
 
 
@@ -169,10 +170,11 @@ def test_eigen_expansion_predictions_from_jet(mode5):
     # stationary family at zero threshold: odd-derivative terms vanish
     report = ts.eigen_expansion_check(mode5, ts.threshold_zero(), 0.5, [2.0**-6])
     r00, m33, det3 = (ts.jet_tables(mode5, 0.5)[k][0] for k in ("r00", "minor33", "det3"))
-    assert report.predicted_large == pytest.approx(3.0 * r00, rel=1e-12)
-    assert report.predicted_mid == pytest.approx(m33 / (2.0 * r00), rel=1e-12)
-    assert report.predicted_small == pytest.approx(det3 / (96.0 * m33), rel=1e-12)
-    assert report.predicted_det == pytest.approx(det3 / 64.0, rel=1e-12)
-    assert report.predicted_proj_large == 0.0
-    assert report.predicted_proj_mid == 0.0
-    assert report.predicted_proj_small == 0.0
+    predicted = report.predicted
+    assert predicted["large_value"] == pytest.approx(3.0 * r00, rel=1e-12)
+    assert predicted["mid_ratio"] == pytest.approx(m33 / (2.0 * r00), rel=1e-12)
+    assert predicted["small_ratio"] == pytest.approx(det3 / (96.0 * m33), rel=1e-12)
+    assert predicted["det_ratio"] == pytest.approx(det3 / 64.0, rel=1e-12)
+    assert predicted["proj_large"] == 0.0
+    assert predicted["proj_mid_ratio"] == 0.0
+    assert predicted["proj_small_ratio"] == 0.0

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample.errors import DegenerateDensityError
+from toposample.errors import DegenerateDensityError, NonFiniteDensityError
 from toposample.planner import (
     cumulative_weight,
     density_guided_grid,
@@ -222,6 +222,28 @@ def test_expected_zero_count_anchor(binom5):
     # closed form: sqrt(5) * 2 * atan(3) / pi
     want = np.sqrt(5.0) * 2.0 * np.arctan(3.0) / np.pi
     assert expected_zero_count(binom5) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [120, 150])
+def test_zero_count_needs_only_the_zero_density_jet(n):
+    # the sampling density's jet overflows here, the zero density's does not
+    want = np.sqrt(n) * 2.0 * np.arctan(3.0) / np.pi
+    assert expected_zero_count(ts.binomial_model(n)) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "model", [ts.binomial_model(120), ts.binomial_model(200), ts.unit_model(106)],
+    ids=["binomial120", "binomial200", "unit106"],
+)
+def test_overflowing_jet_is_not_a_degenerate_point(model):
+    # before, overflowed points counted as degenerate and were extended by 0
+    with pytest.raises(NonFiniteDensityError):
+        cumulative_weight(model, ts.threshold_zero())
+
+
+def test_overflowing_zero_density_jet_is_an_error():
+    with pytest.raises(NonFiniteDensityError):
+        expected_zero_count(ts.binomial_model(200))
 
 
 def test_scaling_study_shape():

@@ -218,7 +218,8 @@ _EXPERIMENT_KEYS = {
     "m": (_checked(_need_int, lambda m: m >= 1, "be at least 1"), None),
     "p": (_checked(_need_float, lambda p: 0.0 <= p < 1.0, "lie in [0, 1)"), None),
     "trials": (_checked(_need_int, lambda n: n >= 1, "be positive"), "10000"),
-    "seed": (_need_int, None),
+    # the seeds coefficient_rng accepts
+    "seed": (_checked(_need_int, lambda s: 0 <= s < 2**64, "lie in [0, 2^64)"), None),
     "oracle_resolution": (_resolution, None),
     "workers": (_checked(_need_int, lambda n: n >= 1, "be at least 1"), "1"),
     "output": (lambda raw, name: raw, None),

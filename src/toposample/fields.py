@@ -483,18 +483,18 @@ class SamplePath:
         return float(out[0]) if scalar else out
 
 
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
 def coefficient_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream).
 
     Distinct streams are independent, and the draw for a given pair does
     not depend on evaluation order, which keeps parallel trial loops
-    schedule-invariant.
+    schedule-invariant. Seed and stream must lie in [0, 2^64), so that
+    no two pairs share a generator; anything else raises ValueError.
     """
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(stream & 0xFFFFFFFFFFFFFFFF)])
+    for name, v in (("seed", seed), ("stream", stream)):
+        if not 0 <= v < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {v}")
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

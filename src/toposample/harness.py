@@ -28,7 +28,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .density import density_profile
 from .errors import ConfigError
-from .fields import FieldModel, ThresholdFn, sample_path, threshold_zero
+from .fields import FieldModel, ThresholdFn, basis_values, sample_path, threshold_zero
 from .planner import (
     STRATEGIES,
     SamplingPlan,
@@ -58,21 +58,27 @@ class ExperimentResult:
 
 
 def _trial_chunk(args):
-    """Trials [start, stop): one oracle count per path, every grid graded on it."""
+    """Trials [start, stop): one oracle count per path, every grid graded on it.
+
+    Each grid's basis rows and threshold values are built once per chunk;
+    ``path.coeffs @ rows - mu`` is ``path.value(grid) - threshold.value(grid)``
+    bit for bit. Only counts are read, so no root is ever polished.
+    """
     (model, threshold, grids, resolution, seed, start, stop) = args
+    graded = [(basis_values(model, grid), threshold.value(grid)) for grid in grids]
     matches = [[0, 0, 0] for _ in grids]
     n = total = total_sq = 0
     for trial in range(start, stop):
         path = sample_path(model, seed, stream=trial)
         oracle = oracle_beta0(path, threshold, resolution)
         if not oracle.degenerate:
-            count = int(oracle.zeros.size)
+            count = oracle.zero_count
             n += 1
             total += count
             total_sq += count * count
         truth = (oracle.beta0_pos, oracle.beta0_neg)
-        for g, grid in enumerate(grids):
-            counts = cubical_beta0(path.value(grid) - threshold.value(grid))
+        for g, (rows, mu) in enumerate(graded):
+            counts = cubical_beta0(path.coeffs @ rows - mu)
             if not oracle.degenerate:
                 mp = counts[0] == truth[0]
                 mn = counts[1] == truth[1]
@@ -311,7 +317,10 @@ def write_csv(stream, header: list[str], rows: list[list]):
 
 
 def emit_table(header, rows, output, fmt, meta=None):
-    """Write a result table as CSV or JSON to a path or stdout."""
+    """Write a result table as CSV or JSON to a path or stdout.
+
+    A path that cannot be opened or written is a ConfigError.
+    """
     if fmt == "json":
         payload = {
             "version": __version__,
@@ -328,9 +337,12 @@ def emit_table(header, rows, output, fmt, meta=None):
         text = buf.getvalue()
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {output}: {exc.strerror}") from None
 
 
 def _is_nan(v):

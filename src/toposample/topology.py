@@ -2,16 +2,17 @@
 
 For a path u and threshold mu, the sets {u - mu >= 0} and
 {u - mu <= 0} partition the interval up to their shared zeros. The
-functions here count their connected components two ways: from a dense
-scan with root polishing (the reference answer) and from sign data on a
-finite grid, where each flagged grid point contributes the cell to its
-right and the last point a degenerate cell. Comparing the two is the
-whole game: a well-placed grid reproduces the true counts with high
-probability.
+functions here count their connected components two ways: from the signs
+of a dense scan (the reference answer, whose roots are polished only when
+read) and from sign data on a finite grid, where each flagged grid point
+contributes the cell to its right and the last point a degenerate cell.
+Comparing the two is the whole game: a well-placed grid reproduces the
+true counts with high probability.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,10 @@ _DEFAULT_ADMISSIBILITY_DEPTH = 12
 # ((model, resolution), xs, rows) entry; the key holds the model itself,
 # so a model built later can never match a stale entry
 _scan_basis_slot = [None]
+# the threshold's values on the scan grid of the last oracle call, as one
+# ((threshold, xs), values) entry; the key holds the threshold and the
+# scan-grid array themselves, so it never matches a stale entry
+_scan_threshold_slot = [None]
 
 
 def cubical_beta0(values) -> tuple[int, int]:
@@ -47,10 +52,8 @@ def cubical_beta0(values) -> tuple[int, int]:
     if not np.isfinite(v).all():
         raise ValueError("grid values must be finite")
 
-    def runs(flags):
-        f = flags.astype(np.int8)
-        starts = int(f[0]) + int(np.sum((f[1:] == 1) & (f[:-1] == 0)))
-        return starts
+    def runs(f):
+        return int(f[0]) + int(np.count_nonzero(f[1:] > f[:-1]))
 
     return runs(v >= 0.0), runs(v <= 0.0)
 
@@ -66,16 +69,35 @@ def double_crossover(v_left, v_mid, v_right):
 class OracleCount:
     """Reference component counts from a dense scan.
 
-    ``zeros`` lists the polished roots of u - mu in increasing order.
-    ``degenerate`` flags scan evidence of a double root (a tiny local
-    minimum of |u - mu| without a sign change), which makes the counts
-    unreliable.
+    ``zero_count`` is the number of zeros of u - mu the scan found: one
+    per sign change between neighbouring scan points plus the exact zeros
+    at scan points. ``zeros`` lists them in increasing order, each sign
+    change polished to a root; the polish runs on the first read, so a
+    caller that needs only counts never pays for it. ``degenerate`` flags
+    scan evidence of a double root (a tiny local minimum of |u - mu|
+    without a sign change), which makes the counts unreliable.
     """
 
     beta0_pos: int
     beta0_neg: int
-    zeros: np.ndarray
+    zero_count: int
     degenerate: bool
+    # what the first read of ``zeros`` needs: the path and threshold, the
+    # sign-change brackets as (lo, hi, f(lo), f(hi)) and the exact zeros
+    _path: SamplePath = field(repr=False, compare=False)
+    _threshold: ThresholdFn = field(repr=False, compare=False)
+    _brackets: tuple = field(repr=False, compare=False)
+    _exact: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def zeros(self) -> np.ndarray:
+        path, threshold = self._path, self._threshold
+
+        def diff(x):
+            return path.value(x) - threshold.value(x)
+
+        roots = _polish_roots(diff, *self._brackets)
+        return np.sort(np.concatenate([roots, self._exact]))
 
 
 def _polish_roots(diff, lo, hi, flo, fhi):
@@ -142,27 +164,45 @@ def _scan_basis(model, resolution):
     return xs, rows
 
 
+def _scan_threshold(threshold, xs):
+    """The threshold's values on the scan points ``xs``, built once.
+
+    A degree-0 threshold is returned as its scalar, which subtracts to
+    the same bits as its value array; any other threshold's values are
+    kept, read-only, for as long as both the threshold and ``xs`` (both
+    matched by identity) stay those of the last call.
+    """
+    if threshold.coeffs.size == 1:
+        return threshold.coeffs[0]
+    entry = _scan_threshold_slot[0]
+    if entry is not None and entry[0][0] is threshold and entry[0][1] is xs:
+        return entry[1]
+    _scan_threshold_slot[0] = None
+    values = threshold.value(xs)
+    values.flags.writeable = False
+    _scan_threshold_slot[0] = ((threshold, xs), values)
+    return values
+
+
 def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> OracleCount:
     """Count components of the true sign sets of u - mu on the domain [a, b].
 
     The difference is scanned at ``resolution`` equispaced points, as the
     path's coefficients times basis rows that every path of the model
-    shares (bit for bit ``path.value``). Each sign change between
-    neighbouring scan points is polished to within 1e-12 by a
-    bracket-safeguarded Illinois step. The components are counted from
-    the scan values by the grid rule of ``cubical_beta0``, so an exact
-    zero at a scan point (a touching root, or a root at a or b) belongs
-    to both sets, as it does on any grid that samples it. The resolution
-    should comfortably exceed twice the expected zero count.
+    shares (bit for bit ``path.value``), minus the threshold's values on
+    the same points, which are also kept between calls. The zeros are
+    counted from the scan signs; each sign change between neighbouring
+    scan points is polished to within 1e-12 by a bracket-safeguarded
+    Illinois step when ``zeros`` is first read. The components are
+    counted from the scan values by the grid rule of ``cubical_beta0``,
+    so an exact zero at a scan point (a touching root, or a root at a or
+    b) belongs to both sets, as it does on any grid that samples it. The
+    resolution should comfortably exceed twice the expected zero count.
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
     xs, rows = _scan_basis(path.model, resolution)
-
-    def diff(x):
-        return path.value(x) - threshold.value(x)
-
-    fs = path.coeffs @ rows - threshold.value(xs)
+    fs = path.coeffs @ rows - _scan_threshold(threshold, xs)
     signs = np.sign(fs)
 
     interior = np.abs(fs[1:-1])
@@ -170,19 +210,19 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
     no_change = (signs[:-2] == signs[2:]) & (signs[1:-1] == signs[:-2])
     degenerate = bool(np.any(local_min & no_change & (interior < _DEGENERATE_TOL)))
     # an exact zero flanked by equal signs is a touching root
-    exact = signs == 0.0
-    if np.any(exact):
-        idx = np.flatnonzero(exact)
-        inner = idx[(idx > 0) & (idx < resolution - 1)]
+    exact = np.flatnonzero(signs == 0.0)
+    if exact.size:
+        inner = exact[(exact > 0) & (exact < resolution - 1)]
         if np.any(signs[inner - 1] == signs[inner + 1]):
             degenerate = True
 
-    bracket = signs[:-1] * signs[1:] < 0.0
-    lo, hi = xs[:-1][bracket], xs[1:][bracket]
-    roots = _polish_roots(diff, lo, hi, fs[:-1][bracket], fs[1:][bracket])
-    zeros = np.sort(np.concatenate([roots, xs[exact]]))
+    bracket = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    brackets = (xs[bracket], xs[bracket + 1], fs[bracket], fs[bracket + 1])
+    zeros_at = xs[exact]
     pos, neg = cubical_beta0(fs)
-    return OracleCount(pos, neg, zeros, degenerate)
+    return OracleCount(
+        pos, neg, bracket.size + zeros_at.size, degenerate, path, threshold, brackets, zeros_at
+    )
 
 
 def default_oracle_resolution(model, expected_zeros: float | None = None) -> int:

@@ -139,6 +139,34 @@ def test_bad_value_is_config_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeros", *CHEB5, "--trials", "20", "--oracle-resolution", "256"),
+        ("orthant-check", *CHEB5, "--mode", "mc", "--spacings", "0.25", "--trials", "10"),
+    ],
+    ids=["zeros", "orthant-mc"],
+)
+def test_seed_outside_64_bits_is_config_error(capsys, argv, seed):
+    # a seed outside [0, 2^64) used to alias the seed it equals modulo 2^64
+    code, out, err = _run(capsys, *argv, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: experiment.seed must lie in [0, 2^64)")
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    for output in (str(target), str(tmp_path)):  # no parent directory; a directory
+        code, out, err = _run(capsys, "density", *CHEB5, "--grid-size", "5", "--output", output)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot write output file {output}:")
+        assert "Traceback" not in err
+    assert not target.parent.exists()
+
+
 def test_experiment_csv_and_validate_pass(tmp_path, capsys):
     out_path = tmp_path / "exp.csv"
     code, _, _ = _run(

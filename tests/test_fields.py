@@ -169,6 +169,22 @@ def test_coefficient_rng_streams():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 1])
+def test_coefficient_rng_rejects_values_outside_64_bits(bad):
+    # masking to 64 bits made seed 2^64 + 1 draw seed 1's paths
+    with pytest.raises(ValueError, match="seed must lie in"):
+        ts.coefficient_rng(bad, 0)
+    with pytest.raises(ValueError, match="stream must lie in"):
+        ts.coefficient_rng(1, bad)
+
+
+def test_coefficient_rng_keeps_the_key_of_every_64_bit_seed():
+    for seed, stream in ((0, 0), (1, 7), (2**64 - 1, 2**64 - 1)):
+        key = np.array([seed, stream], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
+        assert ts.coefficient_rng(seed, stream).standard_normal(3).tobytes() == want.tobytes()
+
+
 def test_threshold_functions():
     const = ts.threshold_constant(2.5)
     assert const.value(0.3) == 2.5

@@ -199,20 +199,22 @@ def test_oracle_zeros_match_exact_chebyshev_roots(cheb5, thr):
 
 
 def _uncached_oracle(monkeypatch, path, threshold, resolution):
-    # the oracle with its scan basis built afresh for this call
+    # the oracle with its scan basis and threshold values built afresh
+    # for this call, the threshold always as an array
     def fresh(model, resolution):
         xs = np.linspace(model.a, model.b, resolution)
         return xs, basis_values(model, xs)
 
     with monkeypatch.context() as m:
         m.setattr(topology, "_scan_basis", fresh)
+        m.setattr(topology, "_scan_threshold", lambda threshold, xs: threshold.value(xs))
         return oracle_beta0(path, threshold, resolution)
 
 
 def _same_count(got, want):
     return (
-        (got.beta0_pos, got.beta0_neg, got.degenerate)
-        == (want.beta0_pos, want.beta0_neg, want.degenerate)
+        (got.beta0_pos, got.beta0_neg, got.zero_count, got.degenerate)
+        == (want.beta0_pos, want.beta0_neg, want.zero_count, want.degenerate)
         and got.zeros.tobytes() == want.zeros.tobytes()
     )
 
@@ -236,7 +238,7 @@ def test_oracle_equals_uncached_reference_scan(family, cheb5, binom5, cosine5, m
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
         # the cached product is the scan of path.value and polyval, bit for bit
         _, xs, rows = topology._scan_basis_slot[0]
-        scan = path.coeffs @ rows - threshold.value(xs)
+        scan = path.coeffs @ rows - topology._scan_threshold(threshold, xs)
         ref = path.value(ref_xs) - np.polynomial.polynomial.polyval(ref_xs, threshold.coeffs)
         assert scan.tobytes() == ref.tobytes()
 
@@ -278,7 +280,148 @@ def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypat
 
 
 def test_scan_basis_is_not_built_at_import():
-    code = "from toposample import topology; assert topology._scan_basis_slot == [None]"
+    code = (
+        "from toposample import topology; "
+        "assert topology._scan_basis_slot == [None]; "
+        "assert topology._scan_threshold_slot == [None]"
+    )
     # the child imports the same package as this process, installed or not
     env = {**os.environ, "PYTHONPATH": str(Path(ts.__file__).resolve().parent.parent)}
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
+COUNT_FAMILIES = {
+    "chebyshev": (ts.chebyshev_model(5), ts.threshold_zero()),
+    "binomial_cubic_shift": (ts.binomial_model(5), ts.threshold_cubic_shift(0.5)),
+    "cosine_constant": (ts.cosine_model(5), ts.threshold_constant(0.3)),
+    "periodic": (ts.periodic_model([0.0] + [5.0 ** -0.5] * 5), ts.threshold_zero()),
+}
+
+
+@pytest.mark.parametrize("family", list(COUNT_FAMILIES))
+def test_zero_count_is_the_polished_zero_count(family):
+    # counting from the scan needs no root: the polish returns one root
+    # per sign-change bracket, so the count equals the polished size
+    model, threshold = COUNT_FAMILIES[family]
+    counted = 0
+    for stream in range(2000):
+        count = oracle_beta0(ts.sample_path(model, seed=1618, stream=stream), threshold, 2048)
+        before = (count.beta0_pos, count.beta0_neg, count.zero_count, count.degenerate)
+        zeros = count.zeros
+        assert count.zero_count == zeros.size
+        assert (count.beta0_pos, count.beta0_neg, count.zero_count, count.degenerate) == before
+        assert count.zeros is zeros  # polished once
+        counted += count.zero_count
+    assert counted > 2000
+
+
+@pytest.mark.parametrize(
+    "weights, resolution, zero",
+    [({0: 1.0, 1: 1.0}, 1024, -1.0), ({0: 1.0, 1: -1.0}, 1024, 1.0), ({1: 1.0}, 1025, 0.0)],
+    ids=["at a", "at b", "inside"],
+)
+def test_zero_count_includes_exact_scan_zeros(cheb5, thr, weights, resolution, zero):
+    # u = 1 + x, 1 - x and x have a scan point on their only zero
+    path = _cheb_path(cheb5, weights)
+    assert np.any(np.linspace(-1.0, 1.0, resolution) == zero)
+    count = oracle_beta0(path, thr, resolution)
+    assert (count.beta0_pos, count.beta0_neg, count.zero_count) == (1, 1, 1)
+    assert np.array_equal(count.zeros, [zero])
+
+
+def test_zeros_are_polished_only_when_read(cheb5, thr, monkeypatch):
+    polished = []
+    original = topology._polish_roots
+
+    def recording(*args):
+        polished.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(topology, "_polish_roots", recording)
+    count = oracle_beta0(_cheb_path(cheb5, {2: 1.0}), thr, 2048)
+    assert polished == [] and count.zero_count == 2
+    root = 0.5 ** 0.5
+    assert count.zeros == pytest.approx([-root, root], abs=1e-10)
+    assert count.zeros == pytest.approx([-root, root], abs=1e-10)
+    assert len(polished) == 1
+
+
+def test_trial_pass_never_polishes(binom5, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a trial polished a root")
+
+    monkeypatch.setattr(topology, "_polish_roots", forbidden)
+    threshold = ts.threshold_cubic_shift(0.5)
+    plans = [ts.build_plan(binom5, threshold, s, m=7) for s in ts.planner.STRATEGIES]
+    assert len(plans) == 3
+    results, (valid, total, _) = ts.harness.trial_pass(
+        binom5, threshold, plans, trials=200, seed=3, oracle_resolution=1024
+    )
+    assert all(r.valid == valid for r in results) and total > valid
+    zc = ts.zero_count_experiment(binom5, trials=200, seed=3, oracle_resolution=1024)
+    assert zc.valid > 0 and zc.mean_zeros > 0.0
+
+
+def test_scan_threshold_is_never_stale(cheb5, monkeypatch):
+    # two models with equally many terms, two non-constant thresholds and
+    # two resolutions, interleaved, so a stale entry would keep its shape
+    unit5 = ts.unit_model(5)
+    thresholds = (ts.threshold_polynomial([0.2, 0.5]), ts.threshold_cubic_shift(0.1))
+    keys = [(m, t, r) for m in (cheb5, unit5) for t in thresholds for r in (513, 1024)]
+    order = [keys[i % len(keys)] for i in range(0, 5 * len(keys), 3)]
+    assert set(order) == set(keys)
+    for stream, (model, threshold, resolution) in enumerate(order):
+        path = ts.sample_path(model, seed=77, stream=stream)
+        count = oracle_beta0(path, threshold, resolution)
+        assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
+        (held, xs), _ = topology._scan_threshold_slot[0]
+        assert held is threshold and xs is topology._scan_basis_slot[0][1]
+
+
+def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5):
+    cubic, line = ts.threshold_cubic_shift(0.5), ts.threshold_polynomial([0.1, 0.3])
+    entries = []
+    runs = [(cheb5, cubic, 0), (cheb5, cubic, 1), (binom5, cubic, 0)]
+    runs += [(binom5, line, 0), (binom5, line, 1)]
+    for model, threshold, stream in runs:
+        oracle_beta0(ts.sample_path(model, seed=5, stream=stream), threshold, 640)
+        entries.append(topology._scan_threshold_slot[0])
+    # one build per change of threshold or scan grid, kept across paths
+    assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, False, True]
+    assert len(topology._scan_threshold_slot) == 1
+    (held, xs), values = topology._scan_threshold_slot[0]
+    assert held is line and xs is topology._scan_basis_slot[0][1]
+    assert values.tobytes() == line.value(xs).tobytes()
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 0.0
+    # a degree-0 threshold is subtracted as its scalar, and leaves the slot alone
+    oracle_beta0(ts.sample_path(binom5, seed=5, stream=2), ts.threshold_constant(0.3), 640)
+    assert topology._scan_threshold_slot[0] is entries[-1]
+    assert topology._scan_threshold(ts.threshold_constant(0.3), xs) == 0.3
+
+
+def test_chunk_grading_is_path_value_minus_threshold(binom5, monkeypatch):
+    # every grid of a compare run is graded on path.value - threshold.value, bit for bit
+    threshold, seed, trials = ts.threshold_cubic_shift(0.5), 13, 40
+    graded, grids = [], []
+    chunk = ts.harness._trial_chunk
+
+    def recording_chunk(args):
+        grids.append(args[2])
+        return chunk(args)
+
+    def recording_beta0(values):
+        graded.append(np.array(values))
+        return cubical_beta0(values)
+
+    monkeypatch.setattr(ts.harness, "_trial_chunk", recording_chunk)
+    monkeypatch.setattr(ts.harness, "cubical_beta0", recording_beta0)
+    ts.compare_strategies(binom5, threshold, m=7, trials=trials, seed=seed, oracle_resolution=512)
+    (grids,) = grids
+    assert len(grids) == 3 and len(graded) == 3 * trials
+    for trial in range(trials):
+        path = ts.sample_path(binom5, seed, stream=trial)
+        for g, grid in enumerate(grids):
+            want = path.value(grid) - threshold.value(grid)
+            assert graded[3 * trial + g].tobytes() == want.tobytes()

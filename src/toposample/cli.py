@@ -283,11 +283,14 @@ def cmd_orthant_check(args) -> int:
         if args.shift is None:
             raise ConfigError("weight mode needs --shift")
         shift = _need_floats(args.shift, "--shift").tolist()
-        weight = orthant_weight(shift)
+        try:
+            weight = orthant_weight(shift)
+            mirrored = orthant_weight([-s for s in shift]) if len(shift) == 3 else None
+        except ValueError as exc:
+            raise ConfigError(f"--shift {args.shift}: {exc}") from None
         header = ["n", "weight"]
         row = [len(shift), weight]
         if len(shift) == 3:
-            mirrored = orthant_weight([-s for s in shift])
             header += ["weight_closed_form", "pair_sum", "pair_identity"]
             row += [orthant_weight_closed3(shift), weight + mirrored, orthant_weight_pair3(shift)]
         emit_table(header, [row], output, fmt, meta)

@@ -124,11 +124,13 @@ def _zero_density(x, t):
 def zero_density(model: FieldModel, x) -> np.ndarray:
     """First-moment density of zeros at each point of ``x``.
 
-    The ``zero_density`` column of :func:`density_profile`, without the
-    sampling density, whose jet may overflow where this one does not.
+    The ``zero_density`` column of :func:`density_profile`, bit for bit,
+    from the first-order jet alone: no second derivative is formed, and
+    the sampling density's jet, which may overflow where this one does
+    not, is never read.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _zero_density(x, jet_tables(model, x))
+    return _zero_density(x, jet_tables(model, x, order=1))
 
 
 def density_profile(

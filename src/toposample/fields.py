@@ -238,9 +238,10 @@ def custom_model(basis_table, domain, variances=None, covariance=None) -> FieldM
     )
 
 
-# Each family has a value function (model, x) -> rows and a derivative
-# function (model, x, rows) -> (first, second) that reuses the value rows,
-# so value-only callers skip the derivative work.
+# Each family has a value function (model, x) -> b0, a first-derivative
+# function (model, x, b0) -> b1 and a second-derivative function
+# (model, x, b0, b1) -> b2, so callers that need fewer derivatives skip
+# the rest of the work.
 
 
 def _monomial_values(model, x):
@@ -249,15 +250,20 @@ def _monomial_values(model, x):
         return x[None, :] ** k
 
 
-def _monomial_derivatives(model, x, b0):
+def _monomial_d1(model, x, b0):
     k = np.arange(model.n_terms, dtype=float)[:, None]
     b1 = np.zeros_like(b0)
-    b2 = np.zeros_like(b0)
     if model.n_terms > 1:
         b1[1:] = k[1:] * x[None, :] ** (k[1:] - 1.0)
+    return b1
+
+
+def _monomial_d2(model, x, b0, b1):
+    k = np.arange(model.n_terms, dtype=float)[:, None]
+    b2 = np.zeros_like(b0)
     if model.n_terms > 2:
         b2[2:] = k[2:] * (k[2:] - 1.0) * x[None, :] ** (k[2:] - 2.0)
-    return b1, b2
+    return b2
 
 
 def _chebyshev_values(model, x):
@@ -270,18 +276,24 @@ def _chebyshev_values(model, x):
     return b0
 
 
-def _chebyshev_derivatives(model, x, b0):
-    # three-term recurrences for T_k' and T_k''; finite at the endpoints,
-    # unlike differentiating cos(k arccos x)
+# three-term recurrences for T_k' and T_k''; finite at the endpoints,
+# unlike differentiating cos(k arccos x)
+def _chebyshev_d1(model, x, b0):
     b1 = np.empty_like(b0)
-    b2 = np.empty_like(b0)
-    b1[0], b2[0] = 0.0, 0.0
+    b1[0] = 0.0
     if model.n_terms > 1:
-        b1[1], b2[1] = 1.0, 0.0
+        b1[1] = 1.0
     for k in range(2, model.n_terms):
         b1[k] = 2.0 * b0[k - 1] + 2.0 * x * b1[k - 1] - b1[k - 2]
+    return b1
+
+
+def _chebyshev_d2(model, x, b0, b1):
+    b2 = np.empty_like(b0)
+    b2[:2] = 0.0
+    for k in range(2, model.n_terms):
         b2[k] = 4.0 * b1[k - 1] + 2.0 * x * b2[k - 1] - b2[k - 2]
-    return b1, b2
+    return b2
 
 
 def _reduce_half_turns(t):
@@ -300,11 +312,15 @@ def _cosine_values(model, x):
     return sign * np.cos(angle)
 
 
-def _cosine_derivatives(model, x, b0):
+def _cosine_d1(model, x, b0):
     k = np.arange(model.n_terms, dtype=float)[:, None]
-    w = k * np.pi
     sign, angle = _reduce_half_turns(k * x[None, :])
-    return -w * (sign * np.sin(angle)), -(w ** 2) * b0
+    return -(k * np.pi) * (sign * np.sin(angle))
+
+
+def _cosine_d2(model, x, b0, b1):
+    k = np.arange(model.n_terms, dtype=float)[:, None]
+    return -((k * np.pi) ** 2) * b0
 
 
 def _periodic_values(model, x):
@@ -319,17 +335,24 @@ def _periodic_values(model, x):
     return b0
 
 
-def _periodic_derivatives(model, x, b0):
+def _periodic_d1(model, x, b0):
     b1 = np.empty_like(b0)
-    b2 = np.empty_like(b0)
-    b1[0], b2[0] = 0.0, 0.0
+    b1[0] = 0.0
     for k in range(1, (model.n_terms + 1) // 2):
         w = 2.0 * np.pi * k / model.period
         i = 2 * k - 1
-        c, s = b0[i], b0[i + 1]
-        b1[i], b2[i] = -w * s, -(w ** 2) * c
-        b1[i + 1], b2[i + 1] = w * c, -(w ** 2) * s
-    return b1, b2
+        b1[i], b1[i + 1] = -w * b0[i + 1], w * b0[i]
+    return b1
+
+
+def _periodic_d2(model, x, b0, b1):
+    b2 = np.empty_like(b0)
+    b2[0] = 0.0
+    for k in range(1, (model.n_terms + 1) // 2):
+        w = 2.0 * np.pi * k / model.period
+        i = 2 * k - 1
+        b2[i], b2[i + 1] = -(w ** 2) * b0[i], -(w ** 2) * b0[i + 1]
+    return b2
 
 
 def _custom_values(model, x):
@@ -339,22 +362,27 @@ def _custom_values(model, x):
     return b0
 
 
-def _custom_derivatives(model, x, b0):
+def _custom_d1(model, x, b0):
     b1 = np.empty_like(b0)
-    b2 = np.empty_like(b0)
-    for k, (_, df, ddf) in enumerate(model.basis_table):
+    for k, (_, df, _) in enumerate(model.basis_table):
         b1[k] = df(x)
+    return b1
+
+
+def _custom_d2(model, x, b0, b1):
+    b2 = np.empty_like(b0)
+    for k, (_, _, ddf) in enumerate(model.basis_table):
         b2[k] = ddf(x)
-    return b1, b2
+    return b2
 
 
 _BASIS_ROWS = {
-    "chebyshev": (_chebyshev_values, _chebyshev_derivatives),
-    "cosine": (_cosine_values, _cosine_derivatives),
-    "periodic": (_periodic_values, _periodic_derivatives),
-    "binomial": (_monomial_values, _monomial_derivatives),
-    "unit": (_monomial_values, _monomial_derivatives),
-    "custom": (_custom_values, _custom_derivatives),
+    "chebyshev": (_chebyshev_values, _chebyshev_d1, _chebyshev_d2),
+    "cosine": (_cosine_values, _cosine_d1, _cosine_d2),
+    "periodic": (_periodic_values, _periodic_d1, _periodic_d2),
+    "binomial": (_monomial_values, _monomial_d1, _monomial_d2),
+    "unit": (_monomial_values, _monomial_d1, _monomial_d2),
+    "custom": (_custom_values, _custom_d1, _custom_d2),
 }
 
 
@@ -373,15 +401,17 @@ def basis_values(model: FieldModel, x) -> np.ndarray:
     return _BASIS_ROWS[model.family][0](model, x)
 
 
-def basis_jets(model: FieldModel, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, first, and second derivatives of every basis function.
+def basis_jets(model: FieldModel, x, order: int = 2) -> tuple[np.ndarray, ...]:
+    """Values and the first ``order`` derivatives of every basis function.
 
-    Returns three arrays of shape (n_terms, len(x)).
+    ``order`` is 1 or 2; returns ``order + 1`` arrays of shape
+    (n_terms, len(x)), values first.
     """
     x = _domain_points(model, x)
-    values, derivatives = _BASIS_ROWS[model.family]
+    values, first, second = _BASIS_ROWS[model.family]
     b0 = values(model, x)
-    return (b0, *derivatives(model, x, b0))
+    b1 = first(model, x, b0)
+    return (b0, b1) if order == 1 else (b0, b1, second(model, x, b0, b1))
 
 
 def _pair_contract(model, left, right):
@@ -409,7 +439,7 @@ def correlation(model: FieldModel, x, y):
 # entries of a large family may overflow to inf or NaN; the density code
 # tells such points from degenerate ones
 @np.errstate(over="ignore", invalid="ignore")
-def jet_tables(model: FieldModel, x) -> dict[str, np.ndarray]:
+def jet_tables(model: FieldModel, x, order: int = 2) -> dict[str, np.ndarray]:
     """Diagonal derivative jet of the correlation function at each point.
 
     ``rkl`` is the covariance of the k-th and l-th spatial derivatives
@@ -423,17 +453,23 @@ def jet_tables(model: FieldModel, x) -> dict[str, np.ndarray]:
     are included because every density formula is built from them, and
     ``nondegenerate`` flags the points where (u, u') and (u, u', u'')
     are jointly nonsingular. Returns a dict of arrays, one entry per
-    point of ``x``.
+    point of ``x``. With ``order=1`` the second derivatives are never
+    formed and the dict holds only ``x``, ``r00``, ``r10``, ``r11`` and
+    ``minor33``, bit for bit the entries of the full table.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    b0, b1, b2 = basis_jets(model, x)
+    b0, b1, *b2 = basis_jets(model, x, order)
     r00 = _pair_contract(model, b0, b0)
     r10 = _pair_contract(model, b1, b0)
     r11 = _pair_contract(model, b1, b1)
+    minor33 = r00 * r11 - r10 * r10
+    first = {"x": x, "r00": r00, "r10": r10, "r11": r11, "minor33": minor33}
+    if order == 1:
+        return first
+    (b2,) = b2
     r20 = _pair_contract(model, b2, b0)
     r21 = _pair_contract(model, b2, b1)
     r22 = _pair_contract(model, b2, b2)
-    minor33 = r00 * r11 - r10 * r10
     minor32 = r00 * r21 - r10 * r20
     minor31 = r10 * r21 - r11 * r20
     det3 = (
@@ -447,14 +483,10 @@ def jet_tables(model: FieldModel, x) -> dict[str, np.ndarray]:
         & (det3 > _DEGENERACY_TOL * r00 * r11 * r22)
     )
     return {
-        "x": x,
-        "r00": r00,
-        "r10": r10,
-        "r11": r11,
+        **first,
         "r20": r20,
         "r21": r21,
         "r22": r22,
-        "minor33": minor33,
         "minor32": minor32,
         "minor31": minor31,
         "det3": det3,
@@ -483,6 +515,30 @@ class SamplePath:
         return float(out[0]) if scalar else out
 
 
+def path_minus_threshold(coeffs, rows, mu, out=None) -> np.ndarray:
+    """``c @ rows - mu`` for each coefficient row c, one result row each.
+
+    ``rows`` holds basis values on some points and ``mu`` the threshold's
+    values there. Each row is its own vector-matrix product, so row j is
+    bit for bit ``path.value(x) - threshold.value(x)`` for the path with
+    coefficients ``coeffs[j]``; one matrix product over the block would
+    round differently. Writes into ``out`` when given.
+    """
+    if out is None:
+        out = np.empty((len(coeffs), rows.shape[1]))
+    for c, row in zip(coeffs, out):
+        np.matmul(c, rows, out=row)
+    out -= mu
+    return out
+
+
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    for name, v in (("seed", seed), ("stream", stream)):
+        if not 0 <= v < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2^64), got {v}")
+    return np.array([seed, stream], dtype=np.uint64)
+
+
 def coefficient_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream).
 
@@ -491,19 +547,40 @@ def coefficient_rng(seed: int, stream: int = 0) -> np.random.Generator:
     schedule-invariant. Seed and stream must lie in [0, 2^64), so that
     no two pairs share a generator; anything else raises ValueError.
     """
-    for name, v in (("seed", seed), ("stream", stream)):
-        if not 0 <= v < 2**64:
-            raise ValueError(f"{name} must lie in [0, 2^64), got {v}")
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+
+
+def sample_coefficients(model: FieldModel, seed: int, streams) -> np.ndarray:
+    """Coefficient vectors of the paths (seed, s) for s in ``streams``, one row each.
+
+    Row j is bit for bit the draw of ``coefficient_rng(seed, streams[j])``
+    times the model's covariance factor. One generator serves every row:
+    before each draw its Philox state is reset to that of a generator
+    freshly keyed to (seed, s), counter and buffer empty, which costs a
+    fraction of building a new generator per path.
+    """
+    streams = list(streams)
+    bitgen = np.random.Philox(key=_philox_key(seed, 0))
+    fresh = bitgen.state  # keyed, nothing drawn yet
+    key = fresh["state"]["key"]
+    gen = np.random.Generator(bitgen)
+    out = np.empty((len(streams), model.n_terms))
+    for row, stream in zip(out, streams):
+        key[:] = _philox_key(seed, stream)
+        bitgen.state = fresh
+        gen.standard_normal(out=row)
+    factor = model._factor
+    if factor.ndim == 1:
+        out *= factor
+    else:
+        for row in out:
+            row[:] = factor @ row
+    return out
 
 
 def sample_path(model: FieldModel, seed: int, stream: int = 0) -> SamplePath:
     """Draw one path. Identical (model, seed, stream) gives identical coefficients."""
-    z = coefficient_rng(seed, stream).standard_normal(model.n_terms)
-    factor = model._factor
-    coeffs = factor * z if factor.ndim == 1 else factor @ z
-    return SamplePath(model, coeffs)
+    return SamplePath(model, sample_coefficients(model, seed, [stream])[0])
 
 
 def _horner(c, x):

@@ -28,7 +28,16 @@ from . import __version__
 from .config import ExperimentConfig
 from .density import density_profile
 from .errors import ConfigError
-from .fields import FieldModel, ThresholdFn, basis_values, sample_path, threshold_zero
+from .fields import (
+    FieldModel,
+    SamplePath,
+    ThresholdFn,
+    basis_values,
+    path_minus_threshold,
+    sample_coefficients,
+    threshold_zero,
+)
+from .fields import sample_path  # noqa: F401  (perfbench/tracing.py wraps harness.sample_path)
 from .planner import (
     STRATEGIES,
     SamplingPlan,
@@ -36,7 +45,7 @@ from .planner import (
     cumulative_weight,
     expected_zero_count,
 )
-from .topology import cubical_beta0, default_oracle_resolution, oracle_beta0
+from .topology import cubical_beta0, default_oracle_resolution, oracle_beta0, scan_counts
 
 _TRIAL_CHUNK = 512
 
@@ -57,35 +66,45 @@ class ExperimentResult:
     seed: int
 
 
-def _trial_chunk(args):
-    """Trials [start, stop): one oracle count per path, every grid graded on it.
+def _chunk_counts(model, threshold, coeffs, resolution):
+    """The oracle counts of each coefficient row, as four arrays.
 
-    Each grid's basis rows and threshold values are built once per chunk;
-    ``path.coeffs @ rows - mu`` is ``path.value(grid) - threshold.value(grid)``
-    bit for bit. Only counts are read, so no root is ever polished.
+    Returns beta0_pos, beta0_neg, zero_count and degenerate, each row's
+    equal to those of ``oracle_beta0`` on its path. ``scan_counts``
+    settles most rows from their scan signs; ``oracle_beta0`` runs on
+    the rest, so its errors are raised as they would be for that path.
+    """
+    pos, neg, zero_count, settled = scan_counts(model, threshold, coeffs, resolution)
+    degenerate = np.zeros(len(coeffs), dtype=bool)
+    for j in np.flatnonzero(~settled):
+        oracle = oracle_beta0(SamplePath(model, coeffs[j]), threshold, resolution)
+        pos[j], neg[j] = oracle.beta0_pos, oracle.beta0_neg
+        zero_count[j], degenerate[j] = oracle.zero_count, oracle.degenerate
+    return pos, neg, zero_count, degenerate
+
+
+def _trial_chunk(args):
+    """Trials [start, stop): one reference count per path, every grid graded on it.
+
+    The chunk's coefficients are drawn as one block and counted by
+    ``_chunk_counts``. Each grid's basis rows and threshold values are
+    built once per chunk, and its values for every path are graded in one
+    ``cubical_beta0`` call. Only counts are read, so no root is polished.
     """
     (model, threshold, grids, resolution, seed, start, stop) = args
-    graded = [(basis_values(model, grid), threshold.value(grid)) for grid in grids]
-    matches = [[0, 0, 0] for _ in grids]
-    n = total = total_sq = 0
-    for trial in range(start, stop):
-        path = sample_path(model, seed, stream=trial)
-        oracle = oracle_beta0(path, threshold, resolution)
-        if not oracle.degenerate:
-            count = oracle.zero_count
-            n += 1
-            total += count
-            total_sq += count * count
-        truth = (oracle.beta0_pos, oracle.beta0_neg)
-        for g, (rows, mu) in enumerate(graded):
-            counts = cubical_beta0(path.coeffs @ rows - mu)
-            if not oracle.degenerate:
-                mp = counts[0] == truth[0]
-                mn = counts[1] == truth[1]
-                matches[g][0] += mp
-                matches[g][1] += mn
-                matches[g][2] += mp and mn
-    return start, matches, (n, total, total_sq)
+    coeffs = sample_coefficients(model, seed, range(start, stop))
+    pos, neg, zero_count, degenerate = _chunk_counts(model, threshold, coeffs, resolution)
+    valid = ~degenerate
+    counts = [int(c) for c in zero_count[valid]]
+    matches = []
+    for grid in grids:
+        values = path_minus_threshold(coeffs, basis_values(model, grid), threshold.value(grid))
+        grid_pos, grid_neg = cubical_beta0(values)
+        mp = valid & (grid_pos == pos)
+        mn = valid & (grid_neg == neg)
+        matches.append([int(np.count_nonzero(m)) for m in (mp, mn, mp & mn)])
+    sums = (len(counts), sum(counts), sum(c * c for c in counts))
+    return start, matches, sums
 
 
 def _run_chunked(worker, args_list, workers):

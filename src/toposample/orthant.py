@@ -57,19 +57,28 @@ def orthant_weight(shift) -> float:
         2 / (2^(n/2) Gamma(n/2)) exp(-sum_{k>=2} alpha_k^2 / 2) times
         int_{alpha_1}^inf (s - alpha_1)^(n-1) exp(-s^2/2) ds.
 
-    The weight of the all-zero shift is exactly 1 for every n.
+    The weight of the all-zero shift is exactly 1 for every n. A first
+    component so large that alpha_1 + 40 rounds to alpha_1 raises
+    ValueError.
     """
     alpha = np.asarray(shift, dtype=float)
     if alpha.ndim != 1 or alpha.size < 1:
         raise ValueError("shift must be a nonempty vector")
     n = alpha.size
     a1 = float(alpha[0])
-    tail_decay = float(np.sum(alpha[1:] ** 2)) / 2.0
+    upper = a1 + 40.0
+    if not upper > a1:
+        raise ValueError(
+            f"shift component alpha_1 = {a1:g} is too large in magnitude: "
+            "its quadrature window [alpha_1, alpha_1 + 40] rounds to a point"
+        )
+    # a tail that overflows decays to a weight of exactly 0
+    with np.errstate(over="ignore"):
+        tail_decay = float(np.sum(alpha[1:] ** 2)) / 2.0
 
     def integrand(s):
         return (s - a1) ** (n - 1) * np.exp(-0.5 * s * s)
 
-    upper = a1 + 40.0
     integral, _ = adaptive_simpson(integrand, a1, upper, rel_tol=_WEIGHT_REL_TOL)
     norm = 2.0 / (2.0 ** (n / 2.0) * math.gamma(n / 2.0))
     return float(norm * math.exp(-tail_decay) * integral)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import SamplePath, ThresholdFn, basis_values
+from .fields import SamplePath, ThresholdFn, basis_values, path_minus_threshold
 from .planner import SamplingPlan, expected_zero_count
 
 # scan minima below this absolute size with no sign change nearby are
@@ -25,6 +25,9 @@ _DEGENERATE_TOL = 1e-9
 _ROOT_XTOL = 1e-12
 _SCAN_POINTS_PER_ZERO = 4096
 _DEFAULT_ADMISSIBILITY_DEPTH = 12
+# scan values held at once by scan_counts: 8 paths at 8192 points, one
+# at a time at Chebyshev n=64's 151,552
+_SCAN_BLOCK_VALUES = 1 << 16
 
 # the scan grid and basis rows of the last oracle call, as one
 # ((model, resolution), xs, rows) entry; the key holds the model itself,
@@ -36,7 +39,7 @@ _scan_basis_slot = [None]
 _scan_threshold_slot = [None]
 
 
-def cubical_beta0(values) -> tuple[int, int]:
+def cubical_beta0(values):
     """Component counts of the grid approximations from point values.
 
     ``values`` holds u - mu at the grid points and must be finite (a NaN
@@ -44,18 +47,20 @@ def cubical_beta0(values) -> tuple[int, int]:
     cell for the nonnegative set, <= 0 for the nonpositive set; an exact
     zero flags both. Each maximal run of flagged points is one component
     (the final point's degenerate cell included), so the count is the
-    number of runs.
+    number of runs. A vector gives a pair of ints; a 2-D array is read
+    as one grid per row and gives a pair of integer arrays.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("grid values must form a nonempty vector")
+    if v.ndim not in (1, 2) or v.shape[-1] < 1:
+        raise ValueError("grid values must form a nonempty vector, or rows of one")
     if not np.isfinite(v).all():
         raise ValueError("grid values must be finite")
 
     def runs(f):
-        return int(f[0]) + int(np.count_nonzero(f[1:] > f[:-1]))
+        return f[..., 0] + np.count_nonzero(f[..., 1:] > f[..., :-1], axis=-1)
 
-    return runs(v >= 0.0), runs(v <= 0.0)
+    pos, neg = runs(v >= 0.0), runs(v <= 0.0)
+    return (int(pos), int(neg)) if v.ndim == 1 else (pos, neg)
 
 
 def double_crossover(v_left, v_mid, v_right):
@@ -223,6 +228,47 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
     return OracleCount(
         pos, neg, bracket.size + zeros_at.size, degenerate, path, threshold, brackets, zeros_at
     )
+
+
+def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
+    """``oracle_beta0``'s counts for each row of ``coeffs``, where the signs decide them.
+
+    Row j is the path with coefficients ``coeffs[j]``; its scan is bit
+    for bit the one ``oracle_beta0`` makes. Rows are scanned a block at
+    a time, the block sized to about _SCAN_BLOCK_VALUES values. A scan
+    whose smallest |u - mu| is at least _DEGENERATE_TOL and whose largest
+    is finite has no exact zero and no degenerate minimum, so with b the
+    number of sign changes and p0 whether u - mu > 0 at a, the oracle's
+    counts are zero_count = b, beta0_pos = (b + 1 + p0) // 2 and
+    beta0_neg = (b + 2 - p0) // 2. Returns the integer arrays beta0_pos,
+    beta0_neg and zero_count and the boolean array ``settled``; a row
+    that is not settled (a tiny minimum, an exact zero or a non-finite
+    value) holds no counts and needs ``oracle_beta0``.
+    """
+    if resolution < 3:
+        raise ValueError("scan needs at least three points")
+    xs, rows = _scan_basis(model, resolution)
+    mu = _scan_threshold(threshold, xs)
+    paths = len(coeffs)
+    changes = np.zeros(paths, dtype=np.int64)
+    first = np.zeros(paths, dtype=np.int64)
+    settled = np.zeros(paths, dtype=bool)
+    block = max(1, _SCAN_BLOCK_VALUES // resolution)
+    fs = np.empty((min(block, paths), resolution))
+    above = np.empty(fs.shape, dtype=bool)
+    # a non-finite scan is left unsettled, and the oracle raises for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, paths, block):
+            hi = min(lo + block, paths)
+            f = path_minus_threshold(coeffs[lo:hi], rows, mu, out=fs[: hi - lo])
+            p = above[: hi - lo]
+            np.greater(f, 0.0, out=p)
+            # per row: count_nonzero along an axis is several times slower
+            changes[lo:hi] = [np.count_nonzero(row) for row in p[:, 1:] != p[:, :-1]]
+            first[lo:hi] = p[:, 0]
+            a = np.abs(f, out=f)
+            settled[lo:hi] = (a.min(axis=1) >= _DEGENERATE_TOL) & np.isfinite(a.max(axis=1))
+    return (changes + 1 + first) // 2, (changes + 2 - first) // 2, changes, settled
 
 
 def default_oracle_resolution(model, expected_zeros: float | None = None) -> int:

@@ -9,7 +9,11 @@ them from the library side.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import toposample as ts
+from toposample.fields import sample_coefficients
+from toposample.topology import scan_counts
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -35,18 +39,31 @@ def test_tracer_installs_and_restores_every_target():
 
 
 def test_traced_trial_pass_counts_are_repeatable():
-    # two traced compare_strategies calls, as in the compare_binom5
-    # workload but small: one oracle call per path, and every count the
-    # benchmark requires to repeat is equal across the calls
-    model, threshold, trials = ts.binomial_model(5), ts.threshold_cubic_shift(0.5), 8
-    metrics = []
-    for _ in range(2):
-        with tracing.Tracer().installed() as tracer:
-            ts.harness.compare_strategies(
-                model, threshold, m=7, trials=trials, seed=1, oracle_resolution=512
-            )
-        metrics.append(tracing.layer_metrics(tracer, trials))
-    first, second = metrics
-    assert first["harness.oracle_calls_per_path"] == 1
-    assert first["topology.brackets"] > 0
-    assert {k: first[k] for k in tracing.REPEATABLE} == {k: second[k] for k in tracing.REPEATABLE}
+    # two traced compare_strategies calls per case, as in the
+    # compare_binom5 workload but small: each grid is graded once per
+    # chunk, oracle_beta0 runs only on the paths whose scan signs leave
+    # the counts unsettled, and every count the benchmark requires to
+    # repeat is equal across the calls. At amplitude 1e-6 the periodic
+    # paths often have a scan value below the oracle's 1e-9 tolerance.
+    cases = (
+        (ts.binomial_model(5), ts.threshold_cubic_shift(0.5), 7),
+        (ts.periodic_model([0.0, 1e-6, 1e-6]), ts.threshold_zero(), 5),
+    )
+    trials, resolution = 8, 512
+    for model, threshold, m in cases:
+        metrics, graded = [], []
+        for _ in range(2):
+            with tracing.Tracer().installed() as tracer:
+                ts.harness.compare_strategies(
+                    model, threshold, m=m, trials=trials, seed=1, oracle_resolution=resolution
+                )
+            metrics.append(tracing.layer_metrics(tracer, trials))
+            graded.append(tracer.names.count(tracing.CUBICAL))
+        first, second = metrics
+        coeffs = sample_coefficients(model, 1, range(trials))
+        flagged = int(np.count_nonzero(~scan_counts(model, threshold, coeffs, resolution)[3]))
+        assert first["harness.oracle_calls_per_path"] == flagged / trials
+        assert graded == [3, 3]
+        if model.family == "periodic":
+            assert flagged > 0 and first["topology.brackets"] > 0
+        assert {k: first[k] for k in tracing.REPEATABLE} == {k: second[k] for k in tracing.REPEATABLE}

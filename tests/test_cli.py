@@ -422,6 +422,16 @@ def test_orthant_weight_mode(capsys):
     )
 
 
+@pytest.mark.parametrize("shift", ["1e308,1e308,1e308", "-1e308", "2e18,0,0"])
+def test_oversized_shift_is_config_error(capsys, shift):
+    # alpha_1 + 40 rounds to alpha_1: once a ValueError traceback with exit 1
+    code, out, err = _run(capsys, "orthant-check", "--mode", "weight", f"--shift={shift}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: --shift {shift}:")
+    assert "Traceback" not in err
+
+
 def test_eigen_mode_layout(capsys):
     code, out, _ = _run(
         capsys, "orthant-check", "--family", "binomial", "--n", "5",

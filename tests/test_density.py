@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import toposample as ts
+from toposample import fields
 from toposample.density import zero_density
 from toposample.errors import NondegeneracyError, NonFiniteDensityError
 
@@ -120,3 +121,28 @@ def test_zero_density_is_the_profile_column(cosine5):
     xs = np.linspace(0.0, 1.0, 101)
     prof = ts.density_profile(cosine5, ts.threshold_zero(), xs)
     assert np.array_equal(zero_density(cosine5, xs), prof.zero_density, equal_nan=True)
+
+
+def test_zero_density_never_forms_second_derivatives(cheb5, cosine5, binom5, mode5, monkeypatch):
+    table = ((np.sin, np.cos, np.sin), (np.cos, np.sin, np.cos), (np.exp, np.exp, np.exp))
+    models = (cheb5, cosine5, binom5, mode5, ts.unit_model(4), ts.chebyshev_model(64))
+    models += (ts.custom_model(table, (0.0, 2.0)),)
+    grids = [np.linspace(*model.domain, 301) for model in models]
+    columns = [
+        ts.density_profile(model, ts.threshold_zero(), xs).zero_density
+        for model, xs in zip(models, grids)
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("a second derivative was formed")
+
+    monkeypatch.setattr(
+        fields,
+        "_BASIS_ROWS",
+        {family: (value, first, forbidden) for family, (value, first, _) in fields._BASIS_ROWS.items()},
+    )
+    for model, xs, column in zip(models, grids, columns):
+        assert zero_density(model, xs).tobytes() == column.tobytes()
+    assert ts.expected_zero_count(binom5) > 0.0
+    with pytest.raises(AssertionError, match="second derivative"):
+        ts.density_profile(binom5, ts.threshold_zero(), grids[2])

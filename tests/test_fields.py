@@ -4,7 +4,7 @@ import pytest
 
 import toposample as ts
 from toposample.errors import FactorizationError
-from toposample.fields import basis_values
+from toposample.fields import SamplePath, basis_values, path_minus_threshold, sample_coefficients
 
 
 def _fd_check(model, xs, h, tol1, tol2):
@@ -183,6 +183,68 @@ def test_coefficient_rng_keeps_the_key_of_every_64_bit_seed():
         key = np.array([seed, stream], dtype=np.uint64)
         want = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
         assert ts.coefficient_rng(seed, stream).standard_normal(3).tobytes() == want.tobytes()
+
+
+def _draw(model, seed, stream):
+    # one path's draw as coefficient_rng gives it, scaled by the factor
+    z = ts.coefficient_rng(seed, stream).standard_normal(model.n_terms)
+    factor = model._factor
+    return factor * z if factor.ndim == 1 else factor @ z
+
+
+def test_sample_coefficients_are_the_per_path_draws(cheb5, binom5):
+    cov = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
+    table = ((np.ones_like, np.zeros_like, np.zeros_like), (np.sin, np.cos, np.sin), (np.cos, np.sin, np.cos))
+    full = ts.custom_model(table, (0.0, 1.0), covariance=cov)
+    streams = [*range(300), 2**63, 2**64 - 1]
+    for model in (cheb5, binom5, ts.chebyshev_model(64), full):
+        for seed in (0, 12345, 2**64 - 1):
+            block = sample_coefficients(model, seed, streams)
+            assert block.shape == (len(streams), model.n_terms)
+            for row, stream in zip(block, streams):
+                assert row.tobytes() == _draw(model, seed, stream).tobytes()
+                path = ts.sample_path(model, seed, stream)
+                assert path.coeffs.tobytes() == row.tobytes()
+    assert sample_coefficients(cheb5, 1, []).shape == (0, cheb5.n_terms)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_sample_coefficients_rejects_values_outside_64_bits(cheb5, bad):
+    with pytest.raises(ValueError, match="stream must lie in"):
+        sample_coefficients(cheb5, 1, [0, 1, bad])
+    with pytest.raises(ValueError, match="seed must lie in"):
+        sample_coefficients(cheb5, bad, [0])
+
+
+def test_path_minus_threshold_is_path_value_minus_threshold(binom5):
+    # one product per row: the bits of path.value, never those of one GEMM
+    xs = np.linspace(-3.0, 3.0, 1001)
+    rows = basis_values(binom5, xs)
+    coeffs = sample_coefficients(binom5, 5, range(40))
+    for threshold in (ts.threshold_cubic_shift(0.5), ts.threshold_constant(0.3)):
+        mu = threshold.value(xs)
+        got = path_minus_threshold(coeffs, rows, mu)
+        out = np.empty_like(got)
+        assert path_minus_threshold(coeffs, rows, mu, out=out) is out
+        for c, row, again in zip(coeffs, got, out):
+            want = SamplePath(binom5, c).value(xs) - threshold.value(xs)
+            assert row.tobytes() == want.tobytes() == again.tobytes()
+
+
+def test_first_order_jet_is_the_full_jet_prefix(cheb5, cosine5, binom5, mode5):
+    table = ((np.sin, np.cos, np.sin), (np.cos, np.sin, np.cos), (np.exp, np.exp, np.exp))
+    custom = ts.custom_model(table, (0.0, 2.0))
+    for model in (cheb5, cosine5, binom5, mode5, ts.unit_model(4), custom):
+        xs = np.linspace(*model.domain, 257)
+        full = ts.jet_tables(model, xs)
+        first = ts.jet_tables(model, xs, order=1)
+        assert list(first) == ["x", "r00", "r10", "r11", "minor33"]
+        for key, value in first.items():
+            assert value.tobytes() == full[key].tobytes()
+        first_jets = ts.basis_jets(model, xs, order=1)
+        assert len(first_jets) == 2
+        for got, want in zip(first_jets, ts.basis_jets(model, xs)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_threshold_functions():

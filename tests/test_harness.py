@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample import harness, planner
+from toposample import harness, planner, topology
 from toposample.config import ExperimentConfig
 from toposample.errors import ConfigError
 from toposample.harness import (
@@ -124,17 +124,37 @@ def test_compare_strategies_rows(binom5, thr):
     assert topo.correctness >= unif.correctness - 4.0 * joint_se
 
 
-def test_compare_strategies_calls_the_oracle_once_per_path(binom5, thr, monkeypatch):
-    calls = []
-    oracle = harness.oracle_beta0
+def test_compare_strategies_scans_each_path_once(thr, monkeypatch):
+    # each path is scanned once, in a block, and oracle_beta0 runs only on
+    # the paths whose scan signs cannot settle the counts; at amplitude
+    # 1e-6 a scan value near a root often falls below the 1e-9 tolerance
+    model = ts.periodic_model([0.0, 1e-6, 1e-6])
+    trials, seed, resolution = 40, 8, 512
+    scanned, flagged, oracle_paths = [], [], []
+    block_values = topology.path_minus_threshold
+    counts, oracle = harness.scan_counts, harness.oracle_beta0
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return oracle(*args, **kwargs)
+    def recording_values(coeffs, *args, **kwargs):
+        scanned.extend(c.tobytes() for c in coeffs)
+        return block_values(coeffs, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "oracle_beta0", counted)
-    ts.compare_strategies(binom5, thr, m=7, trials=40, seed=8, oracle_resolution=512)
-    assert len(calls) == 40
+    def recording_counts(*args):
+        out = counts(*args)
+        flagged.extend(~out[3])
+        return out
+
+    def recording_oracle(path, *args):
+        oracle_paths.append(path.coeffs.tobytes())
+        return oracle(path, *args)
+
+    monkeypatch.setattr(topology, "path_minus_threshold", recording_values)
+    monkeypatch.setattr(harness, "scan_counts", recording_counts)
+    monkeypatch.setattr(harness, "oracle_beta0", recording_oracle)
+    ts.compare_strategies(model, thr, m=5, trials=trials, seed=seed, oracle_resolution=resolution)
+    drawn = [ts.sample_path(model, seed, stream=t).coeffs.tobytes() for t in range(trials)]
+    assert scanned == drawn
+    assert 0 < sum(flagged) < trials
+    assert oracle_paths == [c for c, f in zip(drawn, flagged) if f]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

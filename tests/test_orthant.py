@@ -1,5 +1,6 @@
 """Orthant weights, local Gaussian models, and crossover Monte Carlo."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ def test_orthant_weight_validation():
     for shift in ([], [[1.0, 0.0, 0.0]]):
         with pytest.raises(ValueError):
             ts.orthant_weight(shift)
+
+
+def test_orthant_weight_rejects_a_window_that_rounds_to_a_point():
+    # alpha_1 + 40 == alpha_1 leaves no quadrature window
+    for a1 in (1e308, -1e308, 1e18, -1e18):
+        with pytest.raises(ValueError, match="too large in magnitude"):
+            ts.orthant_weight([a1, 0.0, 0.0])
+    # far out, but with a window: the weight underflows to 0
+    assert ts.orthant_weight([1e17, 0.0, 0.0]) == 0.0
+    # an overflowing tail decays to exactly 0, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ts.orthant_weight([1.0, 1e308, 1.0]) == 0.0
 
 
 def test_jacobi_eigensolver_matches_lapack():

@@ -42,11 +42,28 @@ def test_cubical_beta0_hand_cases():
 def test_cubical_beta0_validation():
     with pytest.raises(ValueError):
         cubical_beta0(np.array([]))
-    with pytest.raises(ValueError):
-        cubical_beta0(np.zeros((2, 2)))
+    # a vector or rows of one; nothing deeper, and no empty rows
+    for shape in ((2, 2, 2), (2, 0), ()):
+        with pytest.raises(ValueError):
+            cubical_beta0(np.zeros(shape))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             cubical_beta0(np.array([1.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            cubical_beta0(np.array([[1.0, 2.0, 1.0], [1.0, bad, 1.0]]))
+
+
+def test_cubical_beta0_rows_are_the_vector_counts():
+    rng = np.random.default_rng(8)
+    # signs with exact zeros mixed in, over several grid lengths
+    for width in (1, 2, 7, 33):
+        values = rng.integers(-1, 2, size=(200, width)) * rng.random((200, width))
+        pos, neg = cubical_beta0(values)
+        assert pos.shape == neg.shape == (200,)
+        assert [(int(p), int(n)) for p, n in zip(pos, neg)] == [cubical_beta0(v) for v in values]
+    assert cubical_beta0(np.zeros((0, 4)))[0].shape == (0,)
+    one = cubical_beta0(np.array([1.0, -1.0, 1.0]))
+    assert one == (2, 1) and all(type(c) is int for c in one)
 
 
 def test_double_crossover_truth_table():
@@ -402,8 +419,9 @@ def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5):
 
 
 def test_chunk_grading_is_path_value_minus_threshold(binom5, monkeypatch):
-    # every grid of a compare run is graded on path.value - threshold.value, bit for bit
-    threshold, seed, trials = ts.threshold_cubic_shift(0.5), 13, 40
+    # every grid of a compare run is graded once per chunk, on a block
+    # whose rows are path.value - threshold.value, bit for bit
+    threshold, seed, trials = ts.threshold_cubic_shift(0.5), 13, 600
     graded, grids = [], []
     chunk = ts.harness._trial_chunk
 
@@ -418,10 +436,12 @@ def test_chunk_grading_is_path_value_minus_threshold(binom5, monkeypatch):
     monkeypatch.setattr(ts.harness, "_trial_chunk", recording_chunk)
     monkeypatch.setattr(ts.harness, "cubical_beta0", recording_beta0)
     ts.compare_strategies(binom5, threshold, m=7, trials=trials, seed=seed, oracle_resolution=512)
-    (grids,) = grids
-    assert len(grids) == 3 and len(graded) == 3 * trials
-    for trial in range(trials):
-        path = ts.sample_path(binom5, seed, stream=trial)
-        for g, grid in enumerate(grids):
+    assert len(grids) == 2 and grids[0] is grids[1]  # two chunks: 512 and 88 paths
+    assert len(graded) == 3 * len(grids)
+    starts = [0, 0, 0, 512, 512, 512]
+    for grid, start, block in zip(grids[0] * 2, starts, graded):
+        assert block.shape == (512 if start == 0 else 88, grid.size)
+        for j, values in enumerate(block):
+            path = ts.sample_path(binom5, seed, stream=start + j)
             want = path.value(grid) - threshold.value(grid)
-            assert graded[3 * trial + g].tobytes() == want.tobytes()
+            assert values.tobytes() == want.tobytes()

@@ -1,0 +1,208 @@
+"""The block trial engine against the per-path oracle.
+
+``harness._chunk_counts`` counts a block of paths from the signs of their
+scans and runs ``oracle_beta0`` only on the rows those signs cannot
+settle. Every count, and every error, must be the per-path oracle's.
+"""
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import toposample as ts
+from toposample import harness, topology
+from toposample.cli import main as cli_main
+from toposample.fields import SamplePath, sample_coefficients
+from toposample.topology import oracle_beta0, scan_counts
+
+_SINE = (np.sin, np.cos, lambda x: -np.sin(x))
+MODELS = {
+    "chebyshev": ts.chebyshev_model(5),
+    "cosine": ts.cosine_model(5),
+    "periodic": ts.periodic_model([0.0] + [5.0 ** -0.5] * 5),
+    "binomial": ts.binomial_model(5),
+    "unit": ts.unit_model(5),
+    "custom": ts.custom_model(
+        ((np.ones_like, np.zeros_like, np.zeros_like), (lambda x: x, np.ones_like, np.zeros_like), _SINE),
+        (-2.0, 2.0),
+    ),
+}
+THRESHOLDS = {
+    "zero": ts.threshold_zero(),
+    "constant": ts.threshold_constant(0.3),
+    "polynomial": ts.threshold_polynomial([0.1, -0.2, 0.05]),
+    "cubic_shift": ts.threshold_cubic_shift(0.5),
+}
+# 3 points is the smallest scan; 9000 leaves a short last block of 7 rows
+RESOLUTIONS = (3, 4, 65, 1000, 4096, 9000)
+
+
+def _oracle_counts(model, threshold, coeffs, resolution):
+    counts = [oracle_beta0(SamplePath(model, c), threshold, resolution) for c in coeffs]
+    return [(o.beta0_pos, o.beta0_neg, o.zero_count, o.degenerate) for o in counts]
+
+
+def _block_counts(model, threshold, coeffs, resolution):
+    pos, neg, zero_count, degenerate = harness._chunk_counts(model, threshold, coeffs, resolution)
+    return [(int(p), int(n), int(z), bool(d)) for p, n, z, d in zip(pos, neg, zero_count, degenerate)]
+
+
+def _zero_at_scan_point(model, threshold, row, resolution, index):
+    # shift the constant basis term until u - mu is exactly 0 at one scan
+    # point; every model here has a constant first basis function
+    xs, rows = topology._scan_basis(model, resolution)
+    row = row.copy()
+    for _ in range(4):
+        value = (row @ rows - threshold.value(xs))[index]
+        if value == 0.0:
+            break
+        row[0] -= value
+    return row
+
+
+def _forced(kind, model, threshold, row, resolution, index):
+    if kind == "tiny":
+        return row * 1e-12
+    if kind == "zeros":
+        return np.zeros_like(row)
+    return _zero_at_scan_point(model, threshold, row, resolution, index % resolution)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(sorted(MODELS)),
+    kind=st.sampled_from(sorted(THRESHOLDS)),
+    resolution=st.sampled_from(RESOLUTIONS),
+    seed=st.integers(0, 2**64 - 1),
+    paths=st.integers(1, 24),
+    forced=st.lists(
+        st.tuples(st.sampled_from(["tiny", "zeros", "scan_zero"]), st.integers(0, 10**6)),
+        max_size=4,
+    ),
+)
+def test_block_counts_equal_the_per_path_oracle(family, kind, resolution, seed, paths, forced):
+    model, threshold = MODELS[family], THRESHOLDS[kind]
+    coeffs = sample_coefficients(model, seed, range(paths))
+    for forced_kind, index in forced:
+        j = index % paths
+        coeffs[j] = _forced(forced_kind, model, threshold, coeffs[j], resolution, index)
+    want = _oracle_counts(model, threshold, coeffs, resolution)
+    assert _block_counts(model, threshold, coeffs, resolution) == want
+
+
+def _line(weights, resolution):
+    # a path of the unit family (monomials on [-3, 3]), with 0 a scan point
+    assert np.linspace(-3.0, 3.0, resolution)[resolution // 2] == 0.0
+    coeffs = np.zeros(6)
+    coeffs[: len(weights)] = weights
+    return coeffs
+
+
+# (path, counts the oracle gives it) for rows the scan signs cannot settle
+FALLBACKS = {
+    "exact zero at a scan point": (_line([0.0, 1.0], 1025), (1, 1, 1, False)),
+    "touching root": (_line([0.0, 0.0, 1.0], 1025), (1, 1, 1, True)),
+    "tiny minimum": (_line([1e-12, 0.0, 1.0], 1025), (1, 0, 0, True)),
+}
+
+
+@pytest.mark.parametrize("case", list(FALLBACKS))
+def test_forced_fallback_runs_the_oracle_on_that_row_only(case, monkeypatch):
+    model, threshold, resolution = ts.unit_model(5), ts.threshold_zero(), 1025
+    row, counts = FALLBACKS[case]
+    coeffs = sample_coefficients(model, 3, range(12))
+    coeffs[5] = row
+    assert np.flatnonzero(~scan_counts(model, threshold, coeffs, resolution)[3]).tolist() == [5]
+    oracle_rows = []
+    oracle = harness.oracle_beta0
+
+    def recording(path, *args):
+        oracle_rows.append(path.coeffs.tobytes())
+        return oracle(path, *args)
+
+    monkeypatch.setattr(harness, "oracle_beta0", recording)
+    got = _block_counts(model, threshold, coeffs, resolution)
+    assert oracle_rows == [row.tobytes()]
+    assert got[5] == counts
+    assert got == _oracle_counts(model, threshold, coeffs, resolution)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflowing"])
+def test_non_finite_scan_raises_the_oracle_error(bad):
+    model, threshold, resolution = ts.binomial_model(5), ts.threshold_cubic_shift(0.5), 1000
+    coeffs = sample_coefficients(model, 4, range(10))
+    coeffs[6, 5] = bad  # x^5 times 1e308 overflows near the ends
+    with pytest.raises(ValueError) as per_path:
+        oracle_beta0(SamplePath(model, coeffs[6]), threshold, resolution)
+    with pytest.raises(ValueError) as block:
+        harness._chunk_counts(model, threshold, coeffs, resolution)
+    assert str(block.value) == str(per_path.value) == "grid values must be finite"
+
+
+def test_resolution_floor_is_the_oracle_one(cheb5, thr):
+    coeffs = sample_coefficients(cheb5, 1, range(3))
+    with pytest.raises(ValueError, match="at least three points"):
+        scan_counts(cheb5, thr, coeffs, 2)
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
+    # each path is scanned once, as path.value - threshold.value bit for
+    # bit, in blocks of 65536 // 9000 = 7 rows
+    model, threshold, resolution = MODELS[family], THRESHOLDS["cubic_shift"], 9000
+    coeffs = sample_coefficients(model, 9, range(20))
+    blocks = []
+    block_values = topology.path_minus_threshold
+
+    def recording(*args, **kwargs):
+        out = block_values(*args, **kwargs)
+        blocks.append(out.copy())
+        return out
+
+    monkeypatch.setattr(topology, "path_minus_threshold", recording)
+    scan_counts(model, threshold, coeffs, resolution)
+    assert [len(b) for b in blocks] == [7, 7, 6]
+    xs = np.linspace(*model.domain, resolution)
+    for c, scan in zip(coeffs, np.concatenate(blocks)):
+        want = SamplePath(model, c).value(xs) - threshold.value(xs)
+        assert scan.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("command", ["compare", "zeros"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_with_fallbacks_is_identical_across_workers(command, fmt, tmp_path, monkeypatch):
+    # amplitude 1e-8 leaves most paths to the oracle and some degenerate;
+    # 1100 trials make three chunks over two workers
+    argv = [command, "--family", "periodic", "--amplitudes", "1e-8,1e-8,1e-8"]
+    argv += ["--trials", "1100", "--seed", "7", "--oracle-resolution", "1024", "--format", fmt]
+    if command == "compare":
+        argv += ["--m", "6"]
+    oracle_calls = []
+    oracle = harness.oracle_beta0
+
+    def counting(*args):
+        oracle_calls.append(1)
+        return oracle(*args)
+
+    monkeypatch.setattr(harness, "oracle_beta0", counting)
+    out = tmp_path / f"{command}.{fmt}"
+    blobs = []
+    for workers in ("1", "2"):
+        assert cli_main(argv + ["--workers", workers, "--output", str(out)]) == 0
+        # JSON echoes the worker count; every other byte must agree
+        blobs.append(out.read_bytes().replace(f'"workers": "{workers}"'.encode(), b'"workers": "N"'))
+    assert blobs[0] == blobs[1]
+    # the one-worker run, in this process, had fallbacks and degenerate paths
+    assert 0 < len(oracle_calls) < 1100
+    assert all(count > 0 for count in _column(blobs[0].decode(), fmt, "degenerate"))
+
+
+def _column(text, fmt, name):
+    if fmt == "json":
+        doc = json.loads(text)
+        return [row[doc["columns"].index(name)] for row in doc["rows"]]
+    header, *rows = (line.split(",") for line in text.strip().split("\n"))
+    return [int(row[header.index(name)]) for row in rows]

@@ -17,9 +17,12 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import pickle
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,7 @@ from .fields import sample_path  # noqa: F401  (perfbench/tracing.py wraps harne
 from .planner import (
     STRATEGIES,
     SamplingPlan,
+    _build_plans,
     build_plan,
     cumulative_weight,
     expected_zero_count,
@@ -107,26 +111,70 @@ def _trial_chunk(args):
     return start, matches, sums
 
 
-def _run_chunked(worker, args_list, workers):
-    """Evaluate chunk tasks and reduce in chunk order regardless of pool.
+def _run_chunked(tasks, workers):
+    """Evaluate ``_trial_chunk`` tasks and reduce in chunk order regardless of pool.
 
     Raises ConfigError before any pool starts when the tasks cannot be
     sent to worker processes, as with a custom model built on lambdas.
     """
-    if workers <= 1 or len(args_list) <= 1:
-        results = [worker(a) for a in args_list]
+    if workers <= 1 or len(tasks) <= 1:
+        results = [_trial_chunk(t) for t in tasks]
     else:
         try:
-            pickle.dumps(args_list[0])
+            pickle.dumps(tasks[0])
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ConfigError(
                 f"the model cannot be sent to worker processes ({exc}); "
                 "it needs workers=1"
             ) from None
         # a fork pool starts every worker at once, so never more than chunks
-        with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
-            results = list(pool.map(worker, args_list, chunksize=1))
+        results = _pool_map(tasks, min(workers, len(tasks)), tasks[0][0].basis_table)
     return sorted(results, key=lambda r: r[0])
+
+
+# the worker pool kept between pooled trial passes, as one
+# ((processes, pid, basis_table), pool) entry. The process id keeps a
+# process forked by the caller off its parent's pool; the custom basis
+# table gives a model whose callables were defined after the pool forked
+# a pool forked after them, whose workers can unpickle them. A pass holds
+# the lock from its key check to its last result.
+_pool_slot = [None]
+_pool_lock = threading.RLock()
+
+
+def _pool_map(tasks, processes, basis_table):
+    """``_trial_chunk`` over ``tasks`` on the kept pool, results in task order.
+
+    The first call starts the pool and later calls with the same key
+    reuse it, so its workers stay warm. A pool that breaks is closed and
+    the error raised, unless it was kept from an earlier call: a worker
+    can die between calls, and the tasks then run once more on a new pool.
+    """
+    key = (processes, os.getpid(), basis_table)
+    with _pool_lock:
+        while True:
+            entry = _pool_slot[0]
+            fresh = entry is None or entry[0] != key
+            if fresh:
+                _close_pool()
+                _pool_slot[0] = (key, ProcessPoolExecutor(max_workers=processes))
+            try:
+                return list(_pool_slot[0][1].map(_trial_chunk, tasks))
+            except BrokenProcessPool:
+                _close_pool()
+                if fresh:
+                    raise
+
+
+def _close_pool():
+    """Shut the kept pool down and empty its slot.
+
+    A pool inherited through fork belongs to the parent and is only dropped.
+    """
+    with _pool_lock:
+        entry, _pool_slot[0] = _pool_slot[0], None
+        if entry is not None and entry[0][1] == os.getpid():
+            entry[1].shutdown()
 
 
 def _experiment_result(plan, trials, seed, valid, counts) -> ExperimentResult:
@@ -177,7 +225,7 @@ def trial_pass(
     ]
     matches = [[0, 0, 0] for _ in plans]
     sums = [0, 0, 0]
-    for _, chunk_matches, chunk_sums in _run_chunked(_trial_chunk, tasks, workers):
+    for _, chunk_matches, chunk_sums in _run_chunked(tasks, workers):
         for g, counts in enumerate(chunk_matches):
             matches[g] = [x + y for x, y in zip(matches[g], counts)]
         sums = [x + y for x, y in zip(sums, chunk_sums)]
@@ -219,7 +267,9 @@ def compare_strategies(
     workers: int = 1,
 ) -> list[tuple[str, ExperimentResult]]:
     """Run all strategies at equal cell count on identical paths."""
-    plans = [build_plan(model, threshold, s, m=m) for s in STRATEGIES]
+    plans, expected_zeros = _build_plans(model, threshold, STRATEGIES, m=m)
+    if oracle_resolution is None:
+        oracle_resolution = default_oracle_resolution(model, expected_zeros)
     results, _ = trial_pass(
         model, threshold, plans, trials, seed, oracle_resolution, workers
     )

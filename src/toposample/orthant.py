@@ -32,6 +32,10 @@ from .topology import double_crossover
 
 _MC_CHUNK = 1 << 20
 _WEIGHT_REL_TOL = 1e-12
+# the weight integrand carries exp(-s^2/2), below e^-800 of its bulk once
+# |s| > 40, so its window reaches 40 past max(alpha_1, 0) and starts no
+# lower than -40
+_WEIGHT_HALF_WIDTH = 40.0
 _JACOBI_SWEEPS = 30
 
 
@@ -57,6 +61,7 @@ def orthant_weight(shift) -> float:
         2 / (2^(n/2) Gamma(n/2)) exp(-sum_{k>=2} alpha_k^2 / 2) times
         int_{alpha_1}^inf (s - alpha_1)^(n-1) exp(-s^2/2) ds.
 
+    The integral runs over [max(alpha_1, -40), max(alpha_1, 0) + 40].
     The weight of the all-zero shift is exactly 1 for every n. A first
     component so large that alpha_1 + 40 rounds to alpha_1 raises
     ValueError.
@@ -66,12 +71,14 @@ def orthant_weight(shift) -> float:
         raise ValueError("shift must be a nonempty vector")
     n = alpha.size
     a1 = float(alpha[0])
-    upper = a1 + 40.0
-    if not upper > a1:
+    if not a1 + _WEIGHT_HALF_WIDTH > a1:
         raise ValueError(
             f"shift component alpha_1 = {a1:g} is too large in magnitude: "
-            "its quadrature window [alpha_1, alpha_1 + 40] rounds to a point"
+            "alpha_1 + 40 rounds to alpha_1, so s - alpha_1 is not resolved"
         )
+    # the Gaussian's bulk sits near 0, not near alpha_1 < 0
+    lower = max(a1, -_WEIGHT_HALF_WIDTH)
+    upper = max(a1, 0.0) + _WEIGHT_HALF_WIDTH
     # a tail that overflows decays to a weight of exactly 0
     with np.errstate(over="ignore"):
         tail_decay = float(np.sum(alpha[1:] ** 2)) / 2.0
@@ -79,7 +86,7 @@ def orthant_weight(shift) -> float:
     def integrand(s):
         return (s - a1) ** (n - 1) * np.exp(-0.5 * s * s)
 
-    integral, _ = adaptive_simpson(integrand, a1, upper, rel_tol=_WEIGHT_REL_TOL)
+    integral, _ = adaptive_simpson(integrand, lower, upper, rel_tol=_WEIGHT_REL_TOL)
     norm = 2.0 / (2.0 ** (n / 2.0) * math.gamma(n / 2.0))
     return float(norm * math.exp(-tail_decay) * integral)
 

@@ -163,9 +163,14 @@ def peak_crossover_rate(model: FieldModel, threshold: ThresholdFn) -> float:
     return float(peak)
 
 
+def _zero_mass(model: FieldModel):
+    """Expected zero count and its cumulative: the zero density's integral."""
+    return cumulative_integral(zero_density_fn(model), model.a, model.b)
+
+
 def density_guided_grid(model: FieldModel, m: int) -> np.ndarray:
     """Grid with equal zero-density mass per cell (crossing-count heuristic)."""
-    total, cumulative = cumulative_integral(zero_density_fn(model), model.a, model.b)
+    total, cumulative = _zero_mass(model)
     return place_grid(cumulative, total, m)
 
 
@@ -215,37 +220,57 @@ def build_plan(
     given. A density that integrates to zero degrades to a uniform grid
     with the fallback flag set.
     """
+    (plan,), _ = _build_plans(model, threshold, (strategy,), m, p)
+    return plan
+
+
+def _build_plans(model, threshold, strategies, m=None, p=None):
+    """One plan per strategy, from one integral of each density they read.
+
+    The cube-root integral serves every plan; the zero density is
+    integrated only when the density strategy is asked for. Returns the
+    plans and that integral, the expected zero count, or None.
+    """
     if (m is None) == (p is None):
         raise ValueError("exactly one of m and p must be given")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    for strategy in strategies:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
     a, b = model.domain
     total, cumulative = cumulative_weight(model, threshold)
     if m is None:
         m = min_samples(total, p)
     if m < 1:
         raise ValueError("grid needs at least one interval")
+    zeros = None
+    if "density" in strategies:
+        zeros, zero_cumulative = _zero_mass(model)
 
-    fallback = False
-    if strategy == "uniform":
-        grid = np.linspace(a, b, m + 1)
-    elif strategy == "density":
-        grid = density_guided_grid(model, m)
-    else:
-        try:
-            grid = place_grid(cumulative, total, m)
-        except DegenerateDensityError:
+    plans = []
+    for strategy in strategies:
+        fallback = False
+        if strategy == "uniform":
             grid = np.linspace(a, b, m + 1)
-            fallback = True
-    return SamplingPlan(
-        grid=grid,
-        m=m,
-        strategy=strategy,
-        total_weight=total,
-        bound=failure_bound(total, m),
-        bound_vacuous=bound_is_vacuous(total, m),
-        uniform_fallback=fallback,
-    )
+        elif strategy == "density":
+            grid = place_grid(zero_cumulative, zeros, m)
+        else:
+            try:
+                grid = place_grid(cumulative, total, m)
+            except DegenerateDensityError:
+                grid = np.linspace(a, b, m + 1)
+                fallback = True
+        plans.append(
+            SamplingPlan(
+                grid=grid,
+                m=m,
+                strategy=strategy,
+                total_weight=total,
+                bound=failure_bound(total, m),
+                bound_vacuous=bound_is_vacuous(total, m),
+                uniform_fallback=fallback,
+            )
+        )
+    return plans, zeros
 
 
 def expected_zero_count(model: FieldModel) -> float:

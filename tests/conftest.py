@@ -1,8 +1,11 @@
 """Shared fixtures and the acceptance summary hook."""
+import multiprocessing
+
 import numpy as np
 import pytest
 
 import toposample as ts
+from toposample import harness
 
 # one line per acceptance criterion, printed after the test run
 ACCEPTANCE_LINES = []
@@ -30,6 +33,23 @@ def acceptance_record():
         assert ok, f"criterion {num}: {detail}"
 
     return record
+
+
+@pytest.fixture(autouse=True)
+def close_worker_pool():
+    """Close the kept worker pool after each test.
+
+    A pool forked while a test's monkeypatch was active would otherwise
+    carry the patch into later tests.
+    """
+    yield
+    harness._close_pool()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_process_left():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,20 @@
 import io
 import json
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import types
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
 
 import toposample as ts
-from toposample import harness, planner, topology
+from toposample import harness, planner, quadrature, topology
 from toposample.config import ExperimentConfig
 from toposample.errors import ConfigError
 from toposample.harness import (
@@ -210,10 +217,116 @@ def test_pool_never_exceeds_the_chunk_count(monkeypatch, cheb5, thr):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
+        def shutdown(self, wait=True):
+            pass
+
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     for workers, trials, want in ((500, 1024, 2), (2, 1536, 2), (3, 1100, 3)):
         harness.trial_pass(cheb5, thr, [], trials, 1, 16, workers=workers)
         assert started[-1] == want
+
+
+def _worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _zeros(model, workers):
+    # 1100 trials make three chunks, one for each of up to three workers
+    result = ts.zero_count_experiment(
+        model, trials=1100, seed=4, oracle_resolution=512, workers=workers
+    )
+    return repr(result)
+
+
+def test_pooled_calls_reuse_their_workers(binom5):
+    serial = _zeros(binom5, 1)
+    assert _worker_pids() == []
+    runs, pids = [], []
+    for _ in range(2):
+        runs.append(_zeros(binom5, 2))
+        pids.append(_worker_pids())
+    assert runs == [serial, serial]
+    assert len(pids[0]) == 2 and pids[1] == pids[0]
+
+
+def test_killed_worker_is_replaced_by_a_new_pool(binom5):
+    first = _zeros(binom5, 2)
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    assert wait([victim.sentinel], timeout=30)
+    assert _zeros(binom5, 2) == first
+    pids = _worker_pids()
+    assert len(pids) == 2 and victim.pid not in pids
+
+
+def test_threads_share_the_kept_pool(binom5):
+    # three threads alternate two worker counts, so a pass can find the
+    # other count's pool in the slot and must replace it, not race it
+    want = _zeros(binom5, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(4):
+            with ThreadPoolExecutor(max_workers=3) as threads:
+                runs = [threads.submit(_zeros, binom5, w) for w in (2, 3, 2, 3, 2, 3)]
+                assert [run.result(timeout=120) for run in runs] == [want] * 6
+            assert len(_worker_pids()) in (2, 3)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+_LATE_BASIS = """
+import numpy as np
+
+def one(x):
+    return np.ones_like(x)
+
+def zero(x):
+    return np.zeros_like(x)
+
+def ident(x):
+    return 1.0 * x
+
+def cube(x):
+    return x * x * x
+
+def cube_d1(x):
+    return 3.0 * x * x
+
+def cube_d2(x):
+    return 6.0 * x
+
+TABLE = ((one, zero, zero), (ident, one, zero), (cube, cube_d1, cube_d2))
+"""
+
+
+def test_custom_basis_defined_after_the_pool_started(binom5, monkeypatch):
+    # workers forked before the module existed cannot unpickle its
+    # functions: the custom model needs a pool forked after it, and the
+    # pool it replaces is shut down, not broken
+    _zeros(binom5, 2)
+    old_workers = multiprocessing.active_children()
+    module = types.ModuleType("toposample_late_basis")
+    exec(_LATE_BASIS, module.__dict__)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    model = ts.custom_model(module.TABLE, (-1.0, 1.0))
+    assert _zeros(model, 2) == _zeros(model, 1)
+    assert [p.exitcode for p in old_workers] == [0, 0]
+
+
+def test_compare_integrates_each_density_once(binom5, monkeypatch):
+    # one cube-root integral serves all three plans, and one zero-density
+    # integral serves the density grid and the default scan resolution
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return adaptive_simpson(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "adaptive_simpson", counting)
+    monkeypatch.setattr(quadrature, "adaptive_simpson", counting)
+    ts.compare_strategies(binom5, ts.threshold_cubic_shift(0.5), m=7, trials=2, seed=1)
+    assert len(calls) == 2
 
 
 def test_compare_strategies_periodic_grids_coincide(mode5, thr):

@@ -8,6 +8,10 @@ imports to re-export and is skipped, and an import marked
 No module catches broadly: a bare ``except:``, ``except Exception`` or
 ``except BaseException`` would turn a numerical failure into a silent
 fallback value instead of its exit code.
+
+The package constructs a ``ProcessPoolExecutor`` at exactly one site,
+the kept worker pool in ``harness``: a second site would start pools
+that its slot neither reuses nor closes.
 """
 import ast
 from pathlib import Path
@@ -64,3 +68,18 @@ def _broad_handlers(path):
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_broad_exception_handlers(path):
     assert _broad_handlers(path) == []
+
+
+def _pool_constructions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ProcessPoolExecutor"
+    ]
+
+
+def test_one_process_pool_construction():
+    sites = [site for path in ALL_MODULES for site in _pool_constructions(path)]
+    assert len(sites) == 1, sites

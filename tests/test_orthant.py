@@ -40,6 +40,14 @@ def test_orthant_weight_quadrature_matches_closed3():
         assert quad == pytest.approx(closed, abs=1e-9)
 
 
+@pytest.mark.parametrize("a1", [-35.0, -40.0, -60.0, -1e5])
+def test_orthant_weight_reaches_the_bulk_for_negative_shifts(a1):
+    # the integrand's mass sits near s = 0, beyond [alpha_1, alpha_1 + 40]
+    for shift in ((a1, 0.0, 0.0), (a1, 0.3, -0.2)):
+        closed = ts.orthant_weight_closed3(shift)
+        assert ts.orthant_weight(shift) == pytest.approx(closed, rel=1e-12)
+
+
 def test_orthant_weight_closed3_anchors():
     assert ts.orthant_weight_closed3((1.0, 0.0, 0.0)) == pytest.approx(
         0.15067956668754151, rel=1e-12

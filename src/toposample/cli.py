@@ -197,17 +197,15 @@ def cmd_compare(args) -> int:
     if "strategy" in sections.get("experiment", {}):
         raise ConfigError("compare runs every strategy; remove experiment.strategy")
     config = build_experiment_config(sections, COMMAND_KEYS["compare"])
-    m = config.m
-    if m is None:
-        m = build_plan(config.model, config.threshold, "topology", p=config.p).m
     results = compare_strategies(
         config.model,
         config.threshold,
-        m,
+        config.m,
         config.trials,
         config.seed,
         oracle_resolution=config.oracle_resolution,
         workers=config.workers,
+        p=config.p,
     )
     header, _ = experiment_table(results[0][1])
     rows = [experiment_table(res)[1][0] for _, res in results]

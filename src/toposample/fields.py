@@ -515,27 +515,81 @@ class SamplePath:
         return float(out[0]) if scalar else out
 
 
-def path_minus_threshold(coeffs, rows, mu, out=None) -> np.ndarray:
-    """``c @ rows - mu`` for each coefficient row c, one result row each.
+def magnitude_bounds(values):
+    """Largest |value| along the last axis, by max and min reductions.
 
-    ``rows`` holds basis values on some points and ``mu`` the threshold's
-    values there. Each row is its own vector-matrix product, so row j is
-    bit for bit ``path.value(x) - threshold.value(x)`` for the path with
-    coefficients ``coeffs[j]``; one matrix product over the block would
-    round differently. Writes into ``out`` when given.
+    No array of absolute values is formed, so a large basis table costs
+    two reading passes and no temporary. A NaN gives NaN.
     """
-    if out is None:
-        out = np.empty((len(coeffs), rows.shape[1]))
-    for c, row in zip(coeffs, out):
-        np.matmul(c, rows, out=row)
-    out -= mu
-    return out
+    return np.maximum(values.max(axis=-1), -values.min(axis=-1))
+
+
+# unit roundoff and smallest subnormal of IEEE double precision
+_UNIT_ROUNDOFF = 2.0 ** -53
+_SMALLEST_SUBNORMAL = 2.0 ** -1074
+# a scale below this leaves every partial sum of the product finite
+_SCALE_LIMIT = np.finfo(float).max / 2.0
+# the most multiply-adds one matrix product takes: OpenBLAS runs a product
+# of at most 2^18 on one thread and splits a larger one across threads,
+# which made a 4 x 65 x 8192 product 18 times slower on a busy 2-core host
+_PRODUCT_MULADDS = 1 << 18
+
+
+def block_minus_threshold(coeffs, rows, mu, row_max, mu_max, out=None, slack=None):
+    """``coeffs @ rows - mu`` by one matrix product, and a rounding slack per row.
+
+    ``rows`` holds K basis rows on some points, ``mu`` the threshold's
+    values there (or one scalar; a scalar 0 subtracts nothing), ``row_max``
+    the largest |value| of each basis row over the points the slack is
+    to cover and ``mu_max`` the largest |mu| there. Returns the values,
+    one row per coefficient row c (written into ``out`` when given; rows
+    are taken in blocks of at most _PRODUCT_MULADDS multiply-adds), and
+    ``slack``:
+
+        slack_j = 2 gamma (sum_k |c_jk| row_max_k + mu_max),
+        gamma = n u / (1 - n u),  u = 2^-53,  n = K + 2.
+
+    Every float evaluation of c . phi(x) - mu(x) from the same ``mu``, in
+    any summation order and with or without fused multiply-adds, lies
+    within gamma_{K+1} (sum_k |c_k| |phi_k(x)| + |mu(x)|) of the exact
+    value (Higham, Accuracy and Stability of Numerical Algorithms, sec.
+    3.1). So ``values[j]`` differs from the per-path
+    ``path.value(x) - threshold.value(x)`` by at most ``slack[j]`` at every
+    point: where |values[j, x]| exceeds ``slack[j]`` the two have the same
+    sign, neither is zero, and the per-path |value| is at least
+    |values[j, x]| - slack[j]. Taking n = K + 2 rather than K + 1 covers
+    the rounding of the slack's own arithmetic, and (K + 1) smallest
+    subnormals per evaluation cover gradual underflow. With a finite
+    slack every value is finite. A row whose scale is not finite, or
+    within a factor 2 of overflow, gets a NaN slack, so every comparison
+    with it fails and the row is never certified. A ``slack`` passed in,
+    from a call on the same coefficient rows and bounds (another tile of
+    the same points), is returned as it is.
+    """
+    terms, points = rows.shape
+    values = np.empty((len(coeffs), points)) if out is None else out
+    step = max(1, _PRODUCT_MULADDS // max(1, terms * points))
+    for lo in range(0, len(coeffs), step):
+        np.matmul(coeffs[lo : lo + step], rows, out=values[lo : lo + step])
+    if isinstance(mu, np.ndarray) or mu != 0.0:
+        values -= mu
+    if slack is None:
+        n = terms + 2
+        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+        scale = np.abs(coeffs) @ row_max + mu_max
+        slack = 2.0 * (gamma * scale + (n - 1) * _SMALLEST_SUBNORMAL)
+        slack[~(scale < _SCALE_LIMIT)] = np.nan
+    return values, slack
+
+
+def _check_key_part(name, v):
+    if not 0 <= v < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {v}")
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
-    for name, v in (("seed", seed), ("stream", stream)):
-        if not 0 <= v < 2**64:
-            raise ValueError(f"{name} must lie in [0, 2^64), got {v}")
+    _check_key_part("seed", seed)
+    _check_key_part("stream", stream)
     return np.array([seed, stream], dtype=np.uint64)
 
 
@@ -554,19 +608,24 @@ def sample_coefficients(model: FieldModel, seed: int, streams) -> np.ndarray:
     """Coefficient vectors of the paths (seed, s) for s in ``streams``, one row each.
 
     Row j is bit for bit the draw of ``coefficient_rng(seed, streams[j])``
-    times the model's covariance factor. One generator serves every row:
-    before each draw its Philox state is reset to that of a generator
+    times the model's covariance factor, and a seed or stream outside
+    [0, 2^64) raises its ValueError before anything is drawn. One
+    generator serves every row: before each draw the stream word of its
+    Philox key is set in place and its state reset to that of a generator
     freshly keyed to (seed, s), counter and buffer empty, which costs a
     fraction of building a new generator per path.
     """
     streams = list(streams)
     bitgen = np.random.Philox(key=_philox_key(seed, 0))
+    if streams and not (min(streams) >= 0 and max(streams) < 2**64):
+        for stream in streams:
+            _check_key_part("stream", stream)
     fresh = bitgen.state  # keyed, nothing drawn yet
     key = fresh["state"]["key"]
     gen = np.random.Generator(bitgen)
     out = np.empty((len(streams), model.n_terms))
     for row, stream in zip(out, streams):
-        key[:] = _philox_key(seed, stream)
+        key[1] = stream
         bitgen.state = fresh
         gen.standard_normal(out=row)
     factor = model._factor

@@ -36,7 +36,8 @@ from .fields import (
     SamplePath,
     ThresholdFn,
     basis_values,
-    path_minus_threshold,
+    block_minus_threshold,
+    magnitude_bounds,
     sample_coefficients,
     threshold_zero,
 )
@@ -87,12 +88,31 @@ def _chunk_counts(model, threshold, coeffs, resolution):
     return pos, neg, zero_count, degenerate
 
 
+def _grid_values(coeffs, rows, mu):
+    """u - mu on one grid for every coefficient row, each with the per-path signs.
+
+    One matrix product gives the block; a row with a value its rounding
+    slack cannot clear (within the slack of zero, or not finite) is
+    recomputed as that path's own product, bit for bit
+    ``path.value(grid) - threshold.value(grid)``. So every value's sign,
+    zero included, is the per-path one, which is all ``cubical_beta0``
+    reads.
+    """
+    values, slack = block_minus_threshold(
+        coeffs, rows, mu, magnitude_bounds(rows), magnitude_bounds(mu)
+    )
+    for j in np.flatnonzero(~(np.abs(values) > slack[:, None]).all(axis=1)):
+        values[j] = coeffs[j] @ rows - mu
+    return values
+
+
 def _trial_chunk(args):
     """Trials [start, stop): one reference count per path, every grid graded on it.
 
     The chunk's coefficients are drawn as one block and counted by
     ``_chunk_counts``. Each grid's basis rows and threshold values are
-    built once per chunk, and its values for every path are graded in one
+    built once per chunk, its values for every path come from one matrix
+    product (``_grid_values``), and they are graded in one
     ``cubical_beta0`` call. Only counts are read, so no root is polished.
     """
     (model, threshold, grids, resolution, seed, start, stop) = args
@@ -102,7 +122,7 @@ def _trial_chunk(args):
     counts = [int(c) for c in zero_count[valid]]
     matches = []
     for grid in grids:
-        values = path_minus_threshold(coeffs, basis_values(model, grid), threshold.value(grid))
+        values = _grid_values(coeffs, basis_values(model, grid), threshold.value(grid))
         grid_pos, grid_neg = cubical_beta0(values)
         mp = valid & (grid_pos == pos)
         mn = valid & (grid_neg == neg)
@@ -260,14 +280,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def compare_strategies(
     model: FieldModel,
     threshold: ThresholdFn,
-    m: int,
+    m: int | None,
     trials: int,
     seed: int,
     oracle_resolution: int | None = None,
     workers: int = 1,
+    p: float | None = None,
 ) -> list[tuple[str, ExperimentResult]]:
-    """Run all strategies at equal cell count on identical paths."""
-    plans, expected_zeros = _build_plans(model, threshold, STRATEGIES, m=m)
+    """Run all strategies at equal cell count on identical paths.
+
+    Exactly one of ``m`` (cell count) and ``p`` (target success
+    probability, which picks the smallest sufficient count from the
+    cube-root integral that also places the grids) must be given.
+    """
+    plans, expected_zeros = _build_plans(model, threshold, STRATEGIES, m=m, p=p)
     if oracle_resolution is None:
         oracle_resolution = default_oracle_resolution(model, expected_zeros)
     results, _ = trial_pass(

@@ -16,7 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import SamplePath, ThresholdFn, basis_values, path_minus_threshold
+from .fields import (
+    _PRODUCT_MULADDS,
+    SamplePath,
+    ThresholdFn,
+    basis_values,
+    block_minus_threshold,
+    magnitude_bounds,
+)
 from .planner import SamplingPlan, expected_zero_count
 
 # scan minima below this absolute size with no sign change nearby are
@@ -25,18 +32,29 @@ _DEGENERATE_TOL = 1e-9
 _ROOT_XTOL = 1e-12
 _SCAN_POINTS_PER_ZERO = 4096
 _DEFAULT_ADMISSIBILITY_DEPTH = 12
-# scan values held at once by scan_counts: 8 paths at 8192 points, one
-# at a time at Chebyshev n=64's 151,552
+# scan_counts takes up to _SCAN_BLOCK_ROWS paths at a time and computes
+# their scan values a tile of points at a time, each tile at most
+# _SCAN_BLOCK_VALUES values and one matrix product (fields._PRODUCT_MULADDS)
+_SCAN_BLOCK_ROWS = 16
 _SCAN_BLOCK_VALUES = 1 << 16
+# the largest scan system (basis rows plus one threshold row) that
+# scan_counts builds, 16 MB: Chebyshev n=28 at its default scan fits,
+# and n=64's 79 MB basis is never copied
+_SCAN_SYSTEM_VALUES = 1 << 21
 
-# the scan grid and basis rows of the last oracle call, as one
-# ((model, resolution), xs, rows) entry; the key holds the model itself,
-# so a model built later can never match a stale entry
+# the scan grid, basis rows and per-row max |value| of the last scan, as
+# one (key, xs, rows, row_max) entry; the key holds everything that fixes
+# the basis values (see _scan_basis_key), so equal models share an entry
+# and no model can match a stale one
 _scan_basis_slot = [None]
 # the threshold's values on the scan grid of the last oracle call, as one
 # ((threshold, xs), values) entry; the key holds the threshold and the
 # scan-grid array themselves, so it never matches a stale entry
 _scan_threshold_slot = [None]
+# the scan system of the last scan_counts call with a non-constant
+# threshold, as one ((threshold, xs), system, row_max) entry, keyed as
+# the threshold slot
+_scan_system_slot = [None]
 
 
 def cubical_beta0(values):
@@ -148,25 +166,35 @@ def _polish_roots(diff, lo, hi, flo, fhi):
         lo[todo], hi[todo], flo[todo], fhi[todo] = new_l, new_h, fl, fh
 
 
-def _scan_basis(model, resolution):
-    """Scan points over the model's domain and basis rows on them.
+def _scan_basis_key(model, resolution):
+    # the basis values depend on the family, the number of terms, the
+    # domain (by its bits, so -0.0 and 0.0 differ), the period and a custom
+    # basis table, never on the coefficient variances
+    domain = tuple(v.hex() for v in model.domain)
+    return (model.family, model.n_terms, domain, model.period, model.basis_table, resolution)
 
-    Paths of one model share the scan, so the rows are built once per
-    (model, resolution); the model is matched by identity. The slot is
-    emptied before a new build, so two row matrices are never alive at
-    once (about 79 MB each at Chebyshev n=64). Both arrays are read-only.
+
+def _scan_basis(model, resolution):
+    """Scan points over the model's domain, basis rows on them, and each row's max |value|.
+
+    Paths of models with the same basis share the scan, so the rows are
+    built once per basis and resolution, also across models built or
+    unpickled separately. The slot is emptied before a new build, so two
+    row matrices are never alive at once (about 79 MB each at Chebyshev
+    n=64). All three arrays are read-only.
     """
-    key = (model, resolution)
+    key = _scan_basis_key(model, resolution)
     entry = _scan_basis_slot[0]
     if entry is not None and entry[0] == key:
-        return entry[1], entry[2]
+        return entry[1:]
     _scan_basis_slot[0] = None
     xs = np.linspace(model.a, model.b, resolution)
     rows = basis_values(model, xs)
-    xs.flags.writeable = False
-    rows.flags.writeable = False
-    _scan_basis_slot[0] = (key, xs, rows)
-    return xs, rows
+    row_max = magnitude_bounds(rows)
+    for array in (xs, rows, row_max):
+        array.flags.writeable = False
+    _scan_basis_slot[0] = (key, xs, rows, row_max)
+    return xs, rows, row_max
 
 
 def _scan_threshold(threshold, xs):
@@ -189,6 +217,31 @@ def _scan_threshold(threshold, xs):
     return values
 
 
+def _scan_system(threshold, xs, rows, row_max, mu):
+    """The scan's basis rows with the threshold's values ``mu`` as one more row.
+
+    With it, u - mu of the path with coefficients c is the single product
+    of (c, -1) with the system, so the scan makes no subtraction pass, and
+    the product's rounding bound is the same as that of c @ rows - mu.
+    Returns the read-only system and each row's max |value|, built once
+    and kept as the threshold values are, or None for a degree-0 threshold
+    (subtracted as its scalar) and for a system of more than
+    _SCAN_SYSTEM_VALUES values, as the system copies the basis rows.
+    """
+    if np.ndim(mu) == 0 or rows.size + xs.size > _SCAN_SYSTEM_VALUES:
+        return None
+    entry = _scan_system_slot[0]
+    if entry is not None and entry[0][0] is threshold and entry[0][1] is xs:
+        return entry[1:]
+    _scan_system_slot[0] = None
+    system = np.vstack([rows, mu])
+    system_max = np.append(row_max, magnitude_bounds(mu))
+    for array in (system, system_max):
+        array.flags.writeable = False
+    _scan_system_slot[0] = ((threshold, xs), system, system_max)
+    return system, system_max
+
+
 def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> OracleCount:
     """Count components of the true sign sets of u - mu on the domain [a, b].
 
@@ -206,7 +259,7 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    xs, rows = _scan_basis(path.model, resolution)
+    xs, rows, _ = _scan_basis(path.model, resolution)
     fs = path.coeffs @ rows - _scan_threshold(threshold, xs)
     signs = np.sign(fs)
 
@@ -233,41 +286,73 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
 def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     """``oracle_beta0``'s counts for each row of ``coeffs``, where the signs decide them.
 
-    Row j is the path with coefficients ``coeffs[j]``; its scan is bit
-    for bit the one ``oracle_beta0`` makes. Rows are scanned a block at
-    a time, the block sized to about _SCAN_BLOCK_VALUES values. A scan
-    whose smallest |u - mu| is at least _DEGENERATE_TOL and whose largest
-    is finite has no exact zero and no degenerate minimum, so with b the
-    number of sign changes and p0 whether u - mu > 0 at a, the oracle's
-    counts are zero_count = b, beta0_pos = (b + 1 + p0) // 2 and
+    Row j is the path with coefficients ``coeffs[j]``, scanned on the
+    oracle's points. Up to _SCAN_BLOCK_ROWS paths are scanned at a time,
+    by one matrix product per tile of scan points
+    (``block_minus_threshold``); a non-constant threshold is folded into
+    the product as one more basis row (``_scan_system``). So a value can
+    differ in its last bits from the oracle's per-path product, by at most
+    the row's rounding slack d_j. A row is settled when its smallest |u - mu|
+    is at least _DEGENERATE_TOL + d_j: then every oracle value has the
+    block value's sign and is at least _DEGENERATE_TOL in size, so the
+    oracle scan has no exact zero and no degenerate minimum, and (the
+    slack being finite) no non-finite value. With b the number of sign
+    changes and p0 whether u - mu > 0 at a, its counts are then
+    zero_count = b, beta0_pos = (b + 1 + p0) // 2 and
     beta0_neg = (b + 2 - p0) // 2. Returns the integer arrays beta0_pos,
     beta0_neg and zero_count and the boolean array ``settled``; a row
-    that is not settled (a tiny minimum, an exact zero or a non-finite
-    value) holds no counts and needs ``oracle_beta0``.
+    that is not settled (a small minimum, an exact zero, a non-finite
+    value, or a value the slack cannot clear) holds no counts and needs
+    ``oracle_beta0``.
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    xs, rows = _scan_basis(model, resolution)
+    xs, rows, row_max = _scan_basis(model, resolution)
     mu = _scan_threshold(threshold, xs)
-    paths = len(coeffs)
+    system = _scan_system(threshold, xs, rows, row_max, mu)
+    paths, terms = coeffs.shape
+    if system is None:
+        lhs, basis, bounds, mu_max = coeffs, rows, row_max, magnitude_bounds(np.atleast_1d(mu))
+    else:
+        (basis, bounds), mu, mu_max = system, 0.0, 0.0
+        lhs = np.empty((paths, terms + 1))
+        lhs[:, :terms], lhs[:, terms] = coeffs, -1.0
     changes = np.zeros(paths, dtype=np.int64)
     first = np.zeros(paths, dtype=np.int64)
     settled = np.zeros(paths, dtype=bool)
-    block = max(1, _SCAN_BLOCK_VALUES // resolution)
-    fs = np.empty((min(block, paths), resolution))
-    above = np.empty(fs.shape, dtype=bool)
-    # a non-finite scan is left unsettled, and the oracle raises for it
+    height = max(1, min(paths, _SCAN_BLOCK_ROWS))
+    width = min(
+        resolution,
+        _SCAN_BLOCK_VALUES // height,
+        max(1, _PRODUCT_MULADDS // (len(basis) * height)),
+    )
+    tiled_mu = np.ndim(mu) == 1
+    values = np.empty(height * width)
+    above = np.empty((height, resolution), dtype=bool)  # u - mu > 0, per row of the block
+    # a non-finite value leaves its row unsettled, and the oracle raises for it
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, paths, block):
-            hi = min(lo + block, paths)
-            f = path_minus_threshold(coeffs[lo:hi], rows, mu, out=fs[: hi - lo])
+        for lo in range(0, paths, height):
+            hi = min(lo + height, paths)
+            smallest = np.full(hi - lo, np.inf)
+            slack = None
+            for x0 in range(0, resolution, width):
+                x1 = min(x0 + width, resolution)
+                f, slack = block_minus_threshold(
+                    lhs[lo:hi],
+                    basis[:, x0:x1],
+                    mu[x0:x1] if tiled_mu else mu,
+                    bounds,
+                    mu_max,
+                    out=values[: (hi - lo) * (x1 - x0)].reshape(hi - lo, x1 - x0),
+                    slack=slack,
+                )
+                np.greater(f, 0.0, out=above[: hi - lo, x0:x1])
+                np.minimum(smallest, np.abs(f, out=f).min(axis=1), out=smallest)
             p = above[: hi - lo]
-            np.greater(f, 0.0, out=p)
             # per row: count_nonzero along an axis is several times slower
             changes[lo:hi] = [np.count_nonzero(row) for row in p[:, 1:] != p[:, :-1]]
             first[lo:hi] = p[:, 0]
-            a = np.abs(f, out=f)
-            settled[lo:hi] = (a.min(axis=1) >= _DEGENERATE_TOL) & np.isfinite(a.max(axis=1))
+            settled[lo:hi] = smallest >= _DEGENERATE_TOL + slack
     return (changes + 1 + first) // 2, (changes + 2 - first) // 2, changes, settled
 
 

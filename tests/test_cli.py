@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import toposample as ts
+from toposample import planner, quadrature
 from toposample.cli import _ORTHANT_MODE_FLAGS, _OUT, COMMAND_KEYS, main
 from toposample.config import CONFIG_KEYS
 
@@ -283,6 +284,37 @@ def test_compare_emits_three_rows(capsys):
     assert code == 0
     header, rows = _csv_rows(out)
     assert [row[0] for row in rows] == ["topology", "uniform", "density"]
+
+
+def test_compare_by_p_integrates_each_density_once(capsys, monkeypatch):
+    # --p picks m from the cube-root integral that also places the grids:
+    # two integrals, as for --m, and the rows of --m with that m
+    argv = ["compare", "--family", "binomial", "--n", "5", "--threshold", "cubic_shift"]
+    argv += ["--trials", "40", "--seed", "8", "--oracle-resolution", "512"]
+    calls = []
+    simpson = quadrature.adaptive_simpson
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simpson(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "adaptive_simpson", counting)
+    monkeypatch.setattr(quadrature, "adaptive_simpson", counting)
+    code, by_p, _ = _run(capsys, *argv, "--p", "0.9")
+    assert code == 0 and len(calls) == 2
+    monkeypatch.undo()
+    m = ts.build_plan(ts.binomial_model(5), ts.threshold_cubic_shift(0.0), "topology", p=0.9).m
+    code, by_m, _ = _run(capsys, *argv, "--m", str(m))
+    assert code == 0 and by_p == by_m
+    header, rows = _csv_rows(by_p)
+    assert {row[header.index("m")] for row in rows} == {str(m)}
+
+
+def test_compare_strategies_takes_exactly_one_of_m_and_p(binom5):
+    threshold = ts.threshold_zero()
+    for m, p in ((None, None), (4, 0.9)):
+        with pytest.raises(ValueError, match="exactly one of m and p"):
+            ts.compare_strategies(binom5, threshold, m, trials=2, seed=1, p=p)
 
 
 SCALING = ("scaling", "--family", "chebyshev", "--n-list", "3")

@@ -1,10 +1,18 @@
 """Basis jets, correlation jets, sample paths, thresholds."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import toposample as ts
 from toposample.errors import FactorizationError
-from toposample.fields import SamplePath, basis_values, path_minus_threshold, sample_coefficients
+from toposample.fields import (
+    SamplePath,
+    basis_values,
+    block_minus_threshold,
+    magnitude_bounds,
+    sample_coefficients,
+)
 
 
 def _fd_check(model, xs, h, tol1, tol2):
@@ -216,19 +224,102 @@ def test_sample_coefficients_rejects_values_outside_64_bits(cheb5, bad):
         sample_coefficients(cheb5, bad, [0])
 
 
-def test_path_minus_threshold_is_path_value_minus_threshold(binom5):
-    # one product per row: the bits of path.value, never those of one GEMM
+def test_sample_coefficients_names_the_first_bad_stream(cheb5, monkeypatch):
+    # the range is checked before any draw, and the message names the
+    # first stream outside [0, 2^64) in the order given
+    built = []
+    monkeypatch.setattr(np.random, "Generator", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=r"stream must lie in \[0, 2\^64\), got 18446744073709551616$"):
+        sample_coefficients(cheb5, 1, [3, 2**64, -1])
+    with pytest.raises(ValueError, match=r"stream must lie in \[0, 2\^64\), got -1$"):
+        sample_coefficients(cheb5, 1, range(-1, 5))
+    with pytest.raises(ValueError, match="seed must lie in"):
+        sample_coefficients(cheb5, -1, [2**64])
+    assert built == []
+
+
+def _exact(c, rows, mu):
+    # c @ rows - mu in rational arithmetic, one value per column
+    return [
+        sum(Fraction(ck) * Fraction(rk) for ck, rk in zip(c, column)) - Fraction(m)
+        for column, m in zip(rows.T, mu)
+    ]
+
+
+def test_block_minus_threshold_lies_within_its_slack(binom5):
+    # one matrix product for the block, and each row within half its slack
+    # of the exact value, as is path.value - threshold.value
     xs = np.linspace(-3.0, 3.0, 1001)
     rows = basis_values(binom5, xs)
     coeffs = sample_coefficients(binom5, 5, range(40))
     for threshold in (ts.threshold_cubic_shift(0.5), ts.threshold_constant(0.3)):
         mu = threshold.value(xs)
-        got = path_minus_threshold(coeffs, rows, mu)
+        bounds = magnitude_bounds(rows), magnitude_bounds(mu)
+        got, slack = block_minus_threshold(coeffs, rows, mu, *bounds)
         out = np.empty_like(got)
-        assert path_minus_threshold(coeffs, rows, mu, out=out) is out
-        for c, row, again in zip(coeffs, got, out):
-            want = SamplePath(binom5, c).value(xs) - threshold.value(xs)
-            assert row.tobytes() == want.tobytes() == again.tobytes()
+        again, _ = block_minus_threshold(coeffs, rows, mu, *bounds, out=out)
+        assert again is out and out.tobytes() == got.tobytes()
+        assert np.all(slack > 0.0) and np.all(slack < 1e-10)
+        for j, c in enumerate(coeffs):
+            per_path = SamplePath(binom5, c).value(xs) - threshold.value(xs)
+            assert np.all(np.abs(got[j] - per_path) <= slack[j])
+            # away from a value's own size the block and per-path signs agree
+            clear = np.abs(got[j]) > slack[j]
+            assert np.array_equal(np.sign(got[j][clear]), np.sign(per_path[clear]))
+        for j in (0, 17, 39):
+            exact = _exact(coeffs[j], rows[:, ::50], mu[::50])
+            half = Fraction(slack[j]) / 2
+            for value, want in zip(got[j, ::50], exact):
+                assert abs(Fraction(value) - want) <= half
+
+
+def test_block_minus_threshold_splits_large_products(monkeypatch):
+    # no product takes more than 2^18 multiply-adds, and the split rows
+    # hold the same values as one product per row block
+    model = ts.chebyshev_model(64)
+    xs = np.linspace(-1.0, 1.0, 1000)
+    rows, mu = basis_values(model, xs), np.zeros(xs.size)
+    coeffs = sample_coefficients(model, 2, range(10))
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, out=None):
+        shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    got, slack = block_minus_threshold(coeffs, rows, mu, magnitude_bounds(rows), 0.0)
+    monkeypatch.undo()
+    assert [s[0] for s in shapes] == [4, 4, 2]
+    assert all(m * k * n <= 1 << 18 for m, k, n in shapes)
+    for j, c in enumerate(coeffs):
+        assert np.all(np.abs(got[j] - SamplePath(model, c).value(xs)) <= slack[j])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_block_minus_threshold_never_clears_a_non_finite_row(binom5):
+    # a NaN slack fails every comparison, so such a row is never certified
+    xs = np.linspace(-3.0, 3.0, 101)
+    rows = basis_values(binom5, xs)
+    coeffs = sample_coefficients(binom5, 5, range(5))
+    coeffs[1, 2] = np.nan
+    coeffs[2, 5] = np.inf
+    coeffs[3, 5] = 1e308  # 3^5 times 1e308 overflows
+    coeffs[4, 5] = 4e305  # finite, but its scale lies within a factor 2 of overflow
+    _, slack = block_minus_threshold(coeffs, rows, 0.0, magnitude_bounds(rows), 0.0)
+    assert np.isfinite(slack[0])
+    assert np.isnan(slack[1:]).all()
+    nan_mu = np.full(xs.size, np.nan)
+    bounds = magnitude_bounds(rows), magnitude_bounds(nan_mu)
+    _, slack = block_minus_threshold(coeffs[:1], rows, nan_mu, *bounds)
+    assert np.isnan(slack).all()
+
+
+def test_magnitude_bounds_are_the_largest_absolute_values():
+    values = np.array([[1.0, -3.0, 2.0], [0.0, 0.5, -0.25], [np.nan, 1.0, 2.0]])
+    got = magnitude_bounds(values)
+    assert got[:2].tolist() == [3.0, 0.5] and np.isnan(got[2])
+    assert magnitude_bounds(np.array([-2.0])) == 2.0
 
 
 def test_first_order_jet_is_the_full_jet_prefix(cheb5, cosine5, binom5, mode5):

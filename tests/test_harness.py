@@ -132,18 +132,20 @@ def test_compare_strategies_rows(binom5, thr):
 
 
 def test_compare_strategies_scans_each_path_once(thr, monkeypatch):
-    # each path is scanned once, in a block, and oracle_beta0 runs only on
-    # the paths whose scan signs cannot settle the counts; at amplitude
-    # 1e-6 a scan value near a root often falls below the 1e-9 tolerance
+    # each path is scanned once, its points covered by the tiles of one
+    # block, and oracle_beta0 runs only on the paths the block cannot
+    # settle; at amplitude 1e-6 a scan value near a root often falls
+    # below the 1e-9 tolerance
     model = ts.periodic_model([0.0, 1e-6, 1e-6])
     trials, seed, resolution = 40, 8, 512
-    scanned, flagged, oracle_paths = [], [], []
-    block_values = topology.path_minus_threshold
+    scanned, flagged, oracle_paths = {}, [], []
+    block_values = topology.block_minus_threshold
     counts, oracle = harness.scan_counts, harness.oracle_beta0
 
-    def recording_values(coeffs, *args, **kwargs):
-        scanned.extend(c.tobytes() for c in coeffs)
-        return block_values(coeffs, *args, **kwargs)
+    def recording_values(coeffs, rows, *args, **kwargs):
+        for c in coeffs:
+            scanned[c.tobytes()] = scanned.get(c.tobytes(), 0) + rows.shape[1]
+        return block_values(coeffs, rows, *args, **kwargs)
 
     def recording_counts(*args):
         out = counts(*args)
@@ -154,12 +156,13 @@ def test_compare_strategies_scans_each_path_once(thr, monkeypatch):
         oracle_paths.append(path.coeffs.tobytes())
         return oracle(path, *args)
 
-    monkeypatch.setattr(topology, "path_minus_threshold", recording_values)
+    monkeypatch.setattr(topology, "block_minus_threshold", recording_values)
     monkeypatch.setattr(harness, "scan_counts", recording_counts)
     monkeypatch.setattr(harness, "oracle_beta0", recording_oracle)
     ts.compare_strategies(model, thr, m=5, trials=trials, seed=seed, oracle_resolution=resolution)
     drawn = [ts.sample_path(model, seed, stream=t).coeffs.tobytes() for t in range(trials)]
-    assert scanned == drawn
+    assert list(scanned) == drawn
+    assert set(scanned.values()) == {resolution}
     assert 0 < sum(flagged) < trials
     assert oracle_paths == [c for c, f in zip(drawn, flagged) if f]
 

@@ -1,5 +1,6 @@
 """Component counting on grids and against the dense oracle."""
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import toposample as ts
 from toposample import topology
-from toposample.fields import SamplePath, basis_values
+from toposample.fields import SamplePath, basis_values, magnitude_bounds
 from toposample.topology import (
     admissibility_failure_bound,
     admissible_to_depth,
@@ -220,7 +221,8 @@ def _uncached_oracle(monkeypatch, path, threshold, resolution):
     # for this call, the threshold always as an array
     def fresh(model, resolution):
         xs = np.linspace(model.a, model.b, resolution)
-        return xs, basis_values(model, xs)
+        rows = basis_values(model, xs)
+        return xs, rows, magnitude_bounds(rows)
 
     with monkeypatch.context() as m:
         m.setattr(topology, "_scan_basis", fresh)
@@ -254,7 +256,7 @@ def test_oracle_equals_uncached_reference_scan(family, cheb5, binom5, cosine5, m
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
         # the cached product is the scan of path.value and polyval, bit for bit
-        _, xs, rows = topology._scan_basis_slot[0]
+        _, xs, rows, _ = topology._scan_basis_slot[0]
         scan = path.coeffs @ rows - topology._scan_threshold(threshold, xs)
         ref = path.value(ref_xs) - np.polynomial.polynomial.polyval(ref_xs, threshold.coeffs)
         assert scan.tobytes() == ref.tobytes()
@@ -271,7 +273,8 @@ def test_scan_basis_is_never_stale(cheb5, monkeypatch):
         path = ts.sample_path(model, seed=99, stream=stream)
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
-        assert topology._scan_basis_slot[0][0] == (model, resolution)
+        _, xs, rows, _ = topology._scan_basis_slot[0]
+        assert rows.tobytes() == basis_values(model, np.linspace(*model.domain, resolution)).tobytes()
 
 
 def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
@@ -287,20 +290,92 @@ def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypat
     # one build per change of key, each into an emptied slot
     assert builds == [None, None, None]
     assert len(topology._scan_basis_slot) == 1
-    key, xs, rows = topology._scan_basis_slot[0]
-    assert key == (cheb5, 640)
+    key, xs, rows, row_max = topology._scan_basis_slot[0]
+    assert key == topology._scan_basis_key(cheb5, 640)
     assert rows.shape == (cheb5.n_terms, 640)
-    for array in (xs, rows):
+    assert row_max.tobytes() == np.abs(rows).max(axis=1).tobytes()
+    for array in (xs, rows, row_max):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def _custom_table():
+    return ((np.ones_like, np.zeros_like, np.zeros_like), (np.sin, np.cos, np.sin))
+
+
+@pytest.mark.parametrize(
+    "same, build",
+    [
+        (True, lambda: ts.chebyshev_model(5)),
+        (True, lambda: pickle.loads(pickle.dumps(ts.chebyshev_model(5)))),
+        (False, lambda: ts.chebyshev_model(6)),
+        (False, lambda: ts.unit_model(5)),  # six terms too, another family
+        (True, lambda: ts.periodic_model([0.0, 2.0, 0.5])),
+        (False, lambda: ts.periodic_model([0.0, 1.0, 1.0], period=2.0)),
+        (True, lambda: ts.custom_model(_custom_table(), (0.0, 1.0), variances=[3.0, 0.5])),
+        (False, lambda: ts.custom_model(_custom_table(), (0.0, 2.0))),
+        (False, lambda: ts.custom_model(_custom_table(), (-0.0, 1.0))),
+    ],
+)
+def test_equal_bases_share_one_scan_basis(same, build, monkeypatch):
+    # the slot is keyed on what fixes the basis values, not on the model
+    # object or its variances, so a kept worker that unpickles a new model
+    # for every task builds the basis once; another basis is always rebuilt
+    first = {
+        "chebyshev": ts.chebyshev_model(5),
+        "unit": ts.chebyshev_model(5),
+        "periodic": ts.periodic_model([0.0, 1.0, 1.0]),
+        "custom": ts.custom_model(_custom_table(), (0.0, 1.0)),
+    }[build().family]
+    builds = []
+    monkeypatch.setattr(topology, "_scan_basis_slot", [None])
+    monkeypatch.setattr(
+        topology, "basis_values", lambda model, xs: builds.append(1) or basis_values(model, xs)
+    )
+    threshold = ts.threshold_zero()
+    oracle_beta0(ts.sample_path(first, seed=3, stream=0), threshold, 513)
+    entry = topology._scan_basis_slot[0]
+    other = build()
+    assert other is not first
+    path = ts.sample_path(other, seed=3, stream=1)
+    want = _uncached_oracle(monkeypatch, path, threshold, 513)
+    assert _same_count(oracle_beta0(path, threshold, 513), want)
+    assert len(builds) == (1 if same else 2)
+    assert (topology._scan_basis_slot[0] is entry) == same
+    _, xs, _, _ = topology._scan_basis_slot[0]
+    assert xs.tobytes() == np.linspace(*other.domain, 513).tobytes()
+
+
+def test_scan_system_folds_a_non_constant_threshold_once(binom5, monkeypatch):
+    # the basis rows plus the threshold's values, built once per threshold
+    # and scan grid and kept read-only; a degree-0 threshold and a system
+    # over the size limit are subtracted instead
+    cubic = ts.threshold_cubic_shift(0.5)
+    coeffs = ts.fields.sample_coefficients(binom5, 4, range(3))
+    topology.scan_counts(binom5, cubic, coeffs, 640)
+    entry = topology._scan_system_slot[0]
+    (held, xs), system, system_max = entry
+    _, basis_xs, rows, row_max = topology._scan_basis_slot[0]
+    assert held is cubic and xs is basis_xs
+    assert system.tobytes() == np.vstack([rows, cubic.value(xs)]).tobytes()
+    assert system_max.tobytes() == np.abs(system).max(axis=1).tobytes()
+    for array in (system, system_max):
+        assert not array.flags.writeable
+    topology.scan_counts(binom5, cubic, coeffs, 640)
+    assert topology._scan_system_slot[0] is entry
+    mu = topology._scan_threshold(ts.threshold_constant(0.3), xs)
+    assert topology._scan_system(ts.threshold_constant(0.3), xs, rows, row_max, mu) is None
+    monkeypatch.setattr(topology, "_SCAN_SYSTEM_VALUES", rows.size + xs.size - 1)
+    assert topology._scan_system(cubic, xs, rows, row_max, cubic.value(xs)) is None
 
 
 def test_scan_basis_is_not_built_at_import():
     code = (
         "from toposample import topology; "
         "assert topology._scan_basis_slot == [None]; "
-        "assert topology._scan_threshold_slot == [None]"
+        "assert topology._scan_threshold_slot == [None]; "
+        "assert topology._scan_system_slot == [None]"
     )
     # the child imports the same package as this process, installed or not
     env = {**os.environ, "PYTHONPATH": str(Path(ts.__file__).resolve().parent.parent)}
@@ -420,7 +495,8 @@ def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5):
 
 def test_chunk_grading_is_path_value_minus_threshold(binom5, monkeypatch):
     # every grid of a compare run is graded once per chunk, on a block
-    # whose rows are path.value - threshold.value, bit for bit
+    # whose signs (> 0, < 0 and == 0) are those of path.value -
+    # threshold.value
     threshold, seed, trials = ts.threshold_cubic_shift(0.5), 13, 600
     graded, grids = [], []
     chunk = ts.harness._trial_chunk
@@ -444,4 +520,4 @@ def test_chunk_grading_is_path_value_minus_threshold(binom5, monkeypatch):
         for j, values in enumerate(block):
             path = ts.sample_path(binom5, seed, stream=start + j)
             want = path.value(grid) - threshold.value(grid)
-            assert values.tobytes() == want.tobytes()
+            assert np.array_equal(np.sign(values), np.sign(want))

@@ -182,10 +182,13 @@ def periodic_model(amplitudes, period: float = 1.0) -> FieldModel:
     if not np.any(amps != 0.0):
         raise ValueError("at least one amplitude must be nonzero")
     n_terms = 2 * amps.size - 1
+    # an amplitude past 1e154 squares to inf, which FieldModel rejects
+    with np.errstate(over="ignore"):
+        squares = amps ** 2
     variances = np.empty(n_terms)
-    variances[0] = amps[0] ** 2
-    variances[1::2] = amps[1:] ** 2
-    variances[2::2] = amps[1:] ** 2
+    variances[0] = squares[0]
+    variances[1::2] = squares[1:]
+    variances[2::2] = squares[1:]
     return FieldModel(
         "periodic",
         n_terms,
@@ -238,16 +241,18 @@ def custom_model(basis_table, domain, variances=None, covariance=None) -> FieldM
     )
 
 
-# Each family has a value function (model, x) -> b0, a first-derivative
-# function (model, x, b0) -> b1 and a second-derivative function
-# (model, x, b0, b1) -> b2, so callers that need fewer derivatives skip
-# the rest of the work.
+# Each family has a value function (model, x, b0) that fills the
+# (n_terms, len(x)) array b0 its caller passes in and returns it, a
+# first-derivative function (model, x, b0) -> b1 and a second-derivative
+# function (model, x, b0, b1) -> b2, so callers that need fewer
+# derivatives skip the rest of the work, and the values can be written
+# straight into a larger table.
 
 
-def _monomial_values(model, x):
+def _monomial_values(model, x, b0):
     k = np.arange(model.n_terms, dtype=float)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return x[None, :] ** k
+        return np.power(x[None, :], k, out=b0)
 
 
 def _monomial_d1(model, x, b0):
@@ -266,8 +271,7 @@ def _monomial_d2(model, x, b0, b1):
     return b2
 
 
-def _chebyshev_values(model, x):
-    b0 = np.empty((model.n_terms, x.size))
+def _chebyshev_values(model, x, b0):
     b0[0] = 1.0
     if model.n_terms > 1:
         b0[1] = x
@@ -306,10 +310,10 @@ def _reduce_half_turns(t):
     return 1.0 - 2.0 * parity, np.pi * (t - n)
 
 
-def _cosine_values(model, x):
+def _cosine_values(model, x, b0):
     k = np.arange(model.n_terms, dtype=float)[:, None]
     sign, angle = _reduce_half_turns(k * x[None, :])
-    return sign * np.cos(angle)
+    return np.multiply(sign, np.cos(angle), out=b0)
 
 
 def _cosine_d1(model, x, b0):
@@ -323,9 +327,8 @@ def _cosine_d2(model, x, b0, b1):
     return -((k * np.pi) ** 2) * b0
 
 
-def _periodic_values(model, x):
+def _periodic_values(model, x, b0):
     # rows: 1, then the cosine and sine waves of each frequency k >= 1
-    b0 = np.empty((model.n_terms, x.size))
     b0[0] = 1.0
     tx = x / model.period
     for k in range(1, (model.n_terms + 1) // 2):
@@ -355,8 +358,7 @@ def _periodic_d2(model, x, b0, b1):
     return b2
 
 
-def _custom_values(model, x):
-    b0 = np.empty((model.n_terms, x.size))
+def _custom_values(model, x, b0):
     for k, (f, _, _) in enumerate(model.basis_table):
         b0[k] = f(x)
     return b0
@@ -398,7 +400,7 @@ def basis_values(model: FieldModel, x) -> np.ndarray:
     The first array of :func:`basis_jets`, without the derivative work.
     """
     x = _domain_points(model, x)
-    return _BASIS_ROWS[model.family][0](model, x)
+    return _BASIS_ROWS[model.family][0](model, x, np.empty((model.n_terms, x.size)))
 
 
 def basis_jets(model: FieldModel, x, order: int = 2) -> tuple[np.ndarray, ...]:
@@ -409,9 +411,26 @@ def basis_jets(model: FieldModel, x, order: int = 2) -> tuple[np.ndarray, ...]:
     """
     x = _domain_points(model, x)
     values, first, second = _BASIS_ROWS[model.family]
-    b0 = values(model, x)
+    b0 = values(model, x, np.empty((model.n_terms, x.size)))
     b1 = first(model, x, b0)
     return (b0, b1) if order == 1 else (b0, b1, second(model, x, b0, b1))
+
+
+def threshold_system(model: FieldModel, threshold: ThresholdFn, x) -> np.ndarray:
+    """Basis values with the threshold's values as one more row, shape (n_terms + 1, len(x)).
+
+    The family's value function writes the basis rows in place, so
+    ``system[:-1]`` holds the bits of ``basis_values(model, x)`` and no
+    basis is copied; ``system[-1]`` is ``threshold.value(x)``. So u - mu
+    of the path with coefficients c is the product of (c, -1) with the
+    system, and ``c @ system[:-1] - system[-1]`` is bit for bit
+    ``path.value(x) - threshold.value(x)``.
+    """
+    x = _domain_points(model, x)
+    system = np.empty((model.n_terms + 1, x.size))
+    _BASIS_ROWS[model.family][0](model, x, system[:-1])
+    system[-1] = threshold.value(x)
+    return system
 
 
 def _pair_contract(model, left, right):
@@ -535,25 +554,30 @@ _SCALE_LIMIT = np.finfo(float).max / 2.0
 _PRODUCT_MULADDS = 1 << 18
 
 
-def block_minus_threshold(coeffs, rows, mu, row_max, mu_max, out=None, slack=None):
-    """``coeffs @ rows - mu`` by one matrix product, and a rounding slack per row.
+def fold_coefficients(coeffs):
+    """The rows (c, -1), whose product with a ``threshold_system`` is u - mu."""
+    return np.hstack([coeffs, np.full((len(coeffs), 1), -1.0)])
 
-    ``rows`` holds K basis rows on some points, ``mu`` the threshold's
-    values there (or one scalar; a scalar 0 subtracts nothing), ``row_max``
-    the largest |value| of each basis row over the points the slack is
-    to cover and ``mu_max`` the largest |mu| there. Returns the values,
-    one row per coefficient row c (written into ``out`` when given; rows
-    are taken in blocks of at most _PRODUCT_MULADDS multiply-adds), and
-    ``slack``:
 
-        slack_j = 2 gamma (sum_k |c_jk| row_max_k + mu_max),
-        gamma = n u / (1 - n u),  u = 2^-53,  n = K + 2.
+def block_minus_threshold(lhs, system, bounds, out=None, slack=None):
+    """u - mu of a block of paths by one matrix product, and a rounding slack per row.
 
-    Every float evaluation of c . phi(x) - mu(x) from the same ``mu``, in
-    any summation order and with or without fused multiply-adds, lies
-    within gamma_{K+1} (sum_k |c_k| |phi_k(x)| + |mu(x)|) of the exact
-    value (Higham, Accuracy and Stability of Numerical Algorithms, sec.
-    3.1). So ``values[j]`` differs from the per-path
+    ``system`` holds the K + 1 rows of a ``threshold_system`` on some
+    points (or a range of its columns), ``lhs`` one row (c, -1) per path
+    (``fold_coefficients``) and ``bounds`` the largest |value| of each
+    system row over the points the slack is to cover. Returns ``lhs @ system`` (written into ``out``
+    when given; rows are taken in blocks of at most _PRODUCT_MULADDS
+    multiply-adds) and ``slack``:
+
+        slack_j = 2 gamma sum_k |lhs_jk| bounds_k,
+        gamma = n u / (1 - n u),  u = 2^-53,  n = K + 2 = len(system) + 1.
+
+    Every float evaluation of c . phi(x) - mu(x), the block's sum of
+    K + 1 products as well as the per-path product minus mu, in any
+    summation order and with or without fused multiply-adds, lies within
+    gamma_{K+1} (sum_k |c_k| |phi_k(x)| + |mu(x)|) of the exact value
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
+    So ``values[j]`` differs from the per-path
     ``path.value(x) - threshold.value(x)`` by at most ``slack[j]`` at every
     point: where |values[j, x]| exceeds ``slack[j]`` the two have the same
     sign, neither is zero, and the per-path |value| is at least
@@ -563,20 +587,18 @@ def block_minus_threshold(coeffs, rows, mu, row_max, mu_max, out=None, slack=Non
     slack every value is finite. A row whose scale is not finite, or
     within a factor 2 of overflow, gets a NaN slack, so every comparison
     with it fails and the row is never certified. A ``slack`` passed in,
-    from a call on the same coefficient rows and bounds (another tile of
-    the same points), is returned as it is.
+    from a call on the same rows and bounds (another tile of the same
+    points), is returned as it is.
     """
-    terms, points = rows.shape
-    values = np.empty((len(coeffs), points)) if out is None else out
-    step = max(1, _PRODUCT_MULADDS // max(1, terms * points))
-    for lo in range(0, len(coeffs), step):
-        np.matmul(coeffs[lo : lo + step], rows, out=values[lo : lo + step])
-    if isinstance(mu, np.ndarray) or mu != 0.0:
-        values -= mu
+    rows, points = system.shape
+    values = np.empty((len(lhs), points)) if out is None else out
+    step = max(1, _PRODUCT_MULADDS // max(1, rows * points))
+    for lo in range(0, len(lhs), step):
+        np.matmul(lhs[lo : lo + step], system, out=values[lo : lo + step])
     if slack is None:
-        n = terms + 2
+        n = rows + 1
         gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-        scale = np.abs(coeffs) @ row_max + mu_max
+        scale = np.abs(lhs) @ bounds
         slack = 2.0 * (gamma * scale + (n - 1) * _SMALLEST_SUBNORMAL)
         slack[~(scale < _SCALE_LIMIT)] = np.nan
     return values, slack

@@ -35,10 +35,11 @@ from .fields import (
     FieldModel,
     SamplePath,
     ThresholdFn,
-    basis_values,
     block_minus_threshold,
+    fold_coefficients,
     magnitude_bounds,
     sample_coefficients,
+    threshold_system,
     threshold_zero,
 )
 from .fields import sample_path  # noqa: F401  (perfbench/tracing.py wraps harness.sample_path)
@@ -88,21 +89,23 @@ def _chunk_counts(model, threshold, coeffs, resolution):
     return pos, neg, zero_count, degenerate
 
 
-def _grid_values(coeffs, rows, mu):
+def _grid_values(coeffs, system):
     """u - mu on one grid for every coefficient row, each with the per-path signs.
 
-    One matrix product gives the block; a row with a value its rounding
-    slack cannot clear (within the slack of zero, or not finite) is
-    recomputed as that path's own product, bit for bit
+    ``system`` is the grid's ``threshold_system``. One matrix product of
+    the rows (c, -1) with it gives the block; a row with a value its
+    rounding slack cannot clear (within the slack of zero, or not finite)
+    is recomputed as that path's own product
+    ``c @ system[:-1] - system[-1]``, bit for bit
     ``path.value(grid) - threshold.value(grid)``. So every value's sign,
     zero included, is the per-path one, which is all ``cubical_beta0``
     reads.
     """
     values, slack = block_minus_threshold(
-        coeffs, rows, mu, magnitude_bounds(rows), magnitude_bounds(mu)
+        fold_coefficients(coeffs), system, magnitude_bounds(system)
     )
     for j in np.flatnonzero(~(np.abs(values) > slack[:, None]).all(axis=1)):
-        values[j] = coeffs[j] @ rows - mu
+        values[j] = coeffs[j] @ system[:-1] - system[-1]
     return values
 
 
@@ -110,9 +113,9 @@ def _trial_chunk(args):
     """Trials [start, stop): one reference count per path, every grid graded on it.
 
     The chunk's coefficients are drawn as one block and counted by
-    ``_chunk_counts``. Each grid's basis rows and threshold values are
-    built once per chunk, its values for every path come from one matrix
-    product (``_grid_values``), and they are graded in one
+    ``_chunk_counts``. Each grid's threshold system is built once per
+    chunk, its values for every path come from one matrix product
+    (``_grid_values``), and they are graded in one
     ``cubical_beta0`` call. Only counts are read, so no root is polished.
     """
     (model, threshold, grids, resolution, seed, start, stop) = args
@@ -122,7 +125,7 @@ def _trial_chunk(args):
     counts = [int(c) for c in zero_count[valid]]
     matches = []
     for grid in grids:
-        values = _grid_values(coeffs, basis_values(model, grid), threshold.value(grid))
+        values = _grid_values(coeffs, threshold_system(model, threshold, grid))
         grid_pos, grid_neg = cubical_beta0(values)
         mp = valid & (grid_pos == pos)
         mn = valid & (grid_neg == neg)

@@ -20,9 +20,10 @@ from .fields import (
     _PRODUCT_MULADDS,
     SamplePath,
     ThresholdFn,
-    basis_values,
     block_minus_threshold,
+    fold_coefficients,
     magnitude_bounds,
+    threshold_system,
 )
 from .planner import SamplingPlan, expected_zero_count
 
@@ -37,24 +38,12 @@ _DEFAULT_ADMISSIBILITY_DEPTH = 12
 # _SCAN_BLOCK_VALUES values and one matrix product (fields._PRODUCT_MULADDS)
 _SCAN_BLOCK_ROWS = 16
 _SCAN_BLOCK_VALUES = 1 << 16
-# the largest scan system (basis rows plus one threshold row) that
-# scan_counts builds, 16 MB: Chebyshev n=28 at its default scan fits,
-# and n=64's 79 MB basis is never copied
-_SCAN_SYSTEM_VALUES = 1 << 21
 
-# the scan grid, basis rows and per-row max |value| of the last scan, as
-# one (key, xs, rows, row_max) entry; the key holds everything that fixes
-# the basis values (see _scan_basis_key), so equal models share an entry
-# and no model can match a stale one
-_scan_basis_slot = [None]
-# the threshold's values on the scan grid of the last oracle call, as one
-# ((threshold, xs), values) entry; the key holds the threshold and the
-# scan-grid array themselves, so it never matches a stale entry
-_scan_threshold_slot = [None]
-# the scan system of the last scan_counts call with a non-constant
-# threshold, as one ((threshold, xs), system, row_max) entry, keyed as
-# the threshold slot
-_scan_system_slot = [None]
+# the scan grid, threshold system and per-row max |value| of the last
+# scan, as one (key, xs, system, bounds) entry; the key holds everything
+# that fixes the system's values (see _scan_system), so equal models and
+# thresholds share an entry and none can match a stale one
+_scan_slot = [None]
 
 
 def cubical_beta0(values):
@@ -166,89 +155,45 @@ def _polish_roots(diff, lo, hi, flo, fhi):
         lo[todo], hi[todo], flo[todo], fhi[todo] = new_l, new_h, fl, fh
 
 
-def _scan_basis_key(model, resolution):
-    # the basis values depend on the family, the number of terms, the
-    # domain (by its bits, so -0.0 and 0.0 differ), the period and a custom
-    # basis table, never on the coefficient variances
-    domain = tuple(v.hex() for v in model.domain)
-    return (model.family, model.n_terms, domain, model.period, model.basis_table, resolution)
+def _scan_system(model, threshold, resolution):
+    """Scan points over the model's domain, their threshold system and its row bounds.
 
-
-def _scan_basis(model, resolution):
-    """Scan points over the model's domain, basis rows on them, and each row's max |value|.
-
-    Paths of models with the same basis share the scan, so the rows are
-    built once per basis and resolution, also across models built or
-    unpickled separately. The slot is emptied before a new build, so two
-    row matrices are never alive at once (about 79 MB each at Chebyshev
-    n=64). All three arrays are read-only.
+    The system (``threshold_system``) holds the basis rows with the
+    threshold's values as one more row, and the bounds each row's largest
+    |value|. Paths with the same basis and threshold share the scan, so
+    it is built once per basis, threshold and resolution, also across
+    models and thresholds built or unpickled separately. The slot is
+    emptied before a new build, so two systems are never alive at once
+    (about 80 MB each at Chebyshev n=64). All three arrays are read-only.
     """
-    key = _scan_basis_key(model, resolution)
-    entry = _scan_basis_slot[0]
+    # the system's values depend on the family, the number of terms, the
+    # domain and the threshold (by their bits, so -0.0 and 0.0 differ),
+    # the period and a custom basis table, never on the coefficient
+    # variances
+    domain = tuple(v.hex() for v in model.domain)
+    basis = (model.family, model.n_terms, domain, model.period, model.basis_table)
+    key = (basis, threshold.coeffs.tobytes(), resolution)
+    entry = _scan_slot[0]
     if entry is not None and entry[0] == key:
         return entry[1:]
-    _scan_basis_slot[0] = None
+    _scan_slot[0] = None
     xs = np.linspace(model.a, model.b, resolution)
-    rows = basis_values(model, xs)
-    row_max = magnitude_bounds(rows)
-    for array in (xs, rows, row_max):
+    system = threshold_system(model, threshold, xs)
+    bounds = magnitude_bounds(system)
+    for array in (xs, system, bounds):
         array.flags.writeable = False
-    _scan_basis_slot[0] = (key, xs, rows, row_max)
-    return xs, rows, row_max
-
-
-def _scan_threshold(threshold, xs):
-    """The threshold's values on the scan points ``xs``, built once.
-
-    A degree-0 threshold is returned as its scalar, which subtracts to
-    the same bits as its value array; any other threshold's values are
-    kept, read-only, for as long as both the threshold and ``xs`` (both
-    matched by identity) stay those of the last call.
-    """
-    if threshold.coeffs.size == 1:
-        return threshold.coeffs[0]
-    entry = _scan_threshold_slot[0]
-    if entry is not None and entry[0][0] is threshold and entry[0][1] is xs:
-        return entry[1]
-    _scan_threshold_slot[0] = None
-    values = threshold.value(xs)
-    values.flags.writeable = False
-    _scan_threshold_slot[0] = ((threshold, xs), values)
-    return values
-
-
-def _scan_system(threshold, xs, rows, row_max, mu):
-    """The scan's basis rows with the threshold's values ``mu`` as one more row.
-
-    With it, u - mu of the path with coefficients c is the single product
-    of (c, -1) with the system, so the scan makes no subtraction pass, and
-    the product's rounding bound is the same as that of c @ rows - mu.
-    Returns the read-only system and each row's max |value|, built once
-    and kept as the threshold values are, or None for a degree-0 threshold
-    (subtracted as its scalar) and for a system of more than
-    _SCAN_SYSTEM_VALUES values, as the system copies the basis rows.
-    """
-    if np.ndim(mu) == 0 or rows.size + xs.size > _SCAN_SYSTEM_VALUES:
-        return None
-    entry = _scan_system_slot[0]
-    if entry is not None and entry[0][0] is threshold and entry[0][1] is xs:
-        return entry[1:]
-    _scan_system_slot[0] = None
-    system = np.vstack([rows, mu])
-    system_max = np.append(row_max, magnitude_bounds(mu))
-    for array in (system, system_max):
-        array.flags.writeable = False
-    _scan_system_slot[0] = ((threshold, xs), system, system_max)
-    return system, system_max
+    _scan_slot[0] = (key, xs, system, bounds)
+    return xs, system, bounds
 
 
 def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> OracleCount:
     """Count components of the true sign sets of u - mu on the domain [a, b].
 
     The difference is scanned at ``resolution`` equispaced points, as the
-    path's coefficients times basis rows that every path of the model
-    shares (bit for bit ``path.value``), minus the threshold's values on
-    the same points, which are also kept between calls. The zeros are
+    path's coefficients times the basis rows of the scan system, minus its
+    threshold row (``_scan_system``, kept between calls and shared by
+    every path of the same basis and threshold), which is bit for bit
+    ``path.value - threshold.value`` on those points. The zeros are
     counted from the scan signs; each sign change between neighbouring
     scan points is polished to within 1e-12 by a bracket-safeguarded
     Illinois step when ``zeros`` is first read. The components are
@@ -259,8 +204,8 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    xs, rows, _ = _scan_basis(path.model, resolution)
-    fs = path.coeffs @ rows - _scan_threshold(threshold, xs)
+    xs, system, _ = _scan_system(path.model, threshold, resolution)
+    fs = path.coeffs @ system[:-1] - system[-1]
     signs = np.sign(fs)
 
     interior = np.abs(fs[1:-1])
@@ -288,11 +233,11 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
 
     Row j is the path with coefficients ``coeffs[j]``, scanned on the
     oracle's points. Up to _SCAN_BLOCK_ROWS paths are scanned at a time,
-    by one matrix product per tile of scan points
-    (``block_minus_threshold``); a non-constant threshold is folded into
-    the product as one more basis row (``_scan_system``). So a value can
-    differ in its last bits from the oracle's per-path product, by at most
-    the row's rounding slack d_j. A row is settled when its smallest |u - mu|
+    by one matrix product of their rows (c, -1) with a tile of the scan
+    system's columns (``block_minus_threshold``), so every threshold rides
+    in the product as the system's last row. A value can differ in its
+    last bits from the oracle's per-path product, by at most the row's
+    rounding slack d_j. A row is settled when its smallest |u - mu|
     is at least _DEGENERATE_TOL + d_j: then every oracle value has the
     block value's sign and is at least _DEGENERATE_TOL in size, so the
     oracle scan has no exact zero and no degenerate minimum, and (the
@@ -307,16 +252,9 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    xs, rows, row_max = _scan_basis(model, resolution)
-    mu = _scan_threshold(threshold, xs)
-    system = _scan_system(threshold, xs, rows, row_max, mu)
-    paths, terms = coeffs.shape
-    if system is None:
-        lhs, basis, bounds, mu_max = coeffs, rows, row_max, magnitude_bounds(np.atleast_1d(mu))
-    else:
-        (basis, bounds), mu, mu_max = system, 0.0, 0.0
-        lhs = np.empty((paths, terms + 1))
-        lhs[:, :terms], lhs[:, terms] = coeffs, -1.0
+    _, system, bounds = _scan_system(model, threshold, resolution)
+    paths = len(coeffs)
+    lhs = fold_coefficients(coeffs)
     changes = np.zeros(paths, dtype=np.int64)
     first = np.zeros(paths, dtype=np.int64)
     settled = np.zeros(paths, dtype=bool)
@@ -324,9 +262,8 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     width = min(
         resolution,
         _SCAN_BLOCK_VALUES // height,
-        max(1, _PRODUCT_MULADDS // (len(basis) * height)),
+        max(1, _PRODUCT_MULADDS // (len(system) * height)),
     )
-    tiled_mu = np.ndim(mu) == 1
     values = np.empty(height * width)
     above = np.empty((height, resolution), dtype=bool)  # u - mu > 0, per row of the block
     # a non-finite value leaves its row unsettled, and the oracle raises for it
@@ -339,10 +276,8 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
                 x1 = min(x0 + width, resolution)
                 f, slack = block_minus_threshold(
                     lhs[lo:hi],
-                    basis[:, x0:x1],
-                    mu[x0:x1] if tiled_mu else mu,
+                    system[:, x0:x1],
                     bounds,
-                    mu_max,
                     out=values[: (hi - lo) * (x1 - x0)].reshape(hi - lo, x1 - x0),
                     slack=slack,
                 )

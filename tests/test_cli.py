@@ -1,5 +1,6 @@
 """Command line interface, in process."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,18 @@ def test_bad_value_is_config_error(capsys, argv):
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_overflowing_amplitudes_give_only_the_config_error(capsys):
+    # squaring 1e160 overflows; the model's finiteness check is the only
+    # message, with no numpy warning (which a shell would see on stderr)
+    argv = ("zeros", "--family", "periodic", "--amplitudes", "1e160,1e160")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv, "--trials", "3", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "config error: coefficient variances and covariance must be finite\n"
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])

@@ -10,8 +10,10 @@ from toposample.fields import (
     SamplePath,
     basis_values,
     block_minus_threshold,
+    fold_coefficients,
     magnitude_bounds,
     sample_coefficients,
+    threshold_system,
 )
 
 
@@ -250,14 +252,13 @@ def test_block_minus_threshold_lies_within_its_slack(binom5):
     # one matrix product for the block, and each row within half its slack
     # of the exact value, as is path.value - threshold.value
     xs = np.linspace(-3.0, 3.0, 1001)
-    rows = basis_values(binom5, xs)
     coeffs = sample_coefficients(binom5, 5, range(40))
-    for threshold in (ts.threshold_cubic_shift(0.5), ts.threshold_constant(0.3)):
-        mu = threshold.value(xs)
-        bounds = magnitude_bounds(rows), magnitude_bounds(mu)
-        got, slack = block_minus_threshold(coeffs, rows, mu, *bounds)
+    lhs = fold_coefficients(coeffs)
+    for threshold in (ts.threshold_cubic_shift(0.5), ts.threshold_constant(0.3), ts.threshold_zero()):
+        system = threshold_system(binom5, threshold, xs)
+        got, slack = block_minus_threshold(lhs, system, magnitude_bounds(system))
         out = np.empty_like(got)
-        again, _ = block_minus_threshold(coeffs, rows, mu, *bounds, out=out)
+        again, _ = block_minus_threshold(lhs, system, magnitude_bounds(system), out=out)
         assert again is out and out.tobytes() == got.tobytes()
         assert np.all(slack > 0.0) and np.all(slack < 1e-10)
         for j, c in enumerate(coeffs):
@@ -267,7 +268,7 @@ def test_block_minus_threshold_lies_within_its_slack(binom5):
             clear = np.abs(got[j]) > slack[j]
             assert np.array_equal(np.sign(got[j][clear]), np.sign(per_path[clear]))
         for j in (0, 17, 39):
-            exact = _exact(coeffs[j], rows[:, ::50], mu[::50])
+            exact = _exact(coeffs[j], system[:-1, ::50], system[-1, ::50])
             half = Fraction(slack[j]) / 2
             for value, want in zip(got[j, ::50], exact):
                 assert abs(Fraction(value) - want) <= half
@@ -278,7 +279,7 @@ def test_block_minus_threshold_splits_large_products(monkeypatch):
     # hold the same values as one product per row block
     model = ts.chebyshev_model(64)
     xs = np.linspace(-1.0, 1.0, 1000)
-    rows, mu = basis_values(model, xs), np.zeros(xs.size)
+    system = threshold_system(model, ts.threshold_zero(), xs)
     coeffs = sample_coefficients(model, 2, range(10))
     shapes = []
     matmul = np.matmul
@@ -288,9 +289,9 @@ def test_block_minus_threshold_splits_large_products(monkeypatch):
         return matmul(a, b, out=out)
 
     monkeypatch.setattr(np, "matmul", recording)
-    got, slack = block_minus_threshold(coeffs, rows, mu, magnitude_bounds(rows), 0.0)
+    got, slack = block_minus_threshold(fold_coefficients(coeffs), system, magnitude_bounds(system))
     monkeypatch.undo()
-    assert [s[0] for s in shapes] == [4, 4, 2]
+    assert [s[0] for s in shapes] == [3, 3, 3, 1]
     assert all(m * k * n <= 1 << 18 for m, k, n in shapes)
     for j, c in enumerate(coeffs):
         assert np.all(np.abs(got[j] - SamplePath(model, c).value(xs)) <= slack[j])
@@ -300,18 +301,17 @@ def test_block_minus_threshold_splits_large_products(monkeypatch):
 def test_block_minus_threshold_never_clears_a_non_finite_row(binom5):
     # a NaN slack fails every comparison, so such a row is never certified
     xs = np.linspace(-3.0, 3.0, 101)
-    rows = basis_values(binom5, xs)
+    system = threshold_system(binom5, ts.threshold_zero(), xs)
     coeffs = sample_coefficients(binom5, 5, range(5))
     coeffs[1, 2] = np.nan
     coeffs[2, 5] = np.inf
     coeffs[3, 5] = 1e308  # 3^5 times 1e308 overflows
     coeffs[4, 5] = 4e305  # finite, but its scale lies within a factor 2 of overflow
-    _, slack = block_minus_threshold(coeffs, rows, 0.0, magnitude_bounds(rows), 0.0)
+    _, slack = block_minus_threshold(fold_coefficients(coeffs), system, magnitude_bounds(system))
     assert np.isfinite(slack[0])
     assert np.isnan(slack[1:]).all()
-    nan_mu = np.full(xs.size, np.nan)
-    bounds = magnitude_bounds(rows), magnitude_bounds(nan_mu)
-    _, slack = block_minus_threshold(coeffs[:1], rows, nan_mu, *bounds)
+    system[-1] = np.nan  # a threshold row no bound covers
+    _, slack = block_minus_threshold(fold_coefficients(coeffs[:1]), system, magnitude_bounds(system))
     assert np.isnan(slack).all()
 
 
@@ -395,3 +395,33 @@ def test_basis_values_are_the_jet_value_rows(cheb5, cosine5, binom5, mode5):
         assert np.array_equal(basis_values(model, xs), ts.basis_jets(model, xs)[0])
     with pytest.raises(ValueError):
         basis_values(cheb5, np.array([1.5]))
+
+
+_SINE = (np.sin, np.cos, lambda x: -np.sin(x))
+SYSTEM_MODELS = {
+    "chebyshev": ts.chebyshev_model(5),
+    "cosine": ts.cosine_model(5),
+    "periodic": ts.periodic_model([0.0, 1.0, 0.5, 0.25]),
+    "binomial": ts.binomial_model(5),
+    "unit": ts.unit_model(5),
+    "custom": ts.custom_model(((np.ones_like, np.zeros_like, np.zeros_like), _SINE), (-2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("points", [3, 513, 9000])
+@pytest.mark.parametrize("family", sorted(SYSTEM_MODELS))
+def test_threshold_system_holds_the_basis_bits(family, points):
+    # the basis rows are written in place by the same value function, so
+    # they are byte for byte the basis values and the jet's value rows;
+    # the last row is the threshold's values
+    model = SYSTEM_MODELS[family]
+    xs = np.linspace(*model.domain, points)
+    threshold = ts.threshold_cubic_shift(0.5)
+    system = threshold_system(model, threshold, xs)
+    assert system.shape == (model.n_terms + 1, points)
+    assert system[:-1].tobytes() == basis_values(model, xs).tobytes()
+    assert system[:-1].tobytes() == ts.basis_jets(model, xs)[0].tobytes()
+    assert system[-1].tobytes() == threshold.value(xs).tobytes()
+    with pytest.raises(ValueError):
+        threshold_system(model, threshold, np.array([model.b + 1.0]))
+

@@ -142,10 +142,10 @@ def test_compare_strategies_scans_each_path_once(thr, monkeypatch):
     block_values = topology.block_minus_threshold
     counts, oracle = harness.scan_counts, harness.oracle_beta0
 
-    def recording_values(coeffs, rows, *args, **kwargs):
-        for c in coeffs:
-            scanned[c.tobytes()] = scanned.get(c.tobytes(), 0) + rows.shape[1]
-        return block_values(coeffs, rows, *args, **kwargs)
+    def recording_values(lhs, system, *args, **kwargs):
+        for c in lhs[:, :-1]:
+            scanned[c.tobytes()] = scanned.get(c.tobytes(), 0) + system.shape[1]
+        return block_values(lhs, system, *args, **kwargs)
 
     def recording_counts(*args):
         out = counts(*args)

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import toposample as ts
 from toposample import topology
-from toposample.fields import SamplePath, basis_values, magnitude_bounds
+from toposample.fields import SamplePath, basis_values, magnitude_bounds, threshold_system
 from toposample.topology import (
     admissibility_failure_bound,
     admissible_to_depth,
@@ -217,16 +218,15 @@ def test_oracle_zeros_match_exact_chebyshev_roots(cheb5, thr):
 
 
 def _uncached_oracle(monkeypatch, path, threshold, resolution):
-    # the oracle with its scan basis and threshold values built afresh
-    # for this call, the threshold always as an array
-    def fresh(model, resolution):
+    # the oracle with its scan system built afresh for this call, from the
+    # basis values and the threshold's values
+    def fresh(model, threshold, resolution):
         xs = np.linspace(model.a, model.b, resolution)
-        rows = basis_values(model, xs)
-        return xs, rows, magnitude_bounds(rows)
+        system = np.vstack([basis_values(model, xs), threshold.value(xs)])
+        return xs, system, magnitude_bounds(system)
 
     with monkeypatch.context() as m:
-        m.setattr(topology, "_scan_basis", fresh)
-        m.setattr(topology, "_scan_threshold", lambda threshold, xs: threshold.value(xs))
+        m.setattr(topology, "_scan_system", fresh)
         return oracle_beta0(path, threshold, resolution)
 
 
@@ -256,8 +256,8 @@ def test_oracle_equals_uncached_reference_scan(family, cheb5, binom5, cosine5, m
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
         # the cached product is the scan of path.value and polyval, bit for bit
-        _, xs, rows, _ = topology._scan_basis_slot[0]
-        scan = path.coeffs @ rows - topology._scan_threshold(threshold, xs)
+        _, xs, system, _ = topology._scan_slot[0]
+        scan = path.coeffs @ system[:-1] - system[-1]
         ref = path.value(ref_xs) - np.polynomial.polynomial.polyval(ref_xs, threshold.coeffs)
         assert scan.tobytes() == ref.tobytes()
 
@@ -273,28 +273,42 @@ def test_scan_basis_is_never_stale(cheb5, monkeypatch):
         path = ts.sample_path(model, seed=99, stream=stream)
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
-        _, xs, rows, _ = topology._scan_basis_slot[0]
-        assert rows.tobytes() == basis_values(model, np.linspace(*model.domain, resolution)).tobytes()
+        _, xs, system, _ = topology._scan_slot[0]
+        want = basis_values(model, np.linspace(*model.domain, resolution))
+        assert system[:-1].tobytes() == want.tobytes()
 
 
-def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
+def test_scan_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
     builds = []
 
-    def recording(model, xs):
-        builds.append(topology._scan_basis_slot[0])  # state while building
-        return basis_values(model, xs)
+    def recording(model, threshold, xs):
+        builds.append(topology._scan_slot[0])  # state while building
+        return threshold_system(model, threshold, xs)
 
-    monkeypatch.setattr(topology, "basis_values", recording)
-    for model, stream in ((cheb5, 0), (cheb5, 1), (binom5, 0), (binom5, 1), (cheb5, 2)):
-        oracle_beta0(ts.sample_path(model, seed=5, stream=stream), thr, 640)
-    # one build per change of key, each into an emptied slot
-    assert builds == [None, None, None]
-    assert len(topology._scan_basis_slot) == 1
-    key, xs, rows, row_max = topology._scan_basis_slot[0]
-    assert key == topology._scan_basis_key(cheb5, 640)
-    assert rows.shape == (cheb5.n_terms, 640)
-    assert row_max.tobytes() == np.abs(rows).max(axis=1).tobytes()
-    for array in (xs, rows, row_max):
+    monkeypatch.setattr(topology, "_scan_slot", [None])
+    monkeypatch.setattr(topology, "threshold_system", recording)
+    cubic, line = ts.threshold_cubic_shift(0.5), ts.threshold_polynomial([0.1, 0.3])
+    runs = [(cheb5, thr, 0), (cheb5, thr, 1), (binom5, thr, 0), (binom5, thr, 1), (cheb5, thr, 2)]
+    runs += [(cheb5, cubic, 0), (cheb5, cubic, 1), (binom5, cubic, 0), (binom5, line, 0)]
+    runs += [(binom5, line, 1), (binom5, ts.threshold_polynomial([0.1, 0.3]), 2)]
+    entries = []
+    for model, threshold, stream in runs:
+        oracle_beta0(ts.sample_path(model, seed=5, stream=stream), threshold, 640)
+        entries.append(topology._scan_slot[0])
+    # one build per change of basis or threshold, each into an emptied
+    # slot, kept across paths and across equal thresholds
+    assert builds == [None] * 6
+    assert [a is b for a, b in zip(entries, entries[1:])] == [
+        True, False, True, False, False, True, False, False, True, True
+    ]
+    assert len(topology._scan_slot) == 1
+    key, xs, system, bounds = topology._scan_slot[0]
+    domain = tuple(v.hex() for v in binom5.domain)
+    assert key == (("binomial", 6, domain, None, None), line.coeffs.tobytes(), 640)
+    assert system.shape == (binom5.n_terms + 1, 640)
+    assert system[-1].tobytes() == line.value(xs).tobytes()
+    assert bounds.tobytes() == np.abs(system).max(axis=1).tobytes()
+    for array in (xs, system, bounds):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
@@ -319,9 +333,10 @@ def _custom_table():
     ],
 )
 def test_equal_bases_share_one_scan_basis(same, build, monkeypatch):
-    # the slot is keyed on what fixes the basis values, not on the model
-    # object or its variances, so a kept worker that unpickles a new model
-    # for every task builds the basis once; another basis is always rebuilt
+    # the slot is keyed on what fixes the system's values, not on the
+    # model object or its variances, so a kept worker that unpickles a new
+    # model for every task builds the system once; another basis is always
+    # rebuilt
     first = {
         "chebyshev": ts.chebyshev_model(5),
         "unit": ts.chebyshev_model(5),
@@ -329,54 +344,84 @@ def test_equal_bases_share_one_scan_basis(same, build, monkeypatch):
         "custom": ts.custom_model(_custom_table(), (0.0, 1.0)),
     }[build().family]
     builds = []
-    monkeypatch.setattr(topology, "_scan_basis_slot", [None])
+    monkeypatch.setattr(topology, "_scan_slot", [None])
     monkeypatch.setattr(
-        topology, "basis_values", lambda model, xs: builds.append(1) or basis_values(model, xs)
+        topology,
+        "threshold_system",
+        lambda *args: builds.append(1) or threshold_system(*args),
     )
     threshold = ts.threshold_zero()
     oracle_beta0(ts.sample_path(first, seed=3, stream=0), threshold, 513)
-    entry = topology._scan_basis_slot[0]
+    entry = topology._scan_slot[0]
     other = build()
     assert other is not first
     path = ts.sample_path(other, seed=3, stream=1)
     want = _uncached_oracle(monkeypatch, path, threshold, 513)
     assert _same_count(oracle_beta0(path, threshold, 513), want)
     assert len(builds) == (1 if same else 2)
-    assert (topology._scan_basis_slot[0] is entry) == same
-    _, xs, _, _ = topology._scan_basis_slot[0]
+    assert (topology._scan_slot[0] is entry) == same
+    _, xs, _, _ = topology._scan_slot[0]
     assert xs.tobytes() == np.linspace(*other.domain, 513).tobytes()
 
 
-def test_scan_system_folds_a_non_constant_threshold_once(binom5, monkeypatch):
-    # the basis rows plus the threshold's values, built once per threshold
-    # and scan grid and kept read-only; a degree-0 threshold and a system
-    # over the size limit are subtracted instead
-    cubic = ts.threshold_cubic_shift(0.5)
+def test_unpickled_tasks_share_one_scan_system(binom5, monkeypatch):
+    # a kept pool worker unpickles a new (model, threshold) pair for every
+    # task; equal pairs share the scan system, so it is built once
+    builds = []
+    monkeypatch.setattr(topology, "_scan_slot", [None])
+    monkeypatch.setattr(
+        topology,
+        "threshold_system",
+        lambda *args: builds.append(1) or threshold_system(*args),
+    )
+    task = pickle.dumps((binom5, ts.threshold_cubic_shift(0.5)))
+    coeffs = ts.fields.sample_coefficients(binom5, 4, range(20))
+    counts = []
+    for _ in range(2):
+        model, threshold = pickle.loads(task)
+        counts.append(topology.scan_counts(model, threshold, coeffs, 1024))
+    assert len(builds) == 1
+    for a, b in zip(*counts):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "threshold",
+    [ts.threshold_cubic_shift(0.5), ts.threshold_constant(0.3), ts.threshold_zero()],
+    ids=["cubic_shift", "constant", "zero"],
+)
+def test_scan_system_folds_every_threshold_once(binom5, threshold, monkeypatch):
+    # the basis rows plus the threshold's values, built once per basis,
+    # threshold and resolution and kept read-only; a constant or zero
+    # threshold rides in the product as one more row too
+    monkeypatch.setattr(topology, "_scan_slot", [None])
     coeffs = ts.fields.sample_coefficients(binom5, 4, range(3))
-    topology.scan_counts(binom5, cubic, coeffs, 640)
-    entry = topology._scan_system_slot[0]
-    (held, xs), system, system_max = entry
-    _, basis_xs, rows, row_max = topology._scan_basis_slot[0]
-    assert held is cubic and xs is basis_xs
-    assert system.tobytes() == np.vstack([rows, cubic.value(xs)]).tobytes()
-    assert system_max.tobytes() == np.abs(system).max(axis=1).tobytes()
-    for array in (system, system_max):
-        assert not array.flags.writeable
-    topology.scan_counts(binom5, cubic, coeffs, 640)
-    assert topology._scan_system_slot[0] is entry
-    mu = topology._scan_threshold(ts.threshold_constant(0.3), xs)
-    assert topology._scan_system(ts.threshold_constant(0.3), xs, rows, row_max, mu) is None
-    monkeypatch.setattr(topology, "_SCAN_SYSTEM_VALUES", rows.size + xs.size - 1)
-    assert topology._scan_system(cubic, xs, rows, row_max, cubic.value(xs)) is None
+    topology.scan_counts(binom5, threshold, coeffs, 640)
+    entry = topology._scan_slot[0]
+    _, xs, system, bounds = entry
+    assert system.tobytes() == np.vstack([basis_values(binom5, xs), threshold.value(xs)]).tobytes()
+    assert np.array_equal(bounds, np.abs(system).max(axis=1))
+    topology.scan_counts(binom5, threshold, coeffs, 640)
+    oracle_beta0(SamplePath(binom5, coeffs[0]), threshold, 640)
+    assert topology._scan_slot[0] is entry
+
+
+def test_scan_system_is_built_without_a_basis_copy(monkeypatch):
+    # the system is the only large array alive while the scan is built: a
+    # stacked copy of a separately built basis would double the peak
+    model, threshold = ts.chebyshev_model(64), ts.threshold_cubic_shift(0.5)
+    monkeypatch.setattr(topology, "_scan_slot", [None])
+    tracemalloc.start()
+    try:
+        _, system, _ = topology._scan_system(model, threshold, 16384)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * system.nbytes
 
 
 def test_scan_basis_is_not_built_at_import():
-    code = (
-        "from toposample import topology; "
-        "assert topology._scan_basis_slot == [None]; "
-        "assert topology._scan_threshold_slot == [None]; "
-        "assert topology._scan_system_slot == [None]"
-    )
+    code = "from toposample import topology; assert topology._scan_slot == [None]"
     # the child imports the same package as this process, installed or not
     env = {**os.environ, "PYTHONPATH": str(Path(ts.__file__).resolve().parent.parent)}
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
@@ -455,10 +500,16 @@ def test_trial_pass_never_polishes(binom5, monkeypatch):
 
 
 def test_scan_threshold_is_never_stale(cheb5, monkeypatch):
-    # two models with equally many terms, two non-constant thresholds and
+    # two models with equally many terms, four thresholds (two of them
+    # apart only in the sign of a zero, which the threshold row keeps) and
     # two resolutions, interleaved, so a stale entry would keep its shape
     unit5 = ts.unit_model(5)
-    thresholds = (ts.threshold_polynomial([0.2, 0.5]), ts.threshold_cubic_shift(0.1))
+    thresholds = (
+        ts.threshold_polynomial([0.2, 0.5]),
+        ts.threshold_cubic_shift(0.1),
+        ts.threshold_zero(),
+        ts.threshold_constant(-0.0),
+    )
     keys = [(m, t, r) for m in (cheb5, unit5) for t in thresholds for r in (513, 1024)]
     order = [keys[i % len(keys)] for i in range(0, 5 * len(keys), 3)]
     assert set(order) == set(keys)
@@ -466,31 +517,9 @@ def test_scan_threshold_is_never_stale(cheb5, monkeypatch):
         path = ts.sample_path(model, seed=77, stream=stream)
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
-        (held, xs), _ = topology._scan_threshold_slot[0]
-        assert held is threshold and xs is topology._scan_basis_slot[0][1]
-
-
-def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5):
-    cubic, line = ts.threshold_cubic_shift(0.5), ts.threshold_polynomial([0.1, 0.3])
-    entries = []
-    runs = [(cheb5, cubic, 0), (cheb5, cubic, 1), (binom5, cubic, 0)]
-    runs += [(binom5, line, 0), (binom5, line, 1)]
-    for model, threshold, stream in runs:
-        oracle_beta0(ts.sample_path(model, seed=5, stream=stream), threshold, 640)
-        entries.append(topology._scan_threshold_slot[0])
-    # one build per change of threshold or scan grid, kept across paths
-    assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, False, True]
-    assert len(topology._scan_threshold_slot) == 1
-    (held, xs), values = topology._scan_threshold_slot[0]
-    assert held is line and xs is topology._scan_basis_slot[0][1]
-    assert values.tobytes() == line.value(xs).tobytes()
-    assert not values.flags.writeable
-    with pytest.raises(ValueError):
-        values[0] = 0.0
-    # a degree-0 threshold is subtracted as its scalar, and leaves the slot alone
-    oracle_beta0(ts.sample_path(binom5, seed=5, stream=2), ts.threshold_constant(0.3), 640)
-    assert topology._scan_threshold_slot[0] is entries[-1]
-    assert topology._scan_threshold(ts.threshold_constant(0.3), xs) == 0.3
+        _, xs, system, _ = topology._scan_slot[0]
+        want = threshold.value(np.linspace(*model.domain, resolution))
+        assert system[-1].tobytes() == want.tobytes()
 
 
 def test_chunk_grading_is_path_value_minus_threshold(binom5, monkeypatch):

@@ -16,10 +16,11 @@ from toposample import harness, topology
 from toposample.cli import main as cli_main
 from toposample.fields import (
     SamplePath,
-    basis_values,
     block_minus_threshold,
+    fold_coefficients,
     magnitude_bounds,
     sample_coefficients,
+    threshold_system,
 )
 from toposample.topology import _DEGENERATE_TOL, oracle_beta0, scan_counts
 
@@ -58,10 +59,10 @@ def _block_counts(model, threshold, coeffs, resolution):
 def _zero_at_scan_point(model, threshold, row, resolution, index):
     # shift the constant basis term until u - mu is exactly 0 at one scan
     # point; every model here has a constant first basis function
-    xs, rows, _ = topology._scan_basis(model, resolution)
+    _, system, _ = topology._scan_system(model, threshold, resolution)
     row = row.copy()
     for _ in range(4):
-        value = (row @ rows - threshold.value(xs))[index]
+        value = (row @ system[:-1] - system[-1])[index]
         if value == 0.0:
             break
         row[0] -= value
@@ -156,52 +157,48 @@ def test_resolution_floor_is_the_oracle_one(cheb5, thr):
 
 @pytest.mark.parametrize("family", sorted(MODELS))
 def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
-    # each path is scanned once, by block products over tiles of scan
-    # points, with the threshold folded into the product as one more basis
-    # row and, for a basis too large to copy, subtracted after it; a
-    # settled row has the signs of path.value - threshold.value (no zero
-    # among them) and no per-path value below the oracle's tolerance, and
-    # its counts are the oracle's
+    # each path is scanned once, by block products of its row (c, -1)
+    # with tiles of the scan system's columns, so the threshold rides in
+    # the product as one more row; a settled row has the signs of
+    # path.value - threshold.value (no zero among them) and no per-path
+    # value below the oracle's tolerance, and its counts are the oracle's
     model, threshold, resolution = MODELS[family], THRESHOLDS["cubic_shift"], 9000
     coeffs = sample_coefficients(model, 9, range(20))
     want = _oracle_counts(model, threshold, coeffs, resolution)
     xs = np.linspace(*model.domain, resolution)
     block = topology.block_minus_threshold
-    for system_values in (topology._SCAN_SYSTEM_VALUES, 0):
-        tiles = []
+    tiles = []
 
-        def recording(c, rows, *args, **kwargs):
-            values, slack = block(c, rows, *args, **kwargs)
-            tiles.append((c[:, : model.n_terms].copy(), len(rows), values.copy()))
-            return values, slack
+    def recording(lhs, system, *args, **kwargs):
+        values, slack = block(lhs, system, *args, **kwargs)
+        tiles.append((lhs.copy(), len(system), values.copy()))
+        return values, slack
 
-        monkeypatch.setattr(topology, "block_minus_threshold", recording)
-        monkeypatch.setattr(topology, "_SCAN_SYSTEM_VALUES", system_values)
-        pos, neg, zero_count, settled = scan_counts(model, threshold, coeffs, resolution)
-        terms = model.n_terms + (1 if system_values else 0)
-        scans = {}
-        for c, rows, values in tiles:
-            assert rows == terms
-            assert values.size <= topology._SCAN_BLOCK_VALUES and values.size * rows <= 1 << 18
-            for row, v in zip(c, values):
-                scans.setdefault(row.tobytes(), []).append(v)
-        assert list(scans) == [c.tobytes() for c in coeffs]
-        for j, c in enumerate(coeffs):
-            scan = np.concatenate(scans[c.tobytes()])
-            assert scan.shape == (resolution,)
-            per_path = SamplePath(model, c).value(xs) - threshold.value(xs)
-            if settled[j]:
-                assert np.array_equal(np.sign(scan), np.sign(per_path)) and np.all(scan != 0.0)
-                assert np.abs(per_path).min() >= _DEGENERATE_TOL
-                assert (pos[j], neg[j], zero_count[j], False) == want[j]
-        assert np.count_nonzero(settled) >= 15
+    monkeypatch.setattr(topology, "block_minus_threshold", recording)
+    pos, neg, zero_count, settled = scan_counts(model, threshold, coeffs, resolution)
+    scans = {}
+    for lhs, rows, values in tiles:
+        assert rows == model.n_terms + 1 and np.all(lhs[:, -1] == -1.0)
+        assert values.size <= topology._SCAN_BLOCK_VALUES and values.size * rows <= 1 << 18
+        for row, v in zip(lhs[:, :-1], values):
+            scans.setdefault(row.tobytes(), []).append(v)
+    assert list(scans) == [c.tobytes() for c in coeffs]
+    for j, c in enumerate(coeffs):
+        scan = np.concatenate(scans[c.tobytes()])
+        assert scan.shape == (resolution,)
+        per_path = SamplePath(model, c).value(xs) - threshold.value(xs)
+        if settled[j]:
+            assert np.array_equal(np.sign(scan), np.sign(per_path)) and np.all(scan != 0.0)
+            assert np.abs(per_path).min() >= _DEGENERATE_TOL
+            assert (pos[j], neg[j], zero_count[j], False) == want[j]
+    assert np.count_nonzero(settled) >= 15
 
 
 def _min_near(model, threshold, row, resolution, target):
     # shift the constant basis term until the smallest |u - mu| of the
     # per-path scan sits at ``target``, keeping that point's sign
-    xs, rows, _ = topology._scan_basis(model, resolution)
-    mu = threshold.value(xs)
+    _, system, _ = topology._scan_system(model, threshold, resolution)
+    rows, mu = system[:-1], system[-1]
     row = row.copy()
     f = row @ rows - mu
     i = int(np.argmin(np.abs(f)))
@@ -219,44 +216,39 @@ def _min_near(model, threshold, row, resolution, target):
     seed=st.integers(0, 2**64 - 1),
     paths=st.integers(1, 12),
     shifted=st.lists(st.tuples(st.integers(0, 10**6), st.floats(-1.0, 1.0)), min_size=1, max_size=4),
-    folded=st.booleans(),
     offset=st.sampled_from((0.0, 0.5, -0.5)),
 )
-def test_rows_near_the_tolerance_fall_back(family, kind, resolution, seed, paths, shifted, folded, offset):
+def test_rows_near_the_tolerance_fall_back(family, kind, resolution, seed, paths, shifted, offset):
     # rows whose smallest |u - mu| lands within the rounding slack d of the
     # oracle's tolerance: one below it always falls back to the oracle, a
     # settled one never has a per-path value below it, and every count is
-    # the per-path oracle's, with or without the threshold folded into the
-    # scan's product, and with the block values off by half their slack in
-    # either direction, as a block product may be
+    # the per-path oracle's, also with the block values off by half their
+    # slack in either direction, as a block product may be
     model, threshold = MODELS[family], THRESHOLDS[kind]
     coeffs = sample_coefficients(model, seed, range(paths))
-    xs, rows, row_max = topology._scan_basis(model, resolution)
-    mu = threshold.value(xs)
+    _, system, bounds = topology._scan_system(model, threshold, resolution)
     for index, where in shifted:
         j = index % paths
-        _, slack = block_minus_threshold(coeffs[j : j + 1], rows, mu, row_max, magnitude_bounds(mu))
+        _, slack = block_minus_threshold(fold_coefficients(coeffs[j : j + 1]), system, bounds)
         target = _DEGENERATE_TOL + 0.5 * where * slack[0]
         coeffs[j] = _min_near(model, threshold, coeffs[j], resolution, target)
     landed = {index % paths for index, _ in shifted}
-    system_values = topology._SCAN_SYSTEM_VALUES
 
     def off_by_offset(*args, **kwargs):
         values, slack = block_minus_threshold(*args, **kwargs)
         values += offset * slack[:, None]
         return values, slack
 
-    topology._SCAN_SYSTEM_VALUES = system_values if folded else 0
     topology.block_minus_threshold = off_by_offset
     try:
         settled = scan_counts(model, threshold, coeffs, resolution)[3]
         block = _block_counts(model, threshold, coeffs, resolution)
     finally:
-        topology._SCAN_SYSTEM_VALUES = system_values
         topology.block_minus_threshold = block_minus_threshold
-    _, slack = block_minus_threshold(coeffs, rows, mu, row_max, magnitude_bounds(mu))
+    _, system, bounds = topology._scan_system(model, threshold, resolution)
+    _, slack = block_minus_threshold(fold_coefficients(coeffs), system, bounds)
     for j, c in enumerate(coeffs):
-        smallest = np.abs(c @ rows - mu).min()
+        smallest = np.abs(c @ system[:-1] - system[-1]).min()
         if j in landed:
             assert _DEGENERATE_TOL - slack[j] <= smallest <= _DEGENERATE_TOL + slack[j]
         if smallest < _DEGENERATE_TOL:
@@ -276,7 +268,7 @@ def test_grid_values_recompute_rows_the_slack_cannot_clear(shift, monkeypatch):
     coeffs = sample_coefficients(model, 3, range(8))
     coeffs[2] = _line([0.0, 2.0, 0.0, -1.0], 1025)  # u - mu = x
     coeffs[5] = _line([1e-20, 2.0, 0.0, -1.0], 1025)
-    rows, mu = basis_values(model, grid), threshold.value(grid)
+    system = threshold_system(model, threshold, grid)
     exact = block_minus_threshold
 
     def off_by_shift(*args, **kwargs):
@@ -284,8 +276,8 @@ def test_grid_values_recompute_rows_the_slack_cannot_clear(shift, monkeypatch):
         return values + shift * slack[:, None], slack
 
     monkeypatch.setattr(harness, "block_minus_threshold", off_by_shift)
-    block, slack = off_by_shift(coeffs, rows, mu, magnitude_bounds(rows), magnitude_bounds(mu))
-    got = harness._grid_values(coeffs, rows, mu)
+    block, slack = off_by_shift(fold_coefficients(coeffs), system, magnitude_bounds(system))
+    got = harness._grid_values(coeffs, system)
     for j, c in enumerate(coeffs):
         per_path = SamplePath(model, c).value(grid) - threshold.value(grid)
         assert np.array_equal(np.sign(got[j]), np.sign(per_path))

@@ -278,7 +278,7 @@ def test_scan_basis_is_never_stale(cheb5, monkeypatch):
         assert system[:-1].tobytes() == want.tobytes()
 
 
-def test_scan_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
+def _recording_scan_builds(monkeypatch):
     builds = []
 
     def recording(model, threshold, xs):
@@ -287,31 +287,59 @@ def test_scan_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
 
     monkeypatch.setattr(topology, "_scan_slot", [None])
     monkeypatch.setattr(topology, "threshold_system", recording)
+    return builds
+
+
+def _assert_read_only(*arrays):
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
+    # the basis rows of the one scan entry: one build per change of basis,
+    # each into an emptied slot, kept across paths
+    builds = _recording_scan_builds(monkeypatch)
+    entries = []
+    for model, stream in ((cheb5, 0), (cheb5, 1), (binom5, 0), (binom5, 1), (cheb5, 2)):
+        oracle_beta0(ts.sample_path(model, seed=5, stream=stream), thr, 640)
+        entries.append(topology._scan_slot[0])
+    assert builds == [None, None, None]
+    assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, True, False]
+    assert len(topology._scan_slot) == 1
+    key, xs, system, bounds = topology._scan_slot[0]
+    domain = tuple(v.hex() for v in cheb5.domain)
+    assert key == (("chebyshev", 6, domain, None, None), thr.coeffs.tobytes(), 640)
+    assert system.shape == (cheb5.n_terms + 1, 640)
+    assert system[:-1].tobytes() == basis_values(cheb5, xs).tobytes()
+    assert np.array_equal(bounds, np.abs(system).max(axis=1))  # zero row: -0.0
+    _assert_read_only(xs, system, bounds)
+
+
+def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5, monkeypatch):
+    # the threshold row of the one scan entry: one build per change of
+    # threshold, kept across paths and across equal thresholds
+    builds = _recording_scan_builds(monkeypatch)
     cubic, line = ts.threshold_cubic_shift(0.5), ts.threshold_polynomial([0.1, 0.3])
-    runs = [(cheb5, thr, 0), (cheb5, thr, 1), (binom5, thr, 0), (binom5, thr, 1), (cheb5, thr, 2)]
-    runs += [(cheb5, cubic, 0), (cheb5, cubic, 1), (binom5, cubic, 0), (binom5, line, 0)]
+    runs = [(cheb5, cubic, 0), (cheb5, cubic, 1), (binom5, cubic, 0), (binom5, line, 0)]
     runs += [(binom5, line, 1), (binom5, ts.threshold_polynomial([0.1, 0.3]), 2)]
+    runs += [(binom5, ts.threshold_constant(0.3), 3)]
     entries = []
     for model, threshold, stream in runs:
         oracle_beta0(ts.sample_path(model, seed=5, stream=stream), threshold, 640)
         entries.append(topology._scan_slot[0])
-    # one build per change of basis or threshold, each into an emptied
-    # slot, kept across paths and across equal thresholds
-    assert builds == [None] * 6
-    assert [a is b for a, b in zip(entries, entries[1:])] == [
-        True, False, True, False, False, True, False, False, True, True
-    ]
+    assert builds == [None] * 4
+    assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, False, True, True, False]
+    line_key, line_xs, line_system, _ = entries[-2]
+    assert line_key[1] == line.coeffs.tobytes()
+    assert line_system[-1].tobytes() == line.value(line_xs).tobytes()
+    # a degree-0 threshold rides in the product as its own row too
     assert len(topology._scan_slot) == 1
     key, xs, system, bounds = topology._scan_slot[0]
-    domain = tuple(v.hex() for v in binom5.domain)
-    assert key == (("binomial", 6, domain, None, None), line.coeffs.tobytes(), 640)
-    assert system.shape == (binom5.n_terms + 1, 640)
-    assert system[-1].tobytes() == line.value(xs).tobytes()
-    assert bounds.tobytes() == np.abs(system).max(axis=1).tobytes()
-    for array in (xs, system, bounds):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0.0
+    assert key[1] == ts.threshold_constant(0.3).coeffs.tobytes()
+    assert system[-1].tobytes() == np.full(640, 0.3).tobytes()
+    _assert_read_only(xs, system, system[-1], bounds)
 
 
 def _custom_table():

@@ -412,6 +412,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy raises it, before touching any memory, for an array the
+        # requested sizes (a resolution, a grid size) make too large
+        print(f"config error: the requested sizes do not fit in memory ({exc})", file=sys.stderr)
+        return 2
     except ToposampleError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -559,15 +559,24 @@ def fold_coefficients(coeffs):
     return np.hstack([coeffs, np.full((len(coeffs), 1), -1.0)])
 
 
-def block_minus_threshold(lhs, system, bounds, out=None, slack=None):
+def blocked_product(lhs, rhs):
+    """``lhs @ rhs``, in blocks of rows of at most _PRODUCT_MULADDS multiply-adds each."""
+    inner, points = rhs.shape
+    out = np.empty((len(lhs), points))
+    step = max(1, _PRODUCT_MULADDS // max(1, inner * points))
+    for lo in range(0, len(lhs), step):
+        np.matmul(lhs[lo : lo + step], rhs, out=out[lo : lo + step])
+    return out
+
+
+def block_minus_threshold(lhs, system, bounds):
     """u - mu of a block of paths by one matrix product, and a rounding slack per row.
 
     ``system`` holds the K + 1 rows of a ``threshold_system`` on some
-    points (or a range of its columns), ``lhs`` one row (c, -1) per path
+    points (or some of its columns), ``lhs`` one row (c, -1) per path
     (``fold_coefficients``) and ``bounds`` the largest |value| of each
-    system row over the points the slack is to cover. Returns ``lhs @ system`` (written into ``out``
-    when given; rows are taken in blocks of at most _PRODUCT_MULADDS
-    multiply-adds) and ``slack``:
+    system row over the points the slack is to cover. Returns
+    ``lhs @ system`` (``blocked_product``) and ``slack``:
 
         slack_j = 2 gamma sum_k |lhs_jk| bounds_k,
         gamma = n u / (1 - n u),  u = 2^-53,  n = K + 2 = len(system) + 1.
@@ -586,22 +595,14 @@ def block_minus_threshold(lhs, system, bounds, out=None, slack=None):
     subnormals per evaluation cover gradual underflow. With a finite
     slack every value is finite. A row whose scale is not finite, or
     within a factor 2 of overflow, gets a NaN slack, so every comparison
-    with it fails and the row is never certified. A ``slack`` passed in,
-    from a call on the same rows and bounds (another tile of the same
-    points), is returned as it is.
+    with it fails and the row is never certified.
     """
-    rows, points = system.shape
-    values = np.empty((len(lhs), points)) if out is None else out
-    step = max(1, _PRODUCT_MULADDS // max(1, rows * points))
-    for lo in range(0, len(lhs), step):
-        np.matmul(lhs[lo : lo + step], system, out=values[lo : lo + step])
-    if slack is None:
-        n = rows + 1
-        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-        scale = np.abs(lhs) @ bounds
-        slack = 2.0 * (gamma * scale + (n - 1) * _SMALLEST_SUBNORMAL)
-        slack[~(scale < _SCALE_LIMIT)] = np.nan
-    return values, slack
+    n = len(system) + 1
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    scale = np.abs(lhs) @ bounds
+    slack = 2.0 * (gamma * scale + (n - 1) * _SMALLEST_SUBNORMAL)
+    slack[~(scale < _SCALE_LIMIT)] = np.nan
+    return blocked_product(lhs, system), slack
 
 
 def _check_key_part(name, v):

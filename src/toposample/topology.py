@@ -17,10 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from .fields import (
-    _PRODUCT_MULADDS,
+    _SMALLEST_SUBNORMAL,
+    _UNIT_ROUNDOFF,
     SamplePath,
     ThresholdFn,
     block_minus_threshold,
+    blocked_product,
     fold_coefficients,
     magnitude_bounds,
     threshold_system,
@@ -33,16 +35,19 @@ _DEGENERATE_TOL = 1e-9
 _ROOT_XTOL = 1e-12
 _SCAN_POINTS_PER_ZERO = 4096
 _DEFAULT_ADMISSIBILITY_DEPTH = 12
-# scan_counts takes up to _SCAN_BLOCK_ROWS paths at a time and computes
-# their scan values a tile of points at a time, each tile at most
-# _SCAN_BLOCK_VALUES values and one matrix product (fields._PRODUCT_MULADDS)
-_SCAN_BLOCK_ROWS = 16
+# scan_counts settles a row from its values at every _SCAN_CELL-th scan
+# point (a power of two, so every chord weight (m - l) / s is exact) and
+# computes in full only the cells the chord bound cannot certify; it takes
+# rows in blocks of at most _SCAN_BLOCK_VALUES coarse values, and computes
+# cells in batches that read at most _SCAN_BLOCK_VALUES system values
+_SCAN_CELL = 64
 _SCAN_BLOCK_VALUES = 1 << 16
 
-# the scan grid, threshold system and per-row max |value| of the last
-# scan, as one (key, xs, system, bounds) entry; the key holds everything
-# that fixes the system's values (see _scan_system), so equal models and
-# thresholds share an entry and none can match a stale one
+# the threshold system, per-row max |value|, coarse columns and chord-error
+# table of the last scan, as one (key, system, bounds, coarse, chord)
+# entry; the key holds everything that fixes the system's values (see
+# _scan_system), so equal models and thresholds share an entry and none
+# can match a stale one
 _scan_slot = [None]
 
 
@@ -155,16 +160,72 @@ def _polish_roots(diff, lo, hi, flo, fhi):
         lo[todo], hi[todo], flo[todo], fhi[todo] = new_l, new_h, fl, fh
 
 
-def _scan_system(model, threshold, resolution):
-    """Scan points over the model's domain, their threshold system and its row bounds.
+def _chord_residuals(fine, left, right, t, out):
+    """Largest |chord - value| per cell, rounded, into ``out``.
 
-    The system (``threshold_system``) holds the basis rows with the
-    threshold's values as one more row, and the bounds each row's largest
-    |value|. Paths with the same basis and threshold share the scan, so
-    it is built once per basis, threshold and resolution, also across
-    models and thresholds built or unpickled separately. The slot is
-    emptied before a new build, so two systems are never alive at once
-    (about 80 MB each at Chebyshev n=64). All three arrays are read-only.
+    ``fine`` (rows, cells, w) holds the first w values of each cell,
+    ``left`` and ``right`` its end values and ``t`` the chord weights of
+    those w points; the right end, where the chord meets the row exactly,
+    is not among them. The float residual
+    phi(l) + t (phi(r) - phi(l)) - phi(m) is within 7 u max|phi| of the
+    exact chord residual.
+    """
+    residual = (right - left)[..., None] * t
+    residual += left[..., None]
+    residual -= fine
+    np.max(np.abs(residual, out=residual), axis=-1, out=out)
+
+
+def _chord_tables(system, bounds):
+    """The coarse columns of a scan system and its chord-error table.
+
+    The R scan points split into cells of s = _SCAN_CELL steps: cell i
+    spans the points l_i = i s to r_i = min(l_i + s, R - 1). ``coarse``
+    holds the system's columns at l_0, l_1, ... and R - 1, so cell i ends
+    at coarse columns i and i + 1. ``chord[k, i]`` bounds, in exact
+    arithmetic on the stored values, how far row k strays from its chord
+    inside cell i: |phi_k(m) - ((1 - t) phi_k(l_i) + t phi_k(r_i))| with
+    t = (m - l_i) / s, over every point m of the cell (for the last, maybe
+    shorter, cell t stays below 1, which the certificate allows). It is
+    the largest float residual plus 16 u ``bounds[k]`` (the row's largest
+    |value|), which covers the residual's own rounding and that of the
+    sum, and 4 smallest subnormals for gradual underflow. The cells are
+    read a block at a time, so the one temporary holds at most a quarter
+    of _SCAN_BLOCK_VALUES values.
+    """
+    rows, points = system.shape
+    s = _SCAN_CELL
+    coarse = system[:, np.append(np.arange(0, points - 1, s), points - 1)]
+    cells = coarse.shape[1] - 1
+    chord = np.empty((rows, cells))
+    t = np.arange(s) / s
+    full = (points - 1) // s
+    step = max(1, _SCAN_BLOCK_VALUES // (4 * rows * s))
+    for lo in range(0, full, step):
+        hi = min(lo + step, full)
+        fine = system[:, lo * s : hi * s].reshape(rows, hi - lo, s)
+        _chord_residuals(fine, coarse[:, lo:hi], coarse[:, lo + 1 : hi + 1], t, chord[:, lo:hi])
+    if full < cells:
+        width = points - 1 - full * s
+        fine = system[:, full * s : points - 1].reshape(rows, 1, width)
+        _chord_residuals(fine, coarse[:, full:-1], coarse[:, -1:], t[:width], chord[:, full:])
+    chord += (16.0 * _UNIT_ROUNDOFF * bounds + 4.0 * _SMALLEST_SUBNORMAL)[:, None]
+    return coarse, chord
+
+
+def _scan_system(model, threshold, resolution):
+    """The threshold system on the scan points, its row bounds and its tables.
+
+    The scan points are ``resolution`` equispaced points over the model's
+    domain. The system (``threshold_system``) holds the basis rows with
+    the threshold's values as one more row, and the bounds each row's
+    largest |value|; ``coarse`` and ``chord`` are its ``_chord_tables``.
+    The points themselves are not kept. Paths with
+    the same basis and threshold share the scan, so it is built once per
+    basis, threshold and resolution, also across models and thresholds
+    built or unpickled separately. The slot is emptied before a new
+    build, so two systems are never alive at once (about 80 MB each at
+    Chebyshev n=64). Every array is read-only.
     """
     # the system's values depend on the family, the number of terms, the
     # domain and the threshold (by their bits, so -0.0 and 0.0 differ),
@@ -177,13 +238,13 @@ def _scan_system(model, threshold, resolution):
     if entry is not None and entry[0] == key:
         return entry[1:]
     _scan_slot[0] = None
-    xs = np.linspace(model.a, model.b, resolution)
-    system = threshold_system(model, threshold, xs)
+    system = threshold_system(model, threshold, np.linspace(model.a, model.b, resolution))
     bounds = magnitude_bounds(system)
-    for array in (xs, system, bounds):
+    entry = (system, bounds, *_chord_tables(system, bounds))
+    for array in entry:
         array.flags.writeable = False
-    _scan_slot[0] = (key, xs, system, bounds)
-    return xs, system, bounds
+    _scan_slot[0] = (key, *entry)
+    return entry
 
 
 def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> OracleCount:
@@ -204,7 +265,7 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    xs, system, _ = _scan_system(path.model, threshold, resolution)
+    system = _scan_system(path.model, threshold, resolution)[0]
     fs = path.coeffs @ system[:-1] - system[-1]
     signs = np.sign(fs)
 
@@ -220,6 +281,7 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
             degenerate = True
 
     bracket = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    xs = np.linspace(path.model.a, path.model.b, resolution)
     brackets = (xs[bracket], xs[bracket + 1], fs[bracket], fs[bracket + 1])
     zeros_at = xs[exact]
     pos, neg = cubical_beta0(fs)
@@ -232,63 +294,106 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     """``oracle_beta0``'s counts for each row of ``coeffs``, where the signs decide them.
 
     Row j is the path with coefficients ``coeffs[j]``, scanned on the
-    oracle's points. Up to _SCAN_BLOCK_ROWS paths are scanned at a time,
-    by one matrix product of their rows (c, -1) with a tile of the scan
-    system's columns (``block_minus_threshold``), so every threshold rides
-    in the product as the system's last row. A value can differ in its
-    last bits from the oracle's per-path product, by at most the row's
-    rounding slack d_j. A row is settled when its smallest |u - mu|
-    is at least _DEGENERATE_TOL + d_j: then every oracle value has the
-    block value's sign and is at least _DEGENERATE_TOL in size, so the
-    oracle scan has no exact zero and no degenerate minimum, and (the
-    slack being finite) no non-finite value. With b the number of sign
-    changes and p0 whether u - mu > 0 at a, its counts are then
-    zero_count = b, beta0_pos = (b + 1 + p0) // 2 and
-    beta0_neg = (b + 2 - p0) // 2. Returns the integer arrays beta0_pos,
-    beta0_neg and zero_count and the boolean array ``settled``; a row
-    that is not settled (a small minimum, an exact zero, a non-finite
-    value, or a value the slack cannot clear) holds no counts and needs
-    ``oracle_beta0``.
+    oracle's points, as its row (c, -1) times the scan system, so every
+    threshold rides in the product as the system's last row. A block
+    value can differ in its last bits from the oracle's per-path product,
+    by at most the row's rounding slack d_j (``block_minus_threshold``),
+    and each lies within d_j / 2 of the exact value. A row is settled when
+    every block value |u - mu| is at least _DEGENERATE_TOL + d_j: then
+    every oracle value has the block value's sign and is at least
+    _DEGENERATE_TOL in size, so the oracle scan has no exact zero and no
+    degenerate minimum, and (the slack being finite) no non-finite value.
+
+    Most values are never computed. One block product gives every row's
+    values F at the coarse points that end the cells of ``_chord_tables``
+    (s = _SCAN_CELL steps each), and B_ji = sum_k |lhs_jk| chord[k, i]
+    bounds how far u - mu strays from its chord inside cell i. Cell i is
+    certified when F(l_i) and F(r_i) have one sign and both are at least
+    _DEGENERATE_TOL + 3 d_j + B_ji in size (that sum's rounding covered).
+    The proof is one line: the exact u - mu at any point of the cell is
+    within B_ji of a point of the chord, which lies between the exact end
+    values, themselves within d_j / 2 of F; so the exact value clears
+    _DEGENERATE_TOL + 2.5 d_j with F's sign, and every float evaluation,
+    block or per-path, clears _DEGENERATE_TOL + 2 d_j. A certified cell
+    thus has no sign change and meets the settle rule. Every other cell
+    of a row whose coarse values meet the settle rule is computed in
+    full, for its sign changes and smallest |value|. s = 64 leaves about
+    one computed cell per zero on the benchmark models, and a few percent
+    of the values.
+
+    With b the number of sign changes and p0 whether u - mu > 0 at a, a
+    settled row's counts are zero_count = b, beta0_pos = (b + 1 + p0) // 2
+    and beta0_neg = (b + 2 - p0) // 2. Returns the integer arrays
+    beta0_pos, beta0_neg and zero_count and the boolean array
+    ``settled``; a row that is not settled (a small minimum, an exact
+    zero, a non-finite value, or a value the slack cannot clear) holds no
+    counts and needs ``oracle_beta0``.
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    _, system, bounds = _scan_system(model, threshold, resolution)
+    system, bounds, coarse, chord = _scan_system(model, threshold, resolution)
     paths = len(coeffs)
     lhs = fold_coefficients(coeffs)
     changes = np.zeros(paths, dtype=np.int64)
-    first = np.zeros(paths, dtype=np.int64)
+    first = np.zeros(paths, dtype=bool)
     settled = np.zeros(paths, dtype=bool)
-    height = max(1, min(paths, _SCAN_BLOCK_ROWS))
-    width = min(
-        resolution,
-        _SCAN_BLOCK_VALUES // height,
-        max(1, _PRODUCT_MULADDS // (len(system) * height)),
-    )
-    values = np.empty(height * width)
-    above = np.empty((height, resolution), dtype=bool)  # u - mu > 0, per row of the block
-    # a non-finite value leaves its row unsettled, and the oracle raises for it
+    # rows are taken in equal blocks of at most _SCAN_BLOCK_VALUES coarse values
+    blocks = -(-paths * coarse.shape[1] // _SCAN_BLOCK_VALUES)
+    height = max(1, -(-paths // max(1, blocks)))
+    cover = 1.0 + 4.0 * (len(system) + 3) * _UNIT_ROUNDOFF
+    # a non-finite value or slack leaves its row unsettled, and the oracle raises for it
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, paths, height):
-            hi = min(lo + height, paths)
-            smallest = np.full(hi - lo, np.inf)
-            slack = None
-            for x0 in range(0, resolution, width):
-                x1 = min(x0 + width, resolution)
-                f, slack = block_minus_threshold(
-                    lhs[lo:hi],
-                    system[:, x0:x1],
-                    bounds,
-                    out=values[: (hi - lo) * (x1 - x0)].reshape(hi - lo, x1 - x0),
-                    slack=slack,
-                )
-                np.greater(f, 0.0, out=above[: hi - lo, x0:x1])
-                np.minimum(smallest, np.abs(f, out=f).min(axis=1), out=smallest)
-            p = above[: hi - lo]
-            # per row: count_nonzero along an axis is several times slower
-            changes[lo:hi] = [np.count_nonzero(row) for row in p[:, 1:] != p[:, :-1]]
-            first[lo:hi] = p[:, 0]
-            settled[lo:hi] = smallest >= _DEGENERATE_TOL + slack
+            block = slice(lo, lo + height)
+            f, slack = block_minus_threshold(lhs[block], coarse, bounds)
+            clear = blocked_product(np.abs(lhs[block]), chord)
+            clear += _DEGENERATE_TOL + 3.0 * slack[:, None]
+            clear *= cover
+            above = f > 0.0
+            size = np.abs(f)
+            uncertified = above[:, 1:] != above[:, :-1]
+            uncertified |= np.minimum(size[:, 1:], size[:, :-1]) < clear
+            # a row whose slack is not finite is never settled: none of its cells is computed
+            finite = np.isfinite(slack)
+            rows, cells = np.divmod(np.flatnonzero(uncertified), clear.shape[1])
+            keep = finite[rows]
+            smallest = np.full(len(f), np.inf)
+            for j, values in _cell_values(lhs[block], system, rows[keep], cells[keep]):
+                above_j = values > 0.0
+                flips = np.flatnonzero(above_j[:, 1:] != above_j[:, :-1]) // (values.shape[1] - 1)
+                changes[block] += np.bincount(j[flips], minlength=len(f))
+                np.minimum.at(smallest, j, np.abs(values).min(axis=1))
+            first[block] = above[:, 0]
+            settled[block] = finite & (smallest >= _DEGENERATE_TOL + slack)
     return (changes + 1 + first) // 2, (changes + 2 - first) // 2, changes, settled
+
+
+def _cell_values(lhs, system, rows, cells):
+    """u - mu over whole scan cells: cell ``cells[p]`` of row ``rows[p]``, a batch at a time.
+
+    Yields (the batch's rows, their values), one row of values per cell
+    and ``min(_SCAN_CELL, R - 1) + 1`` values per row. A cell's values are
+    its row of ``lhs`` times a window of the system's columns, read
+    through a strided view, so the system is never copied; a batch
+    gathers at most _SCAN_BLOCK_VALUES system values. The last cell, when
+    shorter, reads the window that ends at the last point, and its points
+    before the cell take the cell's first value, which adds no sign
+    change and no smaller |value|.
+    """
+    points = system.shape[1]
+    span = min(_SCAN_CELL, points - 1) + 1
+    windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(system, span, axis=1), 1, 0)
+    starts = cells * _SCAN_CELL
+    offsets = starts - np.minimum(starts, points - span)
+    step = max(1, _SCAN_BLOCK_VALUES // (len(system) * span))
+    for lo in range(0, rows.size, step):
+        j, start, offset = rows[lo : lo + step], starts[lo : lo + step], offsets[lo : lo + step]
+        values = np.matmul(lhs[j, None, :], windows[start - offset])[:, 0]
+        short = np.flatnonzero(offset)
+        if short.size:
+            o = offset[short[0]]
+            values[short, :o] = values[short, o, None]
+        yield j, values
 
 
 def default_oracle_resolution(model, expected_zeros: float | None = None) -> int:

@@ -477,6 +477,26 @@ def test_oversized_shift_is_config_error(capsys, shift):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros", "--family", "chebyshev", "--n", "5", "--trials", "3", "--seed", "1"]
+        + ["--oracle-resolution", "1000000000000000"],
+        ["grid", "--family", "chebyshev", "--n", "5", "--m", "1000000000000000"],
+    ],
+    ids=["zeros-resolution", "grid-m"],
+)
+def test_sizes_beyond_memory_are_config_errors(capsys, argv):
+    # 10^15 doubles are 8 PB, past any address space, so the allocation
+    # fails at once whatever the overcommit setting: once a numpy
+    # _ArrayMemoryError traceback with exit 1
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: the requested sizes do not fit in memory (")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_eigen_mode_layout(capsys):
     code, out, _ = _run(
         capsys, "orthant-check", "--family", "binomial", "--n", "5",

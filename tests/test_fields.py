@@ -257,9 +257,6 @@ def test_block_minus_threshold_lies_within_its_slack(binom5):
     for threshold in (ts.threshold_cubic_shift(0.5), ts.threshold_constant(0.3), ts.threshold_zero()):
         system = threshold_system(binom5, threshold, xs)
         got, slack = block_minus_threshold(lhs, system, magnitude_bounds(system))
-        out = np.empty_like(got)
-        again, _ = block_minus_threshold(lhs, system, magnitude_bounds(system), out=out)
-        assert again is out and out.tobytes() == got.tobytes()
         assert np.all(slack > 0.0) and np.all(slack < 1e-10)
         for j, c in enumerate(coeffs):
             per_path = SamplePath(binom5, c).value(xs) - threshold.value(xs)

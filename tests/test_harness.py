@@ -132,10 +132,10 @@ def test_compare_strategies_rows(binom5, thr):
 
 
 def test_compare_strategies_scans_each_path_once(thr, monkeypatch):
-    # each path is scanned once, its points covered by the tiles of one
-    # block, and oracle_beta0 runs only on the paths the block cannot
-    # settle; at amplitude 1e-6 a scan value near a root often falls
-    # below the 1e-9 tolerance
+    # each path is scanned once, by one block product on the scan's coarse
+    # points (every _SCAN_CELL-th point and the last), and oracle_beta0
+    # runs only on the paths the scan cannot settle; at amplitude 1e-6 a
+    # scan value near a root often falls below the 1e-9 tolerance
     model = ts.periodic_model([0.0, 1e-6, 1e-6])
     trials, seed, resolution = 40, 8, 512
     scanned, flagged, oracle_paths = {}, [], []
@@ -162,7 +162,7 @@ def test_compare_strategies_scans_each_path_once(thr, monkeypatch):
     ts.compare_strategies(model, thr, m=5, trials=trials, seed=seed, oracle_resolution=resolution)
     drawn = [ts.sample_path(model, seed, stream=t).coeffs.tobytes() for t in range(trials)]
     assert list(scanned) == drawn
-    assert set(scanned.values()) == {resolution}
+    assert set(scanned.values()) == {len(range(0, resolution - 1, topology._SCAN_CELL)) + 1}
     assert 0 < sum(flagged) < trials
     assert oracle_paths == [c for c, f in zip(drawn, flagged) if f]
 

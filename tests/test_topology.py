@@ -223,7 +223,7 @@ def _uncached_oracle(monkeypatch, path, threshold, resolution):
     def fresh(model, threshold, resolution):
         xs = np.linspace(model.a, model.b, resolution)
         system = np.vstack([basis_values(model, xs), threshold.value(xs)])
-        return xs, system, magnitude_bounds(system)
+        return system, magnitude_bounds(system)
 
     with monkeypatch.context() as m:
         m.setattr(topology, "_scan_system", fresh)
@@ -256,7 +256,7 @@ def test_oracle_equals_uncached_reference_scan(family, cheb5, binom5, cosine5, m
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
         # the cached product is the scan of path.value and polyval, bit for bit
-        _, xs, system, _ = topology._scan_slot[0]
+        system = topology._scan_slot[0][1]
         scan = path.coeffs @ system[:-1] - system[-1]
         ref = path.value(ref_xs) - np.polynomial.polynomial.polyval(ref_xs, threshold.coeffs)
         assert scan.tobytes() == ref.tobytes()
@@ -273,7 +273,7 @@ def test_scan_basis_is_never_stale(cheb5, monkeypatch):
         path = ts.sample_path(model, seed=99, stream=stream)
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
-        _, xs, system, _ = topology._scan_slot[0]
+        system = topology._scan_slot[0][1]
         want = basis_values(model, np.linspace(*model.domain, resolution))
         assert system[:-1].tobytes() == want.tobytes()
 
@@ -308,13 +308,18 @@ def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypat
     assert builds == [None, None, None]
     assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, True, False]
     assert len(topology._scan_slot) == 1
-    key, xs, system, bounds = topology._scan_slot[0]
+    key, system, bounds, coarse, chord = topology._scan_slot[0]
+    xs = np.linspace(*cheb5.domain, 640)
     domain = tuple(v.hex() for v in cheb5.domain)
     assert key == (("chebyshev", 6, domain, None, None), thr.coeffs.tobytes(), 640)
     assert system.shape == (cheb5.n_terms + 1, 640)
     assert system[:-1].tobytes() == basis_values(cheb5, xs).tobytes()
     assert np.array_equal(bounds, np.abs(system).max(axis=1))  # zero row: -0.0
-    _assert_read_only(xs, system, bounds)
+    # 639 steps make nine full cells of 64 and a last one of 63
+    ends = list(range(0, 639, topology._SCAN_CELL)) + [639]
+    assert coarse.tobytes() == np.ascontiguousarray(system[:, ends]).tobytes()
+    assert chord.shape == (cheb5.n_terms + 1, len(ends) - 1) and np.all(chord > 0.0)
+    _assert_read_only(system, bounds, coarse, chord)
 
 
 def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5, monkeypatch):
@@ -331,15 +336,17 @@ def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5, monkeypatc
         entries.append(topology._scan_slot[0])
     assert builds == [None] * 4
     assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, False, True, True, False]
-    line_key, line_xs, line_system, _ = entries[-2]
+    line_key, line_system, *_ = entries[-2]
     assert line_key[1] == line.coeffs.tobytes()
-    assert line_system[-1].tobytes() == line.value(line_xs).tobytes()
+    assert line_system[-1].tobytes() == line.value(np.linspace(*binom5.domain, 640)).tobytes()
     # a degree-0 threshold rides in the product as its own row too
     assert len(topology._scan_slot) == 1
-    key, xs, system, bounds = topology._scan_slot[0]
+    key, system, bounds, coarse, chord = topology._scan_slot[0]
     assert key[1] == ts.threshold_constant(0.3).coeffs.tobytes()
     assert system[-1].tobytes() == np.full(640, 0.3).tobytes()
-    _assert_read_only(xs, system, system[-1], bounds)
+    # a constant row lies on its chords: only the rounding cover is left
+    assert np.all(coarse[-1] == 0.3) and np.all(chord[-1] < 1e-14)
+    _assert_read_only(system, system[-1], bounds, coarse, chord)
 
 
 def _custom_table():
@@ -388,8 +395,8 @@ def test_equal_bases_share_one_scan_basis(same, build, monkeypatch):
     assert _same_count(oracle_beta0(path, threshold, 513), want)
     assert len(builds) == (1 if same else 2)
     assert (topology._scan_slot[0] is entry) == same
-    _, xs, _, _ = topology._scan_slot[0]
-    assert xs.tobytes() == np.linspace(*other.domain, 513).tobytes()
+    system = topology._scan_slot[0][1]
+    assert system[:-1].tobytes() == basis_values(other, np.linspace(*other.domain, 513)).tobytes()
 
 
 def test_unpickled_tasks_share_one_scan_system(binom5, monkeypatch):
@@ -426,7 +433,8 @@ def test_scan_system_folds_every_threshold_once(binom5, threshold, monkeypatch):
     coeffs = ts.fields.sample_coefficients(binom5, 4, range(3))
     topology.scan_counts(binom5, threshold, coeffs, 640)
     entry = topology._scan_slot[0]
-    _, xs, system, bounds = entry
+    _, system, bounds, *_ = entry
+    xs = np.linspace(*binom5.domain, 640)
     assert system.tobytes() == np.vstack([basis_values(binom5, xs), threshold.value(xs)]).tobytes()
     assert np.array_equal(bounds, np.abs(system).max(axis=1))
     topology.scan_counts(binom5, threshold, coeffs, 640)
@@ -441,7 +449,7 @@ def test_scan_system_is_built_without_a_basis_copy(monkeypatch):
     monkeypatch.setattr(topology, "_scan_slot", [None])
     tracemalloc.start()
     try:
-        _, system, _ = topology._scan_system(model, threshold, 16384)
+        system = topology._scan_system(model, threshold, 16384)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -545,7 +553,7 @@ def test_scan_threshold_is_never_stale(cheb5, monkeypatch):
         path = ts.sample_path(model, seed=77, stream=stream)
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
-        _, xs, system, _ = topology._scan_slot[0]
+        system = topology._scan_slot[0][1]
         want = threshold.value(np.linspace(*model.domain, resolution))
         assert system[-1].tobytes() == want.tobytes()
 

@@ -42,7 +42,8 @@ THRESHOLDS = {
     "polynomial": ts.threshold_polynomial([0.1, -0.2, 0.05]),
     "cubic_shift": ts.threshold_cubic_shift(0.5),
 }
-# 3 points is the smallest scan; 9000 leaves a short last block of 7 rows
+# 3 points is the smallest scan (one cell of two steps); 65 points make one
+# cell of 64 steps, and 9000 end in a short cell of 39
 RESOLUTIONS = (3, 4, 65, 1000, 4096, 9000)
 
 
@@ -59,7 +60,7 @@ def _block_counts(model, threshold, coeffs, resolution):
 def _zero_at_scan_point(model, threshold, row, resolution, index):
     # shift the constant basis term until u - mu is exactly 0 at one scan
     # point; every model here has a constant first basis function
-    _, system, _ = topology._scan_system(model, threshold, resolution)
+    system = topology._scan_system(model, threshold, resolution)[0]
     row = row.copy()
     for _ in range(4):
         value = (row @ system[:-1] - system[-1])[index]
@@ -155,49 +156,192 @@ def test_resolution_floor_is_the_oracle_one(cheb5, thr):
         scan_counts(cheb5, thr, coeffs, 2)
 
 
+def _cells(resolution):
+    # (first, last) scan point of each cell of the coarse-to-fine scan
+    s = topology._SCAN_CELL
+    return [(lo, min(lo + s, resolution - 1)) for lo in range(0, resolution - 1, s)]
+
+
 @pytest.mark.parametrize("family", sorted(MODELS))
 def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
-    # each path is scanned once, by block products of its row (c, -1)
-    # with tiles of the scan system's columns, so the threshold rides in
-    # the product as one more row; a settled row has the signs of
-    # path.value - threshold.value (no zero among them) and no per-path
-    # value below the oracle's tolerance, and its counts are the oracle's
+    # each path is scanned once: one block product of its row (c, -1) with
+    # the coarse columns of the scan system, so the threshold rides in the
+    # product as one more row, then products of the same row with system
+    # windows for the cells the chord bound does not certify; a settled
+    # row has the signs of path.value - threshold.value at every point
+    # computed (no zero among them), keeps one sign across every cell left
+    # uncomputed, has no per-path value below the oracle's tolerance, and
+    # its counts are the oracle's
     model, threshold, resolution = MODELS[family], THRESHOLDS["cubic_shift"], 9000
     coeffs = sample_coefficients(model, 9, range(20))
     want = _oracle_counts(model, threshold, coeffs, resolution)
     xs = np.linspace(*model.domain, resolution)
-    block = topology.block_minus_threshold
-    tiles = []
+    cells = _cells(resolution)
+    ends = [lo for lo, _ in cells] + [resolution - 1]
+    block, cell_values = topology.block_minus_threshold, topology._cell_values
+    coarse, refined = [], []
 
-    def recording(lhs, system, *args, **kwargs):
+    def recording_block(lhs, system, *args, **kwargs):
         values, slack = block(lhs, system, *args, **kwargs)
-        tiles.append((lhs.copy(), len(system), values.copy()))
+        coarse.append((lhs.copy(), system.shape, values.copy()))
         return values, slack
 
-    monkeypatch.setattr(topology, "block_minus_threshold", recording)
+    def recording_cells(lhs, system, rows, which):
+        done = 0
+        for j, values in cell_values(lhs, system, rows, which):
+            assert len(j) * len(system) * values.shape[1] <= topology._SCAN_BLOCK_VALUES
+            for row, cell, v in zip(lhs[j], which[done : done + len(j)], values):
+                refined.append((row[:-1].tobytes(), int(cell), v.copy()))
+            done += len(j)
+            yield j, values
+
+    monkeypatch.setattr(topology, "block_minus_threshold", recording_block)
+    monkeypatch.setattr(topology, "_cell_values", recording_cells)
     pos, neg, zero_count, settled = scan_counts(model, threshold, coeffs, resolution)
     scans = {}
-    for lhs, rows, values in tiles:
-        assert rows == model.n_terms + 1 and np.all(lhs[:, -1] == -1.0)
-        assert values.size <= topology._SCAN_BLOCK_VALUES and values.size * rows <= 1 << 18
+    for lhs, shape, values in coarse:
+        assert shape == (model.n_terms + 1, len(ends)) and np.all(lhs[:, -1] == -1.0)
+        assert values.size <= topology._SCAN_BLOCK_VALUES
         for row, v in zip(lhs[:, :-1], values):
-            scans.setdefault(row.tobytes(), []).append(v)
+            scans[row.tobytes()] = v
     assert list(scans) == [c.tobytes() for c in coeffs]
+    computed = {}
+    for row, cell, v in refined:
+        computed.setdefault(row, {})[cell] = v
     for j, c in enumerate(coeffs):
-        scan = np.concatenate(scans[c.tobytes()])
-        assert scan.shape == (resolution,)
         per_path = SamplePath(model, c).value(xs) - threshold.value(xs)
-        if settled[j]:
-            assert np.array_equal(np.sign(scan), np.sign(per_path)) and np.all(scan != 0.0)
-            assert np.abs(per_path).min() >= _DEGENERATE_TOL
-            assert (pos[j], neg[j], zero_count[j], False) == want[j]
+        if not settled[j]:
+            continue
+        scan = scans[c.tobytes()]
+        assert np.array_equal(np.sign(scan), np.sign(per_path[ends])) and np.all(scan != 0.0)
+        for i, (lo, hi) in enumerate(cells):
+            cell = per_path[lo : hi + 1]
+            v = computed.get(c.tobytes(), {}).get(i)
+            if v is None:  # certified: one sign, that of both ends
+                assert np.all(np.sign(cell) == np.sign(scan[i]))
+                continue
+            inside = v[v.size - cell.size :]  # a short last cell ends its window
+            assert np.array_equal(np.sign(inside), np.sign(cell)) and np.all(inside != 0.0)
+            assert np.all(v[: v.size - cell.size] == inside[0])
+        assert np.abs(per_path).min() >= _DEGENERATE_TOL
+        assert (pos[j], neg[j], zero_count[j], False) == want[j]
     assert np.count_nonzero(settled) >= 15
+    # the cells computed in full hold under a tenth of the scan's values
+    assert 0 < len(refined) * (topology._SCAN_CELL + 1) <= 0.1 * resolution * len(coeffs)
+
+
+@pytest.mark.parametrize(
+    "model, threshold, resolution",
+    [
+        (ts.binomial_model(5), ts.threshold_cubic_shift(0.5), 8192),
+        (ts.chebyshev_model(5), ts.threshold_zero(), 4096),
+    ],
+    ids=["binomial", "chebyshev"],
+)
+def test_scan_computes_a_tenth_of_the_values(model, threshold, resolution, monkeypatch):
+    # over 2048 paths, the values computed per path (cell ends, plus whole
+    # cells the chord bound leaves open) stay under a tenth of the scan,
+    # and the scan settles as many rows as a full-resolution scan whose
+    # every block value is checked against the settle rule
+    coeffs = sample_coefficients(model, 2024, range(2048))
+    cell_values, computed = topology._cell_values, []
+
+    def counting(lhs, system, rows, cells):
+        for j, values in cell_values(lhs, system, rows, cells):
+            computed.append(values.size)
+            yield j, values
+
+    monkeypatch.setattr(topology, "_cell_values", counting)
+    settled = np.concatenate(
+        [scan_counts(model, threshold, coeffs[lo : lo + 512], resolution)[3] for lo in range(0, 2048, 512)]
+    )
+    ends = len(_cells(resolution)) + 1
+    assert (ends * len(coeffs) + sum(computed)) / len(coeffs) <= 0.1 * resolution
+    system, bounds = topology._scan_system(model, threshold, resolution)[:2]
+    full = []
+    for lo in range(0, 2048, 32):
+        values, slack = block_minus_threshold(fold_coefficients(coeffs[lo : lo + 32]), system, bounds)
+        full.append(np.abs(values).min(axis=1) >= _DEGENERATE_TOL + slack)
+    assert np.count_nonzero(settled) >= np.count_nonzero(np.concatenate(full))
+
+
+_CELL = topology._SCAN_CELL
+# a short first cell, one exact cell, a last cell of one step, two cells
+# and a last one of one step, and longer scans ending in a short cell or
+# on a cell end
+EDGE_RESOLUTIONS = (_CELL - 1, _CELL, _CELL + 1, _CELL + 2, 2 * _CELL + 1, 2 * _CELL + 2, 1000, 4097)
+
+
+def _crossing_after(model, threshold, row, resolution, index):
+    # shift the constant basis term so that u - mu changes sign halfway
+    # between scan points index and index + 1
+    system = topology._scan_system(model, threshold, resolution)[0]
+    row = row.copy()
+    for _ in range(4):
+        f = row @ system[:-1] - system[-1]
+        row[0] -= 0.5 * (f[index] + f[index + 1])
+    return row
+
+
+def _on_the_edge(kind, model, threshold, row, resolution, where):
+    cells = _cells(resolution)
+    lo, hi = cells[where % len(cells)]
+    if kind == "first step":  # a sign change between a cell's first two points
+        return _crossing_after(model, threshold, row, resolution, lo)
+    if kind == "last step":  # and between its last two
+        return _crossing_after(model, threshold, row, resolution, hi - 1)
+    # an exact zero at a coarse point: a cell's first point, or the last point
+    index = resolution - 1 if where % 2 else lo
+    return _zero_at_scan_point(model, threshold, row, resolution, index)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(sorted(MODELS)),
+    kind=st.sampled_from(sorted(THRESHOLDS)),
+    resolution=st.sampled_from(EDGE_RESOLUTIONS),
+    seed=st.integers(0, 2**64 - 1),
+    paths=st.integers(1, 12),
+    pushed=st.lists(
+        st.tuples(st.sampled_from(["first step", "last step", "coarse zero"]), st.integers(0, 10**6)),
+        max_size=4,
+    ),
+    offset=st.sampled_from((0.0, 1.0, -1.0)),
+)
+def test_certified_cells_hold_at_their_edges(family, kind, resolution, seed, paths, pushed, offset):
+    # rows pushed onto the certificate's edge (a sign change at a cell's
+    # first or last step, an exact zero at a coarse point), scans whose
+    # last cell is short or one step long, and coarse values off by a
+    # whole slack d in either direction, beyond what a block product may
+    # be: every row's counts are the per-path oracle's, and so are those
+    # of every settled row of the scan itself
+    model, threshold = MODELS[family], THRESHOLDS[kind]
+    coeffs = sample_coefficients(model, seed, range(paths))
+    for push, where in pushed:
+        j = where % paths
+        coeffs[j] = _on_the_edge(push, model, threshold, coeffs[j], resolution, where // paths)
+    want = _oracle_counts(model, threshold, coeffs, resolution)
+
+    def off_by_offset(*args, **kwargs):
+        values, slack = block_minus_threshold(*args, **kwargs)
+        values += offset * slack[:, None]
+        return values, slack
+
+    topology.block_minus_threshold = off_by_offset
+    try:
+        pos, neg, zero_count, settled = scan_counts(model, threshold, coeffs, resolution)
+        block = _block_counts(model, threshold, coeffs, resolution)
+    finally:
+        topology.block_minus_threshold = block_minus_threshold
+    assert block == want
+    for j in np.flatnonzero(settled):
+        assert (pos[j], neg[j], zero_count[j], False) == want[j]
 
 
 def _min_near(model, threshold, row, resolution, target):
     # shift the constant basis term until the smallest |u - mu| of the
     # per-path scan sits at ``target``, keeping that point's sign
-    _, system, _ = topology._scan_system(model, threshold, resolution)
+    system = topology._scan_system(model, threshold, resolution)[0]
     rows, mu = system[:-1], system[-1]
     row = row.copy()
     f = row @ rows - mu
@@ -226,7 +370,7 @@ def test_rows_near_the_tolerance_fall_back(family, kind, resolution, seed, paths
     # slack in either direction, as a block product may be
     model, threshold = MODELS[family], THRESHOLDS[kind]
     coeffs = sample_coefficients(model, seed, range(paths))
-    _, system, bounds = topology._scan_system(model, threshold, resolution)
+    system, bounds = topology._scan_system(model, threshold, resolution)[:2]
     for index, where in shifted:
         j = index % paths
         _, slack = block_minus_threshold(fold_coefficients(coeffs[j : j + 1]), system, bounds)
@@ -245,7 +389,7 @@ def test_rows_near_the_tolerance_fall_back(family, kind, resolution, seed, paths
         block = _block_counts(model, threshold, coeffs, resolution)
     finally:
         topology.block_minus_threshold = block_minus_threshold
-    _, system, bounds = topology._scan_system(model, threshold, resolution)
+    system, bounds = topology._scan_system(model, threshold, resolution)[:2]
     _, slack = block_minus_threshold(fold_coefficients(coeffs), system, bounds)
     for j, c in enumerate(coeffs):
         smallest = np.abs(c @ system[:-1] - system[-1]).min()

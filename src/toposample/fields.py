@@ -55,6 +55,10 @@ _PSD_TOL = 1e-12
 # singularity threshold for the derivative covariance minors, relative
 # to their natural scale
 _DEGENERACY_TOL = 1e-12
+# below this value of det3 / (r00 r11 r22) the 3x3 determinant of the
+# Gram entries has lost most of its digits to cancellation, so it is
+# recomputed from a QR factorization of the jet rows
+_QR_RATIO = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,6 +459,29 @@ def correlation(model: FieldModel, x, y):
     return float(out[0]) if scalar else out
 
 
+def _qr_det3(model, b0, b1, b2):
+    """det3 / (r00 r11 r22) at each column of the jets, and whether the QR resolves it.
+
+    The three jet rows weighted by the covariance factor, whose Gram
+    matrix is [rkl], are scaled to unit norm and factored as Q R, so the
+    ratio is (R11 R22 R33)^2, free of the cancellation of the 3x3
+    determinant formula. Householder QR is exact for columns perturbed by
+    a small multiple of gamma_{3n} of their norm, n = n_terms (Higham,
+    Accuracy and Stability of Numerical Algorithms, thm. 19.4), and so is
+    the volume |R11 R22 R33| of the unit columns up to that size; a point
+    is resolved where the volume exceeds 2 gamma_{3n}.
+    """
+    factor = model._factor
+    rows = [factor[:, None] * b if factor.ndim == 1 else factor.T @ b for b in (b0, b1, b2)]
+    w = np.stack(rows, axis=-1).transpose(1, 0, 2)  # (points, n_terms, 3)
+    w /= np.max(np.abs(w), axis=1, keepdims=True)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    r = np.linalg.qr(w, mode="r")
+    volume = np.abs(r[:, 0, 0] * r[:, 1, 1] * r[:, 2, 2])
+    n = 3 * model.n_terms
+    return volume * volume, volume > 2.0 * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
 # entries of a large family may overflow to inf or NaN; the density code
 # tells such points from degenerate ones
 @np.errstate(over="ignore", invalid="ignore")
@@ -475,6 +502,17 @@ def jet_tables(model: FieldModel, x, order: int = 2) -> dict[str, np.ndarray]:
     point of ``x``. With ``order=1`` the second derivatives are never
     formed and the dict holds only ``x``, ``r00``, ``r10``, ``r11`` and
     ``minor33``, bit for bit the entries of the full table.
+
+    ``det3`` is accurate relative to itself, not only to r00 r11 r22.
+    Where det3 / (r00 r11 r22) is finite but below 1e-8, the determinant
+    formula has cancelled most of its digits (cosine waves next to the
+    domain ends, monomials near |x| = 3 from n = 50 on). There det3 comes
+    from a QR factorization of the three jet rows, weighted by the
+    covariance factor and scaled to unit norm, and the determinant part
+    of ``nondegenerate`` from that QR's accuracy rather than the fixed
+    1e-12. Every other entry is the same either way, and a point whose
+    ratio is not finite (an overflowing jet) is left to the density
+    code, which raises.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     b0, b1, *b2 = basis_jets(model, x, order)
@@ -496,11 +534,19 @@ def jet_tables(model: FieldModel, x, order: int = 2) -> dict[str, np.ndarray]:
         - r10 * (r10 * r22 - r20 * r21)
         + r20 * (r10 * r21 - r11 * r20)
     )
+    scale = r00 * r11 * r22
+    with np.errstate(divide="ignore"):
+        ratio = det3 / scale
+    band = np.isfinite(ratio) & (ratio < _QR_RATIO)
     ok = (
         (r00 > 0.0)
         & (minor33 > _DEGENERACY_TOL * r00 * r11)
-        & (det3 > _DEGENERACY_TOL * r00 * r11 * r22)
+        & (band | (det3 > _DEGENERACY_TOL * scale))
     )
+    if np.any(band):
+        ratio, resolved = _qr_det3(model, b0[:, band], b1[:, band], b2[:, band])
+        det3[band] = ratio * scale[band]
+        ok[band] &= resolved
     return {
         **first,
         "r20": r20,

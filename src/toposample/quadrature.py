@@ -1,9 +1,14 @@
 """Adaptive quadrature and scalar search utilities.
 
-Composite Simpson integration with per-panel adaptive refinement, a
+Adaptive Gauss-Kronrod 7-15 integration (Piessens et al., QUADPACK,
+1983) with a global error budget and a check of both ends, kept under
+the name ``adaptive_simpson`` that perfbench/tracing.py wraps; a
 cumulative-integral object that evaluates F(x) = int_a^x f and inverts
-it for many targets at once, golden-section maximization, and bisection
-for monotone functions. Integrands must accept numpy arrays.
+it for many targets at once; golden-section maximization; and bisection
+for monotone functions.
+Integrands must accept numpy arrays, and their value at a point must not
+depend on the other points of the call: every integrand call holds at
+most ``_POINTS_PER_CALL`` points, so a long pass is split into chunks.
 """
 from __future__ import annotations
 
@@ -21,18 +26,69 @@ _MIN_PANEL_FRACTION = 2.0**-26
 # the hundreds, so hitting this means the estimator is churning on noise
 _MAX_ACTIVE_PANELS = 1 << 18
 # initial uniform panel count; refinement only subdivides further
-_MIN_INTERVALS = 64
+_MIN_INTERVALS = 16
+# the most points one integrand call evaluates: a density of a large
+# family holds a few jet rows of n_terms doubles per point, so this bounds
+# the memory of a call whatever the number of active panels
+_POINTS_PER_CALL = 1024
 
-
-def _simpson(width, fl, fm, fr):
-    return width * (fl + 4.0 * fm + fr) / 6.0
+# the nonnegative abscissas x_1 > ... > x_7 > x_8 = 0 of the Kronrod
+# 15-point rule on [-1, 1] and their weights; the Gauss 7-point rule uses
+# x_2, x_4, x_6 and 0, with the weights _GAUSS7_WEIGHTS (QUADPACK's dqk15)
+_KRONROD15_NODES = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+])
+_KRONROD15_WEIGHTS = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+])
+_GAUSS7_WEIGHTS = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+])
 
 
 def _eval(fn, x):
-    vals = np.asarray(fn(x), dtype=float)
+    """``fn`` at every point of ``x``, in calls of at most _POINTS_PER_CALL points."""
+    vals = np.empty(x.size)
+    for lo in range(0, x.size, _POINTS_PER_CALL):
+        vals[lo : lo + _POINTS_PER_CALL] = fn(x[lo : lo + _POINTS_PER_CALL])
     if not np.all(np.isfinite(vals)):
         raise NonFiniteDensityError("integrand returned a non-finite value")
     return vals
+
+
+def _gauss_kronrod(fn, left, right, extra=()):
+    """Kronrod 15-point integrals of each panel and their |K15 - G7| estimates.
+
+    The 15 nodes of every panel, followed by the points ``extra``, go
+    through one chunked evaluation; the values at ``extra`` are only
+    checked to be finite.
+    """
+    nodes = np.concatenate([-_KRONROD15_NODES[:-1], _KRONROD15_NODES[::-1]])
+    kronrod = np.concatenate([_KRONROD15_WEIGHTS[:-1], _KRONROD15_WEIGHTS[::-1]])
+    gauss = np.concatenate([_GAUSS7_WEIGHTS, _GAUSS7_WEIGHTS[-2::-1]])
+    centre = 0.5 * (left + right)
+    half = 0.5 * (right - left)
+    x = (centre[:, None] + half[:, None] * nodes).ravel()
+    vals = _eval(fn, np.concatenate([x, extra]))[: x.size].reshape(left.size, 15)
+    integ = half * (vals @ kronrod)
+    return integ, np.abs(integ - half * (vals[:, 1::2] @ gauss))
 
 
 def adaptive_simpson(fn, a, b, rel_tol=1e-10):
@@ -54,67 +110,53 @@ def adaptive_simpson(fn, a, b, rel_tol=1e-10):
         (left_edges, right_edges, panel_integrals) sorted by position,
         reusable for cumulative queries.
 
-    The per-panel error estimate is the standard Richardson comparison of
-    one against two Simpson steps; a panel is accepted once the estimate
-    drops below the tolerance prorated by panel width. Panels narrower
-    than 2**-26 of the span are accepted outright, which keeps the
-    subdivision finite when an integrand is rough at roundoff scale.
+    Despite the name, the rule is adaptive Gauss-Kronrod 7-15: each
+    panel's integral is its Kronrod 15-point sum, and |K15 - G7| is its
+    error estimate, a pessimistic one since K15 is far more accurate
+    than G7. Refinement stops once the summed estimates of all panels
+    clear rel_tol |I|; until then each pass halves only the panels whose
+    estimate exceeds their width-prorated share of that budget, and
+    evaluates the 15 nodes of every new panel in one chunked pass. The
+    first pass also evaluates f(a) and f(b), which no Kronrod node
+    reaches, so an integrand that is not finite at an end raises
+    NonFiniteDensityError. Panels narrower than 2**-26 of the span are
+    accepted outright, and refinement ends when more than 2**18 panels
+    would be active, which keeps the subdivision finite when an
+    integrand is rough at roundoff scale. The name stays because
+    perfbench/tracing.py wraps ``adaptive_simpson`` here and in
+    ``planner`` to count integrand points and panels.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy a < b")
-    edges = np.linspace(a, b, _MIN_INTERVALS + 1)
-    xl, xr = edges[:-1], edges[1:]
-    sample = np.concatenate([xl, 0.5 * (xl + xr), [b]])
-    vals = _eval(fn, sample)
-    fl = vals[:_MIN_INTERVALS]
-    fm = vals[_MIN_INTERVALS:2 * _MIN_INTERVALS]
-    fr = np.concatenate([fl[1:], vals[-1:]])
-    s0 = _simpson(xr - xl, fl, fm, fr)
-
-    total_scale = max(abs(float(np.sum(s0))), 1e-300)
     span = b - a
+    edges = np.linspace(a, b, _MIN_INTERVALS + 1)
+    left, right = edges[:-1], edges[1:]
+    integ, err = _gauss_kronrod(fn, left, right, extra=(a, b))
     done_l, done_r, done_i = [], [], []
-    active = (xl, xr, fl, fm, fr, s0)
+    done_total = done_err = 0.0
     for _ in range(_MAX_REFINE_PASSES):
-        xl, xr, fl, fm, fr, s = active
-        if xl.size == 0:
+        budget = rel_tol * abs(done_total + float(np.sum(integ)))
+        if done_err + float(np.sum(err)) <= budget:
             break
-        mid = 0.5 * (xl + xr)
-        fnew = _eval(fn, np.concatenate([0.5 * (xl + mid), 0.5 * (mid + xr)]))
-        flm, frm = fnew[:xl.size], fnew[xl.size:]
-        half = 0.5 * (xr - xl)
-        s_left = _simpson(half, fl, flm, fm)
-        s_right = _simpson(half, fm, frm, fr)
-        err = (s_left + s_right - s) / 15.0
-        ok = np.abs(err) <= rel_tol * total_scale * (xr - xl) / span
-        ok |= (xr - xl) <= span * _MIN_PANEL_FRACTION
-        if np.any(ok):
-            done_l.append(xl[ok])
-            done_r.append(xr[ok])
-            done_i.append((s_left + s_right + err)[ok])
-        bad = ~ok
-        active = (
-            np.concatenate([xl[bad], mid[bad]]),
-            np.concatenate([mid[bad], xr[bad]]),
-            np.concatenate([fl[bad], fm[bad]]),
-            np.concatenate([flm[bad], frm[bad]]),
-            np.concatenate([fm[bad], fr[bad]]),
-            np.concatenate([s_left[bad], s_right[bad]]),
-        )
-        # keep the running scale current so prorated tolerances track it
-        total_scale = max(
-            abs(float(sum(np.sum(d) for d in done_i) + np.sum(active[5]))), 1e-300
-        )
-        if active[0].size > _MAX_ACTIVE_PANELS:
+        width = right - left
+        split = (err > budget * width / span) & (width > span * _MIN_PANEL_FRACTION)
+        n_split = int(np.count_nonzero(split))
+        if n_split == 0 or 2 * n_split > _MAX_ACTIVE_PANELS:
             break
+        keep = ~split
+        done_l.append(left[keep])
+        done_r.append(right[keep])
+        done_i.append(integ[keep])
+        done_total += float(np.sum(integ[keep]))
+        done_err += float(np.sum(err[keep]))
+        lo, hi = left[split], right[split]
+        mid = 0.5 * (lo + hi)
+        left, right = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        integ, err = _gauss_kronrod(fn, left, right)
     # panels still active once a budget runs out are taken at face value
-    if active[0].size:
-        done_l.append(active[0])
-        done_r.append(active[1])
-        done_i.append(active[5])
-    left = np.concatenate(done_l)
-    right = np.concatenate(done_r)
-    integ = np.concatenate(done_i)
+    left = np.concatenate([*done_l, left])
+    right = np.concatenate([*done_r, right])
+    integ = np.concatenate([*done_i, integ])
     order = np.argsort(left)
     left, right, integ = left[order], right[order], integ[order]
     return float(np.sum(integ)), (left, right, integ)
@@ -129,7 +171,8 @@ def _gauss_legendre():
     """Node positions in [0, 1] and half weights of the 8-node rule.
 
     The rule for a partial integral inside one accepted panel; 8 nodes
-    integrate degree 15 exactly, far past the panel's Simpson tolerance.
+    integrate degree 15 exactly, one degree beyond the Gauss 7-point rule
+    whose gap to the Kronrod sum bounded the panel's error.
     Built on first use, so importing the package does not import
     numpy.polynomial.
     """

@@ -146,3 +146,15 @@ def test_zero_density_never_forms_second_derivatives(cheb5, cosine5, binom5, mod
     assert ts.expected_zero_count(binom5) > 0.0
     with pytest.raises(AssertionError, match="second derivative"):
         ts.density_profile(binom5, ts.threshold_zero(), grids[2])
+
+
+@pytest.mark.parametrize("t", [1e-4, 3e-4])
+def test_cosine_density_near_an_end_is_the_pushed_chebyshev_density(t, thr):
+    # cosine n is Chebyshev n pushed through x = cos(pi t), so C^(1/3)
+    # picks up the factor |dx/dt|; here det3 / (r00 r11 r22) is 1e-14 to
+    # 1e-12, below what the 3x3 determinant formula resolves
+    cosine = ts.density_profile(ts.cosine_model(5), thr, t)
+    cheb = ts.density_profile(ts.chebyshev_model(5), thr, np.cos(np.pi * t))
+    assert cosine.nondegenerate[0]
+    want = np.cbrt(cheb.density[0]) * np.pi * np.sin(np.pi * t)
+    assert np.cbrt(cosine.density[0]) == pytest.approx(want, rel=1e-8)

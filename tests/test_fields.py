@@ -422,3 +422,37 @@ def test_threshold_system_holds_the_basis_bits(family, points):
     with pytest.raises(ValueError):
         threshold_system(model, threshold, np.array([model.b + 1.0]))
 
+
+
+def _exact_monomial_det3(n, x):
+    """det3 of the unit family's jet at x, in exact rational arithmetic."""
+    x = Fraction(x)
+    b0 = [x**k for k in range(n + 1)]
+    b1 = [k * x ** (k - 1) if k else Fraction(0) for k in range(n + 1)]
+    b2 = [k * (k - 1) * x ** (k - 2) if k > 1 else Fraction(0) for k in range(n + 1)]
+    (r00, r01, r02), (_, r11, r12), (_, _, r22) = (
+        [sum(p * q for p, q in zip(u, v)) for v in (b0, b1, b2)] for u in (b0, b1, b2)
+    )
+    return r00 * (r11 * r22 - r12 * r12) - r01 * (r01 * r22 - r02 * r12) + r02 * (r01 * r12 - r11 * r02)
+
+
+@pytest.mark.parametrize("n", [50, 80])
+def test_unit_det3_is_resolved_near_the_ends(n):
+    # det3 / (r00 r11 r22) is below 1e-12 at these points (4.4e-14 at x = 3,
+    # n = 80), where the 3x3 determinant formula cancels to noise
+    x = np.array([-3.0, -2.95, 2.9, 3.0])
+    t = ts.jet_tables(ts.unit_model(n), x)
+    exact = np.array([float(_exact_monomial_det3(n, v)) for v in x])
+    assert np.all(t["nondegenerate"])
+    assert t["det3"] == pytest.approx(exact, rel=1e-6)
+
+
+def test_resolved_det3_weights_a_full_covariance_like_its_diagonal():
+    # the QR of the jet rows reads the covariance through its factor
+    n = 50
+    diagonal = ts.unit_model(n)
+    full = ts.FieldModel("unit", n + 1, (-3.0, 3.0), covariance=np.eye(n + 1))
+    x = np.linspace(-3.0, 3.0, 41)
+    want, got = ts.jet_tables(diagonal, x), ts.jet_tables(full, x)
+    assert np.array_equal(got["nondegenerate"], want["nondegenerate"])
+    assert got["det3"] == pytest.approx(want["det3"], rel=1e-9)

@@ -1,8 +1,11 @@
 """Grid placement, sample-count rules, and plan assembly."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import toposample as ts
+from toposample import planner, quadrature
 from toposample.errors import DegenerateDensityError, NonFiniteDensityError
 from toposample.planner import (
     cumulative_weight,
@@ -244,6 +247,56 @@ def test_overflowing_jet_is_not_a_degenerate_point(model):
 def test_overflowing_zero_density_jet_is_an_error():
     with pytest.raises(NonFiniteDensityError):
         expected_zero_count(ts.binomial_model(200))
+
+
+@pytest.mark.parametrize(
+    "integral, budget",
+    [
+        (lambda: expected_zero_count(ts.chebyshev_model(64)), 5000),
+        (lambda: cumulative_weight(ts.binomial_model(5), ts.threshold_cubic_shift(0.5)), 400),
+        (lambda: cumulative_weight(ts.unit_model(20), ts.threshold_zero()), 2000),
+    ],
+    ids=["zeros_chebyshev64", "weight_binomial5_cubic_shift", "weight_unit20"],
+)
+def test_integrals_stay_within_their_point_budgets(integral, budget, monkeypatch):
+    # adaptive Simpson at the same tolerance took 20,513, 1,457 and
+    # 832,473 integrand points here; the last churned on rounding noise
+    points = []
+    real = quadrature.adaptive_simpson
+
+    def counted(fn, a, b, *args, **kwargs):
+        def integrand(x):
+            points.append(np.size(x))
+            return fn(x)
+
+        return real(integrand, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "adaptive_simpson", counted)
+    monkeypatch.setattr(quadrature, "adaptive_simpson", counted)
+    integral()
+    assert 0 < sum(points) <= budget
+
+
+def test_zero_count_integral_memory_is_bounded():
+    # integrand calls are chunked, so the Chebyshev-64 jets of a pass are
+    # never held at once (4.5 MB when one call took every point of a pass)
+    model = ts.chebyshev_model(64)
+    tracemalloc.start()
+    try:
+        expected_zero_count(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("n, k", [(50, 2.42828), (80, 2.70439)])
+def test_unit_mass_keeps_the_ends(n, k, thr):
+    # near |x| = 3 det3 / (r00 r11 r22) falls below 1e-12, where the
+    # determinant formula cannot resolve it; masking those points as
+    # degenerate made K silently low (2.41970 at n = 50, 2.59684 at n = 80)
+    total, _ = cumulative_weight(ts.unit_model(n), thr)
+    assert total == pytest.approx(k, abs=1e-5)
 
 
 def test_scaling_study_shape():

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from toposample import quadrature
 from toposample.errors import NonFiniteDensityError
 from toposample.quadrature import (
     adaptive_simpson,
@@ -54,6 +55,50 @@ def test_noise_band_terminates():
     assert val == pytest.approx(1.0, abs=1e-6)
     assert panels[0].size <= (1 << 21)
     assert elapsed < 30.0
+
+
+def test_kronrod_tables():
+    # the Gauss 7-point rule sits on every other Kronrod node, and on one
+    # panel K15 is exact through degree 22 and G7 through degree 13
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(quadrature._KRONROD15_NODES[1::2], -nodes[:4], rtol=0, atol=1e-15)
+    assert np.allclose(quadrature._GAUSS7_WEIGHTS, weights[:4], rtol=0, atol=1e-15)
+    one = np.array([1.0])
+    for degree in range(23):
+        integ, err = quadrature._gauss_kronrod(lambda x: x**degree, -one, one)
+        exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+        assert integ[0] == pytest.approx(exact, abs=1e-15)
+        assert err[0] <= (1e-15 if degree <= 13 else 1e-2)
+
+
+@pytest.mark.parametrize("end", [0.0, 1.0])
+def test_first_pass_samples_both_ends(end):
+    # no Kronrod node reaches an end of [a, b], so the first pass evaluates
+    # f(a) and f(b) too: an integrand that is not finite only there raises
+    fn = lambda x: np.where(np.asarray(x) == end, np.inf, 1.0)
+    with pytest.raises(NonFiniteDensityError):
+        adaptive_simpson(fn, 0.0, 1.0)
+
+
+def test_integrand_calls_are_chunked_without_changing_the_result(monkeypatch):
+    # every integrand call holds at most _POINTS_PER_CALL points, and the
+    # chunks leave the bits of a pointwise integrand's integral unchanged
+    fn = lambda x: np.sqrt(np.abs(x - 0.3))
+    monkeypatch.setattr(quadrature, "_POINTS_PER_CALL", 1 << 20)
+    whole = adaptive_simpson(fn, 0.0, 1.0, rel_tol=1e-12)
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return fn(x)
+
+    monkeypatch.setattr(quadrature, "_POINTS_PER_CALL", 64)
+    chunked = adaptive_simpson(counted, 0.0, 1.0, rel_tol=1e-12)
+    assert max(sizes) == 64 and len(sizes) > 10
+    assert chunked[0] == whole[0]
+    assert all(np.array_equal(c, w) for c, w in zip(chunked[1], whole[1]))
+    # sqrt|x - 0.3| integrates to (2/3)(0.3^1.5 + 0.7^1.5) over [0, 1]
+    assert whole[0] == pytest.approx((0.3**1.5 + 0.7**1.5) * 2.0 / 3.0, rel=1e-12)
 
 
 def test_cumulative_matches_closed_form():

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toposample as ts
@@ -338,17 +338,20 @@ def test_certified_cells_hold_at_their_edges(family, kind, resolution, seed, pat
         assert (pos[j], neg[j], zero_count[j], False) == want[j]
 
 
-def _min_near(model, threshold, row, resolution, target):
+def _min_near(model, threshold, row, resolution, where):
     # shift the constant basis term until the smallest |u - mu| of the
-    # per-path scan sits at ``target``, keeping that point's sign
-    system = topology._scan_system(model, threshold, resolution)[0]
-    rows, mu = system[:-1], system[-1]
+    # per-path scan sits at 1e-9 + where d / 2, d the rounding slack of
+    # the shifted row, keeping that point's sign; the argmin and the slack
+    # are found again after every shift, since a shift can move the
+    # minimum to another scan point and changes the row's slack
+    system, bounds = topology._scan_system(model, threshold, resolution)[:2]
     row = row.copy()
-    f = row @ rows - mu
-    i = int(np.argmin(np.abs(f)))
-    sign = 1.0 if f[i] >= 0.0 else -1.0
-    for _ in range(4):
-        row[0] -= (row @ rows - mu)[i] - sign * target
+    for _ in range(6):
+        f = row @ system[:-1] - system[-1]
+        i = int(np.argmin(np.abs(f)))
+        sign = 1.0 if f[i] >= 0.0 else -1.0
+        _, slack = block_minus_threshold(fold_coefficients(row[None]), system, bounds)
+        row[0] -= f[i] - sign * (_DEGENERATE_TOL + 0.5 * where * slack[0])
     return row
 
 
@@ -362,6 +365,12 @@ def _min_near(model, threshold, row, resolution, target):
     shifted=st.lists(st.tuples(st.integers(0, 10**6), st.floats(-1.0, 1.0)), min_size=1, max_size=4),
     offset=st.sampled_from((0.0, 0.5, -0.5)),
 )
+# a shift that shrinks the row's values also shrinks its slack, so a
+# target aimed with the slack of the unshifted row lands outside it
+@example(
+    family="custom", kind="constant", resolution=3, seed=91461765, paths=1,
+    shifted=[(0, 0.78)], offset=0.0,
+)
 def test_rows_near_the_tolerance_fall_back(family, kind, resolution, seed, paths, shifted, offset):
     # rows whose smallest |u - mu| lands within the rounding slack d of the
     # oracle's tolerance: one below it always falls back to the oracle, a
@@ -370,12 +379,9 @@ def test_rows_near_the_tolerance_fall_back(family, kind, resolution, seed, paths
     # slack in either direction, as a block product may be
     model, threshold = MODELS[family], THRESHOLDS[kind]
     coeffs = sample_coefficients(model, seed, range(paths))
-    system, bounds = topology._scan_system(model, threshold, resolution)[:2]
     for index, where in shifted:
         j = index % paths
-        _, slack = block_minus_threshold(fold_coefficients(coeffs[j : j + 1]), system, bounds)
-        target = _DEGENERATE_TOL + 0.5 * where * slack[0]
-        coeffs[j] = _min_near(model, threshold, coeffs[j], resolution, target)
+        coeffs[j] = _min_near(model, threshold, coeffs[j], resolution, where)
     landed = {index % paths for index, _ in shifted}
 
     def off_by_offset(*args, **kwargs):

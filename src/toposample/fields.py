@@ -52,13 +52,13 @@ FAMILIES = ("chebyshev", "cosine", "periodic", "binomial", "unit", "custom")
 _DOMAIN_TOL = 1e-9
 # positive-semidefiniteness tolerance, relative to the largest variance
 _PSD_TOL = 1e-12
-# singularity threshold for the derivative covariance minors, relative
-# to their natural scale
+# singularity threshold for the (u, u') covariance minor, relative to
+# r00 r11
 _DEGENERACY_TOL = 1e-12
-# below this value of det3 / (r00 r11 r22) the 3x3 determinant of the
-# Gram entries has lost most of its digits to cancellation, so it is
-# recomputed from a QR factorization of the jet rows
-_QR_RATIO = 1e-8
+# det3 is trusted where the volume of the unit-norm jet rows exceeds this
+# multiple of gamma_{3n}, its backward error: det3 is then within 1% of
+# the determinant of the jets
+_VOLUME_MARGIN = 1024.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,27 +459,36 @@ def correlation(model: FieldModel, x, y):
     return float(out[0]) if scalar else out
 
 
-def _qr_det3(model, b0, b1, b2):
-    """det3 / (r00 r11 r22) at each column of the jets, and whether the QR resolves it.
+def _det3_ratio(model, b0, b1, b2, r00, r10, r20, r11, r22):
+    """det3 / (r00 r11 r22) at each column of the jets, without cancellation.
 
-    The three jet rows weighted by the covariance factor, whose Gram
-    matrix is [rkl], are scaled to unit norm and factored as Q R, so the
-    ratio is (R11 R22 R33)^2, free of the cancellation of the 3x3
-    determinant formula. Householder QR is exact for columns perturbed by
-    a small multiple of gamma_{3n} of their norm, n = n_terms (Higham,
-    Accuracy and Stability of Numerical Algorithms, thm. 19.4), and so is
-    the volume |R11 R22 R33| of the unit columns up to that size; a point
-    is resolved where the volume exceeds 2 gamma_{3n}.
+    The jet rows weighted by the covariance factor, w_k, have Gram matrix
+    [rkl]. Modified Gram-Schmidt takes w1 and w2 orthogonal to w0, then
+    w2 orthogonal to w1, and the squared norms s1, s2 of what is left are
+    R11^2 and R22^2 of a QR factorization of the rows, so the ratio is
+    (s1 / r11)(s2 / r22): the squared volume of the unit-norm rows. Its
+    computed R is the exact R of rows perturbed by a modest multiple of
+    n u of their norm, n = n_terms (Higham, Accuracy and Stability of
+    Numerical Algorithms, thm. 19.13); with that perturbation below
+    gamma_{3n}, the volume is off by at most (1 + gamma_{3n})^3 - 1. With
+    fewer than three terms the three rows are linearly dependent and the
+    ratio is exactly 0.
     """
+    if model.n_terms < 3:
+        return np.zeros_like(r00)
+
+    def quotient(num, den):
+        # 0 where den is 0: a zero row spans no volume
+        return num / np.where(den > 0.0, den, np.inf)
+
     factor = model._factor
-    rows = [factor[:, None] * b if factor.ndim == 1 else factor.T @ b for b in (b0, b1, b2)]
-    w = np.stack(rows, axis=-1).transpose(1, 0, 2)  # (points, n_terms, 3)
-    w /= np.max(np.abs(w), axis=1, keepdims=True)
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    r = np.linalg.qr(w, mode="r")
-    volume = np.abs(r[:, 0, 0] * r[:, 1, 1] * r[:, 2, 2])
-    n = 3 * model.n_terms
-    return volume * volume, volume > 2.0 * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    w0, w1, w2 = (factor[:, None] * b if factor.ndim == 1 else factor.T @ b for b in (b0, b1, b2))
+    w1 -= quotient(r10, r00) * w0
+    w2 -= quotient(r20, r00) * w0
+    s1 = np.einsum("km,km->m", w1, w1)
+    w2 -= quotient(np.einsum("km,km->m", w1, w2), s1) * w1
+    s2 = np.einsum("km,km->m", w2, w2)
+    return quotient(s1, r11) * quotient(s2, r22)
 
 
 # entries of a large family may overflow to inf or NaN; the density code
@@ -503,16 +512,16 @@ def jet_tables(model: FieldModel, x, order: int = 2) -> dict[str, np.ndarray]:
     formed and the dict holds only ``x``, ``r00``, ``r10``, ``r11`` and
     ``minor33``, bit for bit the entries of the full table.
 
-    ``det3`` is accurate relative to itself, not only to r00 r11 r22.
-    Where det3 / (r00 r11 r22) is finite but below 1e-8, the determinant
-    formula has cancelled most of its digits (cosine waves next to the
-    domain ends, monomials near |x| = 3 from n = 50 on). There det3 comes
-    from a QR factorization of the three jet rows, weighted by the
-    covariance factor and scaled to unit norm, and the determinant part
-    of ``nondegenerate`` from that QR's accuracy rather than the fixed
-    1e-12. Every other entry is the same either way, and a point whose
-    ratio is not finite (an overflowing jet) is left to the density
-    code, which raises.
+    ``det3`` is the ratio det3 / (r00 r11 r22) from a Gram-Schmidt QR of
+    the three jet rows, weighted by the covariance factor, times
+    r00 r11 r22. The 3x3 determinant formula of the entries cancels all
+    its digits where that ratio is small (cosine waves next to the domain
+    ends, monomials near |x| = 3 from n = 50 on); the QR keeps them. The
+    determinant part of ``nondegenerate`` asks that the volume of the
+    unit-norm rows, the ratio's square root, exceed 2^10 gamma_{3n}, which
+    puts det3 within 1% of the determinant of the jets. A point whose
+    r00 r11 r22 is not finite (an overflowing jet) gets a det3 that is
+    not finite either, and the density code raises there.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     b0, b1, *b2 = basis_jets(model, x, order)
@@ -529,24 +538,15 @@ def jet_tables(model: FieldModel, x, order: int = 2) -> dict[str, np.ndarray]:
     r22 = _pair_contract(model, b2, b2)
     minor32 = r00 * r21 - r10 * r20
     minor31 = r10 * r21 - r11 * r20
-    det3 = (
-        r00 * (r11 * r22 - r21 * r21)
-        - r10 * (r10 * r22 - r20 * r21)
-        + r20 * (r10 * r21 - r11 * r20)
-    )
-    scale = r00 * r11 * r22
-    with np.errstate(divide="ignore"):
-        ratio = det3 / scale
-    band = np.isfinite(ratio) & (ratio < _QR_RATIO)
+    ratio = _det3_ratio(model, b0, b1, b2, r00, r10, r20, r11, r22)
+    det3 = ratio * (r00 * r11 * r22)
+    n = 3 * model.n_terms
+    floor = _VOLUME_MARGIN * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     ok = (
         (r00 > 0.0)
         & (minor33 > _DEGENERACY_TOL * r00 * r11)
-        & (band | (det3 > _DEGENERACY_TOL * scale))
+        & (ratio > floor * floor)
     )
-    if np.any(band):
-        ratio, resolved = _qr_det3(model, b0[:, band], b1[:, band], b2[:, band])
-        det3[band] = ratio * scale[band]
-        ok[band] &= resolved
     return {
         **first,
         "r20": r20,

@@ -148,6 +148,26 @@ def test_zero_density_never_forms_second_derivatives(cheb5, cosine5, binom5, mod
         ts.density_profile(binom5, ts.threshold_zero(), grids[2])
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        ts.cosine_model(1),
+        # nonzero second derivatives, so only the count of rows makes the jet singular
+        ts.custom_model([(np.ones_like, np.zeros_like, np.zeros_like),
+                         (np.square, lambda x: 2.0 * x, lambda x: np.full_like(x, 2.0))],
+                        (-1.0, 1.0)),
+    ],
+    ids=["cosine-1", "custom-2"],
+)
+def test_fewer_than_three_terms_are_degenerate_everywhere(model, thr):
+    # three jet rows in one or two dimensions are linearly dependent
+    xs = np.linspace(*model.domain, 9)
+    prof = ts.density_profile(model, thr, xs)
+    assert not np.any(prof.nondegenerate)
+    assert not np.any(fields.jet_tables(model, xs)["det3"])
+    assert ts.cumulative_weight(model, thr)[0] == 0.0
+
+
 @pytest.mark.parametrize("t", [1e-4, 3e-4])
 def test_cosine_density_near_an_end_is_the_pushed_chebyshev_density(t, thr):
     # cosine n is Chebyshev n pushed through x = cos(pi t), so C^(1/3)

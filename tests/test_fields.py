@@ -447,6 +447,24 @@ def test_unit_det3_is_resolved_near_the_ends(n):
     assert t["det3"] == pytest.approx(exact, rel=1e-6)
 
 
+def test_det3_is_trusted_down_to_its_volume_floor():
+    # basis (cos x, sin x, x^3): adding the first jet row to the third gives
+    # (0, 0, 6x + x^3), so det3 = (6x + x^3)^2 exactly, and the unit-norm
+    # rows span a volume of about 6|x|; the floor is 2^10 gamma_9 = 1.0e-12
+    table = [
+        (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)),
+        (np.sin, np.cos, lambda x: -np.sin(x)),
+        (lambda x: x**3, lambda x: 3.0 * x**2, lambda x: 6.0 * x),
+    ]
+    model = ts.custom_model(table, (-1.0, 1.0))
+    x = np.array([0.0, 1e-14, -1e-14, 1e-12, -1e-11, 1e-9, -1e-7, 0.5])
+    t = ts.jet_tables(model, x)
+    assert t["nondegenerate"].tolist() == [False] * 3 + [True] * 5
+    exact = (6.0 * x + x**3) ** 2
+    ok = t["nondegenerate"]
+    assert t["det3"][ok] == pytest.approx(exact[ok], rel=1e-2)
+
+
 def test_resolved_det3_weights_a_full_covariance_like_its_diagonal():
     # the QR of the jet rows reads the covariance through its factor
     n = 50

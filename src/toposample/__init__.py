@@ -5,6 +5,10 @@ crossover rate density, so that connected components of excursion sets
 are recovered from finitely many point evaluations with a quantified
 failure probability. See the README for the command line interface and
 the module docstrings for the underlying quantities.
+
+The names below are the library API. The submodules' other functions
+(correlation jets, quadrature, grid inversion, config parsing) are
+internals of these calls and of the command line.
 """
 
 __version__ = "0.1.0"
@@ -22,91 +26,47 @@ from .fields import (
     FieldModel,
     SamplePath,
     ThresholdFn,
-    basis_jets,
     binomial_model,
     chebyshev_model,
-    coefficient_rng,
-    correlation,
     cosine_model,
     custom_model,
-    jet_tables,
     periodic_model,
     sample_path,
-    spectral_moment,
     threshold_constant,
     threshold_cubic_shift,
     threshold_polynomial,
     threshold_zero,
     unit_model,
 )
-from .density import (
-    DensityProfile,
-    binomial_density_closed_form,
-    binomial_zero_density_closed_form,
-    density_profile,
-    periodic_density_closed_form,
-)
-from .quadrature import (
-    CumulativeIntegral,
-    adaptive_simpson,
-    bisect_increasing,
-    cumulative_integral,
-    golden_max,
-)
+from .density import DensityProfile, density_profile
 from .planner import (
     SamplingPlan,
     ScalingRow,
-    bound_is_vacuous,
     build_plan,
-    cumulative_weight,
-    density_guided_grid,
-    expected_zero_count,
     failure_bound,
     min_samples,
-    peak_crossover_rate,
-    place_grid,
-    sampling_density_fn,
     scaling_study,
-    uniform_bound_samples,
-    zero_density_fn,
 )
 from .topology import (
     NodalReport,
     OracleCount,
     admissibility_failure_bound,
-    admissible_to_depth,
     cubical_beta0,
-    default_oracle_resolution,
-    double_crossover,
     oracle_beta0,
     verify_match,
 )
 from .orthant import (
     CrossoverEstimate,
     EigenExpansion,
-    EigenStep,
-    LocalGaussian,
     crossover_probability_mc,
     eigen_expansion_check,
-    gaussian_upper_tail,
-    jacobi_eigh3,
-    local_gaussian,
     orthant_weight,
-    orthant_weight_closed3,
-    orthant_weight_pair3,
 )
-from .config import (
-    ExperimentConfig,
-    build_experiment_config,
-    build_model,
-    build_threshold,
-    read_config_file,
-)
+from .config import ExperimentConfig
 from .harness import (
     ExperimentResult,
     ZeroCountResult,
     compare_strategies,
-    profile_dump,
     run_experiment,
     zero_count_experiment,
 )
@@ -127,73 +87,36 @@ __all__ = [
     "binomial_model",
     "unit_model",
     "custom_model",
-    "basis_jets",
-    "correlation",
-    "jet_tables",
-    "spectral_moment",
-    "SamplePath",
-    "sample_path",
-    "coefficient_rng",
     "ThresholdFn",
     "threshold_zero",
     "threshold_constant",
     "threshold_polynomial",
     "threshold_cubic_shift",
-    "periodic_density_closed_form",
-    "binomial_density_closed_form",
-    "binomial_zero_density_closed_form",
+    "SamplePath",
+    "sample_path",
     "DensityProfile",
     "density_profile",
-    "adaptive_simpson",
-    "cumulative_integral",
-    "CumulativeIntegral",
-    "golden_max",
-    "bisect_increasing",
     "SamplingPlan",
     "build_plan",
-    "place_grid",
-    "cumulative_weight",
-    "sampling_density_fn",
-    "zero_density_fn",
-    "density_guided_grid",
     "failure_bound",
-    "bound_is_vacuous",
     "min_samples",
-    "uniform_bound_samples",
-    "peak_crossover_rate",
-    "expected_zero_count",
     "scaling_study",
     "ScalingRow",
-    "cubical_beta0",
-    "double_crossover",
     "OracleCount",
     "oracle_beta0",
-    "default_oracle_resolution",
-    "admissible_to_depth",
-    "admissibility_failure_bound",
+    "cubical_beta0",
     "NodalReport",
     "verify_match",
-    "gaussian_upper_tail",
-    "orthant_weight",
-    "orthant_weight_closed3",
-    "orthant_weight_pair3",
-    "LocalGaussian",
-    "local_gaussian",
-    "jacobi_eigh3",
-    "EigenStep",
-    "EigenExpansion",
-    "eigen_expansion_check",
-    "CrossoverEstimate",
-    "crossover_probability_mc",
-    "read_config_file",
-    "build_model",
-    "build_threshold",
+    "admissibility_failure_bound",
     "ExperimentConfig",
-    "build_experiment_config",
     "ExperimentResult",
     "run_experiment",
     "compare_strategies",
     "ZeroCountResult",
     "zero_count_experiment",
-    "profile_dump",
+    "orthant_weight",
+    "EigenExpansion",
+    "eigen_expansion_check",
+    "CrossoverEstimate",
+    "crossover_probability_mc",
 ]

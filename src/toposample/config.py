@@ -266,20 +266,15 @@ class ExperimentConfig:
     validate: bool = False
 
 
-def build_experiment_config(sections: dict[str, dict[str, str]], keys=None) -> ExperimentConfig:
+def build_experiment_config(sections: dict[str, dict[str, str]], keys) -> ExperimentConfig:
     """Resolve raw config sections into an ExperimentConfig.
 
     ``keys`` are the config keys the caller reads (see
     :func:`resolve_experiment`); unread fields keep their defaults.
-    Without ``keys`` every [experiment] key is read, and a missing seed
-    is left to the run to reject. Exactly one of experiment.m and
-    experiment.p must be present.
+    Exactly one of experiment.m and experiment.p must be present.
     """
     model = build_model(sections.get("model", {}))
     threshold = build_threshold(sections.get("threshold"))
-    if keys is None:
-        exp = sections.get("experiment", {})
-        keys = [key for key in CONFIG_KEYS["experiment"] if key != "seed" or key in exp]
     values = resolve_experiment(sections, keys)
     if (values.get("m") is None) == (values.get("p") is None):
         raise ConfigError("exactly one of experiment.m and experiment.p is required")

@@ -26,54 +26,6 @@ _PREFACTOR = 1.0 / (48.0 * np.pi)
 _CROSSOVER_FRACTION = 0.75
 
 
-def periodic_density_closed_form(m0, m1, m2, period, mu_jet) -> float:
-    """Sampling density of a stationary trigonometric model, closed form.
-
-    Parameters
-    ----------
-    m0, m1, m2 : float
-        Spectral moments sum_k k^(2j) a_k^2 of the amplitude vector for
-        j = 0, 1, 2.
-    period : float
-        Period length L.
-    mu_jet : tuple of float
-        (mu, mu', mu'') at the evaluation point.
-
-    The value agrees with :func:`density_profile` evaluated on the
-    periodic model; the spread m0 m2 - m1^2 must be positive, which
-    is exactly the nondegeneracy of the derivative covariance.
-    """
-    mu, dmu, ddmu = (float(v) for v in mu_jet)
-    if m0 <= 0.0 or m1 <= 0.0:
-        raise NondegeneracyError("spectral moments m0 and m1 must be positive")
-    spread = m0 * m2 - m1 * m1
-    if spread <= 0.0:
-        raise NondegeneracyError(
-            "spectral spread m0 m2 - m1^2 must be positive; a single active "
-            "frequency has none"
-        )
-    ll = float(period)
-    lead = np.pi ** 2 / (6.0 * ll ** 3) * spread / (m0 ** 1.5 * np.sqrt(m1))
-    bend = m1 * mu + m0 * ddmu * ll ** 2 / (4.0 * np.pi ** 2)
-    gain = bend * bend / (m0 * spread)
-    decay = (m1 * mu * mu + m0 * dmu * dmu * ll ** 2 / (4.0 * np.pi ** 2)) / (
-        2.0 * m0 * m1
-    )
-    return float(lead * (1.0 + gain) * np.exp(-decay))
-
-
-def binomial_density_closed_form(n: int, x):
-    """Sampling density of the binomial monomial family, closed form."""
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(float(n)) * (n - 1.0) / (24.0 * np.pi * (1.0 + x * x) ** 3)
-
-
-def binomial_zero_density_closed_form(n: int, x):
-    """Zero density of the binomial monomial family, closed form."""
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(float(n)) / (np.pi * (1.0 + x * x))
-
-
 @dataclass(frozen=True)
 class DensityProfile:
     """Sampling density along a grid of points, with its factors split out.
@@ -154,7 +106,8 @@ def density_profile(
     m33, m32, m31, det3 = t["minor33"], t["minor32"], t["minor31"], t["det3"]
     mu, dmu, ddmu = threshold.jet(x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        base = _PREFACTOR * det3 / np.sqrt(m33) ** 3
+        scale = np.sqrt(m33) ** 3
+        base = _PREFACTOR * det3 / scale
         shift = m31 * mu - m32 * dmu + m33 * ddmu
         gain = shift * shift / (m33 * det3)
         slope_term = r10 * mu - r00 * dmu
@@ -162,8 +115,10 @@ def density_profile(
         factor = (1.0 + gain) * np.exp(-decay)
         dens = base * factor
     # a point is degenerate only where the entries its mask reads are
-    # finite: minor33 and det3, whose finiteness implies every rkl's
-    finite = np.isfinite(np.where(ok, dens, det3)) & np.isfinite(m33)
+    # finite: minor33 and det3, whose finiteness implies every rkl's. A
+    # nondegenerate point also needs minor33^1.5 finite: det3 can stay
+    # finite where it overflows, and det3 / inf would read as density 0
+    finite = np.isfinite(np.where(ok, dens, det3)) & np.isfinite(np.where(ok, scale, m33))
     _require_finite(finite, x, "sampling density")
     if strict and not np.all(ok):
         bad = float(x[np.argmin(ok)])

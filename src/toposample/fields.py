@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FactorizationError
+from .errors import FactorizationError, NonFiniteDensityError
 
 FAMILIES = ("chebyshev", "cosine", "periodic", "binomial", "unit", "custom")
 
@@ -59,6 +59,8 @@ _DEGENERACY_TOL = 1e-12
 # multiple of gamma_{3n}, its backward error: det3 is then within 1% of
 # the determinant of the jets
 _VOLUME_MARGIN = 1024.0
+# the largest n whose binomial variances, up to binom(n, n // 2), are finite
+_BINOMIAL_MAX_N = 1029
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +207,10 @@ def periodic_model(amplitudes, period: float = 1.0) -> FieldModel:
 
 def binomial_model(n: int) -> FieldModel:
     """Monomial family with binomial variances, R(x, y) = (1 + xy)^n."""
+    if n > _BINOMIAL_MAX_N:
+        raise NonFiniteDensityError(
+            f"binomial variances are not finite in double precision for n > {_BINOMIAL_MAX_N}"
+        )
     variances = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
     return FieldModel("binomial", n + 1, (-3.0, 3.0), variances=variances)
 
@@ -519,9 +525,10 @@ def jet_tables(model: FieldModel, x, order: int = 2) -> dict[str, np.ndarray]:
     ends, monomials near |x| = 3 from n = 50 on); the QR keeps them. The
     determinant part of ``nondegenerate`` asks that the volume of the
     unit-norm rows, the ratio's square root, exceed 2^10 gamma_{3n}, which
-    puts det3 within 1% of the determinant of the jets. A point whose
-    r00 r11 r22 is not finite (an overflowing jet) gets a det3 that is
-    not finite either, and the density code raises there.
+    puts det3 within 1% of the determinant of the jets. The ratio is
+    multiplied by r00, r11 and r22 in turn, never by their product, which
+    overflows first. A point whose det3 or any entry still overflows gets
+    a det3 that is not finite, and the density code raises there.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     b0, b1, *b2 = basis_jets(model, x, order)
@@ -539,7 +546,7 @@ def jet_tables(model: FieldModel, x, order: int = 2) -> dict[str, np.ndarray]:
     minor32 = r00 * r21 - r10 * r20
     minor31 = r10 * r21 - r11 * r20
     ratio = _det3_ratio(model, b0, b1, b2, r00, r10, r20, r11, r22)
-    det3 = ratio * (r00 * r11 * r22)
+    det3 = ratio * r00 * r11 * r22
     n = 3 * model.n_terms
     floor = _VOLUME_MARGIN * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     ok = (
@@ -557,14 +564,6 @@ def jet_tables(model: FieldModel, x, order: int = 2) -> dict[str, np.ndarray]:
         "det3": det3,
         "nondegenerate": ok,
     }
-
-
-def spectral_moment(model: FieldModel, order: int) -> float:
-    """sum_k k^(2 order) a_k^2 for the periodic family."""
-    if model.family != "periodic":
-        raise ValueError("spectral moments are defined for the periodic family")
-    k = np.arange(model.amplitudes.size, dtype=float)
-    return float(np.sum(k ** (2 * order) * model.amplitudes ** 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -168,12 +168,6 @@ def _zero_mass(model: FieldModel):
     return cumulative_integral(zero_density_fn(model), model.a, model.b)
 
 
-def density_guided_grid(model: FieldModel, m: int) -> np.ndarray:
-    """Grid with equal zero-density mass per cell (crossing-count heuristic)."""
-    total, cumulative = _zero_mass(model)
-    return place_grid(cumulative, total, m)
-
-
 @dataclass(frozen=True)
 class SamplingPlan:
     """A sampling grid plus the quantities that justify it.

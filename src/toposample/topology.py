@@ -7,7 +7,11 @@ of a dense scan (the reference answer, whose roots are polished only when
 read) and from sign data on a finite grid, where each flagged grid point
 contributes the cell to its right and the last point a degenerate cell.
 Comparing the two is the whole game: a well-placed grid reproduces the
-true counts with high probability.
+true counts with high probability. A cell can lose a component only
+when the path crosses the threshold twice inside it: ``double_crossover``
+flags the there-and-back sign pattern of three samples, and
+``admissibility_failure_bound`` gives the leading-order probability of a
+double crossover in a cell.
 """
 from __future__ import annotations
 
@@ -34,7 +38,6 @@ from .planner import SamplingPlan, expected_zero_count
 _DEGENERATE_TOL = 1e-9
 _ROOT_XTOL = 1e-12
 _SCAN_POINTS_PER_ZERO = 4096
-_DEFAULT_ADMISSIBILITY_DEPTH = 12
 # scan_counts settles a row from its values at every _SCAN_CELL-th scan
 # point (a power of two, so every chord weight (m - l) / s is exact) and
 # computes in full only the cells the chord bound cannot certify; it takes
@@ -401,39 +404,6 @@ def default_oracle_resolution(model, expected_zeros: float | None = None) -> int
     if expected_zeros is None:
         expected_zeros = expected_zero_count(model)
     return _SCAN_POINTS_PER_ZERO * max(1, int(np.ceil(expected_zeros)))
-
-
-def admissible_to_depth(
-    path: SamplePath,
-    threshold: ThresholdFn,
-    interval: tuple[float, float],
-    depth: int = _DEFAULT_ADMISSIBILITY_DEPTH,
-) -> bool:
-    """No dyadic subinterval up to ``depth`` shows a double crossover.
-
-    Checks every interval [l + (r - l) k / 2^n, l + (r - l) (k + 1) / 2^n]
-    for n = 0..depth. True here (together with nonvanishing endpoint
-    values and simple roots) certifies that grid counts over the cell
-    match the true counts. The check is cumulative, so the result is
-    antitone in ``depth``. A finite depth can only under-approximate
-    true admissibility over all subintervals.
-    """
-    left, right = interval
-    if not right > left:
-        raise ValueError("interval must have positive length")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    points = 1 << (depth + 1)
-    xs = np.linspace(left, right, points + 1)
-    fs = path.value(xs) - threshold.value(xs)
-    for n in range(depth + 1):
-        stride = points >> n  # 2 or more throughout, so midpoints exist
-        lv = fs[0::stride][:-1]
-        rv = fs[stride::stride]
-        mv = fs[stride // 2::stride][: lv.size]
-        if np.any(double_crossover(lv, mv, rv)):
-            return False
-    return True
 
 
 def admissibility_failure_bound(crossover_rate: float, width: float) -> float:

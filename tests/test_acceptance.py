@@ -16,8 +16,11 @@ import pytest
 import toposample as ts
 from toposample.cli import main as cli_main
 from toposample.harness import profile_dump, trial_pass
+from toposample.orthant import orthant_weight_closed3, orthant_weight_pair3
 from toposample.planner import cumulative_weight, sampling_density_fn
 from toposample.topology import cubical_beta0
+
+from reference import binomial_density_closed_form, periodic_density_closed_form, spectral_moment
 
 # pre-committed seeds for the stochastic criteria
 SEED_LOCAL_LAW = 505
@@ -34,7 +37,7 @@ def test_criterion_1_closed_form_density(acceptance_record, thr):
     for n in range(2, 11):
         model = ts.binomial_model(n)
         prof = ts.density_profile(model, thr, xs, strict=True)
-        want = ts.binomial_density_closed_form(n, xs)
+        want = binomial_density_closed_form(n, xs)
         worst = max(worst, float(np.max(np.abs(prof.density / want - 1.0))))
     elapsed = time.monotonic() - start
     acceptance_record(
@@ -70,10 +73,10 @@ def test_criterion_3_orthant_asymptotics(acceptance_record):
     for _ in range(100):
         shift = rng.standard_normal(3)
         quad = ts.orthant_weight(shift)
-        closed = ts.orthant_weight_closed3(shift)
+        closed = orthant_weight_closed3(shift)
         worst_quad = max(worst_quad, abs(quad - closed))
         pair = quad + ts.orthant_weight(-shift)
-        worst_pair = max(worst_pair, abs(pair - ts.orthant_weight_pair3(shift)))
+        worst_pair = max(worst_pair, abs(pair - orthant_weight_pair3(shift)))
     elapsed = time.monotonic() - start
     acceptance_record(
         3,
@@ -117,10 +120,10 @@ def test_criterion_4_eigen_expansions(acceptance_record, mode5, binom5, thr):
 def test_criterion_5_local_probability_law(acceptance_record, mode5, thr):
     start = time.monotonic()
     delta = 0.01
-    target = 0.75 * ts.periodic_density_closed_form(
-        ts.spectral_moment(mode5, 0),
-        ts.spectral_moment(mode5, 1),
-        ts.spectral_moment(mode5, 2),
+    target = 0.75 * periodic_density_closed_form(
+        spectral_moment(mode5, 0),
+        spectral_moment(mode5, 1),
+        spectral_moment(mode5, 2),
         1.0,
         (0.0, 0.0, 0.0),
     )

@@ -1,4 +1,7 @@
-"""The public names of the package."""
+"""The package's public names: ``__all__`` lists each once, and each resolves.
+
+The README's "Library API" list holds exactly these names (see test_docs).
+"""
 import toposample as ts
 
 

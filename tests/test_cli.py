@@ -524,11 +524,15 @@ def test_eigen_mode_layout(capsys):
             "orthant-check", "--family", "binomial", "--n", "150",
             "--mode", "eigen", "--x", "2.9", "--spacings", "0.05",
         ),
+        ("density", "--family", "binomial", "--n", "2000"),
+        ("scaling", "--family", "binomial", "--n-list", "4,1000000000000000"),
     ],
-    ids=["bound", "density", "eigen"],
+    ids=["bound", "density", "eigen", "variances", "variances_huge_n"],
 )
 def test_overflowing_jet_is_numerical_error(capsys, argv):
-    # the correlation jet of binomial n >= 101 overflows double precision
+    # the correlation jet of binomial n >= 103 overflows double precision at
+    # x = -3, and from n = 1030 on the variances themselves; those are
+    # checked before any is formed, so a huge n fails at once
     code, out, err = _run(capsys, *argv)
     assert code == 3
     assert out == ""

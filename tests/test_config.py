@@ -3,7 +3,14 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample.config import _EXPERIMENT_KEYS, CONFIG_KEYS
+from toposample.config import (
+    _EXPERIMENT_KEYS,
+    CONFIG_KEYS,
+    build_experiment_config,
+    build_model,
+    build_threshold,
+    read_config_file,
+)
 from toposample.errors import ConfigError
 
 
@@ -27,7 +34,7 @@ seed = 7
 m = 8
 """,
     )
-    sections = ts.read_config_file(path)
+    sections = read_config_file(path)
     assert sections["model"] == {"family": "chebyshev", "n": "5"}
     assert sections["experiment"]["trials"] == "200"
     assert sections["experiment"]["seed"] == "7"
@@ -36,26 +43,26 @@ m = 8
 def test_read_config_rejects_unknown_section(tmp_path):
     path = _write(tmp_path, "[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
-        ts.read_config_file(path)
+        read_config_file(path)
 
 
 def test_read_config_rejects_unknown_key(tmp_path):
     path = _write(tmp_path, "[model]\nfamily = chebyshev\nwheels = 4\n")
     with pytest.raises(ConfigError):
-        ts.read_config_file(path)
+        read_config_file(path)
 
 
 def test_read_config_missing_file():
     with pytest.raises(ConfigError):
-        ts.read_config_file("/no/such/file.ini")
+        read_config_file("/no/such/file.ini")
 
 
 def test_build_model_families():
-    model = ts.build_model({"family": "chebyshev", "n": "5"})
+    model = build_model({"family": "chebyshev", "n": "5"})
     assert model.family == "chebyshev" and model.n_terms == 6
-    model = ts.build_model({"family": "binomial", "n": "3"})
+    model = build_model({"family": "binomial", "n": "3"})
     assert model.family == "binomial"
-    model = ts.build_model({"family": "periodic", "amplitudes": "0, 1, 1", "period": "2.0"})
+    model = build_model({"family": "periodic", "amplitudes": "0, 1, 1", "period": "2.0"})
     assert model.family == "periodic"
     assert model.period == 2.0
     assert np.array_equal(model.amplitudes, [0.0, 1.0, 1.0])
@@ -63,18 +70,18 @@ def test_build_model_families():
 
 def test_build_model_errors():
     with pytest.raises(ConfigError):
-        ts.build_model({})
+        build_model({})
     with pytest.raises(ConfigError):
-        ts.build_model({"family": "unknown", "n": "2"})
+        build_model({"family": "unknown", "n": "2"})
     with pytest.raises(ConfigError):
-        ts.build_model({"family": "chebyshev"})
+        build_model({"family": "chebyshev"})
     with pytest.raises(ConfigError):
-        ts.build_model({"family": "chebyshev", "n": "two"})
+        build_model({"family": "chebyshev", "n": "two"})
     with pytest.raises(ConfigError):
-        ts.build_model({"family": "periodic"})
+        build_model({"family": "periodic"})
     # model-level validation surfaces as a config error too
     with pytest.raises(ConfigError):
-        ts.build_model({"family": "periodic", "amplitudes": "0, 0"})
+        build_model({"family": "periodic", "amplitudes": "0, 0"})
     # a key the family does not read
     for spec in (
         {"family": "periodic", "amplitudes": "0, 1", "n": "3"},
@@ -82,21 +89,21 @@ def test_build_model_errors():
         {"family": "binomial", "n": "3", "period": "2.0"},
     ):
         with pytest.raises(ConfigError, match="does not apply"):
-            ts.build_model(spec)
+            build_model(spec)
 
 
 def test_build_threshold_kinds():
-    assert ts.build_threshold(None).value(0.3) == 0.0
-    assert ts.build_threshold({"kind": "constant", "tau": "1.5"}).value(0.0) == 1.5
-    poly = ts.build_threshold({"kind": "polynomial", "coefficients": "1, 0, 2"})
+    assert build_threshold(None).value(0.3) == 0.0
+    assert build_threshold({"kind": "constant", "tau": "1.5"}).value(0.0) == 1.5
+    poly = build_threshold({"kind": "polynomial", "coefficients": "1, 0, 2"})
     assert poly.value(2.0) == pytest.approx(9.0, rel=1e-14)
-    cubic = ts.build_threshold({"kind": "cubic_shift", "tau": "0.5"})
+    cubic = build_threshold({"kind": "cubic_shift", "tau": "0.5"})
     assert cubic.value(1.0) == pytest.approx(0.5, rel=1e-14)
     with pytest.raises(ConfigError):
-        ts.build_threshold({"kind": "staircase"})
+        build_threshold({"kind": "staircase"})
     with pytest.raises(ConfigError):
-        ts.build_threshold({"kind": "polynomial"})
-    assert ts.build_threshold({"kind": "constant"}).value(0.2) == 0.0
+        build_threshold({"kind": "polynomial"})
+    assert build_threshold({"kind": "constant"}).value(0.2) == 0.0
     # a key the kind does not read, the default kind zero included
     for spec in (
         {"tau": "5"},
@@ -107,7 +114,12 @@ def test_build_threshold_kinds():
         {"kind": "cubic_shift", "coefficients": "1"},
     ):
         with pytest.raises(ConfigError, match="does not apply"):
-            ts.build_threshold(spec)
+            build_threshold(spec)
+
+
+# the [experiment] keys of a run that draws paths, and of one that does not
+SEEDED = CONFIG_KEYS["experiment"]
+UNSEEDED = tuple(key for key in SEEDED if key != "seed")
 
 
 def test_build_experiment_config():
@@ -115,7 +127,7 @@ def test_build_experiment_config():
         "model": {"family": "chebyshev", "n": "5"},
         "experiment": {"trials": "500", "seed": "3", "p": "0.9", "workers": "2"},
     }
-    config = ts.build_experiment_config(sections)
+    config = build_experiment_config(sections, SEEDED)
     assert config.model.family == "chebyshev"
     assert config.p == 0.9 and config.m is None
     assert config.trials == 500 and config.seed == 3 and config.workers == 2
@@ -125,35 +137,35 @@ def test_build_experiment_config():
 def test_build_experiment_config_errors():
     base = {"model": {"family": "chebyshev", "n": "4"}}
     with pytest.raises(ConfigError):
-        ts.build_experiment_config({**base, "experiment": {"seed": "1"}})
+        build_experiment_config({**base, "experiment": {"seed": "1"}}, SEEDED)
     with pytest.raises(ConfigError):
-        ts.build_experiment_config(
-            {**base, "experiment": {"seed": "1", "m": "4", "p": "0.9"}}
+        build_experiment_config(
+            {**base, "experiment": {"seed": "1", "m": "4", "p": "0.9"}}, SEEDED
         )
     with pytest.raises(ConfigError):
-        ts.build_experiment_config({**base, "experiment": {"m": "0", "seed": "1"}})
+        build_experiment_config({**base, "experiment": {"m": "0", "seed": "1"}}, SEEDED)
     with pytest.raises(ConfigError):
-        ts.build_experiment_config({**base, "experiment": {"p": "1.0", "seed": "1"}})
+        build_experiment_config({**base, "experiment": {"p": "1.0", "seed": "1"}}, SEEDED)
     with pytest.raises(ConfigError):
-        ts.build_experiment_config(
-            {**base, "experiment": {"m": "4", "trials": "0", "seed": "1"}}
+        build_experiment_config(
+            {**base, "experiment": {"m": "4", "trials": "0", "seed": "1"}}, SEEDED
         )
     with pytest.raises(ConfigError):
-        ts.build_experiment_config(
-            {**base, "experiment": {"m": "4", "strategy": "sideways"}}
+        build_experiment_config(
+            {**base, "experiment": {"m": "4", "strategy": "sideways"}}, UNSEEDED
         )
     with pytest.raises(ConfigError):
-        ts.build_experiment_config(
-            {**base, "experiment": {"m": "4", "format": "xml"}}
+        build_experiment_config(
+            {**base, "experiment": {"m": "4", "format": "xml"}}, UNSEEDED
         )
     with pytest.raises(ConfigError):
-        ts.build_experiment_config(
-            {**base, "experiment": {"m": "4", "workers": "0"}}
+        build_experiment_config(
+            {**base, "experiment": {"m": "4", "workers": "0"}}, UNSEEDED
         )
     for resolution in ("1", "2"):
         with pytest.raises(ConfigError):
-            ts.build_experiment_config(
-                {**base, "experiment": {"m": "4", "oracle_resolution": resolution}}
+            build_experiment_config(
+                {**base, "experiment": {"m": "4", "oracle_resolution": resolution}}, UNSEEDED
             )
 
 
@@ -164,7 +176,7 @@ def test_every_experiment_key_has_one_parse():
 def test_validate_flag_parsing():
     base = {"model": {"family": "chebyshev", "n": "4"}}
     for raw, want in (("true", True), ("1", True), ("on", True), ("false", False), ("no", False)):
-        config = ts.build_experiment_config(
-            {**base, "experiment": {"m": "4", "validate": raw}}
+        config = build_experiment_config(
+            {**base, "experiment": {"m": "4", "validate": raw}}, UNSEEDED
         )
         assert config.validate is want

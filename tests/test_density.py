@@ -1,4 +1,6 @@
 """Sampling density, zero density, and closed-form cross checks."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,16 @@ import toposample as ts
 from toposample import fields
 from toposample.density import zero_density
 from toposample.errors import NondegeneracyError, NonFiniteDensityError
+from toposample.fields import jet_tables
+from toposample.planner import cumulative_weight, expected_zero_count
+
+from reference import (
+    binomial_density_closed_form,
+    binomial_zero_density_closed_form,
+    periodic_density_closed_form,
+    spectral_moment,
+    unit_jet_minors_exact,
+)
 
 SQRT5 = 5.0 ** 0.5
 
@@ -22,23 +34,55 @@ def test_binomial_density_at_origin(binom5):
 
 def test_binomial_density_closed_form_grid(binom5):
     xs = np.linspace(-2.8, 2.8, 29)
-    want = ts.binomial_density_closed_form(5, xs)
+    want = binomial_density_closed_form(5, xs)
     got = _at(binom5, ts.threshold_constant(0.0), xs)
     assert got.density == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_binomial_density_is_finite_where_only_the_diagonal_product_overflows(n):
+    # r00 r11 r22 overflows at x = -3 from n = 100 on, while det3 itself
+    # stays finite up to n = 102
+    xs = np.linspace(-3.0, 3.0, 4097)
+    got = ts.density_profile(ts.binomial_model(n), ts.threshold_zero(), xs)
+    assert got.density == pytest.approx(binomial_density_closed_form(n, xs), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [106, 108])
+def test_unit_density_is_exact_where_minor33_cubed_nearly_overflows(n):
+    # at x = -3 and 3 both det3 and minor33^1.5 sit near the top of double
+    # range; the zero threshold makes the density det3 / (48 pi minor33^1.5)
+    xs = np.array([-3.0, 3.0])
+    got = _at(ts.unit_model(n), ts.threshold_zero(), xs).density
+    want = []
+    for x in xs:
+        minor33, det3 = unit_jet_minors_exact(n, x)
+        want.append(math.exp(math.log(det3) - 1.5 * math.log(minor33)) / (48.0 * math.pi))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_overflowing_minor33_cubed_raises_instead_of_reading_zero():
+    # unit n=109 at x = -3 and 3: det3 is finite and the point nondegenerate,
+    # but minor33^1.5 overflows; det3 / inf would read as density 0, not ~5e-5
+    model, xs = ts.unit_model(109), np.array([0.0, -3.0, 3.0])
+    table = jet_tables(model, xs)
+    assert np.all(np.isfinite(table["det3"]) & table["nondegenerate"])
+    with pytest.raises(NonFiniteDensityError, match="not finite at x=-3"):
+        ts.density_profile(model, ts.threshold_zero(), xs)
 
 
 def test_binomial_zero_density(binom5, thr):
     assert _at(binom5, thr, 0.0).zero_density[0] == pytest.approx(SQRT5 / np.pi, rel=1e-13)
     xs = np.linspace(-2.5, 2.5, 11)
-    want = ts.binomial_zero_density_closed_form(5, xs)
+    want = binomial_zero_density_closed_form(5, xs)
     assert _at(binom5, thr, xs).zero_density == pytest.approx(want, rel=1e-11)
 
 
 def test_periodic_closed_form_matches_profile(mode5, thr):
-    m0 = ts.spectral_moment(mode5, 0)
-    m1 = ts.spectral_moment(mode5, 1)
-    m2 = ts.spectral_moment(mode5, 2)
-    closed = ts.periodic_density_closed_form(m0, m1, m2, 1.0, (0.0, 0.0, 0.0))
+    m0 = spectral_moment(mode5, 0)
+    m1 = spectral_moment(mode5, 1)
+    m2 = spectral_moment(mode5, 2)
+    closed = periodic_density_closed_form(m0, m1, m2, 1.0, (0.0, 0.0, 0.0))
     assert closed == pytest.approx(37.09827791134088, rel=1e-12)
     xs = np.linspace(0.05, 0.95, 7)
     prof = ts.density_profile(mode5, thr, xs, strict=True)
@@ -89,7 +133,7 @@ def test_profile_masks_degenerate_rows(cosine5, thr):
 def test_profile_zero_density_column(binom5, thr):
     xs = np.linspace(-2.0, 2.0, 9)
     prof = ts.density_profile(binom5, thr, xs, strict=True)
-    t = ts.jet_tables(binom5, xs)
+    t = jet_tables(binom5, xs)
     want = np.sqrt(t["minor33"]) / (np.pi * t["r00"])
     assert prof.zero_density == pytest.approx(want, rel=1e-12)
 
@@ -102,9 +146,9 @@ def test_chebyshev_density_even(cheb5, thr):
 
 def test_periodic_closed_form_validation():
     with pytest.raises(NondegeneracyError):
-        ts.periodic_density_closed_form(1.0, 2.0, 4.0, 1.0, (0.0, 0.0, 0.0))
+        periodic_density_closed_form(1.0, 2.0, 4.0, 1.0, (0.0, 0.0, 0.0))
     with pytest.raises(NondegeneracyError):
-        ts.periodic_density_closed_form(0.0, 1.0, 2.0, 1.0, (0.0, 0.0, 0.0))
+        periodic_density_closed_form(0.0, 1.0, 2.0, 1.0, (0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -143,7 +187,7 @@ def test_zero_density_never_forms_second_derivatives(cheb5, cosine5, binom5, mod
     )
     for model, xs, column in zip(models, grids, columns):
         assert zero_density(model, xs).tobytes() == column.tobytes()
-    assert ts.expected_zero_count(binom5) > 0.0
+    assert expected_zero_count(binom5) > 0.0
     with pytest.raises(AssertionError, match="second derivative"):
         ts.density_profile(binom5, ts.threshold_zero(), grids[2])
 
@@ -165,7 +209,7 @@ def test_fewer_than_three_terms_are_degenerate_everywhere(model, thr):
     prof = ts.density_profile(model, thr, xs)
     assert not np.any(prof.nondegenerate)
     assert not np.any(fields.jet_tables(model, xs)["det3"])
-    assert ts.cumulative_weight(model, thr)[0] == 0.0
+    assert cumulative_weight(model, thr)[0] == 0.0
 
 
 @pytest.mark.parametrize("t", [1e-4, 3e-4])

@@ -1,4 +1,5 @@
-"""The README's command line and config file examples stay valid."""
+"""The README's command line, config file and library examples stay valid,
+and its library API list is the package's ``__all__``."""
 import re
 import shlex
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 import toposample as ts
 from toposample.cli import COMMAND_KEYS, build_parser, main
+from toposample.config import build_experiment_config, read_config_file
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -42,6 +44,20 @@ def test_readme_config_example_loads(tmp_path):
     (text,) = _blocks("ini")
     path = tmp_path / "run.ini"
     path.write_text(text, encoding="utf-8")
-    config = ts.build_experiment_config(ts.read_config_file(str(path)))
+    config = build_experiment_config(read_config_file(str(path)), COMMAND_KEYS["experiment"])
     assert config.model.family == "chebyshev"
     assert (config.m, config.trials, config.seed) == (8, 10000, 7)
+
+
+def test_readme_library_api_is_the_export_list():
+    section = README.split("## Library API", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"`(\w+)`", section)) == set(ts.__all__)
+
+
+def test_readme_library_example_runs(capsys):
+    (code,) = _blocks("python")
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert isinstance(scope["plan"], ts.SamplingPlan)
+    assert isinstance(scope["report"], ts.NodalReport)
+    assert capsys.readouterr().out

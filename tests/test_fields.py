@@ -8,21 +8,27 @@ import toposample as ts
 from toposample.errors import FactorizationError
 from toposample.fields import (
     SamplePath,
+    basis_jets,
     basis_values,
     block_minus_threshold,
+    coefficient_rng,
+    correlation,
     fold_coefficients,
+    jet_tables,
     magnitude_bounds,
     sample_coefficients,
     threshold_system,
 )
 
+from reference import spectral_moment, unit_jet_minors_exact
+
 
 def _fd_check(model, xs, h, tol1, tol2):
     # central differences of the order-0 row against the analytic rows,
     # scaled by the row magnitude so large bases do not inflate roundoff
-    b0, b1, b2 = ts.basis_jets(model, xs)
-    p0, _, _ = ts.basis_jets(model, xs + h)
-    m0, _, _ = ts.basis_jets(model, xs - h)
+    b0, b1, b2 = basis_jets(model, xs)
+    p0, _, _ = basis_jets(model, xs + h)
+    m0, _, _ = basis_jets(model, xs - h)
     s1 = max(1.0, float(np.max(np.abs(b1))))
     s2 = max(1.0, float(np.max(np.abs(b2))))
     e1 = np.max(np.abs((p0 - m0) / (2 * h) - b1)) / s1
@@ -40,7 +46,7 @@ def test_basis_jets_match_finite_differences(cheb5, cosine5, binom5, mode5):
 
 
 def test_chebyshev_recurrence_values(cheb5):
-    v, d1, d2 = (float(row[2, 0]) for row in ts.basis_jets(cheb5, 0.5))
+    v, d1, d2 = (float(row[2, 0]) for row in basis_jets(cheb5, 0.5))
     assert v == pytest.approx(-0.5, abs=1e-14)
     assert d1 == pytest.approx(2.0, abs=1e-13)
     assert d2 == pytest.approx(4.0, abs=1e-12)
@@ -48,19 +54,19 @@ def test_chebyshev_recurrence_values(cheb5):
 
 def test_monomial_values():
     model = ts.unit_model(4)
-    v, d1, d2 = (float(row[3, 0]) for row in ts.basis_jets(model, 2.0))
+    v, d1, d2 = (float(row[3, 0]) for row in basis_jets(model, 2.0))
     assert (v, d1, d2) == (8.0, 12.0, 12.0)
 
 
 def test_cosine_endpoint_derivative_exact(cosine5):
     # range-reduced trig must land on exact zeros at integer arguments
-    _, b1, _ = ts.basis_jets(cosine5, np.array([0.0, 1.0]))
+    _, b1, _ = basis_jets(cosine5, np.array([0.0, 1.0]))
     assert np.all(b1 == 0.0)
 
 
 def test_periodic_wrap_exact(mode5):
-    left = ts.basis_jets(mode5, np.array([0.0]))
-    right = ts.basis_jets(mode5, np.array([1.0]))
+    left = basis_jets(mode5, np.array([0.0]))
+    right = basis_jets(mode5, np.array([1.0]))
     for lo, hi in zip(left, right):
         assert np.array_equal(lo, hi)
 
@@ -68,8 +74,8 @@ def test_periodic_wrap_exact(mode5):
 def test_correlation_symmetric(binom5):
     xs = np.array([-1.3, 0.2, 2.4])
     ys = np.array([0.7, -2.1, 1.1])
-    assert ts.correlation(binom5, xs, ys) == pytest.approx(
-        ts.correlation(binom5, ys, xs), rel=1e-14
+    assert correlation(binom5, xs, ys) == pytest.approx(
+        correlation(binom5, ys, xs), rel=1e-14
     )
 
 
@@ -77,13 +83,13 @@ def test_binomial_correlation_closed_form(binom5):
     # coefficient variances C(5, k) collapse the series to (1 + xy)^5
     xs = np.linspace(-2.0, 2.0, 9)
     ys = np.linspace(-1.5, 2.5, 9)
-    got = ts.correlation(binom5, xs, ys)
+    got = correlation(binom5, xs, ys)
     assert got == pytest.approx((1.0 + xs * ys) ** 5, rel=1e-13)
-    assert ts.correlation(binom5, 1.0, 1.0) == pytest.approx(32.0, rel=1e-14)
+    assert correlation(binom5, 1.0, 1.0) == pytest.approx(32.0, rel=1e-14)
 
 
 def test_binomial_jet_at_origin(binom5):
-    jet = {key: col[0] for key, col in ts.jet_tables(binom5, 0.0).items()}
+    jet = {key: col[0] for key, col in jet_tables(binom5, 0.0).items()}
     assert jet["r00"] == pytest.approx(1.0, rel=1e-14)
     assert jet["r10"] == pytest.approx(0.0, abs=1e-14)
     assert jet["r11"] == pytest.approx(5.0, rel=1e-14)
@@ -95,19 +101,19 @@ def test_binomial_jet_at_origin(binom5):
 
 def test_cosine_endpoints_degenerate(cosine5):
     # constant-derivative direction dies at the ends of the half period
-    tables = ts.jet_tables(cosine5, np.array([0.0, 0.5, 1.0]))
+    tables = jet_tables(cosine5, np.array([0.0, 0.5, 1.0]))
     assert list(tables["nondegenerate"]) == [False, True, False]
 
 
 def test_spectral_moments(mode5):
-    assert ts.spectral_moment(mode5, 0) == pytest.approx(1.0, rel=1e-14)
-    assert ts.spectral_moment(mode5, 1) == pytest.approx(11.0, rel=1e-14)
-    assert ts.spectral_moment(mode5, 2) == pytest.approx(195.8, rel=1e-13)
+    assert spectral_moment(mode5, 0) == pytest.approx(1.0, rel=1e-14)
+    assert spectral_moment(mode5, 1) == pytest.approx(11.0, rel=1e-14)
+    assert spectral_moment(mode5, 2) == pytest.approx(195.8, rel=1e-13)
 
 
 def test_spectral_moment_requires_periodic(cheb5):
     with pytest.raises(ValueError):
-        ts.spectral_moment(cheb5, 0)
+        spectral_moment(cheb5, 0)
 
 
 def test_periodic_validation():
@@ -128,7 +134,7 @@ def test_custom_model_matches_monomials():
     custom = ts.custom_model(table, (-3.0, 3.0))
     unit = ts.unit_model(2)
     xs = np.linspace(-2.0, 2.0, 7)
-    for got, want in zip(ts.basis_jets(custom, xs), ts.basis_jets(unit, xs)):
+    for got, want in zip(basis_jets(custom, xs), basis_jets(unit, xs)):
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -151,9 +157,9 @@ def test_custom_covariance_must_factor():
 
 def test_domain_enforced(cheb5):
     with pytest.raises(ValueError):
-        ts.basis_jets(cheb5, np.array([1.5]))
+        basis_jets(cheb5, np.array([1.5]))
     with pytest.raises(ValueError):
-        ts.correlation(cheb5, -2.0, 0.0)
+        correlation(cheb5, -2.0, 0.0)
 
 
 def test_sample_path_reproducible(cheb5):
@@ -167,14 +173,14 @@ def test_sample_path_reproducible(cheb5):
 def test_sample_path_evaluation(binom5):
     path = ts.sample_path(binom5, seed=11)
     xs = np.linspace(-2.0, 2.0, 9)
-    want = path.coeffs @ ts.basis_jets(binom5, xs)[0]
+    want = path.coeffs @ basis_jets(binom5, xs)[0]
     assert path.value(xs) == pytest.approx(want, rel=1e-13)
 
 
 def test_coefficient_rng_streams():
-    a = ts.coefficient_rng(123, 0).standard_normal(4)
-    b = ts.coefficient_rng(123, 0).standard_normal(4)
-    c = ts.coefficient_rng(123, 1).standard_normal(4)
+    a = coefficient_rng(123, 0).standard_normal(4)
+    b = coefficient_rng(123, 0).standard_normal(4)
+    c = coefficient_rng(123, 1).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -183,21 +189,21 @@ def test_coefficient_rng_streams():
 def test_coefficient_rng_rejects_values_outside_64_bits(bad):
     # masking to 64 bits made seed 2^64 + 1 draw seed 1's paths
     with pytest.raises(ValueError, match="seed must lie in"):
-        ts.coefficient_rng(bad, 0)
+        coefficient_rng(bad, 0)
     with pytest.raises(ValueError, match="stream must lie in"):
-        ts.coefficient_rng(1, bad)
+        coefficient_rng(1, bad)
 
 
 def test_coefficient_rng_keeps_the_key_of_every_64_bit_seed():
     for seed, stream in ((0, 0), (1, 7), (2**64 - 1, 2**64 - 1)):
         key = np.array([seed, stream], dtype=np.uint64)
         want = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
-        assert ts.coefficient_rng(seed, stream).standard_normal(3).tobytes() == want.tobytes()
+        assert coefficient_rng(seed, stream).standard_normal(3).tobytes() == want.tobytes()
 
 
 def _draw(model, seed, stream):
     # one path's draw as coefficient_rng gives it, scaled by the factor
-    z = ts.coefficient_rng(seed, stream).standard_normal(model.n_terms)
+    z = coefficient_rng(seed, stream).standard_normal(model.n_terms)
     factor = model._factor
     return factor * z if factor.ndim == 1 else factor @ z
 
@@ -324,14 +330,14 @@ def test_first_order_jet_is_the_full_jet_prefix(cheb5, cosine5, binom5, mode5):
     custom = ts.custom_model(table, (0.0, 2.0))
     for model in (cheb5, cosine5, binom5, mode5, ts.unit_model(4), custom):
         xs = np.linspace(*model.domain, 257)
-        full = ts.jet_tables(model, xs)
-        first = ts.jet_tables(model, xs, order=1)
+        full = jet_tables(model, xs)
+        first = jet_tables(model, xs, order=1)
         assert list(first) == ["x", "r00", "r10", "r11", "minor33"]
         for key, value in first.items():
             assert value.tobytes() == full[key].tobytes()
-        first_jets = ts.basis_jets(model, xs, order=1)
+        first_jets = basis_jets(model, xs, order=1)
         assert len(first_jets) == 2
-        for got, want in zip(first_jets, ts.basis_jets(model, xs)):
+        for got, want in zip(first_jets, basis_jets(model, xs)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -389,7 +395,7 @@ def test_basis_values_are_the_jet_value_rows(cheb5, cosine5, binom5, mode5):
     for model in (cheb5, cosine5, binom5, mode5, ts.unit_model(4), custom):
         a, b = model.domain
         xs = np.linspace(a, b, 97)
-        assert np.array_equal(basis_values(model, xs), ts.basis_jets(model, xs)[0])
+        assert np.array_equal(basis_values(model, xs), basis_jets(model, xs)[0])
     with pytest.raises(ValueError):
         basis_values(cheb5, np.array([1.5]))
 
@@ -417,23 +423,10 @@ def test_threshold_system_holds_the_basis_bits(family, points):
     system = threshold_system(model, threshold, xs)
     assert system.shape == (model.n_terms + 1, points)
     assert system[:-1].tobytes() == basis_values(model, xs).tobytes()
-    assert system[:-1].tobytes() == ts.basis_jets(model, xs)[0].tobytes()
+    assert system[:-1].tobytes() == basis_jets(model, xs)[0].tobytes()
     assert system[-1].tobytes() == threshold.value(xs).tobytes()
     with pytest.raises(ValueError):
         threshold_system(model, threshold, np.array([model.b + 1.0]))
-
-
-
-def _exact_monomial_det3(n, x):
-    """det3 of the unit family's jet at x, in exact rational arithmetic."""
-    x = Fraction(x)
-    b0 = [x**k for k in range(n + 1)]
-    b1 = [k * x ** (k - 1) if k else Fraction(0) for k in range(n + 1)]
-    b2 = [k * (k - 1) * x ** (k - 2) if k > 1 else Fraction(0) for k in range(n + 1)]
-    (r00, r01, r02), (_, r11, r12), (_, _, r22) = (
-        [sum(p * q for p, q in zip(u, v)) for v in (b0, b1, b2)] for u in (b0, b1, b2)
-    )
-    return r00 * (r11 * r22 - r12 * r12) - r01 * (r01 * r22 - r02 * r12) + r02 * (r01 * r12 - r11 * r02)
 
 
 @pytest.mark.parametrize("n", [50, 80])
@@ -441,8 +434,8 @@ def test_unit_det3_is_resolved_near_the_ends(n):
     # det3 / (r00 r11 r22) is below 1e-12 at these points (4.4e-14 at x = 3,
     # n = 80), where the 3x3 determinant formula cancels to noise
     x = np.array([-3.0, -2.95, 2.9, 3.0])
-    t = ts.jet_tables(ts.unit_model(n), x)
-    exact = np.array([float(_exact_monomial_det3(n, v)) for v in x])
+    t = jet_tables(ts.unit_model(n), x)
+    exact = np.array([float(unit_jet_minors_exact(n, v)[1]) for v in x])
     assert np.all(t["nondegenerate"])
     assert t["det3"] == pytest.approx(exact, rel=1e-6)
 
@@ -458,7 +451,7 @@ def test_det3_is_trusted_down_to_its_volume_floor():
     ]
     model = ts.custom_model(table, (-1.0, 1.0))
     x = np.array([0.0, 1e-14, -1e-14, 1e-12, -1e-11, 1e-9, -1e-7, 0.5])
-    t = ts.jet_tables(model, x)
+    t = jet_tables(model, x)
     assert t["nondegenerate"].tolist() == [False] * 3 + [True] * 5
     exact = (6.0 * x + x**3) ** 2
     ok = t["nondegenerate"]
@@ -471,6 +464,6 @@ def test_resolved_det3_weights_a_full_covariance_like_its_diagonal():
     diagonal = ts.unit_model(n)
     full = ts.FieldModel("unit", n + 1, (-3.0, 3.0), covariance=np.eye(n + 1))
     x = np.linspace(-3.0, 3.0, 41)
-    want, got = ts.jet_tables(diagonal, x), ts.jet_tables(full, x)
+    want, got = jet_tables(diagonal, x), jet_tables(full, x)
     assert np.array_equal(got["nondegenerate"], want["nondegenerate"])
     assert got["det3"] == pytest.approx(want["det3"], rel=1e-9)

@@ -26,7 +26,7 @@ from toposample.harness import (
     write_csv,
     zero_count_table,
 )
-from toposample.planner import SamplingPlan
+from toposample.planner import SamplingPlan, expected_zero_count
 from toposample.quadrature import adaptive_simpson
 from toposample.topology import verify_match
 
@@ -370,7 +370,7 @@ def test_zero_count_integrates_the_zero_density_once(cheb5, monkeypatch):
     monkeypatch.setattr(planner, "adaptive_simpson", counting)
     result = ts.zero_count_experiment(cheb5, trials=2, seed=1)
     assert len(calls) == 1
-    assert result.expected == ts.expected_zero_count(cheb5)
+    assert result.expected == expected_zero_count(cheb5)
 
 
 def test_zero_count_deterministic_across_workers(binom5):

@@ -12,13 +12,26 @@ fallback value instead of its exit code.
 The package constructs a ``ProcessPoolExecutor`` at exactly one site,
 the kept worker pool in ``harness``: a second site would start pools
 that its slot neither reuses nor closes.
+
+Every module-level function and class is referenced somewhere in the
+package outside its own body, is exported in ``__all__``, or is a name
+the benchmark's tracer wraps (``perfbench/tracing.TARGETS``): library
+code that only tests call belongs in the tests.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toposample"
+import toposample as ts
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import tracing  # noqa: E402
+
+PACKAGE = ROOT / "src" / "toposample"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 BROAD = {"Exception", "BaseException"}
@@ -83,3 +96,66 @@ def _pool_constructions(path):
 def test_one_process_pool_construction():
     sites = [site for path in ALL_MODULES for site in _pool_constructions(path)]
     assert len(sites) == 1, sites
+
+
+def _module_aliases(tree):
+    """Names a module binds to a sibling package module (``from . import planner``)."""
+    stems = {p.stem for p in MODULES}
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+        for alias in node.names
+        if alias.name in stems
+    }
+
+
+def _references(tree):
+    """Names a module reads: bare names, and attributes of a sibling module.
+
+    A definition's own body does not count as a reference to it, so
+    recursion or a class naming itself does not keep it alive.
+    """
+    aliases = _module_aliases(tree)
+    found = set()
+    for statement in tree.body:
+        own = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def test_every_definition_has_a_caller():
+    definitions, referenced = [], set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        definitions += [
+            f"{path.name}:{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        referenced |= _references(tree)
+    allowed = referenced | set(ts.__all__) | {attr for _, attr, *_ in tracing.TARGETS}
+    assert [d for d in definitions if d.split(":")[1] not in allowed] == []
+
+
+def test_self_and_attribute_references_keep_nothing_alive():
+    tree = ast.parse(
+        "from . import planner\n"
+        "def walk(n):\n    return walk(n - 1)\n"
+        "class Node:\n    def copy(self):\n        return Node()\n"
+        "def grid(path):\n    return path.grid\n"
+        "def place(m):\n    return planner.place_grid(m)\n"
+    )
+    assert _references(tree) == {"n", "path", "m", "planner", "place_grid"}

@@ -7,17 +7,26 @@ import pytest
 
 import toposample as ts
 from toposample.errors import NotPositiveDefiniteError
-from toposample.orthant import crossover_probability_from
+from toposample.fields import correlation, jet_tables
+from toposample.orthant import (
+    LocalGaussian,
+    crossover_probability_from,
+    gaussian_upper_tail,
+    jacobi_eigh3,
+    local_gaussian,
+    orthant_weight_closed3,
+    orthant_weight_pair3,
+)
 
 
 def test_gaussian_upper_tail_values():
-    assert ts.gaussian_upper_tail(0.0) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-14)
+    assert gaussian_upper_tail(0.0) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-14)
     # reflection: the two tails sum to the full integral sqrt(2 pi)
     for x in (0.3, 1.0, 2.5):
-        both = ts.gaussian_upper_tail(x) + ts.gaussian_upper_tail(-x)
+        both = gaussian_upper_tail(x) + gaussian_upper_tail(-x)
         assert both == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
     # large-argument accuracy survives thanks to erfc
-    assert ts.gaussian_upper_tail(10.0) == pytest.approx(7.69459862670642e-23, rel=1e-10)
+    assert gaussian_upper_tail(10.0) == pytest.approx(7.69459862670642e-23, rel=1e-10)
 
 
 def test_orthant_weight_normalization():
@@ -36,7 +45,7 @@ def test_orthant_weight_quadrature_matches_closed3():
     ]
     for shift in shifts:
         quad = ts.orthant_weight(shift)
-        closed = ts.orthant_weight_closed3(shift)
+        closed = orthant_weight_closed3(shift)
         assert quad == pytest.approx(closed, abs=1e-9)
 
 
@@ -44,16 +53,16 @@ def test_orthant_weight_quadrature_matches_closed3():
 def test_orthant_weight_reaches_the_bulk_for_negative_shifts(a1):
     # the integrand's mass sits near s = 0, beyond [alpha_1, alpha_1 + 40]
     for shift in ((a1, 0.0, 0.0), (a1, 0.3, -0.2)):
-        closed = ts.orthant_weight_closed3(shift)
+        closed = orthant_weight_closed3(shift)
         assert ts.orthant_weight(shift) == pytest.approx(closed, rel=1e-12)
 
 
 def test_orthant_weight_closed3_anchors():
-    assert ts.orthant_weight_closed3((1.0, 0.0, 0.0)) == pytest.approx(
+    assert orthant_weight_closed3((1.0, 0.0, 0.0)) == pytest.approx(
         0.15067956668754151, rel=1e-12
     )
     # shift in a tail component only rescales by a Gaussian factor
-    assert ts.orthant_weight_closed3((0.0, 1.0, 0.0)) == pytest.approx(
+    assert orthant_weight_closed3((0.0, 1.0, 0.0)) == pytest.approx(
         math.exp(-0.5), rel=1e-13
     )
 
@@ -62,9 +71,9 @@ def test_orthant_pair_identity():
     rng = np.random.default_rng(42)
     for _ in range(20):
         shift = rng.standard_normal(3)
-        lhs = ts.orthant_weight_closed3(shift) + ts.orthant_weight_closed3(-shift)
-        assert lhs == pytest.approx(ts.orthant_weight_pair3(shift), rel=1e-12)
-    assert ts.orthant_weight_pair3((1.0, 0.0, 0.0)) == pytest.approx(4.0, rel=1e-14)
+        lhs = orthant_weight_closed3(shift) + orthant_weight_closed3(-shift)
+        assert lhs == pytest.approx(orthant_weight_pair3(shift), rel=1e-12)
+    assert orthant_weight_pair3((1.0, 0.0, 0.0)) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_orthant_weight_validation():
@@ -92,7 +101,7 @@ def test_jacobi_eigensolver_matches_lapack():
     for _ in range(25):
         half = rng.standard_normal((3, 3))
         mat = half + half.T
-        vals, vecs = ts.jacobi_eigh3(mat)
+        vals, vecs = jacobi_eigh3(mat)
         want = np.linalg.eigvalsh(mat)
         assert vals == pytest.approx(want, rel=1e-11, abs=1e-11)
         assert np.all(np.diff(vals) >= 0.0)
@@ -105,34 +114,34 @@ def test_jacobi_handles_tiny_scales():
     # scale spread mimicking a collapsing covariance at small spacing
     mat = np.diag([1e-12, 1e-6, 1.0])
     mat[0, 1] = mat[1, 0] = 1e-9
-    vals, _ = ts.jacobi_eigh3(mat)
+    vals, _ = jacobi_eigh3(mat)
     want = np.linalg.eigvalsh(mat)
     assert vals == pytest.approx(want, rel=1e-8, abs=1e-18)
 
 
 def test_local_gaussian_construction(binom5, thr):
-    local = ts.local_gaussian(binom5, thr, 0.4, 0.25)
+    local = local_gaussian(binom5, thr, 0.4, 0.25)
     pts = np.array([0.4, 0.525, 0.65])
     for i in range(3):
         for j in range(3):
-            want = ts.correlation(binom5, float(pts[i]), float(pts[j]))
+            want = correlation(binom5, float(pts[i]), float(pts[j]))
             assert local.cov[i, j] == pytest.approx(want, rel=1e-12)
     assert local.thresholds == pytest.approx(np.zeros(3), abs=0.0)
 
 
 def test_local_gaussian_validation(binom5, thr):
     with pytest.raises(ValueError):
-        ts.local_gaussian(binom5, thr, 0.4, 0.0)
+        local_gaussian(binom5, thr, 0.4, 0.0)
     with pytest.raises(ValueError):
-        ts.local_gaussian(binom5, thr, 2.9, 0.5)
+        local_gaussian(binom5, thr, 2.9, 0.5)
     bad = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(NotPositiveDefiniteError):
-        ts.LocalGaussian(bad, np.zeros(3))
+        LocalGaussian(bad, np.zeros(3))
 
 
 def test_crossover_probability_iid_case():
     # independent standard normals alternate in sign with probability 1/4
-    local = ts.LocalGaussian(np.eye(3), np.zeros(3))
+    local = LocalGaussian(np.eye(3), np.zeros(3))
     est = crossover_probability_from(local, trials=200_000, seed=31)
     assert est.trials == 200_000
     assert est.hits == round(est.estimate * est.trials)
@@ -142,7 +151,7 @@ def test_crossover_probability_iid_case():
 
 
 def test_crossover_probability_deterministic():
-    local = ts.LocalGaussian(np.eye(3), np.zeros(3))
+    local = LocalGaussian(np.eye(3), np.zeros(3))
     one = crossover_probability_from(local, trials=50_000, seed=5)
     two = crossover_probability_from(local, trials=50_000, seed=5)
     other = crossover_probability_from(local, trials=50_000, seed=6)
@@ -154,7 +163,7 @@ def test_crossover_probability_deterministic():
 
 def test_crossover_mc_wraps_local_model(binom5, thr):
     direct = ts.crossover_probability_mc(binom5, thr, 0.2, 0.3, trials=20_000, seed=9)
-    local = ts.local_gaussian(binom5, thr, 0.2, 0.3)
+    local = local_gaussian(binom5, thr, 0.2, 0.3)
     routed = crossover_probability_from(local, trials=20_000, seed=9)
     assert direct.estimate == routed.estimate
     assert direct.stderr == routed.stderr
@@ -191,7 +200,7 @@ def test_eigen_expansion_structure(binom5):
 def test_eigen_expansion_predictions_from_jet(mode5):
     # stationary family at zero threshold: odd-derivative terms vanish
     report = ts.eigen_expansion_check(mode5, ts.threshold_zero(), 0.5, [2.0**-6])
-    r00, m33, det3 = (ts.jet_tables(mode5, 0.5)[k][0] for k in ("r00", "minor33", "det3"))
+    r00, m33, det3 = (jet_tables(mode5, 0.5)[k][0] for k in ("r00", "minor33", "det3"))
     predicted = report.predicted
     assert predicted["large_value"] == pytest.approx(3.0 * r00, rel=1e-12)
     assert predicted["mid_ratio"] == pytest.approx(m33 / (2.0 * r00), rel=1e-12)

@@ -9,7 +9,6 @@ from toposample import planner, quadrature
 from toposample.errors import DegenerateDensityError, NonFiniteDensityError
 from toposample.planner import (
     cumulative_weight,
-    density_guided_grid,
     expected_zero_count,
     peak_crossover_rate,
     place_grid,
@@ -17,6 +16,8 @@ from toposample.planner import (
     uniform_bound_samples,
 )
 from toposample.quadrature import adaptive_simpson
+
+from reference import periodic_density_closed_form, spectral_moment
 
 # cube-root masses frozen from high-precision runs of this code base,
 # cross-checked against closed forms where one exists
@@ -29,8 +30,8 @@ def test_cumulative_weight_constant_density(thr):
     # a stationary model on [0, 2] has a constant density C, so
     # K = 2 C^(1/3) and the cumulative is linear
     model = ts.periodic_model([0.0, 1.0, 1.0], period=2.0)
-    m0, m1, m2 = (ts.spectral_moment(model, j) for j in range(3))
-    density = ts.periodic_density_closed_form(m0, m1, m2, 2.0, (0.0, 0.0, 0.0))
+    m0, m1, m2 = (spectral_moment(model, j) for j in range(3))
+    density = periodic_density_closed_form(m0, m1, m2, 2.0, (0.0, 0.0, 0.0))
     total, cum = cumulative_weight(model, thr)
     assert total == pytest.approx(2.0 * np.cbrt(density), rel=1e-12)
     assert cum(0.5) == pytest.approx(total / 4.0, rel=1e-10)
@@ -184,7 +185,7 @@ def test_build_plan_density_strategy(binom5, thr):
     assert plan.grid.shape == (7,)
     assert np.all(np.diff(plan.grid) > 0)
     # zero-density-guided cells each hold an equal share of expected zeros
-    grid = density_guided_grid(binom5, 4)
+    grid = ts.build_plan(binom5, thr, "density", m=4).grid
     mid = np.arctan(3.0) / 2.0
     # quartiles of arctan-distributed mass sit at tan(+-atan(3)/2) and 0
     assert grid[2] == pytest.approx(0.0, abs=1e-9)
@@ -235,8 +236,8 @@ def test_zero_count_needs_only_the_zero_density_jet(n):
 
 
 @pytest.mark.parametrize(
-    "model", [ts.binomial_model(120), ts.binomial_model(200), ts.unit_model(106)],
-    ids=["binomial120", "binomial200", "unit106"],
+    "model", [ts.binomial_model(120), ts.binomial_model(200), ts.unit_model(110)],
+    ids=["binomial120", "binomial200", "unit110"],
 )
 def test_overflowing_jet_is_not_a_degenerate_point(model):
     # before, overflowed points counted as degenerate and were extended by 0

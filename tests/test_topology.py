@@ -14,7 +14,6 @@ from toposample import topology
 from toposample.fields import SamplePath, basis_values, magnitude_bounds, threshold_system
 from toposample.topology import (
     admissibility_failure_bound,
-    admissible_to_depth,
     cubical_beta0,
     default_oracle_resolution,
     double_crossover,
@@ -137,36 +136,6 @@ def test_default_oracle_resolution(cheb5, binom5):
     # 4096 per expected zero, with at least one block
     assert default_oracle_resolution(cheb5) == 4096 * 3
     assert default_oracle_resolution(binom5) == 4096 * 2
-
-
-def test_admissibility_monotone_path(cheb5, thr):
-    path = _cheb_path(cheb5, {1: 1.0})
-    for depth in (0, 3, 6):
-        assert admissible_to_depth(path, thr, (-1.0, 1.0), depth=depth)
-
-
-def test_admissibility_detects_double_crossover(cheb5, thr):
-    # u = 2x^2 - 1 dips below zero between the endpoints of [-1, 1]
-    path = _cheb_path(cheb5, {2: 1.0})
-    assert not admissible_to_depth(path, thr, (-1.0, 1.0), depth=0)
-    # on one half of the domain there is a single crossing: fine at any depth
-    assert admissible_to_depth(path, thr, (0.0, 1.0), depth=8)
-
-
-def test_admissibility_antitone_in_depth(cheb5, thr):
-    # deeper checks only add constraints; track the first failing depth
-    path = _cheb_path(cheb5, {3: 1.0})  # 4x^3 - 3x, three zeros in [-1, 1]
-    flags = [admissible_to_depth(path, thr, (-0.99, 0.99), depth=d) for d in range(6)]
-    for earlier, later in zip(flags, flags[1:]):
-        assert earlier or not later
-
-
-def test_admissibility_validation(cheb5, thr):
-    path = _cheb_path(cheb5, {1: 1.0})
-    with pytest.raises(ValueError):
-        admissible_to_depth(path, thr, (0.5, 0.5), depth=2)
-    with pytest.raises(ValueError):
-        admissible_to_depth(path, thr, (-1.0, 1.0), depth=-1)
 
 
 def test_admissibility_failure_bound():

@@ -233,8 +233,16 @@ def custom_model(basis_table, domain, variances=None, covariance=None) -> FieldM
     """Model over a user-supplied basis.
 
     ``basis_table`` is a sequence of (f, df, ddf) triples of vectorized
-    callables. When neither variances nor covariance is given the
-    coefficients default to unit variance.
+    callables. Each must be pointwise to the bit: its value at a point
+    may not depend on the other points of the array it is called with.
+    Elementwise products and sums and ufuncs such as ``np.sin`` are;
+    ``np.power`` is not, since on some hosts it rounds short arrays
+    differently from long ones. The scan evaluates the basis on tiles of
+    its points and certifies them with tables built from other tiles, so
+    a basis that rounds differently by tile can miscount; the scan raises
+    ValueError where two of its tiles disagree on a shared point. When
+    neither variances nor covariance is given the coefficients default to
+    unit variance.
     """
     table = tuple(tuple(entry) for entry in basis_table)
     if any(len(entry) != 3 for entry in table):
@@ -259,34 +267,45 @@ def custom_model(basis_table, domain, variances=None, covariance=None) -> FieldM
 # straight into a larger table.
 
 
+# each power is the one below it times x, so a point's values depend on
+# that point alone: np.power rounds differently on short arrays than on
+# long ones, which would make a tile of points differ from the same points
+# of a longer grid. The row loops here take each table's rows once, as a
+# list of views: indexing a row costs more than the arithmetic of a short
+# one
 def _monomial_values(model, x, b0):
-    k = np.arange(model.n_terms, dtype=float)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.power(x[None, :], k, out=b0)
+    b0[0] = 1.0
+    p = list(b0)
+    for k in range(1, model.n_terms):
+        np.multiply(p[k - 1], x, out=p[k])
+    return b0
 
 
 def _monomial_d1(model, x, b0):
-    k = np.arange(model.n_terms, dtype=float)[:, None]
     b1 = np.zeros_like(b0)
-    if model.n_terms > 1:
-        b1[1:] = k[1:] * x[None, :] ** (k[1:] - 1.0)
+    p, d = list(b0), list(b1)
+    for k in range(1, model.n_terms):
+        np.multiply(float(k), p[k - 1], out=d[k])
     return b1
 
 
 def _monomial_d2(model, x, b0, b1):
-    k = np.arange(model.n_terms, dtype=float)[:, None]
     b2 = np.zeros_like(b0)
-    if model.n_terms > 2:
-        b2[2:] = k[2:] * (k[2:] - 1.0) * x[None, :] ** (k[2:] - 2.0)
+    p, dd = list(b0), list(b2)
+    for k in range(2, model.n_terms):
+        np.multiply(k * (k - 1.0), p[k - 2], out=dd[k])
     return b2
 
 
+# T_k = 2x T_{k-1} - T_{k-2}, each row written in place with 2x formed once
 def _chebyshev_values(model, x, b0):
     b0[0] = 1.0
     if model.n_terms > 1:
         b0[1] = x
+    x2, t = 2.0 * x, list(b0)
     for k in range(2, model.n_terms):
-        b0[k] = 2.0 * x * b0[k - 1] - b0[k - 2]
+        np.multiply(x2, t[k - 1], out=t[k])
+        np.subtract(t[k], t[k - 2], out=t[k])
     return b0
 
 
@@ -297,16 +316,26 @@ def _chebyshev_d1(model, x, b0):
     b1[0] = 0.0
     if model.n_terms > 1:
         b1[1] = 1.0
+    x2, term = 2.0 * x, np.empty_like(x)
+    t, d = list(b0), list(b1)
     for k in range(2, model.n_terms):
-        b1[k] = 2.0 * b0[k - 1] + 2.0 * x * b1[k - 1] - b1[k - 2]
+        np.multiply(2.0, t[k - 1], out=term)
+        np.multiply(x2, d[k - 1], out=d[k])
+        np.add(term, d[k], out=d[k])
+        np.subtract(d[k], d[k - 2], out=d[k])
     return b1
 
 
 def _chebyshev_d2(model, x, b0, b1):
     b2 = np.empty_like(b0)
     b2[:2] = 0.0
+    x2, term = 2.0 * x, np.empty_like(x)
+    d, dd = list(b1), list(b2)
     for k in range(2, model.n_terms):
-        b2[k] = 4.0 * b1[k - 1] + 2.0 * x * b2[k - 1] - b2[k - 2]
+        np.multiply(4.0, d[k - 1], out=term)
+        np.multiply(x2, dd[k - 1], out=dd[k])
+        np.add(term, dd[k], out=dd[k])
+        np.subtract(dd[k], dd[k - 2], out=dd[k])
     return b2
 
 
@@ -605,12 +634,22 @@ def fold_coefficients(coeffs):
 
 
 def blocked_product(lhs, rhs):
-    """``lhs @ rhs``, in blocks of rows of at most _PRODUCT_MULADDS multiply-adds each."""
+    """``lhs @ rhs``, in blocks of at most _PRODUCT_MULADDS multiply-adds each.
+
+    A block is whole rows while a row fits; a longer row is split into
+    columns, at most 16 rows by as many columns as fit, so a wide ``rhs``
+    is read once per 16 rows rather than once per row.
+    """
     inner, points = rhs.shape
     out = np.empty((len(lhs), points))
-    step = max(1, _PRODUCT_MULADDS // max(1, inner * points))
-    for lo in range(0, len(lhs), step):
-        np.matmul(lhs[lo : lo + step], rhs, out=out[lo : lo + step])
+    rows, cols = _PRODUCT_MULADDS // max(1, inner * points), points
+    if rows == 0:
+        rows = min(len(lhs), 16)
+        cols = max(1, _PRODUCT_MULADDS // max(1, inner * rows))
+    for lo in range(0, len(lhs), rows):
+        for left in range(0, points, cols):
+            block = (slice(lo, lo + rows), slice(left, left + cols))
+            np.matmul(lhs[block[0]], rhs[:, block[1]], out=out[block])
     return out
 
 

@@ -41,16 +41,21 @@ _SCAN_POINTS_PER_ZERO = 4096
 # scan_counts settles a row from its values at every _SCAN_CELL-th scan
 # point (a power of two, so every chord weight (m - l) / s is exact) and
 # computes in full only the cells the chord bound cannot certify; it takes
-# rows in blocks of at most _SCAN_BLOCK_VALUES coarse values, and computes
-# cells in batches that read at most _SCAN_BLOCK_VALUES system values
-_SCAN_CELL = 64
+# rows in blocks of at most _SCAN_BLOCK_VALUES coarse values, builds its
+# tables from blocks of at most _SCAN_BLOCK_VALUES system values and
+# evaluates the system at the computed cells' points in batches of at most
+# _SCAN_BLOCK_VALUES values; a batch costs two ufunc calls per Chebyshev
+# row however few its points, so 32 steps, which halve the points of the
+# computed cells, beat 64 at Chebyshev n=64 (16 costs the block scan more)
+_SCAN_CELL = 32
 _SCAN_BLOCK_VALUES = 1 << 16
 
-# the threshold system, per-row max |value|, coarse columns and chord-error
-# table of the last scan, as one (key, system, bounds, coarse, chord)
-# entry; the key holds everything that fixes the system's values (see
-# _scan_system), so equal models and thresholds share an entry and none
-# can match a stale one
+# the last scan's key and what has been built for it, as one (key, parts)
+# entry: parts["points"] holds the scan points, and, once a caller asks for
+# them, parts["tables"] the row bounds, coarse columns and chord-error table
+# (scan_counts) and parts["system"] the full threshold system (oracle_beta0);
+# the key holds everything that fixes the values (see _scan_entry), so equal
+# models and thresholds share an entry and none can match a stale one
 _scan_slot = [None]
 
 
@@ -179,56 +184,70 @@ def _chord_residuals(fine, left, right, t, out):
     np.max(np.abs(residual, out=residual), axis=-1, out=out)
 
 
-def _chord_tables(system, bounds):
-    """The coarse columns of a scan system and its chord-error table.
+def _chord_tables(model, threshold, points):
+    """The row bounds, coarse columns and chord-error table of a scan.
 
     The R scan points split into cells of s = _SCAN_CELL steps: cell i
     spans the points l_i = i s to r_i = min(l_i + s, R - 1). ``coarse``
-    holds the system's columns at l_0, l_1, ... and R - 1, so cell i ends
-    at coarse columns i and i + 1. ``chord[k, i]`` bounds, in exact
-    arithmetic on the stored values, how far row k strays from its chord
-    inside cell i: |phi_k(m) - ((1 - t) phi_k(l_i) + t phi_k(r_i))| with
-    t = (m - l_i) / s, over every point m of the cell (for the last, maybe
-    shorter, cell t stays below 1, which the certificate allows). It is
-    the largest float residual plus 16 u ``bounds[k]`` (the row's largest
-    |value|), which covers the residual's own rounding and that of the
-    sum, and 4 smallest subnormals for gradual underflow. The cells are
-    read a block at a time, so the one temporary holds at most a quarter
-    of _SCAN_BLOCK_VALUES values.
+    holds the threshold system's columns at l_0, l_1, ... and R - 1, so
+    cell i ends at coarse columns i and i + 1, and ``bounds`` each system
+    row's largest |value| over every scan point. ``chord[k, i]`` bounds, in
+    exact arithmetic on the system's values, how far row k strays from its
+    chord inside cell i: |phi_k(m) - ((1 - t) phi_k(l_i) + t phi_k(r_i))|
+    with t = (m - l_i) / s, over every point m of the cell (for the last,
+    maybe shorter, cell t stays below 1, which the certificate allows). It
+    is the largest float residual plus 16 u ``bounds[k]``, which covers the
+    residual's own rounding and that of the sum, and 4 smallest subnormals
+    for gradual underflow. The system is evaluated a block of whole cells
+    at a time, at most _SCAN_BLOCK_VALUES values each, and never kept; a
+    pointwise basis gives each block the bits of the full system. Raises
+    ValueError when the column two blocks share comes out with different
+    bits in each, as it can for a basis that is not pointwise.
     """
-    rows, points = system.shape
+    rows, count = model.n_terms + 1, len(points)
     s = _SCAN_CELL
-    coarse = system[:, np.append(np.arange(0, points - 1, s), points - 1)]
-    cells = coarse.shape[1] - 1
+    ends = np.append(np.arange(0, count - 1, s), count - 1)
+    cells = len(ends) - 1
+    coarse = np.empty((rows, cells + 1))
     chord = np.empty((rows, cells))
+    bounds = np.full(rows, -np.inf)
     t = np.arange(s) / s
-    full = (points - 1) // s
-    step = max(1, _SCAN_BLOCK_VALUES // (4 * rows * s))
-    for lo in range(0, full, step):
-        hi = min(lo + step, full)
-        fine = system[:, lo * s : hi * s].reshape(rows, hi - lo, s)
-        _chord_residuals(fine, coarse[:, lo:hi], coarse[:, lo + 1 : hi + 1], t, chord[:, lo:hi])
-    if full < cells:
-        width = points - 1 - full * s
-        fine = system[:, full * s : points - 1].reshape(rows, 1, width)
-        _chord_residuals(fine, coarse[:, full:-1], coarse[:, -1:], t[:width], chord[:, full:])
+    # a block of step cells has step s + 1 points
+    step = max(1, (_SCAN_BLOCK_VALUES // rows - 1) // s)
+    for lo in range(0, cells, step):
+        hi = min(lo + step, cells)
+        block = threshold_system(model, threshold, points[ends[lo] : ends[hi] + 1])
+        # neighbouring blocks share their end column, so a basis whose bits
+        # depend on the tile shows here
+        if lo and block[:, 0].tobytes() != coarse[:, lo].tobytes():
+            raise ValueError("the basis is not pointwise: a point's values depend on the other points")
+        np.maximum(bounds, magnitude_bounds(block), out=bounds)
+        coarse[:, lo : hi + 1] = block[:, ends[lo : hi + 1] - ends[lo]]
+        # only the scan's last cell can be short
+        width = ends[hi] - ends[hi - 1]
+        full = hi - lo - (width < s)
+        if full:
+            fine = block[:, : full * s].reshape(rows, full, s)
+            mid = lo + full
+            left, right = coarse[:, lo:mid], coarse[:, lo + 1 : mid + 1]
+            _chord_residuals(fine, left, right, t, chord[:, lo:mid])
+        if width < s:
+            fine = block[:, -1 - width : -1].reshape(rows, 1, width)
+            left, right = coarse[:, hi - 1 : hi], coarse[:, hi:]
+            _chord_residuals(fine, left, right, t[:width], chord[:, hi - 1 :])
     chord += (16.0 * _UNIT_ROUNDOFF * bounds + 4.0 * _SMALLEST_SUBNORMAL)[:, None]
-    return coarse, chord
+    return bounds, coarse, chord
 
 
-def _scan_system(model, threshold, resolution):
-    """The threshold system on the scan points, its row bounds and its tables.
+def _scan_entry(model, threshold, resolution):
+    """The parts built so far for a scan of ``resolution`` points, as a dict.
 
     The scan points are ``resolution`` equispaced points over the model's
-    domain. The system (``threshold_system``) holds the basis rows with
-    the threshold's values as one more row, and the bounds each row's
-    largest |value|; ``coarse`` and ``chord`` are its ``_chord_tables``.
-    The points themselves are not kept. Paths with
-    the same basis and threshold share the scan, so it is built once per
-    basis, threshold and resolution, also across models and thresholds
-    built or unpickled separately. The slot is emptied before a new
-    build, so two systems are never alive at once (about 80 MB each at
-    Chebyshev n=64). Every array is read-only.
+    domain. Paths with the same basis and threshold share the scan, so its
+    parts are built once per basis, threshold and resolution, also across
+    models and thresholds built or unpickled separately. The slot is
+    emptied before a new entry is made, so two scans are never alive at
+    once. Every array is read-only.
     """
     # the system's values depend on the family, the number of terms, the
     # domain and the threshold (by their bits, so -0.0 and 0.0 differ),
@@ -238,16 +257,43 @@ def _scan_system(model, threshold, resolution):
     basis = (model.family, model.n_terms, domain, model.period, model.basis_table)
     key = (basis, threshold.coeffs.tobytes(), resolution)
     entry = _scan_slot[0]
-    if entry is not None and entry[0] == key:
-        return entry[1:]
-    _scan_slot[0] = None
-    system = threshold_system(model, threshold, np.linspace(model.a, model.b, resolution))
-    bounds = magnitude_bounds(system)
-    entry = (system, bounds, *_chord_tables(system, bounds))
-    for array in entry:
-        array.flags.writeable = False
-    _scan_slot[0] = (key, *entry)
-    return entry
+    if entry is None or entry[0] != key:
+        _scan_slot[0] = None
+        points = np.linspace(model.a, model.b, resolution)
+        points.flags.writeable = False
+        entry = _scan_slot[0] = (key, {"points": points})
+    return entry[1]
+
+
+def _scan_tables(model, threshold, resolution):
+    """The scan points, row bounds, coarse columns and chord table that ``scan_counts`` reads.
+
+    Built by ``_chord_tables`` on the first call for a scan and kept in its
+    entry; the full system is not built.
+    """
+    parts = _scan_entry(model, threshold, resolution)
+    if "tables" not in parts:
+        tables = _chord_tables(model, threshold, parts["points"])
+        for array in tables:
+            array.flags.writeable = False
+        parts["tables"] = tables
+    return (parts["points"], *parts["tables"])
+
+
+def _scan_system(model, threshold, resolution):
+    """The threshold system on every scan point, which ``oracle_beta0`` reads.
+
+    ``threshold_system`` at the scan points: the basis rows with the
+    threshold's values as one more row (about 76 MiB at Chebyshev n=64 and
+    151,552 points). Built on the first call for a scan and kept in its
+    entry; no chord table is built.
+    """
+    parts = _scan_entry(model, threshold, resolution)
+    if "system" not in parts:
+        system = threshold_system(model, threshold, parts["points"])
+        system.flags.writeable = False
+        parts["system"] = system
+    return parts["system"]
 
 
 def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> OracleCount:
@@ -255,7 +301,7 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
 
     The difference is scanned at ``resolution`` equispaced points, as the
     path's coefficients times the basis rows of the scan system, minus its
-    threshold row (``_scan_system``, kept between calls and shared by
+    threshold row (``_scan_system``, built on the first call and shared by
     every path of the same basis and threshold), which is bit for bit
     ``path.value - threshold.value`` on those points. The zeros are
     counted from the scan signs; each sign change between neighbouring
@@ -268,7 +314,7 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    system = _scan_system(path.model, threshold, resolution)[0]
+    system = _scan_system(path.model, threshold, resolution)
     fs = path.coeffs @ system[:-1] - system[-1]
     signs = np.sign(fs)
 
@@ -297,7 +343,7 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     """``oracle_beta0``'s counts for each row of ``coeffs``, where the signs decide them.
 
     Row j is the path with coefficients ``coeffs[j]``, scanned on the
-    oracle's points, as its row (c, -1) times the scan system, so every
+    oracle's points, as its row (c, -1) times the threshold system, so every
     threshold rides in the product as the system's last row. A block
     value can differ in its last bits from the oracle's per-path product,
     by at most the row's rounding slack d_j (``block_minus_threshold``),
@@ -320,9 +366,10 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     block or per-path, clears _DEGENERATE_TOL + 2 d_j. A certified cell
     thus has no sign change and meets the settle rule. Every other cell
     of a row whose coarse values meet the settle rule is computed in
-    full, for its sign changes and smallest |value|. s = 64 leaves about
-    one computed cell per zero on the benchmark models, and a few percent
-    of the values.
+    full, for its sign changes and smallest |value|, from the system
+    evaluated at that cell's points alone (``_cell_values``). s = 32
+    leaves about one computed cell per zero on the benchmark models, and
+    a few percent of the values; the full system is never built.
 
     With b the number of sign changes and p0 whether u - mu > 0 at a, a
     settled row's counts are zero_count = b, beta0_pos = (b + 1 + p0) // 2
@@ -334,69 +381,81 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    system, bounds, coarse, chord = _scan_system(model, threshold, resolution)
+    points, bounds, coarse, chord = _scan_tables(model, threshold, resolution)
     paths = len(coeffs)
     lhs = fold_coefficients(coeffs)
-    changes = np.zeros(paths, dtype=np.int64)
     first = np.zeros(paths, dtype=bool)
-    settled = np.zeros(paths, dtype=bool)
+    slack = np.empty(paths)
+    # the (cell, row) pairs the chord bound leaves uncertified
+    pairs = [np.empty((2, 0), dtype=np.intp)]
     # rows are taken in equal blocks of at most _SCAN_BLOCK_VALUES coarse values
     blocks = -(-paths * coarse.shape[1] // _SCAN_BLOCK_VALUES)
     height = max(1, -(-paths // max(1, blocks)))
-    cover = 1.0 + 4.0 * (len(system) + 3) * _UNIT_ROUNDOFF
+    cover = 1.0 + 4.0 * (len(coarse) + 3) * _UNIT_ROUNDOFF
     # a non-finite value or slack leaves its row unsettled, and the oracle raises for it
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, paths, height):
             block = slice(lo, lo + height)
-            f, slack = block_minus_threshold(lhs[block], coarse, bounds)
+            f, slack[block] = block_minus_threshold(lhs[block], coarse, bounds)
             clear = blocked_product(np.abs(lhs[block]), chord)
-            clear += _DEGENERATE_TOL + 3.0 * slack[:, None]
+            clear += _DEGENERATE_TOL + 3.0 * slack[block, None]
             clear *= cover
             above = f > 0.0
             size = np.abs(f)
             uncertified = above[:, 1:] != above[:, :-1]
             uncertified |= np.minimum(size[:, 1:], size[:, :-1]) < clear
             # a row whose slack is not finite is never settled: none of its cells is computed
-            finite = np.isfinite(slack)
-            rows, cells = np.divmod(np.flatnonzero(uncertified), clear.shape[1])
-            keep = finite[rows]
-            smallest = np.full(len(f), np.inf)
-            for j, values in _cell_values(lhs[block], system, rows[keep], cells[keep]):
-                above_j = values > 0.0
-                flips = np.flatnonzero(above_j[:, 1:] != above_j[:, :-1]) // (values.shape[1] - 1)
-                changes[block] += np.bincount(j[flips], minlength=len(f))
-                np.minimum.at(smallest, j, np.abs(values).min(axis=1))
+            uncertified &= np.isfinite(slack[block, None])
+            cells, rows = np.divmod(np.flatnonzero(uncertified.T), len(f))
+            pairs.append(np.stack([cells, rows + lo]))
             first[block] = above[:, 0]
-            settled[block] = finite & (smallest >= _DEGENERATE_TOL + slack)
+        # every block's cells at once, ordered by cell, so that rows share their evaluation
+        cells, rows = np.concatenate(pairs, axis=1)
+        order = np.argsort(cells, kind="stable")
+        changes = np.zeros(paths, dtype=np.int64)
+        smallest = np.full(paths, np.inf)
+        for j, values in _cell_values(lhs, model, threshold, points, rows[order], cells[order]):
+            above = values > 0.0
+            flips = np.flatnonzero(above[:, 1:] != above[:, :-1]) // (values.shape[1] - 1)
+            changes += np.bincount(j[flips], minlength=paths)
+            np.minimum.at(smallest, j, np.abs(values).min(axis=1))
+    settled = np.isfinite(slack) & (smallest >= _DEGENERATE_TOL + slack)
     return (changes + 1 + first) // 2, (changes + 2 - first) // 2, changes, settled
 
 
-def _cell_values(lhs, system, rows, cells):
+def _cell_values(lhs, model, threshold, points, rows, cells):
     """u - mu over whole scan cells: cell ``cells[p]`` of row ``rows[p]``, a batch at a time.
 
-    Yields (the batch's rows, their values), one row of values per cell
-    and ``min(_SCAN_CELL, R - 1) + 1`` values per row. A cell's values are
-    its row of ``lhs`` times a window of the system's columns, read
-    through a strided view, so the system is never copied; a batch
-    gathers at most _SCAN_BLOCK_VALUES system values. The last cell, when
-    shorter, reads the window that ends at the last point, and its points
-    before the cell take the cell's first value, which adds no sign
-    change and no smaller |value|.
+    ``cells`` is ascending. Yields (the batch's rows, their values) in the
+    order of the pairs, one row of values per cell and
+    ``min(_SCAN_CELL, R - 1) + 1`` values per row. A batch takes the pairs
+    of at most _SCAN_BLOCK_VALUES / ((K + 1) span) consecutive distinct
+    cells and evaluates ``threshold_system`` once at their points; a
+    cell's values are its row of ``lhs`` times a copy of its columns, made
+    for at most as many pairs at a time, so no batch holds more than
+    _SCAN_BLOCK_VALUES system values. The last cell, when shorter, takes
+    the window of points that ends at the last one, with the points before
+    the cell replaced by its first, so they add no sign change and no
+    smaller |value|.
     """
-    points = system.shape[1]
-    span = min(_SCAN_CELL, points - 1) + 1
-    windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(system, span, axis=1), 1, 0)
-    starts = cells * _SCAN_CELL
-    offsets = starts - np.minimum(starts, points - span)
-    step = max(1, _SCAN_BLOCK_VALUES // (len(system) * span))
-    for lo in range(0, rows.size, step):
-        j, start, offset = rows[lo : lo + step], starts[lo : lo + step], offsets[lo : lo + step]
-        values = np.matmul(lhs[j, None, :], windows[start - offset])[:, 0]
-        short = np.flatnonzero(offset)
-        if short.size:
-            o = offset[short[0]]
-            values[short, :o] = values[short, o, None]
-        yield j, values
+    count = len(points)
+    span = min(_SCAN_CELL, count - 1) + 1
+    height = model.n_terms + 1
+    step = max(1, _SCAN_BLOCK_VALUES // (height * span))
+    # each pair's index among the distinct cells
+    new = np.diff(cells, prepend=-1) != 0
+    distinct, which = cells[new], np.cumsum(new) - 1
+    for lo in range(0, distinct.size, step):
+        starts = distinct[lo : lo + step] * _SCAN_CELL
+        window = np.minimum(starts, count - span)[:, None] + np.arange(span)
+        x = points[np.maximum(window, starts[:, None]).ravel()]
+        system = threshold_system(model, threshold, x)
+        columns = system.reshape(height, starts.size, span).transpose(1, 0, 2)
+        first, last = np.searchsorted(which, [lo, lo + step])
+        for sub in range(first, last, step):
+            part = slice(sub, min(sub + step, last))
+            j = rows[part]
+            yield j, np.matmul(lhs[j, None, :], columns[which[part] - lo])[:, 0]
 
 
 def default_oracle_resolution(model, expected_zeros: float | None = None) -> int:

@@ -67,6 +67,26 @@ def binomial_zero_density_closed_form(n: int, x):
     return np.sqrt(float(n)) / (np.pi * (1.0 + x * x))
 
 
+def chebyshev_jets_recurrence(n_terms: int, x):
+    """Chebyshev T_k, T_k' and T_k'' at x by their three-term recurrences.
+
+    Each row is formed in one expression, as in
+    T_k = 2 x T_{k-1} - T_{k-2},
+    T_k' = 2 T_{k-1} + 2 x T_{k-1}' - T_{k-2}' and
+    T_k'' = 4 T_{k-1}' + 2 x T_{k-1}'' - T_{k-2}'', evaluated left to right.
+    """
+    x = np.asarray(x, dtype=float)
+    b0, b1, b2 = (np.zeros((n_terms, x.size)) for _ in range(3))
+    b0[0] = 1.0
+    if n_terms > 1:
+        b0[1], b1[1] = x, 1.0
+    for k in range(2, n_terms):
+        b0[k] = 2.0 * x * b0[k - 1] - b0[k - 2]
+        b1[k] = 2.0 * b0[k - 1] + 2.0 * x * b1[k - 1] - b1[k - 2]
+        b2[k] = 4.0 * b1[k - 1] + 2.0 * x * b2[k - 1] - b2[k - 2]
+    return b0, b1, b2
+
+
 def unit_jet_minors_exact(n: int, x):
     """(minor33, det3) of the unit family's jet at x, in exact rational arithmetic."""
     x = Fraction(x)

@@ -5,9 +5,11 @@ Every argv built from a command's flags (``COMMAND_KEYS``, and for
 does not read, with ordinary values and at most two from pools of edge
 cases (0, negatives, sizes that cannot be allocated, non-finite numbers,
 empty lists, out-of-range seeds, unusable paths), ends in exit 0, 2, 3
-or 4 with no traceback. Trial counts stay at most
-8, the oracle resolution at most 512 and the workers at most 2, so one
-example takes milliseconds; no example writes a file.
+or 4 with no traceback. Half the argvs that do not draw an unusable
+``--config`` read a valid config file, whose keys the flags override.
+Trial counts stay at most 8, the oracle resolution at most 512 and the
+workers at most 2, so one example takes milliseconds; no example writes
+a file.
 """
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,6 +24,8 @@ HERE = Path(__file__).resolve().parent
 # an --output or --config that cannot be opened: a directory, and a file in
 # a directory that does not exist
 BAD_PATHS = (str(HERE), str(HERE / "no-such-dir" / "run.ini"))
+# a readable config file of small, valid keys and no output key
+VALID_CONFIG = str(HERE / "contract_run.ini")
 HUGE = "1000000000000000"  # an array of this many doubles cannot be allocated
 
 # each key's (ordinary values, edge values); an argv takes edge values
@@ -52,8 +56,9 @@ POOLS = {
     "x": (("0", "0.5", "-0.9"), ("-5", "1e300", "nan", "inf")),
     "spacings": (("0.05", "0.25,0.125"), ("", "0", "-0.1", "nan", "1e300", "0.05,x")),
     "shift": (("1,0,0", "0,0,0", "-50,0,0"), ("1e20,0,0", "1e300,0,0", "nan,0,0", "0,0", "")),
-    # given only as edges, so that no example writes a file
-    "config": ((), BAD_PATHS),
+    # None leaves the flag out; --output is given only as an edge, so that
+    # no example writes a file
+    "config": ((VALID_CONFIG, None), BAD_PATHS),
     "output": ((), BAD_PATHS),
     "validate": (("",), ()),
 }
@@ -100,7 +105,8 @@ def argvs(draw):
             values = {"family": (family,), "kind": (kind,)}.get(key, ordinary)
         if values:
             value = draw(st.sampled_from(values))
-            argv += [_flag(key)] + ([value] if key != "validate" else [])
+            if value is not None:
+                argv += [_flag(key)] + ([value] if key != "validate" else [])
     return argv
 
 
@@ -120,3 +126,11 @@ def test_every_argv_ends_in_a_documented_exit_code(argv):
     code, err = _exit_code(argv)
     assert code in (0, 2, 3, 4), (code, err)
     assert "Traceback" not in err
+
+
+def test_the_valid_config_file_runs():
+    # the file the contract test reads is itself a valid run of each command
+    # that reads the run keys, so the examples that read it reach the run
+    for argv in (["zeros"], ["experiment", "--m", "4"], ["compare", "--p", "0.5"]):
+        code, err = _exit_code(argv + ["--config", VALID_CONFIG])
+        assert (code, err) == (0, "")

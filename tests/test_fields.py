@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toposample as ts
 from toposample.errors import FactorizationError
@@ -11,6 +13,7 @@ from toposample.fields import (
     basis_jets,
     basis_values,
     block_minus_threshold,
+    blocked_product,
     coefficient_rng,
     correlation,
     fold_coefficients,
@@ -20,7 +23,7 @@ from toposample.fields import (
     threshold_system,
 )
 
-from reference import spectral_moment, unit_jet_minors_exact
+from reference import chebyshev_jets_recurrence, spectral_moment, unit_jet_minors_exact
 
 
 def _fd_check(model, xs, h, tol1, tol2):
@@ -56,6 +59,34 @@ def test_monomial_values():
     model = ts.unit_model(4)
     v, d1, d2 = (float(row[3, 0]) for row in basis_jets(model, 2.0))
     assert (v, d1, d2) == (8.0, 12.0, 12.0)
+
+
+@pytest.mark.parametrize("n, points", [(0, 15), (1, 15), (5, 15), (64, 15), (64, 1024), (5, 151552)])
+def test_chebyshev_rows_are_the_three_term_recurrence(n, points):
+    # the in-place rows take the recurrences' operations in their order,
+    # so they are bit for bit the one-expression recurrences
+    model = ts.chebyshev_model(n)
+    xs = np.linspace(-1.0, 1.0, points)
+    for got, want in zip(basis_jets(model, xs), chebyshev_jets_recurrence(n + 1, xs)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_monomial_rows_are_products_within_their_rounding(n):
+    # x^k is x^(k-1) times x, so k - 1 roundings: within gamma_{k-1} of
+    # the exact power; the derivative rows are k x^(k-1) and k(k-1) x^(k-2),
+    # one product each
+    model = ts.unit_model(n)
+    xs = np.array([-3.0, -2.7182818, -1.0 / 3.0, -0.0, 1e-5, 0.7, 2.0, 3.0])
+    b0, b1, b2 = basis_jets(model, xs)
+    u = 2.0 ** -53
+    for k in range(n + 1):
+        for i, x in enumerate(xs):
+            exact = Fraction(x) ** k
+            gamma = max(k - 1, 0) * u / (1.0 - max(k - 1, 0) * u)
+            assert abs(Fraction(b0[k, i]) - exact) <= gamma * abs(exact)
+            assert b1[k, i] == (k * b0[k - 1, i] if k else 0.0)
+            assert b2[k, i] == (k * (k - 1.0) * b0[k - 2, i] if k > 1 else 0.0)
 
 
 def test_cosine_endpoint_derivative_exact(cosine5):
@@ -300,6 +331,26 @@ def test_block_minus_threshold_splits_large_products(monkeypatch):
         assert np.all(np.abs(got[j] - SamplePath(model, c).value(xs)) <= slack[j])
 
 
+def test_blocked_product_splits_a_long_row_by_columns(monkeypatch):
+    # a row over the budget is taken in column blocks of all (at most 16)
+    # rows, which read the wide factor once, not once per row
+    rng = np.random.default_rng(3)
+    lhs, rhs = rng.normal(size=(4, 66)), rng.normal(size=(66, 5000))
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, out=None):
+        shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    got = blocked_product(lhs, rhs)
+    monkeypatch.undo()
+    assert {s[0] for s in shapes} == {4} and sum(s[2] for s in shapes) == 5000
+    assert all(m * k * n <= 1 << 18 for m, k, n in shapes)
+    assert np.allclose(got, lhs @ rhs, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_block_minus_threshold_never_clears_a_non_finite_row(binom5):
     # a NaN slack fails every comparison, so such a row is never certified
@@ -467,3 +518,43 @@ def test_resolved_det3_weights_a_full_covariance_like_its_diagonal():
     want, got = jet_tables(diagonal, x), jet_tables(full, x)
     assert np.array_equal(got["nondegenerate"], want["nondegenerate"])
     assert got["det3"] == pytest.approx(want["det3"], rel=1e-9)
+
+
+POINTWISE_MODELS = {
+    **SYSTEM_MODELS,
+    "chebyshev64": ts.chebyshev_model(64),
+    "binomial12": ts.binomial_model(12),
+    "sine": ts.custom_model(
+        [
+            (lambda x, k=k: np.sin(k * x), lambda x, k=k: k * np.cos(k * x), np.zeros_like)
+            for k in range(1, 5)
+        ],
+        (0.0, 3.0),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(sorted(POINTWISE_MODELS)),
+    resolution=st.sampled_from((3, 65, 1000, 8192, 9001)),
+    start=st.integers(0, 10**6),
+    length=st.integers(1, 200),
+    gathered=st.booleans(),
+)
+def test_threshold_system_is_pointwise(family, resolution, start, length, gathered):
+    # the scan evaluates the system on tiles of its points, a block of cells
+    # or the gathered points of scattered cells, and certifies them with
+    # tables built from other tiles: every basis must give each point the
+    # bits it has in the full grid, whatever tile it is evaluated in
+    model = POINTWISE_MODELS[family]
+    threshold = ts.threshold_cubic_shift(0.5)
+    xs = np.linspace(*model.domain, resolution)
+    full = threshold_system(model, threshold, xs)
+    start %= resolution
+    if gathered:
+        index = np.unique(np.random.default_rng(start).integers(0, resolution, length))
+    else:
+        index = np.arange(start, min(start + length, resolution))
+    tile = threshold_system(model, threshold, xs[index])
+    assert tile.tobytes() == np.ascontiguousarray(full[:, index]).tobytes()

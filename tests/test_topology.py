@@ -11,7 +11,7 @@ import pytest
 
 import toposample as ts
 from toposample import topology
-from toposample.fields import SamplePath, basis_values, magnitude_bounds, threshold_system
+from toposample.fields import SamplePath, basis_values, threshold_system
 from toposample.topology import (
     admissibility_failure_bound,
     cubical_beta0,
@@ -191,8 +191,7 @@ def _uncached_oracle(monkeypatch, path, threshold, resolution):
     # basis values and the threshold's values
     def fresh(model, threshold, resolution):
         xs = np.linspace(model.a, model.b, resolution)
-        system = np.vstack([basis_values(model, xs), threshold.value(xs)])
-        return system, magnitude_bounds(system)
+        return np.vstack([basis_values(model, xs), threshold.value(xs)])
 
     with monkeypatch.context() as m:
         m.setattr(topology, "_scan_system", fresh)
@@ -225,7 +224,7 @@ def test_oracle_equals_uncached_reference_scan(family, cheb5, binom5, cosine5, m
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
         # the cached product is the scan of path.value and polyval, bit for bit
-        system = topology._scan_slot[0][1]
+        system = topology._scan_slot[0][1]["system"]
         scan = path.coeffs @ system[:-1] - system[-1]
         ref = path.value(ref_xs) - np.polynomial.polynomial.polyval(ref_xs, threshold.coeffs)
         assert scan.tobytes() == ref.tobytes()
@@ -242,7 +241,7 @@ def test_scan_basis_is_never_stale(cheb5, monkeypatch):
         path = ts.sample_path(model, seed=99, stream=stream)
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
-        system = topology._scan_slot[0][1]
+        system = topology._scan_slot[0][1]["system"]
         want = basis_values(model, np.linspace(*model.domain, resolution))
         assert system[:-1].tobytes() == want.tobytes()
 
@@ -251,7 +250,8 @@ def _recording_scan_builds(monkeypatch):
     builds = []
 
     def recording(model, threshold, xs):
-        builds.append(topology._scan_slot[0])  # state while building
+        # what the slot holds while building: the new scan's points alone
+        builds.append(sorted(topology._scan_slot[0][1]))
         return threshold_system(model, threshold, xs)
 
     monkeypatch.setattr(topology, "_scan_slot", [None])
@@ -268,27 +268,34 @@ def _assert_read_only(*arrays):
 
 def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
     # the basis rows of the one scan entry: one build per change of basis,
-    # each into an emptied slot, kept across paths
+    # each into an emptied slot, kept across paths; the oracle builds no
+    # chord table, and the tables built later for the same scan read the
+    # system's bits
     builds = _recording_scan_builds(monkeypatch)
     entries = []
     for model, stream in ((cheb5, 0), (cheb5, 1), (binom5, 0), (binom5, 1), (cheb5, 2)):
         oracle_beta0(ts.sample_path(model, seed=5, stream=stream), thr, 640)
         entries.append(topology._scan_slot[0])
-    assert builds == [None, None, None]
+    assert builds == [["points"]] * 3
     assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, True, False]
     assert len(topology._scan_slot) == 1
-    key, system, bounds, coarse, chord = topology._scan_slot[0]
+    key, parts = topology._scan_slot[0]
+    assert sorted(parts) == ["points", "system"]
+    points, system = parts["points"], parts["system"]
     xs = np.linspace(*cheb5.domain, 640)
     domain = tuple(v.hex() for v in cheb5.domain)
     assert key == (("chebyshev", 6, domain, None, None), thr.coeffs.tobytes(), 640)
+    assert points.tobytes() == xs.tobytes()
     assert system.shape == (cheb5.n_terms + 1, 640)
     assert system[:-1].tobytes() == basis_values(cheb5, xs).tobytes()
+    _, bounds, coarse, chord = topology._scan_tables(cheb5, thr, 640)
+    assert topology._scan_slot[0] is entries[-1] and parts["system"] is system
     assert np.array_equal(bounds, np.abs(system).max(axis=1))  # zero row: -0.0
     # 639 steps make nine full cells of 64 and a last one of 63
     ends = list(range(0, 639, topology._SCAN_CELL)) + [639]
     assert coarse.tobytes() == np.ascontiguousarray(system[:, ends]).tobytes()
     assert chord.shape == (cheb5.n_terms + 1, len(ends) - 1) and np.all(chord > 0.0)
-    _assert_read_only(system, bounds, coarse, chord)
+    _assert_read_only(points, system, bounds, coarse, chord)
 
 
 def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5, monkeypatch):
@@ -303,14 +310,17 @@ def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5, monkeypatc
     for model, threshold, stream in runs:
         oracle_beta0(ts.sample_path(model, seed=5, stream=stream), threshold, 640)
         entries.append(topology._scan_slot[0])
-    assert builds == [None] * 4
+    assert builds == [["points"]] * 4
     assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, False, True, True, False]
-    line_key, line_system, *_ = entries[-2]
+    line_key, line_parts = entries[-2]
     assert line_key[1] == line.coeffs.tobytes()
+    line_system = line_parts["system"]
     assert line_system[-1].tobytes() == line.value(np.linspace(*binom5.domain, 640)).tobytes()
     # a degree-0 threshold rides in the product as its own row too
     assert len(topology._scan_slot) == 1
-    key, system, bounds, coarse, chord = topology._scan_slot[0]
+    key, parts = topology._scan_slot[0]
+    system = parts["system"]
+    _, bounds, coarse, chord = topology._scan_tables(binom5, ts.threshold_constant(0.3), 640)
     assert key[1] == ts.threshold_constant(0.3).coeffs.tobytes()
     assert system[-1].tobytes() == np.full(640, 0.3).tobytes()
     # a constant row lies on its chords: only the rounding cover is left
@@ -364,19 +374,20 @@ def test_equal_bases_share_one_scan_basis(same, build, monkeypatch):
     assert _same_count(oracle_beta0(path, threshold, 513), want)
     assert len(builds) == (1 if same else 2)
     assert (topology._scan_slot[0] is entry) == same
-    system = topology._scan_slot[0][1]
+    system = topology._scan_slot[0][1]["system"]
     assert system[:-1].tobytes() == basis_values(other, np.linspace(*other.domain, 513)).tobytes()
 
 
 def test_unpickled_tasks_share_one_scan_system(binom5, monkeypatch):
     # a kept pool worker unpickles a new (model, threshold) pair for every
-    # task; equal pairs share the scan system, so it is built once
+    # task; equal pairs share the scan tables, so they are built once
     builds = []
+    chord_tables = topology._chord_tables
     monkeypatch.setattr(topology, "_scan_slot", [None])
     monkeypatch.setattr(
         topology,
-        "threshold_system",
-        lambda *args: builds.append(1) or threshold_system(*args),
+        "_chord_tables",
+        lambda *args: builds.append(1) or chord_tables(*args),
     )
     task = pickle.dumps((binom5, ts.threshold_cubic_shift(0.5)))
     coeffs = ts.fields.sample_coefficients(binom5, 4, range(20))
@@ -402,13 +413,18 @@ def test_scan_system_folds_every_threshold_once(binom5, threshold, monkeypatch):
     coeffs = ts.fields.sample_coefficients(binom5, 4, range(3))
     topology.scan_counts(binom5, threshold, coeffs, 640)
     entry = topology._scan_slot[0]
-    _, system, bounds, *_ = entry
+    tables = entry[1]["tables"]
+    oracle_beta0(SamplePath(binom5, coeffs[0]), threshold, 640)
+    system, (bounds, coarse, _) = entry[1]["system"], tables
     xs = np.linspace(*binom5.domain, 640)
     assert system.tobytes() == np.vstack([basis_values(binom5, xs), threshold.value(xs)]).tobytes()
     assert np.array_equal(bounds, np.abs(system).max(axis=1))
+    ends = list(range(0, 639, topology._SCAN_CELL)) + [639]
+    assert coarse.tobytes() == np.ascontiguousarray(system[:, ends]).tobytes()
     topology.scan_counts(binom5, threshold, coeffs, 640)
-    oracle_beta0(SamplePath(binom5, coeffs[0]), threshold, 640)
-    assert topology._scan_slot[0] is entry
+    oracle_beta0(SamplePath(binom5, coeffs[1]), threshold, 640)
+    assert topology._scan_slot[0] is entry and entry[1]["tables"] is tables
+    assert entry[1]["system"] is system
 
 
 def test_scan_system_is_built_without_a_basis_copy(monkeypatch):
@@ -418,11 +434,83 @@ def test_scan_system_is_built_without_a_basis_copy(monkeypatch):
     monkeypatch.setattr(topology, "_scan_slot", [None])
     tracemalloc.start()
     try:
-        system = topology._scan_system(model, threshold, 16384)[0]
+        system = topology._scan_system(model, threshold, 16384)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * system.nbytes
+
+
+def _spy_scan_builders(monkeypatch):
+    # every chord-table build, and the number of points of every system
+    # evaluation, from an empty slot
+    tables, points = [], []
+    chord_tables, system = topology._chord_tables, topology.threshold_system
+    monkeypatch.setattr(topology, "_scan_slot", [None])
+    monkeypatch.setattr(topology, "_chord_tables", lambda *args: tables.append(1) or chord_tables(*args))
+    monkeypatch.setattr(
+        topology, "threshold_system", lambda m, t, x: points.append(len(x)) or system(m, t, x)
+    )
+    return tables, points
+
+
+def test_oracle_callers_build_no_chord_table(binom5, monkeypatch):
+    # verify_match and the per-path oracle, which the trial engine runs on
+    # the rows its scan cannot settle, read the full system alone
+    tables, points = _spy_scan_builders(monkeypatch)
+    threshold = ts.threshold_cubic_shift(0.5)
+    plan = ts.build_plan(binom5, threshold, "uniform", m=7)
+    verify_match(ts.sample_path(binom5, 3, 0), threshold, plan, resolution=2048)
+    oracle_beta0(ts.sample_path(binom5, 3, 1), threshold, 2048)
+    assert tables == [] and points == [2048]
+    assert sorted(topology._scan_slot[0][1]) == ["points", "system"]
+
+
+def test_scan_counts_never_builds_the_full_system(monkeypatch):
+    # the scan builds its tables once, from blocks, and evaluates the
+    # system only at the points of cells it computes; at no call is it
+    # asked for every scan point
+    tables, points = _spy_scan_builders(monkeypatch)
+    model, threshold, resolution = ts.chebyshev_model(12), ts.threshold_zero(), 65536
+    coeffs = ts.fields.sample_coefficients(model, 5, range(64))
+    for _ in range(2):
+        topology.scan_counts(model, threshold, coeffs, resolution)
+    assert tables == [1]
+    assert points and max(points) * (model.n_terms + 1) <= topology._SCAN_BLOCK_VALUES
+    assert sorted(topology._scan_slot[0][1]) == ["points", "tables"]
+
+
+def test_chebyshev64_scan_holds_no_full_system(monkeypatch):
+    # four Chebyshev-64 paths at the default 151,552 scan points, from an
+    # empty slot: the full system would be 66 x 151,552 doubles, 76 MiB;
+    # the points and tables are 6.2 MB and each evaluated block 512 KiB
+    model, threshold = ts.chebyshev_model(64), ts.threshold_zero()
+    resolution = default_oracle_resolution(model)
+    assert resolution == 151552
+    coeffs = ts.fields.sample_coefficients(model, 3100, range(4))
+    monkeypatch.setattr(topology, "_scan_slot", [None])
+    tracemalloc.start()
+    try:
+        settled = topology.scan_counts(model, threshold, coeffs, resolution)[3]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert settled.all()
+    assert peak < 16e6
+
+
+def test_scan_rejects_a_basis_that_is_not_pointwise(monkeypatch):
+    # a basis measured from the first point of whatever array it is given
+    # gives the column two table blocks share two sets of bits
+    zero = (np.zeros_like, np.zeros_like, np.zeros_like)
+    shifted = (lambda x: x - x[0], np.ones_like, np.zeros_like)
+    model = ts.custom_model([(np.ones_like, *zero[1:]), shifted], (0.0, 1.0))
+    monkeypatch.setattr(topology, "_scan_slot", [None])
+    coeffs = ts.fields.sample_coefficients(model, 5, range(4))
+    with pytest.raises(ValueError, match="not pointwise"):
+        topology.scan_counts(model, ts.threshold_zero(), coeffs, 65536)
+    pointwise = ts.custom_model([(np.ones_like, *zero[1:]), (lambda x: x, *shifted[1:])], (0.0, 1.0))
+    assert topology.scan_counts(pointwise, ts.threshold_zero(), coeffs, 65536)[3].all()
 
 
 def test_scan_basis_is_not_built_at_import():
@@ -522,7 +610,7 @@ def test_scan_threshold_is_never_stale(cheb5, monkeypatch):
         path = ts.sample_path(model, seed=77, stream=stream)
         count = oracle_beta0(path, threshold, resolution)
         assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
-        system = topology._scan_slot[0][1]
+        system = topology._scan_slot[0][1]["system"]
         want = threshold.value(np.linspace(*model.domain, resolution))
         assert system[-1].tobytes() == want.tobytes()
 

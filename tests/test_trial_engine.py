@@ -57,10 +57,16 @@ def _block_counts(model, threshold, coeffs, resolution):
     return [(int(p), int(n), int(z), bool(d)) for p, n, z, d in zip(pos, neg, zero_count, degenerate)]
 
 
+def _system_and_bounds(model, threshold, resolution):
+    # the oracle's full system and the row bounds the scan's slack reads
+    bounds = topology._scan_tables(model, threshold, resolution)[1]
+    return topology._scan_system(model, threshold, resolution), bounds
+
+
 def _zero_at_scan_point(model, threshold, row, resolution, index):
     # shift the constant basis term until u - mu is exactly 0 at one scan
     # point; every model here has a constant first basis function
-    system = topology._scan_system(model, threshold, resolution)[0]
+    system = topology._scan_system(model, threshold, resolution)
     row = row.copy()
     for _ in range(4):
         value = (row @ system[:-1] - system[-1])[index]
@@ -166,8 +172,10 @@ def _cells(resolution):
 def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
     # each path is scanned once: one block product of its row (c, -1) with
     # the coarse columns of the scan system, so the threshold rides in the
-    # product as one more row, then products of the same row with system
-    # windows for the cells the chord bound does not certify; a settled
+    # product as one more row, then products of the same row with the
+    # system evaluated at the points of the cells the chord bound does not
+    # certify, never more than _SCAN_BLOCK_VALUES system values at a time,
+    # for the tables as for the cells; a settled
     # row has the signs of path.value - threshold.value at every point
     # computed (no zero among them), keeps one sign across every cell left
     # uncomputed, has no per-path value below the oracle's tolerance, and
@@ -179,17 +187,21 @@ def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
     cells = _cells(resolution)
     ends = [lo for lo, _ in cells] + [resolution - 1]
     block, cell_values = topology.block_minus_threshold, topology._cell_values
-    coarse, refined = [], []
+    coarse, refined, evaluated = [], [], []
 
     def recording_block(lhs, system, *args, **kwargs):
         values, slack = block(lhs, system, *args, **kwargs)
         coarse.append((lhs.copy(), system.shape, values.copy()))
         return values, slack
 
-    def recording_cells(lhs, system, rows, which):
+    def recording_system(model, threshold, x):
+        evaluated.append(x.size)
+        return threshold_system(model, threshold, x)
+
+    def recording_cells(lhs, model, threshold, points, rows, which):
         done = 0
-        for j, values in cell_values(lhs, system, rows, which):
-            assert len(j) * len(system) * values.shape[1] <= topology._SCAN_BLOCK_VALUES
+        for j, values in cell_values(lhs, model, threshold, points, rows, which):
+            assert len(j) * (model.n_terms + 1) * values.shape[1] <= topology._SCAN_BLOCK_VALUES
             for row, cell, v in zip(lhs[j], which[done : done + len(j)], values):
                 refined.append((row[:-1].tobytes(), int(cell), v.copy()))
             done += len(j)
@@ -197,7 +209,9 @@ def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
 
     monkeypatch.setattr(topology, "block_minus_threshold", recording_block)
     monkeypatch.setattr(topology, "_cell_values", recording_cells)
+    monkeypatch.setattr(topology, "threshold_system", recording_system)
     pos, neg, zero_count, settled = scan_counts(model, threshold, coeffs, resolution)
+    assert evaluated and max(evaluated) * (model.n_terms + 1) <= topology._SCAN_BLOCK_VALUES
     scans = {}
     for lhs, shape, values in coarse:
         assert shape == (model.n_terms + 1, len(ends)) and np.all(lhs[:, -1] == -1.0)
@@ -246,8 +260,8 @@ def test_scan_computes_a_tenth_of_the_values(model, threshold, resolution, monke
     coeffs = sample_coefficients(model, 2024, range(2048))
     cell_values, computed = topology._cell_values, []
 
-    def counting(lhs, system, rows, cells):
-        for j, values in cell_values(lhs, system, rows, cells):
+    def counting(*args):
+        for j, values in cell_values(*args):
             computed.append(values.size)
             yield j, values
 
@@ -257,7 +271,7 @@ def test_scan_computes_a_tenth_of_the_values(model, threshold, resolution, monke
     )
     ends = len(_cells(resolution)) + 1
     assert (ends * len(coeffs) + sum(computed)) / len(coeffs) <= 0.1 * resolution
-    system, bounds = topology._scan_system(model, threshold, resolution)[:2]
+    system, bounds = _system_and_bounds(model, threshold, resolution)
     full = []
     for lo in range(0, 2048, 32):
         values, slack = block_minus_threshold(fold_coefficients(coeffs[lo : lo + 32]), system, bounds)
@@ -275,7 +289,7 @@ EDGE_RESOLUTIONS = (_CELL - 1, _CELL, _CELL + 1, _CELL + 2, 2 * _CELL + 1, 2 * _
 def _crossing_after(model, threshold, row, resolution, index):
     # shift the constant basis term so that u - mu changes sign halfway
     # between scan points index and index + 1
-    system = topology._scan_system(model, threshold, resolution)[0]
+    system = topology._scan_system(model, threshold, resolution)
     row = row.copy()
     for _ in range(4):
         f = row @ system[:-1] - system[-1]
@@ -344,7 +358,7 @@ def _min_near(model, threshold, row, resolution, where):
     # the shifted row, keeping that point's sign; the argmin and the slack
     # are found again after every shift, since a shift can move the
     # minimum to another scan point and changes the row's slack
-    system, bounds = topology._scan_system(model, threshold, resolution)[:2]
+    system, bounds = _system_and_bounds(model, threshold, resolution)
     row = row.copy()
     for _ in range(6):
         f = row @ system[:-1] - system[-1]
@@ -395,7 +409,7 @@ def test_rows_near_the_tolerance_fall_back(family, kind, resolution, seed, paths
         block = _block_counts(model, threshold, coeffs, resolution)
     finally:
         topology.block_minus_threshold = block_minus_threshold
-    system, bounds = topology._scan_system(model, threshold, resolution)[:2]
+    system, bounds = _system_and_bounds(model, threshold, resolution)
     _, slack = block_minus_threshold(fold_coefficients(coeffs), system, bounds)
     for j, c in enumerate(coeffs):
         smallest = np.abs(c @ system[:-1] - system[-1]).min()

@@ -227,7 +227,7 @@ def cmd_zeros(args) -> int:
     header, rows = zero_count_table(result)
     emit_table(header, rows, run["output"], run["format"], _meta(sections, "zeros"))
     if run["validate"]:
-        if not (result.stderr > 0 and abs(result.mean_zeros - result.expected) <= 4.0 * result.stderr):
+        if not abs(result.mean_zeros - result.expected) <= 4.0 * result.stderr:
             print("validation failed: mean zero count far from prediction", file=sys.stderr)
             return 4
     return 0

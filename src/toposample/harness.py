@@ -79,6 +79,8 @@ def _chunk_counts(model, threshold, coeffs, resolution):
     equal to those of ``oracle_beta0`` on its path. ``scan_counts``
     settles most rows from their scan signs; ``oracle_beta0`` runs on
     the rest, so its errors are raised as they would be for that path.
+    Each such call evaluates its path's whole scan and frees it on
+    return; the scan slot keeps only the block scan's tables.
     """
     pos, neg, zero_count, settled = scan_counts(model, threshold, coeffs, resolution)
     degenerate = np.zeros(len(coeffs), dtype=bool)

@@ -50,12 +50,10 @@ _SCAN_POINTS_PER_ZERO = 4096
 _SCAN_CELL = 32
 _SCAN_BLOCK_VALUES = 1 << 16
 
-# the last scan's key and what has been built for it, as one (key, parts)
-# entry: parts["points"] holds the scan points, and, once a caller asks for
-# them, parts["tables"] the row bounds, coarse columns and chord-error table
-# (scan_counts) and parts["system"] the full threshold system (oracle_beta0);
-# the key holds everything that fixes the values (see _scan_entry), so equal
-# models and thresholds share an entry and none can match a stale one
+# the last scan_counts scan, as one (key, (points, bounds, coarse, chord))
+# entry: the scan points, row bounds, coarse columns and chord-error table;
+# the key holds everything that fixes the values (see _scan_tables), so
+# equal models and thresholds share an entry and none can match a stale one
 _scan_slot = [None]
 
 
@@ -239,15 +237,16 @@ def _chord_tables(model, threshold, points):
     return bounds, coarse, chord
 
 
-def _scan_entry(model, threshold, resolution):
-    """The parts built so far for a scan of ``resolution`` points, as a dict.
+def _scan_tables(model, threshold, resolution):
+    """The scan points, row bounds, coarse columns and chord table that ``scan_counts`` reads.
 
     The scan points are ``resolution`` equispaced points over the model's
-    domain. Paths with the same basis and threshold share the scan, so its
-    parts are built once per basis, threshold and resolution, also across
-    models and thresholds built or unpickled separately. The slot is
-    emptied before a new entry is made, so two scans are never alive at
-    once. Every array is read-only.
+    domain; the rest is built by ``_chord_tables``. Paths with the same
+    basis and threshold share the scan, so its tables are built once per
+    basis, threshold and resolution, also across models and thresholds
+    built or unpickled separately. The slot is emptied before a new scan
+    is built, so two scans are never alive at once, and holds it only when
+    it is whole. Every array is read-only.
     """
     # the system's values depend on the family, the number of terms, the
     # domain and the threshold (by their bits, so -0.0 and 0.0 differ),
@@ -260,62 +259,33 @@ def _scan_entry(model, threshold, resolution):
     if entry is None or entry[0] != key:
         _scan_slot[0] = None
         points = np.linspace(model.a, model.b, resolution)
-        points.flags.writeable = False
-        entry = _scan_slot[0] = (key, {"points": points})
-    return entry[1]
-
-
-def _scan_tables(model, threshold, resolution):
-    """The scan points, row bounds, coarse columns and chord table that ``scan_counts`` reads.
-
-    Built by ``_chord_tables`` on the first call for a scan and kept in its
-    entry; the full system is not built.
-    """
-    parts = _scan_entry(model, threshold, resolution)
-    if "tables" not in parts:
-        tables = _chord_tables(model, threshold, parts["points"])
+        tables = (points, *_chord_tables(model, threshold, points))
         for array in tables:
             array.flags.writeable = False
-        parts["tables"] = tables
-    return (parts["points"], *parts["tables"])
-
-
-def _scan_system(model, threshold, resolution):
-    """The threshold system on every scan point, which ``oracle_beta0`` reads.
-
-    ``threshold_system`` at the scan points: the basis rows with the
-    threshold's values as one more row (about 76 MiB at Chebyshev n=64 and
-    151,552 points). Built on the first call for a scan and kept in its
-    entry; no chord table is built.
-    """
-    parts = _scan_entry(model, threshold, resolution)
-    if "system" not in parts:
-        system = threshold_system(model, threshold, parts["points"])
-        system.flags.writeable = False
-        parts["system"] = system
-    return parts["system"]
+        entry = _scan_slot[0] = (key, tables)
+    return entry[1]
 
 
 def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> OracleCount:
     """Count components of the true sign sets of u - mu on the domain [a, b].
 
-    The difference is scanned at ``resolution`` equispaced points, as the
-    path's coefficients times the basis rows of the scan system, minus its
-    threshold row (``_scan_system``, built on the first call and shared by
-    every path of the same basis and threshold), which is bit for bit
-    ``path.value - threshold.value`` on those points. The zeros are
-    counted from the scan signs; each sign change between neighbouring
-    scan points is polished to within 1e-12 by a bracket-safeguarded
-    Illinois step when ``zeros`` is first read. The components are
-    counted from the scan values by the grid rule of ``cubical_beta0``,
-    so an exact zero at a scan point (a touching root, or a root at a or
-    b) belongs to both sets, as it does on any grid that samples it. The
-    resolution should comfortably exceed twice the expected zero count.
+    The difference ``path.value - threshold.value`` is scanned at
+    ``resolution`` equispaced points, evaluated afresh for every call (at
+    Chebyshev n=64 and 151,552 points its basis is a 79 MB transient,
+    freed on return), so the scan is this definition bit for bit and
+    nothing is kept. The zeros are counted from the scan signs; each sign
+    change between neighbouring scan points is polished to within 1e-12
+    by a bracket-safeguarded Illinois step when ``zeros`` is first read.
+    The components are counted from the scan values by the grid rule of
+    ``cubical_beta0``, so an exact zero at a scan point (a touching root,
+    or a root at a or b) belongs to both sets, as it does on any grid that
+    samples it. The resolution should comfortably exceed twice the
+    expected zero count.
     """
     if resolution < 3:
         raise ValueError("scan needs at least three points")
-    system = _scan_system(path.model, threshold, resolution)
-    fs = path.coeffs @ system[:-1] - system[-1]
+    xs = np.linspace(path.model.a, path.model.b, resolution)
+    fs = path.value(xs) - threshold.value(xs)
     signs = np.sign(fs)
 
     interior = np.abs(fs[1:-1])
@@ -330,7 +300,6 @@ def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> O
             degenerate = True
 
     bracket = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
-    xs = np.linspace(path.model.a, path.model.b, resolution)
     brackets = (xs[bracket], xs[bracket + 1], fs[bracket], fs[bracket + 1])
     zeros_at = xs[exact]
     pos, neg = cubical_beta0(fs)

@@ -98,3 +98,20 @@ def unit_jet_minors_exact(n: int, x):
     )
     det3 = r00 * (r11 * r22 - r12 * r12) - r01 * (r01 * r22 - r02 * r12) + r02 * (r01 * r12 - r11 * r02)
     return r00 * r11 - r01 * r01, det3
+
+
+def exact_roots(model, threshold, coeffs):
+    """Every root of u - mu, complex ones included, for a polynomial family.
+
+    For the Chebyshev family u - mu is the Chebyshev series of c minus
+    ``poly2cheb`` of mu, whose roots are the eigenvalues of its colleague
+    matrix (``chebroots``; Boyd, SIAM Review 55, 2013); for the monomial
+    families it is the power series c - mu (``polyroots``).
+    """
+    if model.family == "chebyshev":
+        cheb = np.polynomial.chebyshev
+        return cheb.chebroots(cheb.chebsub(coeffs, cheb.poly2cheb(threshold.coeffs)))
+    if model.family in ("binomial", "unit"):
+        poly = np.polynomial.polynomial
+        return poly.polyroots(poly.polysub(coeffs, threshold.coeffs))
+    raise ValueError(f"u - mu is no polynomial in x for the {model.family} family")

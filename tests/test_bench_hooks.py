@@ -65,5 +65,7 @@ def test_traced_trial_pass_counts_are_repeatable():
         assert first["harness.oracle_calls_per_path"] == flagged / trials
         assert graded == [3, 3]
         if model.family == "periodic":
+            # each fallback scans path.value at every scan point, where the tracer sees it
             assert flagged > 0 and first["topology.brackets"] > 0
+            assert first["fields.scan_eval.points"] == resolution
         assert {k: first[k] for k in tracing.REPEATABLE} == {k: second[k] for k in tracing.REPEATABLE}

@@ -427,6 +427,23 @@ def test_zeros_json_structure(tmp_path, capsys):
     assert doc["rows"][0][idx] > 0.0
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # no zeros: mean, stderr and prediction are all 0
+        (("--n", "0", "--trials", "50"), 0),
+        (("--n", "5", "--trials", "200"), 0),
+        # three scan points miss most of the about 11 zeros
+        (("--n", "20", "--trials", "50", "--oracle-resolution", "3"), 4),
+    ],
+    ids=["chebyshev 0", "chebyshev 5", "chebyshev 20 at 3 points"],
+)
+def test_zeros_validate_exit_code(capsys, argv, want):
+    code, _, err = _run(capsys, "zeros", "--family", "chebyshev", *argv, "--seed", "1", "--validate")
+    assert code == want
+    assert ("far from prediction" in err) == (want == 4)
+
+
 def test_scaling_reads_p_from_the_config_file(tmp_path, capsys):
     ini = tmp_path / "scaling.ini"
     ini.write_text("[experiment]\np = 0.5\n", encoding="utf-8")

@@ -21,6 +21,8 @@ from toposample.topology import (
     verify_match,
 )
 
+from reference import exact_roots
+
 
 def _cheb_path(model, weights):
     coeffs = np.zeros(model.n_terms)
@@ -163,47 +165,58 @@ def test_verify_match_coarse_grid_misses(cheb5, thr):
     assert not report.match
 
 
-def test_oracle_zeros_match_exact_chebyshev_roots(cheb5, thr):
+EXACT_CASES = {
+    "chebyshev_zero": (ts.chebyshev_model(5), ts.threshold_zero()),
+    "chebyshev_constant": (ts.chebyshev_model(5), ts.threshold_constant(0.3)),
+    "chebyshev_cubic_shift": (ts.chebyshev_model(5), ts.threshold_cubic_shift(0.5)),
+    "binomial_zero": (ts.binomial_model(5), ts.threshold_zero()),
+    "binomial_cubic_shift": (ts.binomial_model(5), ts.threshold_cubic_shift(0.5)),
+    "unit_polynomial": (ts.unit_model(5), ts.threshold_polynomial([0.1, -0.2, 0.05])),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_oracle_zeros_match_exact_polynomial_roots(case):
     # the root polish must keep each zero inside the scan bracket it came
-    # from and land on the exact roots, here the real eigenvalues in
-    # [-1, 1] of the Chebyshev colleague matrix
+    # from and land on the exact roots of u - mu, the real eigenvalues of
+    # its colleague or companion matrix; a path is skipped where the scan
+    # cannot resolve its roots: two within 4 scan steps of each other or
+    # of an end, or a complex root within 4 steps of the real axis
+    model, threshold = EXACT_CASES[case]
     resolution = 4096
-    xs = np.linspace(-1.0, 1.0, resolution)
+    a, b = model.domain
+    xs = np.linspace(a, b, resolution)
+    near = 4.0 * (b - a) / (resolution - 1)
     checked = 0
     for stream in range(300):
-        path = ts.sample_path(cheb5, seed=2718, stream=stream)
-        count = oracle_beta0(path, thr, resolution)
-        fs = path.value(xs)
+        path = ts.sample_path(model, seed=2718, stream=stream)
+        roots = exact_roots(model, threshold, path.coeffs)
+        roots = roots[(roots.real > a - near) & (roots.real < b + near)]
+        real = roots.imag == 0.0
+        exact = np.sort(roots[real].real)
+        if np.any(np.abs(roots[~real].imag) < near) or np.any(np.diff([a, *exact, b]) < near):
+            continue
+        count = oracle_beta0(path, threshold, resolution)
+        fs = path.value(xs) - threshold.value(xs)
         bracket = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
         assert count.zeros.size == bracket.size
         assert np.all(xs[bracket] <= count.zeros)
         assert np.all(count.zeros <= xs[bracket + 1])
-        exact = np.polynomial.chebyshev.chebroots(path.coeffs)
-        exact = np.sort(exact[exact.imag == 0.0].real)
-        exact = exact[(exact >= -1.0) & (exact <= 1.0)]
         assert count.zeros == pytest.approx(exact, rel=0.0, abs=1e-11)
-        checked += count.zeros.size
-    assert checked > 500
+        checked += exact.size
+    assert checked >= 400
 
 
-def _uncached_oracle(monkeypatch, path, threshold, resolution):
-    # the oracle with its scan system built afresh for this call, from the
-    # basis values and the threshold's values
-    def fresh(model, threshold, resolution):
-        xs = np.linspace(model.a, model.b, resolution)
-        return np.vstack([basis_values(model, xs), threshold.value(xs)])
+def _recorded_scans(monkeypatch):
+    # the values each oracle call counts its components from: its scan
+    scans = []
 
-    with monkeypatch.context() as m:
-        m.setattr(topology, "_scan_system", fresh)
-        return oracle_beta0(path, threshold, resolution)
+    def recording(values):
+        scans.append(values)
+        return cubical_beta0(values)
 
-
-def _same_count(got, want):
-    return (
-        (got.beta0_pos, got.beta0_neg, got.zero_count, got.degenerate)
-        == (want.beta0_pos, want.beta0_neg, want.zero_count, want.degenerate)
-        and got.zeros.tobytes() == want.zeros.tobytes()
-    )
+    monkeypatch.setattr(topology, "cubical_beta0", recording)
+    return scans
 
 
 @pytest.mark.parametrize(
@@ -219,44 +232,72 @@ def test_oracle_equals_uncached_reference_scan(family, cheb5, binom5, cosine5, m
     a, b = model.domain
     resolution = 4096
     ref_xs = np.linspace(a, b, resolution)
+    scans = _recorded_scans(monkeypatch)
     for stream in range(300):
         path = ts.sample_path(model, seed=4242, stream=stream)
         count = oracle_beta0(path, threshold, resolution)
-        assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
-        # the cached product is the scan of path.value and polyval, bit for bit
-        system = topology._scan_slot[0][1]["system"]
-        scan = path.coeffs @ system[:-1] - system[-1]
+        # the scan is that of path.value and polyval, bit for bit, and the
+        # counts are that scan's
         ref = path.value(ref_xs) - np.polynomial.polynomial.polyval(ref_xs, threshold.coeffs)
-        assert scan.tobytes() == ref.tobytes()
+        assert scans[-1].tobytes() == ref.tobytes()
+        signs = np.sign(ref)
+        changes = np.count_nonzero(signs[:-1] * signs[1:] < 0.0)
+        assert (count.beta0_pos, count.beta0_neg) == cubical_beta0(ref)
+        assert count.zero_count == changes + np.count_nonzero(ref == 0.0)
 
 
-def test_scan_basis_is_never_stale(cheb5, monkeypatch):
+def _coarse_ends(resolution):
+    # the scan points that end the cells of _chord_tables
+    return list(range(0, resolution - 1, topology._SCAN_CELL)) + [resolution - 1]
+
+
+def _assert_scan_is_the_oracle(model, threshold, coeffs, resolution):
+    # every row scan_counts settles has the oracle's counts, and the slot
+    # holds the tables of this scan's threshold system, which is returned
+    pos, neg, zero_count, settled = topology.scan_counts(model, threshold, coeffs, resolution)
+    assert settled.any()
+    for j in np.flatnonzero(settled):
+        count = oracle_beta0(SamplePath(model, coeffs[j]), threshold, resolution)
+        assert (pos[j], neg[j], zero_count[j]) == (count.beta0_pos, count.beta0_neg, count.zero_count)
+        assert not count.degenerate
+    points, bounds, coarse, _ = topology._scan_slot[0][1]
+    xs = np.linspace(*model.domain, resolution)
+    system = threshold_system(model, threshold, xs)
+    assert points.tobytes() == xs.tobytes()
+    assert np.array_equal(bounds, np.abs(system).max(axis=1))  # zero row: -0.0
+    assert coarse.tobytes() == np.ascontiguousarray(system[:, _coarse_ends(resolution)]).tobytes()
+    return system
+
+
+def test_scan_basis_is_never_stale(cheb5):
     # two models with equally many terms, so stale rows would go unnoticed
-    # by the shapes; two resolutions, interleaved
+    # by the shapes; two resolutions, interleaved so that the model alone
+    # changes at some steps
     unit5 = ts.unit_model(5)
-    keys = [(model, resolution) for model in (cheb5, unit5) for resolution in (513, 1024)]
+    keys = [(model, resolution) for resolution in (513, 1024) for model in (cheb5, unit5)]
     order = [keys[i % len(keys)] for i in range(0, 5 * len(keys), 3)]
     threshold = ts.threshold_zero()
     for stream, (model, resolution) in enumerate(order):
-        path = ts.sample_path(model, seed=99, stream=stream)
-        count = oracle_beta0(path, threshold, resolution)
-        assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
-        system = topology._scan_slot[0][1]["system"]
-        want = basis_values(model, np.linspace(*model.domain, resolution))
-        assert system[:-1].tobytes() == want.tobytes()
+        coeffs = ts.fields.sample_coefficients(model, 99, range(4 * stream, 4 * stream + 4))
+        _assert_scan_is_the_oracle(model, threshold, coeffs, resolution)
 
 
-def _recording_scan_builds(monkeypatch):
-    builds = []
+def _spy_scan_builders(monkeypatch):
+    # from an empty slot: what the slot holds at every chord-table build,
+    # and the number of points of every system evaluation
+    builds, points = [], []
+    chord_tables, system = topology._chord_tables, topology.threshold_system
 
-    def recording(model, threshold, xs):
-        # what the slot holds while building: the new scan's points alone
-        builds.append(sorted(topology._scan_slot[0][1]))
-        return threshold_system(model, threshold, xs)
+    def recording(*args):
+        builds.append(topology._scan_slot[0])
+        return chord_tables(*args)
 
     monkeypatch.setattr(topology, "_scan_slot", [None])
-    monkeypatch.setattr(topology, "threshold_system", recording)
-    return builds
+    monkeypatch.setattr(topology, "_chord_tables", recording)
+    monkeypatch.setattr(
+        topology, "threshold_system", lambda m, t, x: points.append(len(x)) or system(m, t, x)
+    )
+    return builds, points
 
 
 def _assert_read_only(*arrays):
@@ -267,65 +308,63 @@ def _assert_read_only(*arrays):
 
 
 def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
-    # the basis rows of the one scan entry: one build per change of basis,
-    # each into an emptied slot, kept across paths; the oracle builds no
-    # chord table, and the tables built later for the same scan read the
-    # system's bits
-    builds = _recording_scan_builds(monkeypatch)
+    # the tables of the one scan entry: one build per change of basis,
+    # each into an emptied slot, kept across paths and published whole;
+    # the oracle leaves the entry alone
+    builds, _ = _spy_scan_builders(monkeypatch)
     entries = []
     for model, stream in ((cheb5, 0), (cheb5, 1), (binom5, 0), (binom5, 1), (cheb5, 2)):
-        oracle_beta0(ts.sample_path(model, seed=5, stream=stream), thr, 640)
+        coeffs = ts.fields.sample_coefficients(model, 5, [stream])
+        topology.scan_counts(model, thr, coeffs, 640)
         entries.append(topology._scan_slot[0])
-    assert builds == [["points"]] * 3
+    assert builds == [None] * 3
     assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, True, False]
     assert len(topology._scan_slot) == 1
-    key, parts = topology._scan_slot[0]
-    assert sorted(parts) == ["points", "system"]
-    points, system = parts["points"], parts["system"]
+    key, tables = topology._scan_slot[0]
+    assert len(tables) == 4
+    points, bounds, coarse, chord = tables
     xs = np.linspace(*cheb5.domain, 640)
     domain = tuple(v.hex() for v in cheb5.domain)
     assert key == (("chebyshev", 6, domain, None, None), thr.coeffs.tobytes(), 640)
+    system = threshold_system(cheb5, thr, xs)
     assert points.tobytes() == xs.tobytes()
-    assert system.shape == (cheb5.n_terms + 1, 640)
-    assert system[:-1].tobytes() == basis_values(cheb5, xs).tobytes()
-    _, bounds, coarse, chord = topology._scan_tables(cheb5, thr, 640)
-    assert topology._scan_slot[0] is entries[-1] and parts["system"] is system
     assert np.array_equal(bounds, np.abs(system).max(axis=1))  # zero row: -0.0
-    # 639 steps make nine full cells of 64 and a last one of 63
-    ends = list(range(0, 639, topology._SCAN_CELL)) + [639]
+    # 639 steps make nineteen full cells of 32 and a last one of 31
+    ends = _coarse_ends(640)
     assert coarse.tobytes() == np.ascontiguousarray(system[:, ends]).tobytes()
     assert chord.shape == (cheb5.n_terms + 1, len(ends) - 1) and np.all(chord > 0.0)
-    _assert_read_only(points, system, bounds, coarse, chord)
+    oracle_beta0(ts.sample_path(cheb5, seed=5, stream=3), thr, 640)
+    assert topology._scan_slot[0] is entries[-1]
+    _assert_read_only(points, bounds, coarse, chord)
 
 
 def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5, monkeypatch):
     # the threshold row of the one scan entry: one build per change of
     # threshold, kept across paths and across equal thresholds
-    builds = _recording_scan_builds(monkeypatch)
+    builds, _ = _spy_scan_builders(monkeypatch)
     cubic, line = ts.threshold_cubic_shift(0.5), ts.threshold_polynomial([0.1, 0.3])
     runs = [(cheb5, cubic, 0), (cheb5, cubic, 1), (binom5, cubic, 0), (binom5, line, 0)]
     runs += [(binom5, line, 1), (binom5, ts.threshold_polynomial([0.1, 0.3]), 2)]
     runs += [(binom5, ts.threshold_constant(0.3), 3)]
     entries = []
     for model, threshold, stream in runs:
-        oracle_beta0(ts.sample_path(model, seed=5, stream=stream), threshold, 640)
+        topology.scan_counts(model, threshold, ts.fields.sample_coefficients(model, 5, [stream]), 640)
         entries.append(topology._scan_slot[0])
-    assert builds == [["points"]] * 4
+    assert builds == [None] * 4
     assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, False, True, True, False]
-    line_key, line_parts = entries[-2]
+    ends = _coarse_ends(640)
+    line_key, line_tables = entries[-2]
     assert line_key[1] == line.coeffs.tobytes()
-    line_system = line_parts["system"]
-    assert line_system[-1].tobytes() == line.value(np.linspace(*binom5.domain, 640)).tobytes()
+    line_coarse = line_tables[2]
+    assert line_coarse[-1].tobytes() == line.value(np.linspace(*binom5.domain, 640)[ends]).tobytes()
     # a degree-0 threshold rides in the product as its own row too
     assert len(topology._scan_slot) == 1
-    key, parts = topology._scan_slot[0]
-    system = parts["system"]
-    _, bounds, coarse, chord = topology._scan_tables(binom5, ts.threshold_constant(0.3), 640)
+    key, (_, bounds, coarse, chord) = topology._scan_slot[0]
     assert key[1] == ts.threshold_constant(0.3).coeffs.tobytes()
-    assert system[-1].tobytes() == np.full(640, 0.3).tobytes()
+    assert bounds[-1] == 0.3
     # a constant row lies on its chords: only the rounding cover is left
     assert np.all(coarse[-1] == 0.3) and np.all(chord[-1] < 1e-14)
-    _assert_read_only(system, system[-1], bounds, coarse, chord)
+    _assert_read_only(coarse[-1], bounds, coarse, chord)
 
 
 def _custom_table():
@@ -349,7 +388,7 @@ def _custom_table():
 def test_equal_bases_share_one_scan_basis(same, build, monkeypatch):
     # the slot is keyed on what fixes the system's values, not on the
     # model object or its variances, so a kept worker that unpickles a new
-    # model for every task builds the system once; another basis is always
+    # model for every task builds the tables once; another basis is always
     # rebuilt
     first = {
         "chebyshev": ts.chebyshev_model(5),
@@ -357,38 +396,22 @@ def test_equal_bases_share_one_scan_basis(same, build, monkeypatch):
         "periodic": ts.periodic_model([0.0, 1.0, 1.0]),
         "custom": ts.custom_model(_custom_table(), (0.0, 1.0)),
     }[build().family]
-    builds = []
-    monkeypatch.setattr(topology, "_scan_slot", [None])
-    monkeypatch.setattr(
-        topology,
-        "threshold_system",
-        lambda *args: builds.append(1) or threshold_system(*args),
-    )
+    builds, _ = _spy_scan_builders(monkeypatch)
     threshold = ts.threshold_zero()
-    oracle_beta0(ts.sample_path(first, seed=3, stream=0), threshold, 513)
+    topology.scan_counts(first, threshold, ts.fields.sample_coefficients(first, 3, range(4)), 513)
     entry = topology._scan_slot[0]
     other = build()
     assert other is not first
-    path = ts.sample_path(other, seed=3, stream=1)
-    want = _uncached_oracle(monkeypatch, path, threshold, 513)
-    assert _same_count(oracle_beta0(path, threshold, 513), want)
+    coeffs = ts.fields.sample_coefficients(other, 3, range(4, 8))
+    _assert_scan_is_the_oracle(other, threshold, coeffs, 513)
     assert len(builds) == (1 if same else 2)
     assert (topology._scan_slot[0] is entry) == same
-    system = topology._scan_slot[0][1]["system"]
-    assert system[:-1].tobytes() == basis_values(other, np.linspace(*other.domain, 513)).tobytes()
 
 
 def test_unpickled_tasks_share_one_scan_system(binom5, monkeypatch):
     # a kept pool worker unpickles a new (model, threshold) pair for every
     # task; equal pairs share the scan tables, so they are built once
-    builds = []
-    chord_tables = topology._chord_tables
-    monkeypatch.setattr(topology, "_scan_slot", [None])
-    monkeypatch.setattr(
-        topology,
-        "_chord_tables",
-        lambda *args: builds.append(1) or chord_tables(*args),
-    )
+    builds, _ = _spy_scan_builders(monkeypatch)
     task = pickle.dumps((binom5, ts.threshold_cubic_shift(0.5)))
     coeffs = ts.fields.sample_coefficients(binom5, 4, range(20))
     counts = []
@@ -406,78 +429,67 @@ def test_unpickled_tasks_share_one_scan_system(binom5, monkeypatch):
     ids=["cubic_shift", "constant", "zero"],
 )
 def test_scan_system_folds_every_threshold_once(binom5, threshold, monkeypatch):
-    # the basis rows plus the threshold's values, built once per basis,
-    # threshold and resolution and kept read-only; a constant or zero
+    # the tables of the basis rows plus the threshold's values, built once
+    # per basis, threshold and resolution and kept; a constant or zero
     # threshold rides in the product as one more row too
-    monkeypatch.setattr(topology, "_scan_slot", [None])
+    builds, _ = _spy_scan_builders(monkeypatch)
     coeffs = ts.fields.sample_coefficients(binom5, 4, range(3))
-    topology.scan_counts(binom5, threshold, coeffs, 640)
+    system = _assert_scan_is_the_oracle(binom5, threshold, coeffs, 640)
     entry = topology._scan_slot[0]
-    tables = entry[1]["tables"]
-    oracle_beta0(SamplePath(binom5, coeffs[0]), threshold, 640)
-    system, (bounds, coarse, _) = entry[1]["system"], tables
     xs = np.linspace(*binom5.domain, 640)
     assert system.tobytes() == np.vstack([basis_values(binom5, xs), threshold.value(xs)]).tobytes()
-    assert np.array_equal(bounds, np.abs(system).max(axis=1))
-    ends = list(range(0, 639, topology._SCAN_CELL)) + [639]
-    assert coarse.tobytes() == np.ascontiguousarray(system[:, ends]).tobytes()
     topology.scan_counts(binom5, threshold, coeffs, 640)
     oracle_beta0(SamplePath(binom5, coeffs[1]), threshold, 640)
-    assert topology._scan_slot[0] is entry and entry[1]["tables"] is tables
-    assert entry[1]["system"] is system
+    assert topology._scan_slot[0] is entry and len(builds) == 1
 
 
-def test_scan_system_is_built_without_a_basis_copy(monkeypatch):
-    # the system is the only large array alive while the scan is built: a
+def test_scan_system_is_built_without_a_basis_copy():
+    # the system is the only large array alive while it is built: a
     # stacked copy of a separately built basis would double the peak
     model, threshold = ts.chebyshev_model(64), ts.threshold_cubic_shift(0.5)
-    monkeypatch.setattr(topology, "_scan_slot", [None])
+    xs = np.linspace(*model.domain, 16384)
     tracemalloc.start()
     try:
-        system = topology._scan_system(model, threshold, 16384)
+        system = threshold_system(model, threshold, xs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * system.nbytes
 
 
-def _spy_scan_builders(monkeypatch):
-    # every chord-table build, and the number of points of every system
-    # evaluation, from an empty slot
-    tables, points = [], []
-    chord_tables, system = topology._chord_tables, topology.threshold_system
-    monkeypatch.setattr(topology, "_scan_slot", [None])
-    monkeypatch.setattr(topology, "_chord_tables", lambda *args: tables.append(1) or chord_tables(*args))
-    monkeypatch.setattr(
-        topology, "threshold_system", lambda m, t, x: points.append(len(x)) or system(m, t, x)
-    )
-    return tables, points
-
-
 def test_oracle_callers_build_no_chord_table(binom5, monkeypatch):
     # verify_match and the per-path oracle, which the trial engine runs on
-    # the rows its scan cannot settle, read the full system alone
-    tables, points = _spy_scan_builders(monkeypatch)
+    # the rows its scan cannot settle, evaluate their own scan: they build
+    # no table and no threshold system, and leave the scan slot as they
+    # found it, empty or holding another scan's tables
+    builds, points = _spy_scan_builders(monkeypatch)
     threshold = ts.threshold_cubic_shift(0.5)
     plan = ts.build_plan(binom5, threshold, "uniform", m=7)
-    verify_match(ts.sample_path(binom5, 3, 0), threshold, plan, resolution=2048)
-    oracle_beta0(ts.sample_path(binom5, 3, 1), threshold, 2048)
-    assert tables == [] and points == [2048]
-    assert sorted(topology._scan_slot[0][1]) == ["points", "system"]
+
+    def call_the_oracle():
+        verify_match(ts.sample_path(binom5, 3, 0), threshold, plan, resolution=2048)
+        oracle_beta0(ts.sample_path(binom5, 3, 1), threshold, 2048)
+
+    call_the_oracle()
+    assert topology._scan_slot == [None] and builds == [] and points == []
+    topology.scan_counts(binom5, threshold, ts.fields.sample_coefficients(binom5, 3, range(2)), 2048)
+    entry, evaluated = topology._scan_slot[0], len(points)
+    call_the_oracle()
+    assert topology._scan_slot[0] is entry and builds == [None] and len(points) == evaluated
 
 
 def test_scan_counts_never_builds_the_full_system(monkeypatch):
     # the scan builds its tables once, from blocks, and evaluates the
     # system only at the points of cells it computes; at no call is it
     # asked for every scan point
-    tables, points = _spy_scan_builders(monkeypatch)
+    builds, points = _spy_scan_builders(monkeypatch)
     model, threshold, resolution = ts.chebyshev_model(12), ts.threshold_zero(), 65536
     coeffs = ts.fields.sample_coefficients(model, 5, range(64))
     for _ in range(2):
         topology.scan_counts(model, threshold, coeffs, resolution)
-    assert tables == [1]
+    assert builds == [None]
     assert points and max(points) * (model.n_terms + 1) <= topology._SCAN_BLOCK_VALUES
-    assert sorted(topology._scan_slot[0][1]) == ["points", "tables"]
+    assert len(topology._scan_slot[0][1]) == 4  # the points and three tables
 
 
 def test_chebyshev64_scan_holds_no_full_system(monkeypatch):
@@ -497,6 +509,28 @@ def test_chebyshev64_scan_holds_no_full_system(monkeypatch):
         tracemalloc.stop()
     assert settled.all()
     assert peak < 16e6
+
+
+def test_chebyshev64_fallbacks_keep_no_full_system(monkeypatch):
+    # the trial engine on four Chebyshev-64 rows at 151,552 scan points,
+    # two of them scaled far below the oracle's tolerance so that they fall
+    # back to it, from an empty slot: each fallback's 79 MB scan is freed
+    # on return, and the slot keeps the 6.2 MB of tables alone
+    model, threshold = ts.chebyshev_model(64), ts.threshold_zero()
+    resolution = default_oracle_resolution(model)
+    coeffs = ts.fields.sample_coefficients(model, 3100, range(4))
+    coeffs[1:3] *= 1e-12
+    monkeypatch.setattr(topology, "_scan_slot", [None])
+    tracemalloc.start()
+    try:
+        ts.harness._chunk_counts(model, threshold, coeffs, resolution)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 16e6
+    assert len(topology._scan_slot[0][1]) == 4  # the points and three tables
+    settled = topology.scan_counts(model, threshold, coeffs, resolution)[3]
+    assert settled.tolist() == [True, False, False, True]
 
 
 def test_scan_rejects_a_basis_that_is_not_pointwise(monkeypatch):
@@ -592,10 +626,11 @@ def test_trial_pass_never_polishes(binom5, monkeypatch):
     assert zc.valid > 0 and zc.mean_zeros > 0.0
 
 
-def test_scan_threshold_is_never_stale(cheb5, monkeypatch):
+def test_scan_threshold_is_never_stale(cheb5):
     # two models with equally many terms, four thresholds (two of them
     # apart only in the sign of a zero, which the threshold row keeps) and
-    # two resolutions, interleaved, so a stale entry would keep its shape
+    # two resolutions, interleaved so that the threshold alone changes at
+    # some steps and a stale entry would keep its shape
     unit5 = ts.unit_model(5)
     thresholds = (
         ts.threshold_polynomial([0.2, 0.5]),
@@ -603,16 +638,12 @@ def test_scan_threshold_is_never_stale(cheb5, monkeypatch):
         ts.threshold_zero(),
         ts.threshold_constant(-0.0),
     )
-    keys = [(m, t, r) for m in (cheb5, unit5) for t in thresholds for r in (513, 1024)]
+    keys = [(m, t, r) for r in (513, 1024) for m in (cheb5, unit5) for t in thresholds]
     order = [keys[i % len(keys)] for i in range(0, 5 * len(keys), 3)]
     assert set(order) == set(keys)
     for stream, (model, threshold, resolution) in enumerate(order):
-        path = ts.sample_path(model, seed=77, stream=stream)
-        count = oracle_beta0(path, threshold, resolution)
-        assert _same_count(count, _uncached_oracle(monkeypatch, path, threshold, resolution))
-        system = topology._scan_slot[0][1]["system"]
-        want = threshold.value(np.linspace(*model.domain, resolution))
-        assert system[-1].tobytes() == want.tobytes()
+        coeffs = ts.fields.sample_coefficients(model, 77, range(4 * stream, 4 * stream + 4))
+        _assert_scan_is_the_oracle(model, threshold, coeffs, resolution)
 
 
 def test_chunk_grading_is_path_value_minus_threshold(binom5, monkeypatch):

@@ -57,16 +57,21 @@ def _block_counts(model, threshold, coeffs, resolution):
     return [(int(p), int(n), int(z), bool(d)) for p, n, z, d in zip(pos, neg, zero_count, degenerate)]
 
 
+def _scan_system(model, threshold, resolution):
+    # the threshold system on every point of the oracle's scan
+    return threshold_system(model, threshold, np.linspace(*model.domain, resolution))
+
+
 def _system_and_bounds(model, threshold, resolution):
-    # the oracle's full system and the row bounds the scan's slack reads
+    # the full system and the row bounds the scan's slack reads
     bounds = topology._scan_tables(model, threshold, resolution)[1]
-    return topology._scan_system(model, threshold, resolution), bounds
+    return _scan_system(model, threshold, resolution), bounds
 
 
 def _zero_at_scan_point(model, threshold, row, resolution, index):
     # shift the constant basis term until u - mu is exactly 0 at one scan
     # point; every model here has a constant first basis function
-    system = topology._scan_system(model, threshold, resolution)
+    system = _scan_system(model, threshold, resolution)
     row = row.copy()
     for _ in range(4):
         value = (row @ system[:-1] - system[-1])[index]
@@ -289,7 +294,7 @@ EDGE_RESOLUTIONS = (_CELL - 1, _CELL, _CELL + 1, _CELL + 2, 2 * _CELL + 1, 2 * _
 def _crossing_after(model, threshold, row, resolution, index):
     # shift the constant basis term so that u - mu changes sign halfway
     # between scan points index and index + 1
-    system = topology._scan_system(model, threshold, resolution)
+    system = _scan_system(model, threshold, resolution)
     row = row.copy()
     for _ in range(4):
         f = row @ system[:-1] - system[-1]

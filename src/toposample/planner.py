@@ -86,14 +86,19 @@ def cumulative_weight(model: FieldModel, threshold: ThresholdFn):
 def place_grid(cumulative: CumulativeIntegral, total: float, m: int) -> np.ndarray:
     """Equal-mass grid: x_k with F(x_k) = k K / M, endpoints pinned.
 
-    Interior points come from one vectorised inversion of the monotone
-    cumulative; the density must not vanish on intervals of positive
+    ``total`` is the mass F(b) of whichever density ``cumulative``
+    integrates: the cube-root mass for the topology grid, the expected
+    zero count for the density grid. Interior points come from one
+    vectorised inversion of the monotone cumulative, which makes no
+    density call; the density must not vanish on intervals of positive
     length, or consecutive points would collide.
     """
     if m < 1:
         raise ValueError("grid needs at least one interval")
     if not total > 0.0 or not math.isfinite(total):
-        raise DegenerateDensityError("cube-root mass is zero; no guided grid exists")
+        raise DegenerateDensityError(
+            f"the density's mass {total!r} is not positive and finite; no guided grid exists"
+        )
     grid = np.empty(m + 1)
     grid[0], grid[m] = cumulative.a, cumulative.b
     grid[1:m] = cumulative.inverse(total * np.arange(1, m) / m)
@@ -236,20 +241,20 @@ def _build_plans(model, threshold, strategies, m=None, p=None):
         m = min_samples(total, p)
     if m < 1:
         raise ValueError("grid needs at least one interval")
+    guided = {"topology": (cumulative, total)}
     zeros = None
     if "density" in strategies:
         zeros, zero_cumulative = _zero_mass(model)
+        guided["density"] = (zero_cumulative, zeros)
 
     plans = []
     for strategy in strategies:
         fallback = False
         if strategy == "uniform":
             grid = np.linspace(a, b, m + 1)
-        elif strategy == "density":
-            grid = place_grid(zero_cumulative, zeros, m)
         else:
             try:
-                grid = place_grid(cumulative, total, m)
+                grid = place_grid(*guided[strategy], m)
             except DegenerateDensityError:
                 grid = np.linspace(a, b, m + 1)
                 fallback = True

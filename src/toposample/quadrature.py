@@ -4,8 +4,9 @@ Adaptive Gauss-Kronrod 7-15 integration (Piessens et al., QUADPACK,
 1983) with a global error budget and a check of both ends, kept under
 the name ``adaptive_simpson`` that perfbench/tracing.py wraps; a
 cumulative-integral object that evaluates F(x) = int_a^x f and inverts
-it for many targets at once; golden-section maximization; and bisection
-for monotone functions.
+it for many targets at once from the Kronrod node values the
+integration kept, without calling the integrand again; golden-section
+maximization; and bisection for monotone functions.
 Integrands must accept numpy arrays, and their value at a point must not
 depend on the other points of the call: every integrand call holds at
 most ``_POINTS_PER_CALL`` points, so a long pass is split into chunks.
@@ -61,6 +62,10 @@ _GAUSS7_WEIGHTS = np.array([
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 ])
+# the 15 Kronrod nodes in increasing order, with both rules' weights
+_NODES15 = np.concatenate([-_KRONROD15_NODES[:-1], _KRONROD15_NODES[::-1]])
+_WEIGHTS15 = np.concatenate([_KRONROD15_WEIGHTS[:-1], _KRONROD15_WEIGHTS[::-1]])
+_WEIGHTS7 = np.concatenate([_GAUSS7_WEIGHTS, _GAUSS7_WEIGHTS[-2::-1]])
 
 
 def _eval(fn, x):
@@ -74,21 +79,20 @@ def _eval(fn, x):
 
 
 def _gauss_kronrod(fn, left, right, extra=()):
-    """Kronrod 15-point integrals of each panel and their |K15 - G7| estimates.
+    """Kronrod 15-point integrals of each panel, their |K15 - G7| estimates
+    and the node values.
 
     The 15 nodes of every panel, followed by the points ``extra``, go
     through one chunked evaluation; the values at ``extra`` are only
-    checked to be finite.
+    checked to be finite. Row i of the node values holds f at the 15
+    nodes of panel i in increasing order.
     """
-    nodes = np.concatenate([-_KRONROD15_NODES[:-1], _KRONROD15_NODES[::-1]])
-    kronrod = np.concatenate([_KRONROD15_WEIGHTS[:-1], _KRONROD15_WEIGHTS[::-1]])
-    gauss = np.concatenate([_GAUSS7_WEIGHTS, _GAUSS7_WEIGHTS[-2::-1]])
     centre = 0.5 * (left + right)
     half = 0.5 * (right - left)
-    x = (centre[:, None] + half[:, None] * nodes).ravel()
+    x = (centre[:, None] + half[:, None] * _NODES15).ravel()
     vals = _eval(fn, np.concatenate([x, extra]))[: x.size].reshape(left.size, 15)
-    integ = half * (vals @ kronrod)
-    return integ, np.abs(integ - half * (vals[:, 1::2] @ gauss))
+    integ = half * (vals @ _WEIGHTS15)
+    return integ, np.abs(integ - half * (vals[:, 1::2] @ _WEIGHTS7)), vals
 
 
 def adaptive_simpson(fn, a, b, rel_tol=1e-10):
@@ -107,8 +111,10 @@ def adaptive_simpson(fn, a, b, rel_tol=1e-10):
     -------
     value : float
     panels : tuple of ndarrays
-        (left_edges, right_edges, panel_integrals) sorted by position,
-        reusable for cumulative queries.
+        (left_edges, right_edges, panel_integrals, node_values) sorted
+        by position, where row i of the (panels, 15) array node_values
+        holds f at the 15 Kronrod nodes of panel i in increasing order;
+        :class:`CumulativeIntegral` evaluates and inverts F from it.
 
     Despite the name, the rule is adaptive Gauss-Kronrod 7-15: each
     panel's integral is its Kronrod 15-point sum, and |K15 - G7| is its
@@ -131,8 +137,8 @@ def adaptive_simpson(fn, a, b, rel_tol=1e-10):
     span = b - a
     edges = np.linspace(a, b, _MIN_INTERVALS + 1)
     left, right = edges[:-1], edges[1:]
-    integ, err = _gauss_kronrod(fn, left, right, extra=(a, b))
-    done_l, done_r, done_i = [], [], []
+    integ, err, vals = _gauss_kronrod(fn, left, right, extra=(a, b))
+    done_l, done_r, done_i, done_v = [], [], [], []
     done_total = done_err = 0.0
     for _ in range(_MAX_REFINE_PASSES):
         budget = rel_tol * abs(done_total + float(np.sum(integ)))
@@ -147,73 +153,117 @@ def adaptive_simpson(fn, a, b, rel_tol=1e-10):
         done_l.append(left[keep])
         done_r.append(right[keep])
         done_i.append(integ[keep])
+        done_v.append(vals[keep])
         done_total += float(np.sum(integ[keep]))
         done_err += float(np.sum(err[keep]))
         lo, hi = left[split], right[split]
         mid = 0.5 * (lo + hi)
         left, right = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        integ, err = _gauss_kronrod(fn, left, right)
+        integ, err, vals = _gauss_kronrod(fn, left, right)
     # panels still active once a budget runs out are taken at face value
     left = np.concatenate([*done_l, left])
     right = np.concatenate([*done_r, right])
     integ = np.concatenate([*done_i, integ])
+    vals = np.concatenate([*done_v, vals])
     order = np.argsort(left)
-    left, right, integ = left[order], right[order], integ[order]
-    return float(np.sum(integ)), (left, right, integ)
+    left, right, integ, vals = left[order], right[order], integ[order], vals[order]
+    return float(np.sum(integ)), (left, right, integ, vals)
 
 
 _INVERSE_XTOL_REL = 1e-13  # of the span b - a
 _MAX_NEWTON_STEPS = 100
+# the most targets (or query points) one pass of Newton steps holds: a
+# pass keeps a few (targets, 16) tables, so this bounds its memory
+_TARGETS_PER_BLOCK = 4096
+_DEGREES = np.arange(16)
 
 
 @cache
-def _gauss_legendre():
-    """Node positions in [0, 1] and half weights of the 8-node rule.
+def _chebyshev_from_values():
+    """The 15x15 matrix from a panel's node values to Chebyshev coefficients.
 
-    The rule for a partial integral inside one accepted panel; 8 nodes
-    integrate degree 15 exactly, one degree beyond the Gauss 7-point rule
-    whose gap to the Kronrod sum bounded the panel's error.
-    Built on first use, so importing the package does not import
-    numpy.polynomial.
+    On a panel [l, r] the coefficients c_k describe the degree-14
+    interpolant p = sum_k c_k T_k(sigma) through the 15 node values, in
+    the panel coordinate sigma = 1 - 2 (x - l) / (r - l), which runs
+    from 1 at the left edge to -1 at the right. The Kronrod rule is
+    exact to degree 22, so p integrates over the panel to exactly its
+    Kronrod sum. Built on first use.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    sigma = -_NODES15
+    return np.linalg.inv(np.cos(np.arccos(sigma)[:, None] * _DEGREES[:15]))
+
+
+def _antiderivative(c):
+    """Coefficients h_1..h_15 of H = sum_k h_k T_k with H' = p, one row per panel.
+
+    h_k = (c_{k-1} - c_{k+1}) / (2k), with c_0 counted twice and
+    c_15 = c_16 = 0 (the term-by-term integral of a Chebyshev series).
+    """
+    padded = np.zeros((c.shape[0], 17))
+    padded[:, :15] = c
+    padded[:, 0] *= 2.0
+    return (padded[:, :15] - padded[:, 2:]) / (2.0 * _DEGREES[1:])
+
+
+def _interpolant(c, h, left, width, x):
+    """(int_left^x p, p(x)) for each row: interpolant p, coefficients c and h.
+
+    Every x lies in its panel [left, left + width], so sigma is in
+    [-1, 1]. With phi = arccos(sigma), T_k(sigma) = cos(k phi) and
+    phi = 0 at the left edge, so int_left^x p = (width / 2) sum_k h_k
+    (1 - cos k phi) is exactly 0 there.
+    """
+    sigma = 1.0 - 2.0 * (x - left) / width
+    cos_k = np.cos(np.arccos(sigma)[:, None] * _DEGREES)
+    value = np.einsum("ij,ij->i", cos_k[:, :15], c)
+    part = 0.5 * width * np.einsum("ij,ij->i", 1.0 - cos_k[:, 1:], h)
+    return part, value
 
 
 class CumulativeIntegral:
     """Callable F with F(x) = int_a^x f over an accepted panel table.
 
-    F(x) is the prefix sum of the panels left of x plus an 8-node
-    Gauss-Legendre rule on [left_i, x] inside the panel i that holds x.
-    :meth:`inverse` solves F(x) = t for many targets at once.
+    F(x) is the prefix sum of the panels left of x plus the integral,
+    from the panel's left edge to x, of the degree-14 interpolant
+    through the 15 Kronrod node values of the panel that holds x. That
+    interpolant integrates over its panel to the panel's Kronrod sum, so
+    F equals the prefix sums at the panel edges, up to rounding, and is
+    continuous. :meth:`inverse` solves F(x) = t for many targets at once.
+    Neither evaluates the integrand: the object holds only the table.
     """
 
-    def __init__(self, fn, a, b, total, panels):
-        self.fn = fn
+    def __init__(self, a, b, total, panels):
         self.a = float(a)
         self.b = float(b)
         self.total = float(total)
-        left, right, integ = panels
+        left, right, integ, vals = panels
         self._left = left
         self._right = right
+        self._width = right - left
         self._prefix = np.concatenate([[0.0], np.cumsum(integ)])
+        self._values = vals
 
-    def _partial(self, i, x):
-        """(int_{left_i}^x f, f(x)) for each pair (i, x), in one integrand call."""
-        fractions, half_weights = _gauss_legendre()
-        lo = self._left[i]
-        h = x - lo
-        nodes = lo[:, None] + h[:, None] * fractions
-        vals = _eval(self.fn, np.concatenate([nodes.ravel(), x]))
-        part = h * (vals[:-x.size].reshape(nodes.shape) @ half_weights)
-        return part, vals[-x.size:]
+    def _coefficients(self, i):
+        """Chebyshev coefficients (c, h) of the interpolants of panels ``i``.
+
+        einsum forms each row alone, where a BLAS product may round a
+        row differently with the number of rows, so a point's F does not
+        depend on the other points of its query.
+        """
+        c = np.einsum("ij,kj->ik", self._values[i], _chebyshev_from_values())
+        return c, _antiderivative(c)
 
     def __call__(self, x):
         xs = np.clip(np.asarray(x, dtype=float), self.a, self.b)
         flat = xs.ravel()
-        i = np.searchsorted(self._left, flat, side="right") - 1
-        i = np.clip(i, 0, self._left.size - 1)
-        out = self._prefix[i] + self._partial(i, flat)[0]
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, _TARGETS_PER_BLOCK):
+            xb = flat[lo : lo + _TARGETS_PER_BLOCK]
+            i = np.searchsorted(self._left, xb, side="right") - 1
+            i = np.clip(i, 0, self._left.size - 1)
+            c, h = self._coefficients(i)
+            part, _ = _interpolant(c, h, self._left[i], self._width[i], xb)
+            out[lo : lo + xb.size] = self._prefix[i] + part
         out[flat >= self.b] = self.total
         if xs.ndim == 0:
             return float(out[0])
@@ -223,38 +273,47 @@ class CumulativeIntegral:
         """Points x with F(x) = t, for a 1-D array of targets in [0, total].
 
         Each target's panel comes from the prefix sums; inside it,
-        Newton steps on F' = f run for all targets together, each kept
-        in its shrinking bracket by a midpoint step when the Newton point
-        leaves it.
+        Newton steps on F' = p run for a block of targets together, each
+        kept in its shrinking bracket by a midpoint step when the Newton
+        point leaves it.
         """
         t = np.clip(np.asarray(targets, dtype=float), 0.0, self.total)
+        x = np.empty(t.size)
+        for lo in range(0, t.size, _TARGETS_PER_BLOCK):
+            tb = t[lo : lo + _TARGETS_PER_BLOCK]
+            x[lo : lo + tb.size] = self._inverse_block(tb)
+        return x
+
+    def _inverse_block(self, t):
         n_panels = self._left.size
         i = np.clip(np.searchsorted(self._prefix, t, side="right") - 1, 0, n_panels - 1)
+        c, h = self._coefficients(i)
         base = self._prefix[i]
-        lo = self._left[i]
+        left, width = self._left[i], self._width[i]
+        lo = left.copy()
         hi = self._right[i]
         mass = self._prefix[i + 1] - base
         frac = np.divide(t - base, mass, out=np.full_like(t, 0.5), where=mass > 0.0)
-        x = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+        x = lo + np.clip(frac, 0.0, 1.0) * width
         xtol = _INVERSE_XTOL_REL * (self.b - self.a)
         todo = np.arange(t.size)
         for _ in range(_MAX_NEWTON_STEPS):
             if todo.size == 0:
                 break
             xk = x[todo]
-            part, f = self._partial(i[todo], xk)
+            part, f = _interpolant(c[todo], h[todo], left[todo], width[todo], xk)
             resid = base[todo] + part - t[todo]
             below = resid < 0.0
             lo[todo] = np.where(below, xk, lo[todo])
             hi[todo] = np.where(below, hi[todo], xk)
-            l, h = lo[todo], hi[todo]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = xk - resid / f
+            l, r = lo[todo], hi[todo]
+            # where the interpolant is not positive, the midpoint step is taken
+            step = xk - np.divide(resid, f, out=np.full_like(f, np.inf), where=f > 0.0)
             # closed bracket: the update above may have moved an end onto
             # the converged point, which must still be accepted
-            step = np.where((l <= step) & (step <= h), step, 0.5 * (l + h))
+            step = np.where((l <= step) & (step <= r), step, 0.5 * (l + r))
             x[todo] = step
-            done = (np.abs(step - xk) <= xtol) | (h - l <= xtol)
+            done = (np.abs(step - xk) <= xtol) | (r - l <= xtol)
             todo = todo[~done]
         return x
 
@@ -262,7 +321,7 @@ class CumulativeIntegral:
 def cumulative_integral(fn, a, b):
     """Return (total, F), F a :class:`CumulativeIntegral`, at rel_tol 1e-10."""
     total, panels = adaptive_simpson(fn, a, b)
-    return total, CumulativeIntegral(fn, a, b, total, panels)
+    return total, CumulativeIntegral(a, b, total, panels)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0

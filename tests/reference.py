@@ -100,6 +100,21 @@ def unit_jet_minors_exact(n: int, x):
     return r00 * r11 - r01 * r01, det3
 
 
+def gauss_legendre_partial(fn, lo, x):
+    """int_lo^x fn for arrays lo and x, by the 8-node Gauss-Legendre rule.
+
+    8 nodes integrate degree 15 exactly, one degree beyond the Gauss
+    7-point rule whose gap to the Kronrod sum bounds an accepted panel's
+    error, so inside such a panel the rule is at least as accurate as
+    that estimate; it calls ``fn`` afresh and shares nothing with the
+    node values the package interpolates.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    h = x - lo
+    points = lo[:, None] + h[:, None] * (0.5 * (nodes + 1.0))
+    return h * (fn(points.ravel()).reshape(points.shape) @ (0.5 * weights))
+
+
 def exact_roots(model, threshold, coeffs):
     """Every root of u - mu, complex ones included, for a polynomial family.
 

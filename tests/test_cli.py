@@ -299,6 +299,28 @@ def test_compare_emits_three_rows(capsys):
     assert [row[0] for row in rows] == ["topology", "uniform", "density"]
 
 
+def test_zero_mass_falls_back_to_uniform_grids(capsys):
+    # a constant field has no zeros and no sampling density; compare and
+    # grid --strategy density exit 0 with uniform grids, as topology does
+    code, out, err = _run(
+        capsys, "compare", "--family", "chebyshev", "--n", "0", "--m", "4",
+        "--trials", "64", "--seed", "1",
+    )
+    assert (code, err) == (0, "")
+    _, rows = _csv_rows(out)
+    assert [row[0] for row in rows] == ["topology", "uniform", "density"]
+    for strategy in ("topology", "density"):
+        code, out, err = _run(
+            capsys, "grid", "--family", "chebyshev", "--n", "0", "--m", "4",
+            "--strategy", strategy,
+        )
+        assert (code, err) == (0, "")
+        header, rows = _csv_rows(out)
+        fallback = header.index("uniform_fallback")
+        assert [float(row[1]) for row in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert {row[fallback] for row in rows} == {"1"}
+
+
 def test_compare_by_p_integrates_each_density_once(capsys, monkeypatch):
     # --p picks m from the cube-root integral that also places the grids:
     # two integrals, as for --m, and the rows of --m with that m

@@ -17,8 +17,15 @@ Every module-level function and class is referenced somewhere in the
 package outside its own body, is exported in ``__all__``, or is a name
 the benchmark's tracer wraps (``perfbench/tracing.TARGETS``): library
 code that only tests call belongs in the tests.
+
+Importing the package, building a Chebyshev-64 model and placing a grid
+from its zero density leave ``numpy.polynomial`` unimported: that is the
+set-up and planning of a run that builds no threshold, and an eager
+import would add to its start-up time.
 """
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -159,3 +166,24 @@ def test_self_and_attribute_references_keep_nothing_alive():
         "def place(m):\n    return planner.place_grid(m)\n"
     )
     assert _references(tree) == {"n", "path", "m", "planner", "place_grid"}
+
+
+def test_import_and_planning_leave_numpy_polynomial_unloaded():
+    script = (
+        "import sys\n"
+        "import toposample as ts\n"
+        "from toposample import planner\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+        "zeros, cumulative = planner._zero_mass(ts.chebyshev_model(64))\n"
+        "planner.place_grid(cumulative, zeros, 16)\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    )
+    assert out.stdout.split() == ["False", "False"]

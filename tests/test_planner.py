@@ -1,8 +1,12 @@
 """Grid placement, sample-count rules, and plan assembly."""
+import time
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toposample as ts
 from toposample import planner, quadrature
@@ -117,11 +121,108 @@ def test_cosine_grid_with_vanishing_end_density(strategy, thr):
     assert np.max(np.abs(plan.grid + plan.grid[::-1] - (model.a + model.b))) < 1e-11
 
 
+@cache
+def _cumulative(name):
+    """(total, cumulative) of a density whose grid the planner inverts."""
+    if name == "weight_binomial5_cubic_shift":
+        return cumulative_weight(ts.binomial_model(5), ts.threshold_cubic_shift(0.5))
+    if name == "weight_cosine5":
+        return cumulative_weight(ts.cosine_model(5), ts.threshold_zero())
+    return planner._zero_mass(ts.chebyshev_model(64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(["weight_binomial5_cubic_shift", "weight_cosine5", "zeros_chebyshev64"]),
+    picks=st.lists(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.tuples(st.integers(0, 10**6), st.sampled_from([-1, 0, 1])),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    m=st.integers(1, 3000),
+)
+def test_inverse_is_monotone_and_guided_grids_strictly_increase(name, picks, m):
+    # targets are shares of K, 0 and K included, and the prefix sums at
+    # panel edges, each possibly one ulp off; the cosine density vanishes
+    # at both ends of the domain
+    total, cum = _cumulative(name)
+    edges = cum._prefix
+    targets = []
+    for pick in picks:
+        if isinstance(pick, float):
+            targets.append(pick * total)
+        else:
+            edge = edges[pick[0] % edges.size]
+            targets.append(np.nextafter(edge, pick[1] * np.inf) if pick[1] else edge)
+    x = cum.inverse(np.sort(np.clip(targets, 0.0, total)))
+    assert np.all(np.diff(x) >= 0.0)
+    assert cum.a <= x[0] and x[-1] <= cum.b
+    grid = place_grid(cum, total, m)
+    assert grid.size == m + 1 and np.all(np.diff(grid) > 0.0)
+
+
+def test_place_grid_at_two_hundred_thousand_cells(cheb5, thr, monkeypatch):
+    # the inversion reads no density: it evaluates the interpolants about
+    # four times per point, in blocks, and a grid this fine takes well
+    # under a second; every point holds its share of K to check.py's 1e-10 K
+    total, cum = cumulative_weight(cheb5, thr)
+    m = 200_000
+    evaluated = []
+
+    def interpolant(*args):
+        evaluated.append(args[-1].size)
+        return real(*args)
+
+    real = quadrature._interpolant
+    monkeypatch.setattr(quadrature, "_interpolant", interpolant)
+    start = time.monotonic()
+    grid = place_grid(cum, total, m)
+    elapsed = time.monotonic() - start
+    assert max(evaluated) <= quadrature._TARGETS_PER_BLOCK
+    assert sum(evaluated) <= 5 * m
+    assert grid[0] == -1.0 and grid[-1] == 1.0 and np.all(np.diff(grid) > 0.0)
+    assert np.max(np.abs(cum(grid) - total * np.arange(m + 1) / m)) <= 1e-10 * total
+    assert elapsed < 10.0
+
+
+def test_plans_read_densities_only_inside_their_integrals(binom5, monkeypatch):
+    # the grids come from the node values the two integrals kept: every
+    # density evaluation of a compare's three plans happens inside them
+    inside, outside = [], []
+    real_integral = quadrature.adaptive_simpson
+
+    def integral(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_integral(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted(real):
+        def density(*args, **kwargs):
+            outside.append(not inside)
+            return real(*args, **kwargs)
+
+        return density
+
+    monkeypatch.setattr(quadrature, "adaptive_simpson", integral)
+    monkeypatch.setattr(planner, "adaptive_simpson", integral)
+    monkeypatch.setattr(planner, "density_profile", counted(planner.density_profile))
+    monkeypatch.setattr(planner, "zero_density", counted(planner.zero_density))
+    plans, _ = planner._build_plans(
+        binom5, ts.threshold_cubic_shift(0.5), planner.STRATEGIES, m=7
+    )
+    assert len(plans) == 3 and outside and not any(outside)
+
+
 def test_place_grid_validation(cheb5, thr):
     total, cum = cumulative_weight(cheb5, thr)
     with pytest.raises(ValueError):
         place_grid(cum, total, 0)
-    with pytest.raises(DegenerateDensityError):
+    with pytest.raises(DegenerateDensityError, match="mass 0.0 is not positive"):
         place_grid(cum, 0.0, 4)
 
 
@@ -220,6 +321,16 @@ def test_build_plan_fallback_on_vanishing_density(sinusoid):
     assert plan.total_weight == 0.0
     assert plan.bound == 1.0
     assert np.array_equal(plan.grid, np.linspace(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("strategy", ["topology", "density"])
+def test_guided_strategies_fall_back_on_zero_mass(strategy, thr):
+    # a constant field has neither zeros nor a sampling density: both
+    # masses are zero, and both guided strategies degrade to a uniform grid
+    model = ts.chebyshev_model(0)
+    plan = ts.build_plan(model, thr, strategy, m=4)
+    assert plan.uniform_fallback
+    assert np.array_equal(plan.grid, np.linspace(-1.0, 1.0, 5))
 
 
 def test_expected_zero_count_anchor(binom5):

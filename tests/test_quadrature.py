@@ -5,14 +5,18 @@ import time
 import numpy as np
 import pytest
 
-from toposample import quadrature
+import toposample as ts
+from toposample import planner, quadrature
 from toposample.errors import NonFiniteDensityError
 from toposample.quadrature import (
+    CumulativeIntegral,
     adaptive_simpson,
     bisect_increasing,
     cumulative_integral,
     golden_max,
 )
+
+from reference import gauss_legendre_partial
 
 
 def test_polynomial_exact():
@@ -65,7 +69,7 @@ def test_kronrod_tables():
     assert np.allclose(quadrature._GAUSS7_WEIGHTS, weights[:4], rtol=0, atol=1e-15)
     one = np.array([1.0])
     for degree in range(23):
-        integ, err = quadrature._gauss_kronrod(lambda x: x**degree, -one, one)
+        integ, err, _ = quadrature._gauss_kronrod(lambda x: x**degree, -one, one)
         exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
         assert integ[0] == pytest.approx(exact, abs=1e-15)
         assert err[0] <= (1e-15 if degree <= 13 else 1e-2)
@@ -139,20 +143,108 @@ def test_inverse_round_trip_with_vanishing_integrand():
 
 
 @pytest.mark.parametrize("fn", [np.cos, lambda x: 3.0 * x * x])
-def test_inverse_converges_in_a_few_vectorised_passes(fn):
-    # each pass evaluates the integrand once for every unfinished target;
-    # a Newton point that lands on a bracket end is still accepted, so
-    # no target falls back to a long run of midpoint steps
-    calls = []
+def test_inverse_converges_in_a_few_vectorised_passes(fn, monkeypatch):
+    # F and its inverse read only the node values the integration kept:
+    # neither calls the integrand. Each Newton pass evaluates the
+    # interpolants once for every unfinished target; a Newton point that
+    # lands on a bracket end is still accepted, so no target falls back
+    # to a long run of midpoint steps
+    calls, passes = [], []
 
     def counted(x):
         calls.append(np.size(x))
         return fn(x)
 
+    def interpolant(*args):
+        passes.append(args[-1].size)
+        return real(*args)
+
+    real = quadrature._interpolant
     total, cum = cumulative_integral(counted, 0.0, 1.5)
     calls.clear()
+    monkeypatch.setattr(quadrature, "_interpolant", interpolant)
     cum.inverse(total * np.arange(1, 100) / 100)
-    assert len(calls) <= 6
+    assert calls == [] and 0 < len(passes) <= 6
+    cum(np.linspace(0.0, 1.5, 7))
+    assert calls == []
+
+
+def _cube_root_weight(model, threshold):
+    density = planner.sampling_density_fn(model, threshold)
+    return lambda x: np.cbrt(density(x))
+
+
+INTEGRANDS = {
+    "weight_binomial5_cubic_shift": lambda: (
+        _cube_root_weight(ts.binomial_model(5), ts.threshold_cubic_shift(0.5)),
+        ts.binomial_model(5),
+    ),
+    "zeros_chebyshev64": lambda: (
+        planner.zero_density_fn(ts.chebyshev_model(64)),
+        ts.chebyshev_model(64),
+    ),
+    "weight_cosine5": lambda: (
+        _cube_root_weight(ts.cosine_model(5), ts.threshold_zero()),
+        ts.cosine_model(5),
+    ),
+    "weight_unit20": lambda: (
+        _cube_root_weight(ts.unit_model(20), ts.threshold_zero()),
+        ts.unit_model(20),
+    ),
+}
+
+
+def _f_error_ratios(name, per_panel=5):
+    """|F - reference| over its tolerance, at random points of every panel.
+
+    The reference is the panel's prefix sum plus the 8-node
+    Gauss-Legendre partial rule from its left edge; the tolerance is the
+    panel's |K15 - G7| estimate plus 8 eps K for the rounding of the
+    prefix sums.
+    """
+    fn, model = INTEGRANDS[name]()
+    total, panels = adaptive_simpson(fn, model.a, model.b)
+    cum = CumulativeIntegral(model.a, model.b, total, panels)
+    left, right, integ, _ = panels
+    _, err, _ = quadrature._gauss_kronrod(fn, left, right)
+    i = np.repeat(np.arange(left.size), per_panel)
+    x = left[i] + np.random.default_rng(7).random(i.size) * (right - left)[i]
+    prefix = np.concatenate([[0.0], np.cumsum(integ)])
+    reference = prefix[i] + gauss_legendre_partial(fn, left[i], x)
+    return np.abs(cum(x) - reference) / (err[i] + 8.0 * np.finfo(float).eps * total)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_interpolant_f_matches_a_gauss_legendre_reference(name):
+    # F inside a panel integrates the degree-14 interpolant through the
+    # panel's 15 Kronrod node values; it agrees with an independent rule
+    # that evaluates the integrand afresh, within the panel's own estimate
+    assert np.max(_f_error_ratios(name)) <= 1.0
+
+
+def test_a_wrong_interpolation_matrix_entry_is_caught(monkeypatch):
+    # one entry of the fixed values-to-coefficients matrix off by 1e-9
+    # moves F far outside the reference check's tolerance
+    wrong = quadrature._chebyshev_from_values().copy()
+    wrong[4, 9] += 1e-9
+    monkeypatch.setattr(quadrature, "_chebyshev_from_values", lambda: wrong)
+    assert np.max(_f_error_ratios("weight_binomial5_cubic_shift")) > 1e3
+
+
+def test_interpolant_integrates_to_the_panel_sums():
+    # the Kronrod rule is exact to degree 22, so each interpolant's integral
+    # over its own panel is the panel's Kronrod sum: F is continuous
+    fn, model = INTEGRANDS["zeros_chebyshev64"]()
+    total, panels = adaptive_simpson(fn, model.a, model.b)
+    cum = CumulativeIntegral(model.a, model.b, total, panels)
+    left, right, integ, vals = panels
+    assert vals.shape == (left.size, 15)
+    c = vals @ quadrature._chebyshev_from_values().T
+    part, _ = quadrature._interpolant(
+        c, quadrature._antiderivative(c), left, right - left, right
+    )
+    assert np.max(np.abs(part - integ)) <= 1e-15 * total
+    assert cum(left[0]) == 0.0 and cum(model.b) == total
 
 
 def test_cumulative_array_query_matches_scalar_queries():

@@ -240,7 +240,8 @@ def custom_model(basis_table, domain, variances=None, covariance=None) -> FieldM
     differently from long ones. The scan evaluates the basis on tiles of
     its points and certifies them with tables built from other tiles, so
     a basis that rounds differently by tile can miscount; the scan raises
-    ValueError where two of its tiles disagree on a shared point. When
+    ValueError where a cell end gets different bits as one cell's right
+    end and as the next cell's left end. When
     neither variances nor covariance is given the coefficients default to
     unit variance.
     """
@@ -775,6 +776,10 @@ class ThresholdFn:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("threshold coefficients must form a nonempty vector")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("threshold coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_d1", np.polynomial.polynomial.polyder(c))
         object.__setattr__(self, "_d2", np.polynomial.polynomial.polyder(c, 2))

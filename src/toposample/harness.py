@@ -119,42 +119,44 @@ def _trial_chunk(args):
     chunk, its values for every path come from one matrix product
     (``_grid_values``), and they are graded in one
     ``cubical_beta0`` call. Only counts are read, so no root is polished.
+
+    Returns the chunk's counts as one (1 + grids) x 3 int64 array: row 0
+    holds the valid paths, their total zeros and their total squared
+    zeros, and row 1 + g grid g's positive, negative and joint matches.
     """
     (model, threshold, grids, resolution, seed, start, stop) = args
     coeffs = sample_coefficients(model, seed, range(start, stop))
     pos, neg, zero_count, degenerate = _chunk_counts(model, threshold, coeffs, resolution)
     valid = ~degenerate
-    counts = [int(c) for c in zero_count[valid]]
-    matches = []
-    for grid in grids:
+    zeros = zero_count[valid]
+    counts = np.empty((1 + len(grids), 3), dtype=np.int64)
+    counts[0] = zeros.size, zeros.sum(), (zeros * zeros).sum()
+    for g, grid in enumerate(grids, 1):
         values = _grid_values(coeffs, threshold_system(model, threshold, grid))
         grid_pos, grid_neg = cubical_beta0(values)
         mp = valid & (grid_pos == pos)
         mn = valid & (grid_neg == neg)
-        matches.append([int(np.count_nonzero(m)) for m in (mp, mn, mp & mn)])
-    sums = (len(counts), sum(counts), sum(c * c for c in counts))
-    return start, matches, sums
+        counts[g] = [np.count_nonzero(m) for m in (mp, mn, mp & mn)]
+    return counts
 
 
 def _run_chunked(tasks, workers):
-    """Evaluate ``_trial_chunk`` tasks and reduce in chunk order regardless of pool.
+    """``_trial_chunk`` over ``tasks``, results in task order regardless of pool.
 
     Raises ConfigError before any pool starts when the tasks cannot be
     sent to worker processes, as with a custom model built on lambdas.
     """
     if workers <= 1 or len(tasks) <= 1:
-        results = [_trial_chunk(t) for t in tasks]
-    else:
-        try:
-            pickle.dumps(tasks[0])
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise ConfigError(
-                f"the model cannot be sent to worker processes ({exc}); "
-                "it needs workers=1"
-            ) from None
-        # a fork pool starts every worker at once, so never more than chunks
-        results = _pool_map(tasks, min(workers, len(tasks)), tasks[0][0].basis_table)
-    return sorted(results, key=lambda r: r[0])
+        return [_trial_chunk(t) for t in tasks]
+    try:
+        pickle.dumps(tasks[0])
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ConfigError(
+            f"the model cannot be sent to worker processes ({exc}); "
+            "it needs workers=1"
+        ) from None
+    # a fork pool starts every worker at once, so never more than chunks
+    return _pool_map(tasks, min(workers, len(tasks)), tasks[0][0].basis_table)
 
 
 # the worker pool kept between pooled trial passes, as one
@@ -248,12 +250,11 @@ def trial_pass(
         common + (start, min(start + _TRIAL_CHUNK, trials))
         for start in range(0, trials, _TRIAL_CHUNK)
     ]
-    matches = [[0, 0, 0] for _ in plans]
-    sums = [0, 0, 0]
-    for _, chunk_matches, chunk_sums in _run_chunked(tasks, workers):
-        for g, counts in enumerate(chunk_matches):
-            matches[g] = [x + y for x, y in zip(matches[g], counts)]
-        sums = [x + y for x, y in zip(sums, chunk_sums)]
+    # summed in chunk order; Python ints, which JSON serialises
+    totals = np.zeros((1 + len(plans), 3), dtype=np.int64)
+    for counts in _run_chunked(tasks, workers):
+        totals += counts
+    sums, *matches = totals.tolist()
     results = [
         _experiment_result(plan, trials, seed, sums[0], counts)
         for plan, counts in zip(plans, matches)

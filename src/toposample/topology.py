@@ -41,12 +41,11 @@ _SCAN_POINTS_PER_ZERO = 4096
 # scan_counts settles a row from its values at every _SCAN_CELL-th scan
 # point (a power of two, so every chord weight (m - l) / s is exact) and
 # computes in full only the cells the chord bound cannot certify; it takes
-# rows in blocks of at most _SCAN_BLOCK_VALUES coarse values, builds its
-# tables from blocks of at most _SCAN_BLOCK_VALUES system values and
-# evaluates the system at the computed cells' points in batches of at most
-# _SCAN_BLOCK_VALUES values; a batch costs two ufunc calls per Chebyshev
-# row however few its points, so 32 steps, which halve the points of the
-# computed cells, beat 64 at Chebyshev n=64 (16 costs the block scan more)
+# rows in blocks of at most _SCAN_BLOCK_VALUES coarse values, and every
+# cell is read through _cell_systems in batches of at most that many system
+# values; a batch costs two ufunc calls per Chebyshev row however few its
+# points, so 32 steps, which halve the points of the computed cells, beat
+# 64 at Chebyshev n=64 (16 costs the block scan more)
 _SCAN_CELL = 32
 _SCAN_BLOCK_VALUES = 1 << 16
 
@@ -166,73 +165,64 @@ def _polish_roots(diff, lo, hi, flo, fhi):
         lo[todo], hi[todo], flo[todo], fhi[todo] = new_l, new_h, fl, fh
 
 
-def _chord_residuals(fine, left, right, t, out):
-    """Largest |chord - value| per cell, rounded, into ``out``.
+def _cell_systems(model, threshold, points, cells):
+    """The threshold system on each of ``cells``, a batch of whole cells at a time.
 
-    ``fine`` (rows, cells, w) holds the first w values of each cell,
-    ``left`` and ``right`` its end values and ``t`` the chord weights of
-    those w points; the right end, where the chord meets the row exactly,
-    is not among them. The float residual
-    phi(l) + t (phi(r) - phi(l)) - phi(m) is within 7 u max|phi| of the
-    exact chord residual.
+    Cell i reads the s + 1 positions i s, ..., i s + s (s = _SCAN_CELL),
+    position p at scan point min(p, R - 1), so the last cell repeats the
+    final scan point where the scan ends first. Yields (lo, system) for
+    consecutive batches of at most _SCAN_BLOCK_VALUES // ((K + 1)(s + 1))
+    cells, ``system[k, c, q]`` being row k at position q of cell
+    ``cells[lo + c]``.
     """
-    residual = (right - left)[..., None] * t
-    residual += left[..., None]
-    residual -= fine
-    np.max(np.abs(residual, out=residual), axis=-1, out=out)
+    rows, positions = model.n_terms + 1, np.arange(_SCAN_CELL + 1)
+    step = max(1, _SCAN_BLOCK_VALUES // (rows * positions.size))
+    for lo in range(0, len(cells), step):
+        batch = cells[lo : lo + step]
+        index = np.minimum(batch[:, None] * _SCAN_CELL + positions, len(points) - 1)
+        system = threshold_system(model, threshold, points[index.ravel()])
+        yield lo, system.reshape(rows, batch.size, positions.size)
 
 
 def _chord_tables(model, threshold, points):
     """The row bounds, coarse columns and chord-error table of a scan.
 
-    The R scan points split into cells of s = _SCAN_CELL steps: cell i
-    spans the points l_i = i s to r_i = min(l_i + s, R - 1). ``coarse``
-    holds the threshold system's columns at l_0, l_1, ... and R - 1, so
-    cell i ends at coarse columns i and i + 1, and ``bounds`` each system
-    row's largest |value| over every scan point. ``chord[k, i]`` bounds, in
-    exact arithmetic on the system's values, how far row k strays from its
-    chord inside cell i: |phi_k(m) - ((1 - t) phi_k(l_i) + t phi_k(r_i))|
-    with t = (m - l_i) / s, over every point m of the cell (for the last,
-    maybe shorter, cell t stays below 1, which the certificate allows). It
-    is the largest float residual plus 16 u ``bounds[k]``, which covers the
-    residual's own rounding and that of the sum, and 4 smallest subnormals
-    for gradual underflow. The system is evaluated a block of whole cells
-    at a time, at most _SCAN_BLOCK_VALUES values each, and never kept; a
-    pointwise basis gives each block the bits of the full system. Raises
-    ValueError when the column two blocks share comes out with different
-    bits in each, as it can for a basis that is not pointwise.
+    Cell i spans the positions l_i = i s to r_i = l_i + s of
+    ``_cell_systems``. ``coarse`` holds the threshold system's columns at
+    l_0, l_1, ... and R - 1, so cell i ends at coarse columns i and i + 1,
+    and ``bounds`` each system row's largest |value| over every scan point.
+    ``chord[k, i]`` bounds, in exact arithmetic on the system's values, how
+    far row k strays from its chord inside cell i:
+    |phi_k(m) - ((1 - t) phi_k(l_i) + t phi_k(r_i))| with t = (m - l_i) / s,
+    over the positions m before r_i, where the chord meets the row (the
+    last cell's clamped positions read phi_k(r_i) below t = 1, which can
+    only widen its bound). It is the largest float residual
+    phi(l) + t (phi(r) - phi(l)) - phi(m), within 7 u max|phi| of the exact
+    one, plus 16 u ``bounds[k]``, which covers that and the sum's rounding,
+    and 4 smallest subnormals for gradual underflow. Every cell end inside
+    the scan is evaluated twice, as one cell's right end and the next one's
+    left end; ValueError is raised when the two differ in any bit, as they
+    can for a basis that is not pointwise.
     """
-    rows, count = model.n_terms + 1, len(points)
-    s = _SCAN_CELL
-    ends = np.append(np.arange(0, count - 1, s), count - 1)
-    cells = len(ends) - 1
+    rows, s = model.n_terms + 1, _SCAN_CELL
+    cells = -(-(len(points) - 1) // s)
     coarse = np.empty((rows, cells + 1))
     chord = np.empty((rows, cells))
     bounds = np.full(rows, -np.inf)
     t = np.arange(s) / s
-    # a block of step cells has step s + 1 points
-    step = max(1, (_SCAN_BLOCK_VALUES // rows - 1) // s)
-    for lo in range(0, cells, step):
-        hi = min(lo + step, cells)
-        block = threshold_system(model, threshold, points[ends[lo] : ends[hi] + 1])
-        # neighbouring blocks share their end column, so a basis whose bits
-        # depend on the tile shows here
-        if lo and block[:, 0].tobytes() != coarse[:, lo].tobytes():
+    for lo, system in _cell_systems(model, threshold, points, np.arange(cells)):
+        hi = lo + system.shape[1]
+        left, right = system[:, :, 0], system[:, :, -1]
+        if not lo:
+            coarse[:, 0] = left[:, 0]
+        coarse[:, lo + 1 : hi + 1] = right
+        if left.tobytes() != coarse[:, lo:hi].tobytes():
             raise ValueError("the basis is not pointwise: a point's values depend on the other points")
-        np.maximum(bounds, magnitude_bounds(block), out=bounds)
-        coarse[:, lo : hi + 1] = block[:, ends[lo : hi + 1] - ends[lo]]
-        # only the scan's last cell can be short
-        width = ends[hi] - ends[hi - 1]
-        full = hi - lo - (width < s)
-        if full:
-            fine = block[:, : full * s].reshape(rows, full, s)
-            mid = lo + full
-            left, right = coarse[:, lo:mid], coarse[:, lo + 1 : mid + 1]
-            _chord_residuals(fine, left, right, t, chord[:, lo:mid])
-        if width < s:
-            fine = block[:, -1 - width : -1].reshape(rows, 1, width)
-            left, right = coarse[:, hi - 1 : hi], coarse[:, hi:]
-            _chord_residuals(fine, left, right, t[:width], chord[:, hi - 1 :])
+        np.maximum(bounds, magnitude_bounds(system.reshape(rows, -1)), out=bounds)
+        residual = (right - left)[..., None] * t
+        residual += left[..., None]
+        residual -= system[:, :, :-1]
+        np.max(np.abs(residual, out=residual), axis=-1, out=chord[:, lo:hi])
     chord += (16.0 * _UNIT_ROUNDOFF * bounds + 4.0 * _SMALLEST_SUBNORMAL)[:, None]
     return bounds, coarse, chord
 
@@ -323,8 +313,9 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     degenerate minimum, and (the slack being finite) no non-finite value.
 
     Most values are never computed. One block product gives every row's
-    values F at the coarse points that end the cells of ``_chord_tables``
-    (s = _SCAN_CELL steps each), and B_ji = sum_k |lhs_jk| chord[k, i]
+    values F at the coarse points that end the whole cells of
+    ``_cell_systems`` (s = _SCAN_CELL steps, the last clamped to the final
+    scan point), and B_ji = sum_k |lhs_jk| chord[k, i]
     bounds how far u - mu strays from its chord inside cell i. Cell i is
     certified when F(l_i) and F(r_i) have one sign and both are at least
     _DEGENERATE_TOL + 3 d_j + B_ji in size (that sum's rounding covered).
@@ -396,31 +387,20 @@ def _cell_values(lhs, model, threshold, points, rows, cells):
     """u - mu over whole scan cells: cell ``cells[p]`` of row ``rows[p]``, a batch at a time.
 
     ``cells`` is ascending. Yields (the batch's rows, their values) in the
-    order of the pairs, one row of values per cell and
-    ``min(_SCAN_CELL, R - 1) + 1`` values per row. A batch takes the pairs
-    of at most _SCAN_BLOCK_VALUES / ((K + 1) span) consecutive distinct
-    cells and evaluates ``threshold_system`` once at their points; a
-    cell's values are its row of ``lhs`` times a copy of its columns, made
-    for at most as many pairs at a time, so no batch holds more than
-    _SCAN_BLOCK_VALUES system values. The last cell, when shorter, takes
-    the window of points that ends at the last one, with the points before
-    the cell replaced by its first, so they add no sign change and no
-    smaller |value|.
+    order of the pairs, one row of values per cell at its s + 1 positions
+    of ``_cell_systems``, whose clamped positions repeat the final scan
+    point and so add no sign change and no smaller |value|. Each distinct
+    cell is evaluated once; a pair's values are its row of ``lhs`` times a
+    copy of its cell's columns, made for at most a batch's capacity of
+    pairs at a time, so no copy exceeds _SCAN_BLOCK_VALUES values.
     """
-    count = len(points)
-    span = min(_SCAN_CELL, count - 1) + 1
-    height = model.n_terms + 1
-    step = max(1, _SCAN_BLOCK_VALUES // (height * span))
     # each pair's index among the distinct cells
     new = np.diff(cells, prepend=-1) != 0
     distinct, which = cells[new], np.cumsum(new) - 1
-    for lo in range(0, distinct.size, step):
-        starts = distinct[lo : lo + step] * _SCAN_CELL
-        window = np.minimum(starts, count - span)[:, None] + np.arange(span)
-        x = points[np.maximum(window, starts[:, None]).ravel()]
-        system = threshold_system(model, threshold, x)
-        columns = system.reshape(height, starts.size, span).transpose(1, 0, 2)
-        first, last = np.searchsorted(which, [lo, lo + step])
+    for lo, system in _cell_systems(model, threshold, points, distinct):
+        columns = system.transpose(1, 0, 2)
+        step = max(1, _SCAN_BLOCK_VALUES // columns[0].size)
+        first, last = np.searchsorted(which, [lo, lo + len(columns)])
         for sub in range(first, last, step):
             part = slice(sub, min(sub + step, last))
             j = rows[part]

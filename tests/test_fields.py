@@ -413,6 +413,23 @@ def test_threshold_functions():
     assert cubic.d2(x) == pytest.approx(-6.0 * x, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ts.threshold_polynomial([]), "nonempty vector"),
+        (lambda: ts.threshold_polynomial([[1.0, 2.0], [3.0, 4.0]]), "nonempty vector"),
+        (lambda: ts.threshold_constant(float("nan")), "finite"),
+        (lambda: ts.threshold_polynomial([0.5, float("inf")]), "finite"),
+    ],
+    ids=["empty", "matrix", "nan", "inf"],
+)
+def test_threshold_rejects_coefficients_it_cannot_use(build, message):
+    # rejected when built, not later as an IndexError in the planner, a
+    # broadcast error in the scan or a density reported as overflowing
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_threshold_fn_jet_vectorized():
     poly = ts.threshold_polynomial([0.0, 1.0, -1.0])
     xs = np.array([0.0, 0.5, 1.0])

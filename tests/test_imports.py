@@ -11,7 +11,9 @@ fallback value instead of its exit code.
 
 The package constructs a ``ProcessPoolExecutor`` at exactly one site,
 the kept worker pool in ``harness``: a second site would start pools
-that its slot neither reuses nor closes.
+that its slot neither reuses nor closes. Likewise ``topology`` calls
+``threshold_system`` at exactly one site, ``_cell_systems``, the one
+function that maps a scan cell to its points.
 
 Every module-level function and class is referenced somewhere in the
 package outside its own body, is exported in ``__all__``, or is a name
@@ -90,19 +92,25 @@ def test_no_broad_exception_handlers(path):
     assert _broad_handlers(path) == []
 
 
-def _pool_constructions(path):
+def _call_sites(path, name):
+    """Each call of ``name`` in ``path``, as the top-level statement that holds it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [
-        f"{path.name}:{node.lineno}"
-        for node in ast.walk(tree)
+        f"{path.name}:{getattr(statement, 'name', statement.lineno)}"
+        for statement in tree.body
+        for node in ast.walk(statement)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ProcessPoolExecutor"
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
     ]
 
 
 def test_one_process_pool_construction():
-    sites = [site for path in ALL_MODULES for site in _pool_constructions(path)]
+    sites = [site for path in ALL_MODULES for site in _call_sites(path, "ProcessPoolExecutor")]
     assert len(sites) == 1, sites
+
+
+def test_topology_reads_the_threshold_system_at_one_site():
+    assert _call_sites(PACKAGE / "topology.py", "threshold_system") == ["topology.py:_cell_systems"]
 
 
 def _module_aliases(tree):

@@ -247,7 +247,7 @@ def test_oracle_equals_uncached_reference_scan(family, cheb5, binom5, cosine5, m
 
 
 def _coarse_ends(resolution):
-    # the scan points that end the cells of _chord_tables
+    # the scan points that end the cells of _cell_systems
     return list(range(0, resolution - 1, topology._SCAN_CELL)) + [resolution - 1]
 
 
@@ -545,6 +545,20 @@ def test_scan_rejects_a_basis_that_is_not_pointwise(monkeypatch):
         topology.scan_counts(model, ts.threshold_zero(), coeffs, 65536)
     pointwise = ts.custom_model([(np.ones_like, *zero[1:]), (lambda x: x, *shifted[1:])], (0.0, 1.0))
     assert topology.scan_counts(pointwise, ts.threshold_zero(), coeffs, 65536)[3].all()
+
+
+def test_scan_rejects_a_basis_whose_bits_depend_on_array_position(monkeypatch):
+    # every cell end inside the scan is evaluated twice, as one cell's
+    # right end and the next cell's left end, at neighbouring array
+    # positions, so a term added at odd positions alone shows even when the
+    # whole table is one batch
+    square = (lambda x: x * x + (np.arange(x.size) % 2) * 1e-13, lambda x: 2.0 * x, np.ones_like)
+    table = [(np.ones_like, np.zeros_like, np.zeros_like), (lambda x: x, np.ones_like, np.zeros_like), square]
+    model = ts.custom_model(table, (0.0, 1.0))
+    monkeypatch.setattr(topology, "_scan_slot", [None])
+    coeffs = ts.fields.sample_coefficients(model, 5, range(4))
+    with pytest.raises(ValueError, match="not pointwise"):
+        topology.scan_counts(model, ts.threshold_zero(), coeffs, 1000)
 
 
 def test_scan_basis_is_not_built_at_import():

@@ -42,8 +42,8 @@ THRESHOLDS = {
     "polynomial": ts.threshold_polynomial([0.1, -0.2, 0.05]),
     "cubic_shift": ts.threshold_cubic_shift(0.5),
 }
-# 3 points is the smallest scan (one cell of two steps); 65 points make one
-# cell of 64 steps, and 9000 end in a short cell of 39
+# 3 points is the smallest scan (one cell, clamped after two steps); 65
+# points make two cells of 32 steps, and 9000 end in a cell of 7
 RESOLUTIONS = (3, 4, 65, 1000, 4096, 9000)
 
 
@@ -239,9 +239,9 @@ def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
             if v is None:  # certified: one sign, that of both ends
                 assert np.all(np.sign(cell) == np.sign(scan[i]))
                 continue
-            inside = v[v.size - cell.size :]  # a short last cell ends its window
+            inside = v[: cell.size]  # a short last cell repeats the final point
             assert np.array_equal(np.sign(inside), np.sign(cell)) and np.all(inside != 0.0)
-            assert np.all(v[: v.size - cell.size] == inside[0])
+            assert np.all(v[cell.size :] == inside[-1])
         assert np.abs(per_path).min() >= _DEGENERATE_TOL
         assert (pos[j], neg[j], zero_count[j], False) == want[j]
     assert np.count_nonzero(settled) >= 15
@@ -284,11 +284,12 @@ def test_scan_computes_a_tenth_of_the_values(model, threshold, resolution, monke
     assert np.count_nonzero(settled) >= np.count_nonzero(np.concatenate(full))
 
 
-_CELL = topology._SCAN_CELL
-# a short first cell, one exact cell, a last cell of one step, two cells
-# and a last one of one step, and longer scans ending in a short cell or
-# on a cell end
-EDGE_RESOLUTIONS = (_CELL - 1, _CELL, _CELL + 1, _CELL + 2, 2 * _CELL + 1, 2 * _CELL + 2, 1000, 4097)
+def _edge_resolutions(s):
+    # for cells of s steps: a short first cell, one exact cell, a last cell
+    # of one step, two cells and a last one of one step, and longer scans
+    # ending in a short cell or on a cell end, none below the scan's floor
+    edges = (s - 1, s, s + 1, s + 2, 2 * s + 1, 2 * s + 2, 1000, 4097)
+    return sorted({max(3, r) for r in edges})
 
 
 def _crossing_after(model, threshold, row, resolution, index):
@@ -314,11 +315,12 @@ def _on_the_edge(kind, model, threshold, row, resolution, where):
     return _zero_at_scan_point(model, threshold, row, resolution, index)
 
 
+@pytest.mark.parametrize("cell", (2, 8, 32, 64))
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     family=st.sampled_from(sorted(MODELS)),
     kind=st.sampled_from(sorted(THRESHOLDS)),
-    resolution=st.sampled_from(EDGE_RESOLUTIONS),
+    edge=st.integers(0, 7),
     seed=st.integers(0, 2**64 - 1),
     paths=st.integers(1, 12),
     pushed=st.lists(
@@ -327,31 +329,34 @@ def _on_the_edge(kind, model, threshold, row, resolution, where):
     ),
     offset=st.sampled_from((0.0, 1.0, -1.0)),
 )
-def test_certified_cells_hold_at_their_edges(family, kind, resolution, seed, paths, pushed, offset):
+def test_certified_cells_hold_at_their_edges(cell, family, kind, edge, seed, paths, pushed, offset):
     # rows pushed onto the certificate's edge (a sign change at a cell's
     # first or last step, an exact zero at a coarse point), scans whose
     # last cell is short or one step long, and coarse values off by a
     # whole slack d in either direction, beyond what a block product may
     # be: every row's counts are the per-path oracle's, and so are those
-    # of every settled row of the scan itself
+    # of every settled row of the scan itself, at every cell width s
     model, threshold = MODELS[family], THRESHOLDS[kind]
-    coeffs = sample_coefficients(model, seed, range(paths))
-    for push, where in pushed:
-        j = where % paths
-        coeffs[j] = _on_the_edge(push, model, threshold, coeffs[j], resolution, where // paths)
-    want = _oracle_counts(model, threshold, coeffs, resolution)
+    resolutions = _edge_resolutions(cell)
+    resolution = resolutions[edge % len(resolutions)]
 
     def off_by_offset(*args, **kwargs):
         values, slack = block_minus_threshold(*args, **kwargs)
         values += offset * slack[:, None]
         return values, slack
 
-    topology.block_minus_threshold = off_by_offset
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        # the slot's key does not hold s, so each width starts from an empty slot
+        patch.setattr(topology, "_SCAN_CELL", cell)
+        patch.setattr(topology, "_scan_slot", [None])
+        coeffs = sample_coefficients(model, seed, range(paths))
+        for push, where in pushed:
+            j = where % paths
+            coeffs[j] = _on_the_edge(push, model, threshold, coeffs[j], resolution, where // paths)
+        want = _oracle_counts(model, threshold, coeffs, resolution)
+        patch.setattr(topology, "block_minus_threshold", off_by_offset)
         pos, neg, zero_count, settled = scan_counts(model, threshold, coeffs, resolution)
         block = _block_counts(model, threshold, coeffs, resolution)
-    finally:
-        topology.block_minus_threshold = block_minus_threshold
     assert block == want
     for j in np.flatnonzero(settled):
         assert (pos[j], neg[j], zero_count[j], False) == want[j]

@@ -86,6 +86,8 @@ class FieldModel:
         Amplitude vector (a_0, ..., a_K) for the periodic family.
     basis_table : tuple or None
         For the custom family, a sequence of (f, df, ddf) callables.
+
+    The arrays are read-only copies of those passed in.
     """
 
     family: str
@@ -101,14 +103,14 @@ class FieldModel:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         object.__setattr__(self, "domain", tuple(float(v) for v in self.domain))
-        if self.variances is not None:
-            object.__setattr__(
-                self, "variances", np.atleast_1d(np.asarray(self.variances, float))
-            )
-        if self.covariance is not None:
-            object.__setattr__(
-                self, "covariance", np.asarray(self.covariance, dtype=float)
-            )
+        # the model keeps read-only copies, so the cached ``_factor`` and the
+        # planner's kept integrals, keyed on these bits, never go stale
+        for name, ndmin in (("variances", 1), ("covariance", 0), ("amplitudes", 1)):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value, dtype=float, ndmin=ndmin)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
         a, b = self.domain
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError("domain must be a finite interval with a < b")
@@ -159,6 +161,18 @@ class FieldModel:
         slack = _DOMAIN_TOL * (b - a)
         if x.size and (x.min() < a - slack or x.max() > b + slack):
             raise ValueError(f"point outside the model domain [{a}, {b}]")
+
+
+def basis_key(model: FieldModel) -> tuple:
+    """The bits that fix a model's basis rows at any point.
+
+    They are the family, the number of terms, the domain (by its bits,
+    so -0.0 and 0.0 differ), the period and a custom basis table, never
+    the coefficient variances. The scan entry and the planner's kept
+    integrals build their keys on it, so "the same basis" means one thing.
+    """
+    domain = tuple(v.hex() for v in model.domain)
+    return (model.family, model.n_terms, domain, model.period, model.basis_table)
 
 
 def chebyshev_model(n: int) -> FieldModel:
@@ -768,14 +782,18 @@ def _horner(c, x):
 class ThresholdFn:
     """Deterministic threshold level mu with two derivatives.
 
-    Stored as a polynomial in ascending powers; the constructors below
-    cover the level-set cases used elsewhere.
+    Stored as a polynomial in ascending powers, whose coefficients are a
+    read-only copy of those passed in; the constructors below cover the
+    level-set cases used elsewhere.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        # a read-only copy, so the derivatives below and every key built on
+        # these bits (the scan entry, the kept cube-root mass) stay in step
+        c = np.array(self.coeffs, dtype=float, ndmin=1)
+        c.flags.writeable = False
         if c.ndim != 1 or c.size == 0:
             raise ValueError("threshold coefficients must form a nonempty vector")
         if not np.all(np.isfinite(c)):

@@ -299,9 +299,7 @@ def compare_strategies(
     probability, which picks the smallest sufficient count from the
     cube-root integral that also places the grids) must be given.
     """
-    plans, expected_zeros = _build_plans(model, threshold, STRATEGIES, m=m, p=p)
-    if oracle_resolution is None:
-        oracle_resolution = default_oracle_resolution(model, expected_zeros)
+    plans = _build_plans(model, threshold, STRATEGIES, m=m, p=p)
     results, _ = trial_pass(
         model, threshold, plans, trials, seed, oracle_resolution, workers
     )
@@ -331,8 +329,6 @@ def zero_count_experiment(
 ) -> ZeroCountResult:
     """Compare the Monte Carlo mean zero count with its exact integral."""
     expected = expected_zero_count(model)
-    if oracle_resolution is None:
-        oracle_resolution = default_oracle_resolution(model, expected)
     _, (n, total, total_sq) = trial_pass(
         model, threshold_zero(), [], trials, seed, oracle_resolution, workers
     )

@@ -22,17 +22,21 @@ import numpy as np
 from .density import _CROSSOVER_FRACTION as _CROSSOVER_FRACTION_OF_DENSITY
 from .density import density_profile, zero_density
 from .errors import DegenerateDensityError
-from .fields import FAMILY_BUILDERS, FieldModel, ThresholdFn, threshold_zero
-from .quadrature import (
-    CumulativeIntegral,
-    adaptive_simpson,
-    cumulative_integral,
-    golden_max,
-)
-# perfbench/tracing.py wraps planner.bisect_increasing, so the name stays
-from .quadrature import bisect_increasing  # noqa: F401
+from .fields import FAMILY_BUILDERS, FieldModel, ThresholdFn, basis_key, threshold_zero
+from .quadrature import CumulativeIntegral, cumulative_integral, golden_max
+# perfbench/tracing.py wraps planner.adaptive_simpson and
+# planner.bisect_increasing, so the names stay
+from .quadrature import adaptive_simpson, bisect_increasing  # noqa: F401
 
 STRATEGIES = ("topology", "uniform", "density")
+
+# the kept integrals, one (key, (total, cumulative)) entry per kind: the
+# cube-root mass ("weight") and the zero mass ("zeros"), so the two
+# integrals of one compare_strategies call never evict each other. A key
+# holds every bit that fixes its integrand, so equal models and
+# thresholds built or unpickled separately share an entry and none can
+# match a stale one
+_integral_slots = {"weight": None, "zeros": None}
 
 
 def sampling_density_fn(model: FieldModel, threshold: ThresholdFn):
@@ -62,11 +66,40 @@ def zero_density_fn(model: FieldModel):
     return fn
 
 
+def _integrand_key(model: FieldModel) -> tuple:
+    """The bits that fix a model's densities: its basis and coefficient covariance.
+
+    A variance vector and a covariance matrix differ in shape, so a model
+    with one never matches a model with the other.
+    """
+    cov = model.variances if model.covariance is None else model.covariance
+    return (basis_key(model), cov.shape, cov.tobytes())
+
+
+def _kept_integral(kind, key, fn, model):
+    """(total, cumulative) of ``fn`` over the model's domain, integrated once per key.
+
+    A call whose key matches the entry kept for ``kind`` reads it back
+    and evaluates nothing. Otherwise the slot is emptied before the
+    integral runs and holds the new entry only once it is whole, so an
+    integral that raises leaves the slot empty and the next call raises
+    again.
+    """
+    entry = _integral_slots[kind]
+    if entry is None or entry[0] != key:
+        _integral_slots[kind] = None
+        entry = _integral_slots[kind] = (key, cumulative_integral(fn, model.a, model.b))
+    return entry[1]
+
+
 def cumulative_weight(model: FieldModel, threshold: ThresholdFn):
     """Total cube-root mass K and its cumulative F(x) = int_a^x C^(1/3).
 
     The integral runs over the model's domain [a, b] with the sampling
-    density C of ``threshold``.
+    density C of ``threshold``. It is kept between calls: a model and a
+    threshold whose basis, coefficient covariance and threshold
+    coefficients have the bits of the last ones integrated return the
+    same (total, cumulative) again without a density call.
 
     Returns
     -------
@@ -80,7 +113,8 @@ def cumulative_weight(model: FieldModel, threshold: ThresholdFn):
     def weight(x):
         return np.cbrt(density(x))
 
-    return cumulative_integral(weight, model.a, model.b)
+    key = (_integrand_key(model), threshold.coeffs.tobytes())
+    return _kept_integral("weight", key, weight, model)
 
 
 def place_grid(cumulative: CumulativeIntegral, total: float, m: int) -> np.ndarray:
@@ -169,8 +203,12 @@ def peak_crossover_rate(model: FieldModel, threshold: ThresholdFn) -> float:
 
 
 def _zero_mass(model: FieldModel):
-    """Expected zero count and its cumulative: the zero density's integral."""
-    return cumulative_integral(zero_density_fn(model), model.a, model.b)
+    """Expected zero count and its cumulative: the zero density's integral.
+
+    Kept between calls like ``cumulative_weight``'s, keyed on the model's
+    basis and coefficient covariance alone.
+    """
+    return _kept_integral("zeros", _integrand_key(model), zero_density_fn(model), model)
 
 
 @dataclass(frozen=True)
@@ -219,16 +257,19 @@ def build_plan(
     given. A density that integrates to zero degrades to a uniform grid
     with the fallback flag set.
     """
-    (plan,), _ = _build_plans(model, threshold, (strategy,), m, p)
+    (plan,) = _build_plans(model, threshold, (strategy,), m, p)
     return plan
 
 
 def _build_plans(model, threshold, strategies, m=None, p=None):
     """One plan per strategy, from one integral of each density they read.
 
-    The cube-root integral serves every plan; the zero density is
-    integrated only when the density strategy is asked for. Returns the
-    plans and that integral, the expected zero count, or None.
+    The cube-root integral serves every plan; the zero density's is read
+    only when the density strategy is asked for. Both are the kept
+    integrals of ``cumulative_weight`` and ``_zero_mass``, so a call on
+    the model and threshold of the last one runs no quadrature, and a
+    default scan resolution read after a density plan reuses its zero
+    mass.
     """
     if (m is None) == (p is None):
         raise ValueError("exactly one of m and p must be given")
@@ -242,7 +283,6 @@ def _build_plans(model, threshold, strategies, m=None, p=None):
     if m < 1:
         raise ValueError("grid needs at least one interval")
     guided = {"topology": (cumulative, total)}
-    zeros = None
     if "density" in strategies:
         zeros, zero_cumulative = _zero_mass(model)
         guided["density"] = (zero_cumulative, zeros)
@@ -269,13 +309,19 @@ def _build_plans(model, threshold, strategies, m=None, p=None):
                 uniform_fallback=fallback,
             )
         )
-    return plans, zeros
+    return plans
 
 
 def expected_zero_count(model: FieldModel) -> float:
-    """Integral of the zero density over the domain."""
-    value, _ = adaptive_simpson(zero_density_fn(model), model.a, model.b)
-    return float(value)
+    """Integral of the zero density over the domain.
+
+    The total of ``_zero_mass``, so it shares that kept integral with the
+    density grid and the default scan resolution: a model whose basis and
+    coefficient covariance have the bits of the last one integrated
+    makes no density call.
+    """
+    total, _ = _zero_mass(model)
+    return total
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,8 @@ class CumulativeIntegral:
     interpolant integrates over its panel to the panel's Kronrod sum, so
     F equals the prefix sums at the panel edges, up to rounding, and is
     continuous. :meth:`inverse` solves F(x) = t for many targets at once.
-    Neither evaluates the integrand: the object holds only the table.
+    Neither evaluates the integrand: the object holds only the table,
+    whose arrays are read-only, so one object can serve every caller.
     """
 
     def __init__(self, a, b, total, panels):
@@ -242,6 +243,8 @@ class CumulativeIntegral:
         self._width = right - left
         self._prefix = np.concatenate([[0.0], np.cumsum(integ)])
         self._values = vals
+        for array in (self._left, self._right, self._width, self._prefix, self._values):
+            array.flags.writeable = False
 
     def _coefficients(self, i):
         """Chebyshev coefficients (c, h) of the interpolants of panels ``i``.

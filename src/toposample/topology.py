@@ -25,6 +25,7 @@ from .fields import (
     _UNIT_ROUNDOFF,
     SamplePath,
     ThresholdFn,
+    basis_key,
     block_minus_threshold,
     blocked_product,
     fold_coefficients,
@@ -238,13 +239,9 @@ def _scan_tables(model, threshold, resolution):
     is built, so two scans are never alive at once, and holds it only when
     it is whole. Every array is read-only.
     """
-    # the system's values depend on the family, the number of terms, the
-    # domain and the threshold (by their bits, so -0.0 and 0.0 differ),
-    # the period and a custom basis table, never on the coefficient
-    # variances
-    domain = tuple(v.hex() for v in model.domain)
-    basis = (model.family, model.n_terms, domain, model.period, model.basis_table)
-    key = (basis, threshold.coeffs.tobytes(), resolution)
+    # the system's values depend on the basis and the threshold's bits
+    # (so -0.0 and 0.0 differ), never on the coefficient variances
+    key = (basis_key(model), threshold.coeffs.tobytes(), resolution)
     entry = _scan_slot[0]
     if entry is None or entry[0] != key:
         _scan_slot[0] = None
@@ -407,11 +404,9 @@ def _cell_values(lhs, model, threshold, points, rows, cells):
             yield j, np.matmul(lhs[j, None, :], columns[which[part] - lo])[:, 0]
 
 
-def default_oracle_resolution(model, expected_zeros: float | None = None) -> int:
-    """Scan resolution scaled to the expected zero count (integrated unless given)."""
-    if expected_zeros is None:
-        expected_zeros = expected_zero_count(model)
-    return _SCAN_POINTS_PER_ZERO * max(1, int(np.ceil(expected_zeros)))
+def default_oracle_resolution(model) -> int:
+    """Scan resolution scaled to the expected zero count, the planner's kept zero mass."""
+    return _SCAN_POINTS_PER_ZERO * max(1, int(np.ceil(expected_zero_count(model))))
 
 
 def admissibility_failure_bound(crossover_rate: float, width: float) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample import harness
+from toposample import harness, planner
 
 # one line per acceptance criterion, printed after the test run
 ACCEPTANCE_LINES = []
@@ -44,6 +44,16 @@ def close_worker_pool():
     """
     yield
     harness._close_pool()
+
+
+@pytest.fixture(autouse=True)
+def forget_planner_integrals():
+    """Empty the planner's kept integrals before each test.
+
+    An integral kept while an earlier test's monkeypatch of ``quadrature``
+    or ``density`` was active would otherwise be read back here.
+    """
+    planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import toposample as ts
+from toposample import planner
 from toposample.fields import sample_coefficients
 from toposample.topology import scan_counts
 
@@ -38,6 +39,13 @@ def test_tracer_installs_and_restores_every_target():
     assert {tracing.BUILD_PLAN, tracing.PLACE_GRID, tracing.DENSITY} <= set(tracer.names)
 
 
+QUADRATURE = ("quadrature.adaptive_simpson.calls", "quadrature.integrand_points", "quadrature.panels")
+
+
+def _forget_integrals():
+    planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
+
+
 def test_traced_trial_pass_counts_are_repeatable():
     # two traced compare_strategies calls per case, as in the
     # compare_binom5 workload but small: each grid is graded once per
@@ -45,21 +53,35 @@ def test_traced_trial_pass_counts_are_repeatable():
     # the counts unsettled, and every count the benchmark requires to
     # repeat is equal across the calls. At amplitude 1e-6 the periodic
     # paths often have a scan value below the oracle's 1e-9 tolerance.
+    # Each of those traced calls starts with no kept integral, so both
+    # integrate; then a warm pair, in perfbench/run.py's order (an
+    # untraced call first), reads both integrals back and repeats a zero
+    # quadrature count.
     cases = (
         (ts.binomial_model(5), ts.threshold_cubic_shift(0.5), 7),
         (ts.periodic_model([0.0, 1e-6, 1e-6]), ts.threshold_zero(), 5),
     )
     trials, resolution = 8, 512
+
+    def call():
+        ts.harness.compare_strategies(
+            model, threshold, m=m, trials=trials, seed=1, oracle_resolution=resolution
+        )
+
+    def traced():
+        with tracing.Tracer().installed() as tracer:
+            call()
+        return tracing.layer_metrics(tracer, trials), tracer.names.count(tracing.CUBICAL)
+
     for model, threshold, m in cases:
         metrics, graded = [], []
         for _ in range(2):
-            with tracing.Tracer().installed() as tracer:
-                ts.harness.compare_strategies(
-                    model, threshold, m=m, trials=trials, seed=1, oracle_resolution=resolution
-                )
-            metrics.append(tracing.layer_metrics(tracer, trials))
-            graded.append(tracer.names.count(tracing.CUBICAL))
+            _forget_integrals()
+            metric, grids = traced()
+            metrics.append(metric)
+            graded.append(grids)
         first, second = metrics
+        assert all(first[k] > 0 for k in QUADRATURE)
         coeffs = sample_coefficients(model, 1, range(trials))
         flagged = int(np.count_nonzero(~scan_counts(model, threshold, coeffs, resolution)[3]))
         assert first["harness.oracle_calls_per_path"] == flagged / trials
@@ -69,3 +91,7 @@ def test_traced_trial_pass_counts_are_repeatable():
             assert flagged > 0 and first["topology.brackets"] > 0
             assert first["fields.scan_eval.points"] == resolution
         assert {k: first[k] for k in tracing.REPEATABLE} == {k: second[k] for k in tracing.REPEATABLE}
+        call()
+        warm = [traced()[0] for _ in range(2)]
+        assert {k: warm[0][k] for k in tracing.REPEATABLE} == {k: warm[1][k] for k in tracing.REPEATABLE}
+        assert [[w[k] for k in QUADRATURE] for w in warm] == [[0, 0, 0]] * 2

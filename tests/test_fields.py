@@ -169,6 +169,30 @@ def test_custom_model_matches_monomials():
         assert got == pytest.approx(want, rel=1e-14)
 
 
+def test_model_and_threshold_arrays_are_read_only_copies():
+    # writing to a model's variances in place would leave its cached
+    # covariance factor, and every integral keyed on the old bits, stale;
+    # writing to a threshold's coefficients would leave its derivatives so
+    variances, covariance, amplitudes = np.ones(3), np.eye(3), np.array([0.0, 1.0, 0.5])
+    coeffs = np.array([0.5, 1.0, 0.0, -1.0])
+    by_variances = ts.FieldModel("chebyshev", 3, (-1.0, 1.0), variances=variances)
+    by_covariance = ts.FieldModel("chebyshev", 3, (-1.0, 1.0), covariance=covariance)
+    periodic = ts.periodic_model(amplitudes)
+    pairs = (
+        (variances, by_variances.variances),
+        (covariance, by_covariance.covariance),
+        (amplitudes, periodic.amplitudes),
+        (coeffs, ts.threshold_polynomial(coeffs).coeffs),
+    )
+    for own, kept in pairs:
+        before = kept.copy()
+        own[1] = 7.0
+        assert np.array_equal(kept, before)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[1] = 7.0
+    assert periodic.variances.tolist() == [0.0, 1.0, 1.0, 0.25, 0.25]
+
+
 def test_custom_covariance_must_factor():
     table = [
         (lambda x: np.ones_like(x), lambda x: np.zeros_like(x), lambda x: np.zeros_like(x)),

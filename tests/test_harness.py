@@ -317,19 +317,49 @@ def test_custom_basis_defined_after_the_pool_started(binom5, monkeypatch):
     assert [p.exitcode for p in old_workers] == [0, 0]
 
 
+def _count_planner_work(monkeypatch):
+    """A list that records "integral" for each quadrature run and the
+    density function's name for each density call the planner makes."""
+    seen = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner in (planner, quadrature):
+        monkeypatch.setattr(owner, "adaptive_simpson", counting("integral", adaptive_simpson))
+    for name in ("density_profile", "zero_density"):
+        monkeypatch.setattr(planner, name, counting(name, getattr(planner, name)))
+    return seen
+
+
+def _plan_bits(rows):
+    return [(name, r.plan.grid.tobytes(), r.plan.total_weight.hex()) for name, r in rows]
+
+
 def test_compare_integrates_each_density_once(binom5, monkeypatch):
     # one cube-root integral serves all three plans, and one zero-density
-    # integral serves the density grid and the default scan resolution
-    calls = []
+    # integral serves the density grid and the default scan resolution;
+    # both are kept, so a second call evaluates no density at all
+    seen = _count_planner_work(monkeypatch)
+    threshold = ts.threshold_cubic_shift(0.5)
+    first = ts.compare_strategies(binom5, threshold, m=7, trials=2, seed=1)
+    assert seen.count("integral") == 2
+    assert {"density_profile", "zero_density"} <= set(seen)
+    seen.clear()
+    second = ts.compare_strategies(binom5, threshold, m=7, trials=2, seed=1)
+    assert seen == []
+    assert _plan_bits(second) == _plan_bits(first)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return adaptive_simpson(*args, **kwargs)
 
-    monkeypatch.setattr(planner, "adaptive_simpson", counting)
-    monkeypatch.setattr(quadrature, "adaptive_simpson", counting)
-    ts.compare_strategies(binom5, ts.threshold_cubic_shift(0.5), m=7, trials=2, seed=1)
-    assert len(calls) == 2
+def test_density_experiment_integrates_the_zero_density_once(cheb5, monkeypatch):
+    # the density grid and the default scan resolution share one integral
+    seen = _count_planner_work(monkeypatch)
+    ts.run_experiment(_config(cheb5, strategy="density", m=8, trials=2, seed=1))
+    assert seen.count("integral") == 2  # the cube-root mass and the zero mass
 
 
 def test_compare_strategies_periodic_grids_coincide(mode5, thr):
@@ -360,17 +390,15 @@ def test_zero_count_matches_prediction(binom5):
 
 
 def test_zero_count_integrates_the_zero_density_once(cheb5, monkeypatch):
-    # the expected count and the default scan resolution share one integral
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return adaptive_simpson(*args, **kwargs)
-
-    monkeypatch.setattr(planner, "adaptive_simpson", counting)
+    # the expected count and the default scan resolution share one
+    # integral, which is kept: a second call evaluates no density
+    seen = _count_planner_work(monkeypatch)
     result = ts.zero_count_experiment(cheb5, trials=2, seed=1)
-    assert len(calls) == 1
-    assert result.expected == expected_zero_count(cheb5)
+    assert seen.count("integral") == 1 and "zero_density" in seen
+    seen.clear()
+    again = ts.zero_count_experiment(cheb5, trials=2, seed=1)
+    assert seen == []
+    assert again.expected.hex() == result.expected.hex() == expected_zero_count(cheb5).hex()
 
 
 def test_zero_count_deterministic_across_workers(binom5):

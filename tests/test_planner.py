@@ -1,6 +1,7 @@
 """Grid placement, sample-count rules, and plan assembly."""
 import time
 import tracemalloc
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -212,7 +213,7 @@ def test_plans_read_densities_only_inside_their_integrals(binom5, monkeypatch):
     monkeypatch.setattr(planner, "adaptive_simpson", integral)
     monkeypatch.setattr(planner, "density_profile", counted(planner.density_profile))
     monkeypatch.setattr(planner, "zero_density", counted(planner.zero_density))
-    plans, _ = planner._build_plans(
+    plans = planner._build_plans(
         binom5, ts.threshold_cubic_shift(0.5), planner.STRATEGIES, m=7
     )
     assert len(plans) == 3 and outside and not any(outside)
@@ -359,6 +360,89 @@ def test_overflowing_jet_is_not_a_degenerate_point(model):
 def test_overflowing_zero_density_jet_is_an_error():
     with pytest.raises(NonFiniteDensityError):
         expected_zero_count(ts.binomial_model(200))
+
+
+def _wave(k):
+    """(f, f', f'') of cos(k x), a custom basis entry."""
+    return (
+        lambda x: np.cos(k * x),
+        lambda x: -k * np.sin(k * x),
+        lambda x: -k * k * np.cos(k * x),
+    )
+
+
+KEY_MODELS = {
+    "chebyshev": ts.chebyshev_model(5),
+    "cosine": ts.cosine_model(5),
+    "periodic": ts.periodic_model([0.0, 1.0, 0.5, 0.25]),
+    "binomial": ts.binomial_model(5),
+    "unit": ts.unit_model(5),
+    "custom": ts.custom_model([_wave(k) for k in range(4)], (0.0, 2.0)),
+}
+
+
+def _forget_integrals():
+    planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
+
+
+def _integral_bits(integral):
+    total, cumulative = integral
+    tables = (cumulative._left, cumulative._right, cumulative._prefix, cumulative._values)
+    return [total.hex()] + [table.tobytes() for table in tables]
+
+
+@pytest.mark.parametrize("family", sorted(KEY_MODELS))
+def test_kept_integrals_recompute_when_a_key_bit_changes(family, monkeypatch):
+    # each call differs from the one before in one part of its key: the
+    # variances, a covariance in place of them, or a threshold of -0.0
+    # for 0.0; each integrates afresh, to the bits of a cold call, and
+    # a repeated call integrates nothing
+    model = KEY_MODELS[family]
+    varied = replace(model, variances=model.variances * np.linspace(1.0, 2.0, model.n_terms))
+    full = replace(model, variances=None, covariance=np.diag(model.variances))
+    zero, negative_zero = ts.threshold_constant(0.0), ts.threshold_constant(-0.0)
+    weight_calls = [(m, zero) for m in (model, varied, full, model)] + [(model, negative_zero)]
+    sequences = [
+        [(cumulative_weight, args) for args in weight_calls],
+        [(planner._zero_mass, (m,)) for m in (model, varied, full, model)],
+    ]
+    integrals = []
+    real = quadrature.adaptive_simpson
+
+    def counted(*args, **kwargs):
+        integrals.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "adaptive_simpson", counted)
+    for calls in sequences:
+        for fn, args in calls:
+            before = len(integrals)
+            warm = _integral_bits(fn(*args))
+            assert len(integrals) == before + 1
+            assert _integral_bits(fn(*args)) == warm and len(integrals) == before + 1
+            _forget_integrals()
+            assert _integral_bits(fn(*args)) == warm
+
+
+def test_an_integral_that_raises_leaves_its_slot_empty(binom5, thr):
+    cumulative_weight(binom5, thr)
+    for _ in range(2):
+        with pytest.raises(NonFiniteDensityError):
+            cumulative_weight(ts.binomial_model(120), thr)
+        assert planner._integral_slots["weight"] is None
+    planner._zero_mass(binom5)
+    for _ in range(2):
+        with pytest.raises(NonFiniteDensityError):
+            expected_zero_count(ts.binomial_model(200))
+        assert planner._integral_slots["zeros"] is None
+
+
+def test_kept_panel_arrays_are_read_only(cheb5, thr):
+    for _, cumulative in (cumulative_weight(cheb5, thr), planner._zero_mass(cheb5)):
+        tables = (cumulative._left, cumulative._right, cumulative._width)
+        for table in tables + (cumulative._prefix, cumulative._values):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
 
 
 @pytest.mark.parametrize(

@@ -175,6 +175,24 @@ def basis_key(model: FieldModel) -> tuple:
     return (model.family, model.n_terms, domain, model.period, model.basis_table)
 
 
+def kept_value(slots, kind, key, build):
+    """The value ``build()`` made for ``key``, kept in ``slots[kind]`` between calls.
+
+    The slot holds one (key, value) entry. A call whose key equals the
+    kept one returns its value and builds nothing. Otherwise the slot is
+    emptied before ``build`` runs, so the old value and the new one are
+    never alive together, and holds the new entry only once ``build`` has
+    returned: a build that raises leaves the slot empty, and the next
+    call builds, and raises, again. The scan entry and the planner's
+    integrals keep their values through it.
+    """
+    entry = slots[kind]
+    if entry is None or entry[0] != key:
+        slots[kind] = None
+        entry = slots[kind] = (key, build())
+    return entry[1]
+
+
 def chebyshev_model(n: int) -> FieldModel:
     """Chebyshev family truncated at degree ``n``."""
     return FieldModel("chebyshev", n + 1, (-1.0, 1.0), variances=np.ones(n + 1))

@@ -22,7 +22,14 @@ import numpy as np
 from .density import _CROSSOVER_FRACTION as _CROSSOVER_FRACTION_OF_DENSITY
 from .density import density_profile, zero_density
 from .errors import DegenerateDensityError
-from .fields import FAMILY_BUILDERS, FieldModel, ThresholdFn, basis_key, threshold_zero
+from .fields import (
+    FAMILY_BUILDERS,
+    FieldModel,
+    ThresholdFn,
+    basis_key,
+    kept_value,
+    threshold_zero,
+)
 from .quadrature import CumulativeIntegral, cumulative_integral, golden_max
 # perfbench/tracing.py wraps planner.adaptive_simpson and
 # planner.bisect_increasing, so the names stay
@@ -79,17 +86,15 @@ def _integrand_key(model: FieldModel) -> tuple:
 def _kept_integral(kind, key, fn, model):
     """(total, cumulative) of ``fn`` over the model's domain, integrated once per key.
 
-    A call whose key matches the entry kept for ``kind`` reads it back
-    and evaluates nothing. Otherwise the slot is emptied before the
-    integral runs and holds the new entry only once it is whole, so an
-    integral that raises leaves the slot empty and the next call raises
-    again.
+    ``fields.kept_value`` keeps the entry for ``kind``: a call whose key
+    matches reads it back and evaluates nothing, and an integral that
+    raises leaves the slot empty, so the next call raises again.
     """
-    entry = _integral_slots[kind]
-    if entry is None or entry[0] != key:
-        _integral_slots[kind] = None
-        entry = _integral_slots[kind] = (key, cumulative_integral(fn, model.a, model.b))
-    return entry[1]
+
+    def build():
+        return cumulative_integral(fn, model.a, model.b)
+
+    return kept_value(_integral_slots, kind, key, build)
 
 
 def cumulative_weight(model: FieldModel, threshold: ThresholdFn):

@@ -229,8 +229,11 @@ class CumulativeIntegral:
     interpolant integrates over its panel to the panel's Kronrod sum, so
     F equals the prefix sums at the panel edges, up to rounding, and is
     continuous. :meth:`inverse` solves F(x) = t for many targets at once.
-    Neither evaluates the integrand: the object holds only the table,
-    whose arrays are read-only, so one object can serve every caller.
+    Neither evaluates the integrand: the object holds only the table.
+    The arrays it derives are read-only; it holds the panel arrays it is
+    given as they are, so ``cumulative_integral``, which owns fresh ones,
+    marks them read-only before it hands them over, and one object can
+    then serve every caller.
     """
 
     def __init__(self, a, b, total, panels):
@@ -243,7 +246,7 @@ class CumulativeIntegral:
         self._width = right - left
         self._prefix = np.concatenate([[0.0], np.cumsum(integ)])
         self._values = vals
-        for array in (self._left, self._right, self._width, self._prefix, self._values):
+        for array in (self._width, self._prefix):
             array.flags.writeable = False
 
     def _coefficients(self, i):
@@ -322,8 +325,14 @@ class CumulativeIntegral:
 
 
 def cumulative_integral(fn, a, b):
-    """Return (total, F), F a :class:`CumulativeIntegral`, at rel_tol 1e-10."""
+    """Return (total, F), F a :class:`CumulativeIntegral`, at rel_tol 1e-10.
+
+    The panel arrays are fresh from the integral and nobody else holds
+    them, so they are marked read-only here: every array of F is.
+    """
     total, panels = adaptive_simpson(fn, a, b)
+    for array in panels:
+        array.flags.writeable = False
     return total, CumulativeIntegral(a, b, total, panels)
 
 

@@ -29,6 +29,7 @@ from .fields import (
     block_minus_threshold,
     blocked_product,
     fold_coefficients,
+    kept_value,
     magnitude_bounds,
     threshold_system,
 )
@@ -235,22 +236,22 @@ def _scan_tables(model, threshold, resolution):
     domain; the rest is built by ``_chord_tables``. Paths with the same
     basis and threshold share the scan, so its tables are built once per
     basis, threshold and resolution, also across models and thresholds
-    built or unpickled separately. The slot is emptied before a new scan
-    is built, so two scans are never alive at once, and holds it only when
-    it is whole. Every array is read-only.
+    built or unpickled separately. ``fields.kept_value`` keeps the slot, so
+    two scans are never alive at once and a scan is held only when it is
+    whole. Every array is read-only.
     """
     # the system's values depend on the basis and the threshold's bits
     # (so -0.0 and 0.0 differ), never on the coefficient variances
     key = (basis_key(model), threshold.coeffs.tobytes(), resolution)
-    entry = _scan_slot[0]
-    if entry is None or entry[0] != key:
-        _scan_slot[0] = None
+
+    def build():
         points = np.linspace(model.a, model.b, resolution)
         tables = (points, *_chord_tables(model, threshold, points))
         for array in tables:
             array.flags.writeable = False
-        entry = _scan_slot[0] = (key, tables)
-    return entry[1]
+        return tables
+
+    return kept_value(_scan_slot, 0, key, build)
 
 
 def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> OracleCount:

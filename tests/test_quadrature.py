@@ -247,6 +247,18 @@ def test_interpolant_integrates_to_the_panel_sums():
     assert cum(left[0]) == 0.0 and cum(model.b) == total
 
 
+def test_only_cumulative_integral_marks_its_panels_read_only():
+    # the constructor leaves the arrays it is given as they are; the
+    # panels cumulative_integral makes are its own, and read-only
+    total, panels = adaptive_simpson(lambda x: 1.0 + x * x, -1.0, 2.0)
+    CumulativeIntegral(-1.0, 2.0, total, panels)
+    assert all(array.flags.writeable for array in panels)
+    _, cum = cumulative_integral(lambda x: 1.0 + x * x, -1.0, 2.0)
+    for array in (cum._left, cum._right, cum._width, cum._prefix, cum._values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_cumulative_array_query_matches_scalar_queries():
     total, cum = cumulative_integral(lambda x: 1.0 + x * x, -1.0, 2.0)
     xs = np.array([-2.0, -1.0, -0.3, 0.0, 1.7, 2.0, 3.0])

@@ -137,12 +137,11 @@ def cmd_grid(args) -> int:
         "index", "x", "strategy", "m", "total_weight", "bound",
         "bound_vacuous", "uniform_fallback",
     ]
-    rows = [
-        [i, x, plan.strategy, plan.m, plan.total_weight, plan.bound,
-         plan.bound_vacuous, plan.uniform_fallback]
-        for i, x in enumerate(plan.grid)
-    ]
-    emit_table(header, rows, config.output, config.fmt, _meta(sections, "grid"))
+    # the plan's own cells are the same on every row, so they are formatted once
+    tail = [plan.strategy, plan.m, plan.total_weight, plan.bound,
+            plan.bound_vacuous, plan.uniform_fallback]
+    rows = [[i, x] for i, x in enumerate(plan.grid.tolist())]
+    emit_table(header, rows, config.output, config.fmt, _meta(sections, "grid"), tail)
     return 0
 
 

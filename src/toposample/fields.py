@@ -39,7 +39,7 @@ parallel execution schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -130,6 +130,11 @@ class FieldModel:
             if sym_gap > _PSD_TOL * max(1.0, np.max(np.abs(self.covariance))):
                 raise FactorizationError("coefficient covariance is not symmetric")
         self._factor  # fail fast on indefinite covariances
+
+    def __reduce__(self):
+        # unpickling runs the constructor, so the arrays are read-only copies
+        # again (numpy's pickle drops the flag) and ``_factor`` is rebuilt
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def a(self) -> float:
@@ -488,7 +493,7 @@ def basis_jets(model: FieldModel, x, order: int = 2) -> tuple[np.ndarray, ...]:
     return (b0, b1) if order == 1 else (b0, b1, second(model, x, b0, b1))
 
 
-def threshold_system(model: FieldModel, threshold: ThresholdFn, x) -> np.ndarray:
+def threshold_system(model: FieldModel, threshold: ThresholdFn, x, out=None) -> np.ndarray:
     """Basis values with the threshold's values as one more row, shape (n_terms + 1, len(x)).
 
     The family's value function writes the basis rows in place, so
@@ -496,10 +501,11 @@ def threshold_system(model: FieldModel, threshold: ThresholdFn, x) -> np.ndarray
     basis is copied; ``system[-1]`` is ``threshold.value(x)``. So u - mu
     of the path with coefficients c is the product of (c, -1) with the
     system, and ``c @ system[:-1] - system[-1]`` is bit for bit
-    ``path.value(x) - threshold.value(x)``.
+    ``path.value(x) - threshold.value(x)``. Given ``out``, a float array
+    of that shape, the system is written into it and ``out`` returned.
     """
     x = _domain_points(model, x)
-    system = np.empty((model.n_terms + 1, x.size))
+    system = np.empty((model.n_terms + 1, x.size)) if out is None else out
     _BASIS_ROWS[model.family][0](model, x, system[:-1])
     system[-1] = threshold.value(x)
     return system
@@ -666,15 +672,18 @@ def fold_coefficients(coeffs):
     return np.hstack([coeffs, np.full((len(coeffs), 1), -1.0)])
 
 
-def blocked_product(lhs, rhs):
+def blocked_product(lhs, rhs, out=None):
     """``lhs @ rhs``, in blocks of at most _PRODUCT_MULADDS multiply-adds each.
 
     A block is whole rows while a row fits; a longer row is split into
     columns, at most 16 rows by as many columns as fit, so a wide ``rhs``
-    is read once per 16 rows rather than once per row.
+    is read once per 16 rows rather than once per row. Given ``out``, a
+    float array of the product's shape, the product is written into it
+    and ``out`` returned.
     """
     inner, points = rhs.shape
-    out = np.empty((len(lhs), points))
+    if out is None:
+        out = np.empty((len(lhs), points))
     rows, cols = _PRODUCT_MULADDS // max(1, inner * points), points
     if rows == 0:
         rows = min(len(lhs), 16)
@@ -686,14 +695,15 @@ def blocked_product(lhs, rhs):
     return out
 
 
-def block_minus_threshold(lhs, system, bounds):
+def block_minus_threshold(lhs, system, bounds, out=None):
     """u - mu of a block of paths by one matrix product, and a rounding slack per row.
 
     ``system`` holds the K + 1 rows of a ``threshold_system`` on some
     points (or some of its columns), ``lhs`` one row (c, -1) per path
     (``fold_coefficients``) and ``bounds`` the largest |value| of each
     system row over the points the slack is to cover. Returns
-    ``lhs @ system`` (``blocked_product``) and ``slack``:
+    ``lhs @ system`` (``blocked_product``, written into ``out`` when it is
+    given) and ``slack``:
 
         slack_j = 2 gamma sum_k |lhs_jk| bounds_k,
         gamma = n u / (1 - n u),  u = 2^-53,  n = K + 2 = len(system) + 1.
@@ -719,7 +729,7 @@ def block_minus_threshold(lhs, system, bounds):
     scale = np.abs(lhs) @ bounds
     slack = 2.0 * (gamma * scale + (n - 1) * _SMALLEST_SUBNORMAL)
     slack[~(scale < _SCALE_LIMIT)] = np.nan
-    return blocked_product(lhs, system), slack
+    return blocked_product(lhs, system, out), slack
 
 
 def _check_key_part(name, v):
@@ -819,6 +829,10 @@ class ThresholdFn:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_d1", np.polynomial.polynomial.polyder(c))
         object.__setattr__(self, "_d2", np.polynomial.polynomial.polyder(c, 2))
+
+    def __reduce__(self):
+        # through the constructor, as for FieldModel
+        return type(self), (self.coeffs,)
 
     def value(self, x):
         return _horner(self.coeffs, x)

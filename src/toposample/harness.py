@@ -407,30 +407,33 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_csv(stream, header: list[str], rows: list[list]):
+def write_csv(stream, header: list[str], rows: list[list], tail=()):
+    """CSV of ``rows``, each followed by the cells of ``tail``, which are formatted once."""
+    end = "".join("," + format_value(v) for v in tail) + "\n"
     stream.write(",".join(header) + "\n")
     for row in rows:
-        stream.write(",".join(format_value(v) for v in row) + "\n")
+        stream.write(",".join(format_value(v) for v in row) + end)
 
 
-def emit_table(header, rows, output, fmt, meta=None):
+def emit_table(header, rows, output, fmt, meta=None, tail=()):
     """Write a result table as CSV or JSON to a path or stdout.
 
-    A path that cannot be opened or written is a ConfigError.
+    Every row ends with the cells of ``tail``, converted once per table
+    rather than once per row. A path that cannot be opened or written is
+    a ConfigError.
     """
     if fmt == "json":
+        end = [_json_cell(v) for v in tail]
         payload = {
             "version": __version__,
             "meta": meta or {},
             "columns": header,
-            "rows": [
-                [None if _is_nan(v) else _json_value(v) for v in row] for row in rows
-            ],
+            "rows": [[_json_cell(v) for v in row] + end for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
-        write_csv(buf, header, rows)
+        write_csv(buf, header, rows, tail)
         text = buf.getvalue()
     if output is None:
         sys.stdout.write(text)
@@ -442,17 +445,14 @@ def emit_table(header, rows, output, fmt, meta=None):
         raise ConfigError(f"cannot write output file {output}: {exc.strerror}") from None
 
 
-def _is_nan(v):
-    return isinstance(v, (float, np.floating)) and math.isnan(float(v))
-
-
-def _json_value(v):
+def _json_cell(v):
+    """A table cell as a JSON value: numpy scalars as Python ones, NaN as null."""
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, (float, np.floating)):
-        return float(v)
+        return None if math.isnan(v) else float(v)
     return v
 
 

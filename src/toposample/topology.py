@@ -15,6 +15,8 @@ double crossover in a cell.
 """
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,6 +58,31 @@ _SCAN_BLOCK_VALUES = 1 << 16
 # the key holds everything that fixes the values (see _scan_tables), so
 # equal models and thresholds share an entry and none can match a stale one
 _scan_slot = [None]
+
+
+class _Workspace(threading.local):
+    """The block scan's batch buffers, one set per thread, kept while the thread lives."""
+
+    def __init__(self):
+        self.buffers = {}
+
+
+_workspace = _Workspace()
+
+
+def _buffer(name, shape):
+    """This thread's float buffer ``name``, as a C-contiguous array of ``shape``.
+
+    Every batch-sized temporary of the block scan is written into one of
+    these, so a warm scan maps no fresh pages. A buffer grows to the
+    largest shape asked of it and never shrinks; the array is valid until
+    the next request for the same name in the same thread.
+    """
+    size = math.prod(shape)
+    flat = _workspace.buffers.get(name)
+    if flat is None or flat.size < size:
+        flat = _workspace.buffers[name] = np.empty(size)
+    return flat[:size].reshape(shape)
 
 
 def cubical_beta0(values):
@@ -175,14 +202,16 @@ def _cell_systems(model, threshold, points, cells):
     final scan point where the scan ends first. Yields (lo, system) for
     consecutive batches of at most _SCAN_BLOCK_VALUES // ((K + 1)(s + 1))
     cells, ``system[k, c, q]`` being row k at position q of cell
-    ``cells[lo + c]``.
+    ``cells[lo + c]``. Each system is written into this thread's
+    ``"system"`` buffer, so it is valid only until the next batch.
     """
     rows, positions = model.n_terms + 1, np.arange(_SCAN_CELL + 1)
     step = max(1, _SCAN_BLOCK_VALUES // (rows * positions.size))
     for lo in range(0, len(cells), step):
         batch = cells[lo : lo + step]
-        index = np.minimum(batch[:, None] * _SCAN_CELL + positions, len(points) - 1)
-        system = threshold_system(model, threshold, points[index.ravel()])
+        # mode="clip" reads a position past the last scan point at the last one
+        x = points.take(batch[:, None] * _SCAN_CELL + positions, mode="clip").ravel()
+        system = threshold_system(model, threshold, x, out=_buffer("system", (rows, x.size)))
         yield lo, system.reshape(rows, batch.size, positions.size)
 
 
@@ -354,14 +383,16 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, paths, height):
             block = slice(lo, lo + height)
-            f, slack[block] = block_minus_threshold(lhs[block], coarse, bounds)
-            clear = blocked_product(np.abs(lhs[block]), chord)
+            ends = _buffer("coarse", (len(lhs[block]), coarse.shape[1]))
+            f, slack[block] = block_minus_threshold(lhs[block], coarse, bounds, out=ends)
+            shape = (len(f), chord.shape[1])
+            clear = blocked_product(np.abs(lhs[block]), chord, out=_buffer("clear", shape))
             clear += _DEGENERATE_TOL + 3.0 * slack[block, None]
             clear *= cover
             above = f > 0.0
-            size = np.abs(f)
+            size = np.abs(f, out=f)  # f's signs are kept in above
             uncertified = above[:, 1:] != above[:, :-1]
-            uncertified |= np.minimum(size[:, 1:], size[:, :-1]) < clear
+            uncertified |= np.minimum(size[:, 1:], size[:, :-1], out=_buffer("least", shape)) < clear
             # a row whose slack is not finite is never settled: none of its cells is computed
             uncertified &= np.isfinite(slack[block, None])
             cells, rows = np.divmod(np.flatnonzero(uncertified.T), len(f))
@@ -390,19 +421,26 @@ def _cell_values(lhs, model, threshold, points, rows, cells):
     point and so add no sign change and no smaller |value|. Each distinct
     cell is evaluated once; a pair's values are its row of ``lhs`` times a
     copy of its cell's columns, made for at most a batch's capacity of
-    pairs at a time, so no copy exceeds _SCAN_BLOCK_VALUES values.
+    pairs at a time, so no copy exceeds _SCAN_BLOCK_VALUES values. The
+    copies and the values are written into this thread's ``"gather"`` and
+    ``"values"`` buffers, so each yielded array is valid only until the
+    next batch.
     """
     # each pair's index among the distinct cells
     new = np.diff(cells, prepend=-1) != 0
     distinct, which = cells[new], np.cumsum(new) - 1
     for lo, system in _cell_systems(model, threshold, points, distinct):
-        columns = system.transpose(1, 0, 2)
-        step = max(1, _SCAN_BLOCK_VALUES // columns[0].size)
-        first, last = np.searchsorted(which, [lo, lo + len(columns)])
+        terms, batch, width = system.shape
+        step = max(1, _SCAN_BLOCK_VALUES // (terms * width))
+        first, last = np.searchsorted(which, [lo, lo + batch])
         for sub in range(first, last, step):
             part = slice(sub, min(sub + step, last))
             j = rows[part]
-            yield j, np.matmul(lhs[j, None, :], columns[which[part] - lo])[:, 0]
+            # the indices lie in range; mode="raise" would buffer the whole output
+            gather = _buffer("gather", (terms, len(j), width))
+            columns = np.take(system, which[part] - lo, axis=1, out=gather, mode="clip")
+            values = _buffer("values", (len(j), 1, width))
+            yield j, np.matmul(lhs[j, None, :], columns.transpose(1, 0, 2), out=values)[:, 0]
 
 
 def default_oracle_resolution(model) -> int:

@@ -1,4 +1,5 @@
 """Basis jets, correlation jets, sample paths, thresholds."""
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toposample as ts
+from toposample import planner
 from toposample.errors import FactorizationError
 from toposample.fields import (
     SamplePath,
@@ -191,6 +193,39 @@ def test_model_and_threshold_arrays_are_read_only_copies():
         with pytest.raises(ValueError, match="read-only"):
             kept[1] = 7.0
     assert periodic.variances.tolist() == [0.0, 1.0, 1.0, 0.25, 0.25]
+
+
+def test_unpickled_models_and_thresholds_keep_read_only_arrays():
+    # numpy's pickle drops the read-only flag, so an unpickled model or
+    # threshold (a pool worker's) would again let an in-place write leave
+    # its cached factor or derivatives stale; a round trip goes through the
+    # constructor and gives the original's keys, K and grids bit for bit
+    models = (
+        ts.binomial_model(5),
+        ts.periodic_model([0.0, 1.0, 0.5]),
+        ts.FieldModel("chebyshev", 3, (-1.0, 1.0), covariance=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    )
+    threshold = ts.threshold_cubic_shift(0.5)
+    copy = pickle.loads(pickle.dumps(threshold))
+    assert not copy.coeffs.flags.writeable
+    assert copy.coeffs.tobytes() == threshold.coeffs.tobytes()
+    for model in models:
+        copy = pickle.loads(pickle.dumps(model))
+        for name in ("variances", "covariance", "amplitudes"):
+            kept = getattr(copy, name)
+            if kept is not None:
+                assert not kept.flags.writeable
+                assert kept.tobytes() == getattr(model, name).tobytes()
+        assert ts.fields.basis_key(copy) == ts.fields.basis_key(model)
+        assert copy._factor.tobytes() == model._factor.tobytes()
+        bits = []
+        for each in (model, pickle.loads(pickle.dumps(model))):
+            planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
+            each_threshold = pickle.loads(pickle.dumps(threshold))
+            total, _ = planner.cumulative_weight(each, each_threshold)
+            grids = [ts.build_plan(each, each_threshold, s, m=7).grid for s in ("topology", "density")]
+            bits.append((total.hex(), *(g.tobytes() for g in grids)))
+        assert bits[0] == bits[1]
 
 
 def test_custom_covariance_must_factor():

@@ -295,7 +295,9 @@ def _spy_scan_builders(monkeypatch):
     monkeypatch.setattr(topology, "_scan_slot", [None])
     monkeypatch.setattr(topology, "_chord_tables", recording)
     monkeypatch.setattr(
-        topology, "threshold_system", lambda m, t, x: points.append(len(x)) or system(m, t, x)
+        topology,
+        "threshold_system",
+        lambda m, t, x, out=None: points.append(len(x)) or system(m, t, x, out),
     )
     return builds, points
 

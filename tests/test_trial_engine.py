@@ -5,6 +5,9 @@ scans and runs ``oracle_beta0`` only on the rows those signs cannot
 settle. Every count, and every error, must be the per-path oracle's.
 """
 import json
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,9 +202,9 @@ def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
         coarse.append((lhs.copy(), system.shape, values.copy()))
         return values, slack
 
-    def recording_system(model, threshold, x):
+    def recording_system(model, threshold, x, out=None):
         evaluated.append(x.size)
-        return threshold_system(model, threshold, x)
+        return threshold_system(model, threshold, x, out)
 
     def recording_cells(lhs, model, threshold, points, rows, which):
         done = 0
@@ -282,6 +285,63 @@ def test_scan_computes_a_tenth_of_the_values(model, threshold, resolution, monke
         values, slack = block_minus_threshold(fold_coefficients(coeffs[lo : lo + 32]), system, bounds)
         full.append(np.abs(values).min(axis=1) >= _DEGENERATE_TOL + slack)
     assert np.count_nonzero(settled) >= np.count_nonzero(np.concatenate(full))
+
+
+# the benchmark's two scans: four Chebyshev-64 paths at 151,552 points,
+# and one 512-path binomial-5 chunk at its default 8,192 points
+WORKLOAD_SCANS = {
+    "chebyshev64": (ts.chebyshev_model(64), ts.threshold_zero(), 4, 151552),
+    "binomial5": (ts.binomial_model(5), ts.threshold_cubic_shift(0.5), 512, 8192),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORKLOAD_SCANS))
+def test_threads_scanning_at_once_get_their_serial_counts(case):
+    # the scan's batch buffers belong to a thread: three threads scanning
+    # their own paths at once, switching as often as the interpreter
+    # lets them, each read back the counts of a serial scan
+    model, threshold, paths, resolution = WORKLOAD_SCANS[case]
+    coeffs = [sample_coefficients(model, seed, range(paths)) for seed in range(3)]
+    want = [[a.tobytes() for a in scan_counts(model, threshold, c, resolution)] for c in coeffs]
+    start, got = threading.Barrier(len(coeffs)), [[] for _ in coeffs]
+
+    def scan(i):
+        start.wait()
+        for _ in range(8):
+            got[i].append([a.tobytes() for a in scan_counts(model, threshold, coeffs[i], resolution)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=scan, args=(i,)) for i in range(len(coeffs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[counts] * 8 for counts in want]
+
+
+@pytest.mark.parametrize("case, limit_kib", [("chebyshev64", 256), ("binomial5", 512)])
+def test_a_warm_scan_allocates_no_batch_sized_array(case, limit_kib):
+    # once its thread's buffers have served one scan, a scan of the same
+    # shape writes every batch-sized temporary (a system batch of up to
+    # 512 KiB, the gathered cells, the block products) into them, so what
+    # it allocates peaks well under one batch (numpy reports its data
+    # buffers to tracemalloc)
+    model, threshold, paths, resolution = WORKLOAD_SCANS[case]
+    coeffs = sample_coefficients(model, 24, range(paths))
+    want = [a.tobytes() for a in scan_counts(model, threshold, coeffs, resolution)]
+    tracemalloc.start()
+    try:
+        got = [a.tobytes() for a in scan_counts(model, threshold, coeffs, resolution)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < limit_kib * 1024
 
 
 def _edge_resolutions(s):

@@ -61,27 +61,32 @@ _scan_slot = [None]
 
 
 class _Workspace(threading.local):
-    """The block scan's batch buffers, one set per thread, kept while the thread lives."""
+    """The block scan's three batch buffers, one set per thread, kept while the thread lives."""
 
     def __init__(self):
-        self.buffers = {}
+        self.buffers = [np.empty(0)] * 3
 
 
 _workspace = _Workspace()
 
 
-def _buffer(name, shape):
-    """This thread's float buffer ``name``, as a C-contiguous array of ``shape``.
+def _buffer(slot, shape):
+    """This thread's float buffer ``slot`` (0, 1 or 2), as a C-contiguous array of ``shape``.
 
     Every batch-sized temporary of the block scan is written into one of
-    these, so a warm scan maps no fresh pages. A buffer grows to the
-    largest shape asked of it and never shrinks; the array is valid until
-    the next request for the same name in the same thread.
+    these, so a warm scan maps no fresh pages. A scan's two passes never
+    overlap, so they share the three: the coarse pass of ``scan_counts``
+    holds a block's coarse values, certification bounds and smaller end
+    magnitudes in them, the cell pass a system batch (``_cell_systems``,
+    as the table build does), the cells' copied columns and their values
+    (``_cell_values``). A buffer grows to the largest shape asked of it
+    and never shrinks; the array is valid until the next request for the
+    same slot in the same thread.
     """
     size = math.prod(shape)
-    flat = _workspace.buffers.get(name)
-    if flat is None or flat.size < size:
-        flat = _workspace.buffers[name] = np.empty(size)
+    flat = _workspace.buffers[slot]
+    if flat.size < size:
+        flat = _workspace.buffers[slot] = np.empty(size)
     return flat[:size].reshape(shape)
 
 
@@ -202,8 +207,8 @@ def _cell_systems(model, threshold, points, cells):
     final scan point where the scan ends first. Yields (lo, system) for
     consecutive batches of at most _SCAN_BLOCK_VALUES // ((K + 1)(s + 1))
     cells, ``system[k, c, q]`` being row k at position q of cell
-    ``cells[lo + c]``. Each system is written into this thread's
-    ``"system"`` buffer, so it is valid only until the next batch.
+    ``cells[lo + c]``. Each system is written into this thread's buffer
+    0 (``_buffer``), so it is valid only until the next batch.
     """
     rows, positions = model.n_terms + 1, np.arange(_SCAN_CELL + 1)
     step = max(1, _SCAN_BLOCK_VALUES // (rows * positions.size))
@@ -211,7 +216,7 @@ def _cell_systems(model, threshold, points, cells):
         batch = cells[lo : lo + step]
         # mode="clip" reads a position past the last scan point at the last one
         x = points.take(batch[:, None] * _SCAN_CELL + positions, mode="clip").ravel()
-        system = threshold_system(model, threshold, x, out=_buffer("system", (rows, x.size)))
+        system = threshold_system(model, threshold, x, out=_buffer(0, (rows, x.size)))
         yield lo, system.reshape(rows, batch.size, positions.size)
 
 
@@ -383,16 +388,16 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, paths, height):
             block = slice(lo, lo + height)
-            ends = _buffer("coarse", (len(lhs[block]), coarse.shape[1]))
+            ends = _buffer(0, (len(lhs[block]), coarse.shape[1]))
             f, slack[block] = block_minus_threshold(lhs[block], coarse, bounds, out=ends)
             shape = (len(f), chord.shape[1])
-            clear = blocked_product(np.abs(lhs[block]), chord, out=_buffer("clear", shape))
+            clear = blocked_product(np.abs(lhs[block]), chord, out=_buffer(1, shape))
             clear += _DEGENERATE_TOL + 3.0 * slack[block, None]
             clear *= cover
             above = f > 0.0
             size = np.abs(f, out=f)  # f's signs are kept in above
             uncertified = above[:, 1:] != above[:, :-1]
-            uncertified |= np.minimum(size[:, 1:], size[:, :-1], out=_buffer("least", shape)) < clear
+            uncertified |= np.minimum(size[:, 1:], size[:, :-1], out=_buffer(2, shape)) < clear
             # a row whose slack is not finite is never settled: none of its cells is computed
             uncertified &= np.isfinite(slack[block, None])
             cells, rows = np.divmod(np.flatnonzero(uncertified.T), len(f))
@@ -422,9 +427,9 @@ def _cell_values(lhs, model, threshold, points, rows, cells):
     cell is evaluated once; a pair's values are its row of ``lhs`` times a
     copy of its cell's columns, made for at most a batch's capacity of
     pairs at a time, so no copy exceeds _SCAN_BLOCK_VALUES values. The
-    copies and the values are written into this thread's ``"gather"`` and
-    ``"values"`` buffers, so each yielded array is valid only until the
-    next batch.
+    copies and the values are written into this thread's buffers 1 and 2
+    (``_buffer``), so each yielded array is valid only until the next
+    batch.
     """
     # each pair's index among the distinct cells
     new = np.diff(cells, prepend=-1) != 0
@@ -437,9 +442,9 @@ def _cell_values(lhs, model, threshold, points, rows, cells):
             part = slice(sub, min(sub + step, last))
             j = rows[part]
             # the indices lie in range; mode="raise" would buffer the whole output
-            gather = _buffer("gather", (terms, len(j), width))
+            gather = _buffer(1, (terms, len(j), width))
             columns = np.take(system, which[part] - lo, axis=1, out=gather, mode="clip")
-            values = _buffer("values", (len(j), 1, width))
+            values = _buffer(2, (len(j), 1, width))
             yield j, np.matmul(lhs[j, None, :], columns.transpose(1, 0, 2), out=values)[:, 0]
 
 

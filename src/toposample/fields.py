@@ -39,7 +39,7 @@ parallel execution schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -131,10 +131,13 @@ class FieldModel:
                 raise FactorizationError("coefficient covariance is not symmetric")
         self._factor  # fail fast on indefinite covariances
 
-    def __reduce__(self):
-        # unpickling runs the constructor, so the arrays are read-only copies
-        # again (numpy's pickle drops the flag) and ``_factor`` is rebuilt
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    def __setstate__(self, state):
+        # numpy's pickle drops the read-only flag, so an unpickled model (a
+        # pool worker's) sets it again, and ``_factor`` stays in step
+        for name in ("variances", "covariance", "amplitudes"):
+            if state.get(name) is not None:
+                state[name].flags.writeable = False
+        self.__dict__.update(state)
 
     @property
     def a(self) -> float:
@@ -830,9 +833,10 @@ class ThresholdFn:
         object.__setattr__(self, "_d1", np.polynomial.polynomial.polyder(c))
         object.__setattr__(self, "_d2", np.polynomial.polynomial.polyder(c, 2))
 
-    def __reduce__(self):
-        # through the constructor, as for FieldModel
-        return type(self), (self.coeffs,)
+    def __setstate__(self, state):
+        # as for FieldModel, so ``_d1`` and ``_d2`` stay in step
+        state["coeffs"].flags.writeable = False
+        self.__dict__.update(state)
 
     def value(self, x):
         return _horner(self.coeffs, x)

@@ -198,8 +198,8 @@ def test_model_and_threshold_arrays_are_read_only_copies():
 def test_unpickled_models_and_thresholds_keep_read_only_arrays():
     # numpy's pickle drops the read-only flag, so an unpickled model or
     # threshold (a pool worker's) would again let an in-place write leave
-    # its cached factor or derivatives stale; a round trip goes through the
-    # constructor and gives the original's keys, K and grids bit for bit
+    # its cached factor or derivatives stale; a round trip sets the flag
+    # again and gives the original's keys, K and grids bit for bit
     models = (
         ts.binomial_model(5),
         ts.periodic_model([0.0, 1.0, 0.5]),

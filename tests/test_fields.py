@@ -206,22 +206,21 @@ def test_unpickled_models_and_thresholds_keep_read_only_arrays():
         ts.FieldModel("chebyshev", 3, (-1.0, 1.0), covariance=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     )
     threshold = ts.threshold_cubic_shift(0.5)
-    copy = pickle.loads(pickle.dumps(threshold))
-    assert not copy.coeffs.flags.writeable
-    assert copy.coeffs.tobytes() == threshold.coeffs.tobytes()
+    back = pickle.loads(pickle.dumps(threshold))
+    assert not back.coeffs.flags.writeable
+    assert back.coeffs.tobytes() == threshold.coeffs.tobytes()
     for model in models:
-        copy = pickle.loads(pickle.dumps(model))
+        back = pickle.loads(pickle.dumps(model))
         for name in ("variances", "covariance", "amplitudes"):
-            kept = getattr(copy, name)
+            kept = getattr(back, name)
             if kept is not None:
                 assert not kept.flags.writeable
                 assert kept.tobytes() == getattr(model, name).tobytes()
-        assert ts.fields.basis_key(copy) == ts.fields.basis_key(model)
-        assert copy._factor.tobytes() == model._factor.tobytes()
+        assert ts.fields.basis_key(back) == ts.fields.basis_key(model)
+        assert back._factor.tobytes() == model._factor.tobytes()
         bits = []
-        for each in (model, pickle.loads(pickle.dumps(model))):
+        for each, each_threshold in ((model, threshold), (back, pickle.loads(pickle.dumps(threshold)))):
             planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
-            each_threshold = pickle.loads(pickle.dumps(threshold))
             total, _ = planner.cumulative_weight(each, each_threshold)
             grids = [ts.build_plan(each, each_threshold, s, m=7).grid for s in ("topology", "density")]
             bits.append((total.hex(), *(g.tobytes() for g in grids)))

@@ -38,9 +38,10 @@ parallel execution schedule.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -757,30 +758,106 @@ def coefficient_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
 
 
+class _PhiloxTail(ctypes.Structure):
+    # the fields of numpy's philox_state after its two pointers
+    _fields_ = [
+        ("buffer_pos", ctypes.c_int),
+        ("buffer", ctypes.c_uint64 * 4),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
+
+
+class _PhiloxState(ctypes.Structure):
+    # numpy's philox_state, as read on numpy 2.4:
+    # {ctr*, key*, int buffer_pos, uint64 buffer[4], int has_uint32, uint32 uinteger}
+    _fields_ = [("ctr", ctypes.c_void_p), ("key", ctypes.c_void_p), ("tail", _PhiloxTail)]
+
+
+# a struct, so that one assignment to ``words`` writes all four
+class _PhiloxCounter(ctypes.Structure):
+    _fields_ = [("words", ctypes.c_uint64 * 4)]
+
+
+_PhiloxKey = ctypes.c_uint64 * 2
+# what a freshly keyed Philox holds past its key: a zero counter and an
+# empty, zeroed buffer
+_ZERO_COUNTER = (ctypes.c_uint64 * 4)()
+_FRESH_TAIL = _PhiloxTail(buffer_pos=4)
+
+
+@cache
+def _philox_offsets() -> tuple[int, int, int] | None:
+    """Offsets of a Philox generator's state, counter and key from ``id(bitgen)``.
+
+    Found once per process from one probe generator: its ``philox_state``
+    through the public ``bitgen.ctypes.state_address``, the counter and
+    key through the struct's own pointers. All three are members of the
+    generator object, so the offsets hold for every Philox of the
+    process, and finding them per call would cost more than the draws of
+    a short block. None when a pointer leads outside the object, which
+    is then never followed.
+    """
+    probe = np.random.Philox(0)
+    base, size = id(probe), type(probe).__basicsize__
+    address = probe.ctypes.state_address
+    state = _PhiloxState.from_address(address)
+    offsets = tuple(p - base for p in (address, state.ctr or 0, state.key or 0))
+    ends = (ctypes.sizeof(_PhiloxState), 32, 16)
+    if not all(0 <= offset <= size - end for offset, end in zip(offsets, ends)):
+        return None
+    return offsets
+
+
+def _philox_struct(bitgen, seed: int):
+    """The state, counter and key stream word of ``bitgen``, freshly keyed to (seed, 0).
+
+    Raises RuntimeError unless they read as numpy keyed them: key
+    (seed, 0), a zero counter and an empty buffer. The three are views
+    into ``bitgen`` that do not keep it alive, so the caller holds it
+    while it writes through them.
+    """
+    offsets = _philox_offsets()
+    if offsets is not None:
+        base = id(bitgen)
+        state = _PhiloxState.from_address(base + offsets[0])
+        counter = _PhiloxCounter.from_address(base + offsets[1])
+        key = _PhiloxKey.from_address(base + offsets[2])
+        if key[:] == [seed, 0] and counter.words[:] == [0, 0, 0, 0] and state.tail.buffer_pos == 4:
+            return state, counter, ctypes.c_uint64.from_address(base + offsets[2] + 8)
+    raise RuntimeError(
+        f"numpy {np.__version__}'s Philox state does not have the layout "
+        "sample_coefficients re-keys in place"
+    )
+
+
 def sample_coefficients(model: FieldModel, seed: int, streams) -> np.ndarray:
     """Coefficient vectors of the paths (seed, s) for s in ``streams``, one row each.
 
     Row j is bit for bit the draw of ``coefficient_rng(seed, streams[j])``
     times the model's covariance factor, and a seed or stream outside
     [0, 2^64) raises its ValueError before anything is drawn. One
-    generator serves every row: before each draw the stream word of its
-    Philox key is set in place and its state reset to that of a generator
-    freshly keyed to (seed, s), counter and buffer empty, which costs a
-    fraction of building a new generator per path.
+    generator serves every row. Philox is counter-based, so moving it to
+    stream s only writes the key's stream word, a zero counter and an
+    empty buffer: before each draw these are written in place into
+    numpy's ``philox_state``, which then holds what a generator freshly
+    keyed to (seed, s) holds, at a fraction of the cost of setting its
+    state dict. The struct is checked once the generator is keyed, and a
+    layout other than the one written raises RuntimeError before any draw.
     """
     streams = list(streams)
     bitgen = np.random.Philox(key=_philox_key(seed, 0))
     if streams and not (min(streams) >= 0 and max(streams) < 2**64):
         for stream in streams:
             _check_key_part("stream", stream)
-    fresh = bitgen.state  # keyed, nothing drawn yet
-    key = fresh["state"]["key"]
-    gen = np.random.Generator(bitgen)
+    state, counter, key_word = _philox_struct(bitgen, seed)
+    draw = np.random.Generator(bitgen).standard_normal
     out = np.empty((len(streams), model.n_terms))
     for row, stream in zip(out, streams):
-        key[1] = stream
-        bitgen.state = fresh
-        gen.standard_normal(out=row)
+        key_word.value = stream
+        counter.words = _ZERO_COUNTER
+        state.tail = _FRESH_TAIL
+        draw(out=row)
     factor = model._factor
     if factor.ndim == 1:
         out *= factor

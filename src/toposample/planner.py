@@ -131,20 +131,38 @@ def place_grid(cumulative: CumulativeIntegral, total: float, m: int) -> np.ndarr
     vectorised inversion of the monotone cumulative, which makes no
     density call; the density must not vanish on intervals of positive
     length, or consecutive points would collide.
+
+    The grid is read-only and kept on ``cumulative`` (its ``grid_slot``,
+    through ``fields.kept_value``), keyed on (total, m): a call that
+    repeats the last one's total and m returns the same array without
+    inverting. A grid that raises leaves the slot empty, so the next
+    call raises again.
     """
     if m < 1:
         raise ValueError("grid needs at least one interval")
-    if not total > 0.0 or not math.isfinite(total):
-        raise DegenerateDensityError(
-            f"the density's mass {total!r} is not positive and finite; no guided grid exists"
-        )
-    grid = np.empty(m + 1)
-    grid[0], grid[m] = cumulative.a, cumulative.b
-    grid[1:m] = cumulative.inverse(total * np.arange(1, m) / m)
-    if np.any(np.diff(grid) <= 0.0):
-        raise DegenerateDensityError(
-            "guided grid points collide; the density vanishes on a subinterval"
-        )
+
+    def build():
+        if not total > 0.0 or not math.isfinite(total):
+            raise DegenerateDensityError(
+                f"the density's mass {total!r} is not positive and finite; no guided grid exists"
+            )
+        grid = np.empty(m + 1)
+        grid[0], grid[m] = cumulative.a, cumulative.b
+        grid[1:m] = cumulative.inverse(total * np.arange(1, m) / m)
+        if np.any(np.diff(grid) <= 0.0):
+            raise DegenerateDensityError(
+                "guided grid points collide; the density vanishes on a subinterval"
+            )
+        grid.flags.writeable = False
+        return grid
+
+    return kept_value(cumulative.grid_slot, 0, (total, m), build)
+
+
+def _uniform_grid(a: float, b: float, m: int) -> np.ndarray:
+    """M equal cells on [a, b], read-only like every plan's grid."""
+    grid = np.linspace(a, b, m + 1)
+    grid.flags.writeable = False
     return grid
 
 
@@ -223,7 +241,8 @@ class SamplingPlan:
     Attributes
     ----------
     grid : ndarray
-        Strictly increasing points x_0 = a < ... < x_M = b.
+        Strictly increasing points x_0 = a < ... < x_M = b, read-only: a
+        guided grid is the one its cumulative keeps.
     m : int
         Number of grid cells.
     strategy : str
@@ -274,7 +293,8 @@ def _build_plans(model, threshold, strategies, m=None, p=None):
     integrals of ``cumulative_weight`` and ``_zero_mass``, so a call on
     the model and threshold of the last one runs no quadrature, and a
     default scan resolution read after a density plan reuses its zero
-    mass.
+    mass. Each integral keeps its last guided grid (``place_grid``), so
+    a call that also repeats m inverts nothing either.
     """
     if (m is None) == (p is None):
         raise ValueError("exactly one of m and p must be given")
@@ -296,12 +316,12 @@ def _build_plans(model, threshold, strategies, m=None, p=None):
     for strategy in strategies:
         fallback = False
         if strategy == "uniform":
-            grid = np.linspace(a, b, m + 1)
+            grid = _uniform_grid(a, b, m)
         else:
             try:
                 grid = place_grid(*guided[strategy], m)
             except DegenerateDensityError:
-                grid = np.linspace(a, b, m + 1)
+                grid = _uniform_grid(a, b, m)
                 fallback = True
         plans.append(
             SamplingPlan(

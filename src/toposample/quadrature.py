@@ -233,7 +233,9 @@ class CumulativeIntegral:
     The arrays it derives are read-only; it holds the panel arrays it is
     given as they are, so ``cumulative_integral``, which owns fresh ones,
     marks them read-only before it hands them over, and one object can
-    then serve every caller.
+    then serve every caller. ``grid_slot`` is where ``planner.place_grid``
+    keeps the last grid it placed by this F, so the grid lives and dies
+    with it.
     """
 
     def __init__(self, a, b, total, panels):
@@ -248,6 +250,7 @@ class CumulativeIntegral:
         self._values = vals
         for array in (self._width, self._prefix):
             array.flags.writeable = False
+        self.grid_slot = [None]
 
     def _coefficients(self, i):
         """Chebyshev coefficients (c, h) of the interpolants of panels ``i``.

@@ -1,4 +1,5 @@
 """Basis jets, correlation jets, sample paths, thresholds."""
+import ctypes
 import pickle
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toposample as ts
-from toposample import planner
+from toposample import fields, planner
 from toposample.errors import FactorizationError
 from toposample.fields import (
     SamplePath,
@@ -333,6 +334,99 @@ def test_sample_coefficients_names_the_first_bad_stream(cheb5, monkeypatch):
     with pytest.raises(ValueError, match="seed must lie in"):
         sample_coefficients(cheb5, -1, [2**64])
     assert built == []
+
+
+def _state_fields(state):
+    inner = state["state"]
+    return (
+        state["bit_generator"],
+        inner["counter"].tolist(),
+        inner["key"].tolist(),
+        state["buffer"].tolist(),
+        state["buffer_pos"],
+        state["has_uint32"],
+        state["uinteger"],
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
+def test_every_reset_leaves_a_freshly_keyed_state(cheb5, seed, monkeypatch):
+    # right before each draw the generator holds, field by field, the
+    # state of a Philox freshly keyed to (seed, stream); stream 0 comes
+    # again after draws have filled the buffer and moved the counter
+    states = []
+    real = np.random.Generator
+
+    class Recording:
+        def __init__(self, bitgen):
+            self.bitgen, self.gen = bitgen, real(bitgen)
+
+        def standard_normal(self, out):
+            states.append(self.bitgen.state)
+            return self.gen.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    streams = [0, 2**63, 2**64 - 1, 0]
+    sample_coefficients(cheb5, seed, streams)
+    assert len(states) == len(streams)
+    for state, stream in zip(states, streams):
+        fresh = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).state
+        assert state.keys() == fresh.keys() and state["state"].keys() == fresh["state"].keys()
+        assert _state_fields(state) == _state_fields(fresh)
+
+
+class _TailOneWordLate(ctypes.Structure):
+    _fields_ = [
+        ("ctr", ctypes.c_void_p),
+        ("key", ctypes.c_void_p),
+        ("pad", ctypes.c_uint64),
+        ("tail", fields._PhiloxTail),
+    ]
+
+
+def _misread(how, monkeypatch):
+    state, counter, key = fields._philox_offsets()
+    if how == "pointer_outside_the_object":
+        monkeypatch.setattr(fields, "_philox_offsets", lambda: None)
+    elif how == "key_and_counter_swapped":
+        monkeypatch.setattr(fields, "_philox_offsets", lambda: (state, key, counter))
+    else:
+        monkeypatch.setattr(fields, "_PhiloxState", _TailOneWordLate)
+
+
+@pytest.mark.parametrize(
+    "how", ["pointer_outside_the_object", "key_and_counter_swapped", "tail_one_word_late"]
+)
+def test_a_misread_philox_layout_raises_before_any_draw(cheb5, how, monkeypatch):
+    built = []
+    _misread(how, monkeypatch)
+    monkeypatch.setattr(np.random, "Generator", lambda *args: built.append(args))
+    with pytest.raises(RuntimeError, match="Philox state does not have the layout"):
+        sample_coefficients(cheb5, 5, [0, 1])
+    assert built == []
+
+
+def test_the_layout_probe_follows_no_pointer_outside_the_object(monkeypatch):
+    # read one word late, both "pointers" are the buffer position and
+    # the buffer's first word, neither of them inside the generator
+    class PointersOneWordLate(ctypes.Structure):
+        _fields_ = [("pad", ctypes.c_uint64 * 2), ("ctr", ctypes.c_void_p), ("key", ctypes.c_void_p)]
+
+    assert fields._philox_offsets() is not None
+    monkeypatch.setattr(fields, "_PhiloxState", PointersOneWordLate)
+    assert fields._philox_offsets.__wrapped__() is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+)
+def test_sample_coefficients_match_coefficient_rng_for_any_key(seed, streams):
+    model = ts.binomial_model(5)
+    block = sample_coefficients(model, seed, streams)
+    for row, stream in zip(block, streams):
+        assert row.tobytes() == _draw(model, seed, stream).tobytes()
 
 
 def _exact(c, rows, mu):

@@ -1,6 +1,7 @@
 """Grid placement, sample-count rules, and plan assembly."""
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 from functools import cache
 
@@ -225,6 +226,68 @@ def test_place_grid_validation(cheb5, thr):
         place_grid(cum, total, 0)
     with pytest.raises(DegenerateDensityError, match="mass 0.0 is not positive"):
         place_grid(cum, 0.0, 4)
+
+
+def _plan_bits(plans):
+    return [
+        (p.strategy, p.m, p.grid.tobytes(), p.total_weight.hex(), p.bound, p.bound_vacuous, p.uniform_fallback)
+        for p in plans
+    ]
+
+
+def test_a_warm_plan_inverts_nothing(binom5, monkeypatch):
+    # the compare workload's three plans: the second call finds both
+    # guided grids kept on their integrals and returns their bits
+    threshold = ts.threshold_cubic_shift(0.5)
+    cold = _plan_bits(planner._build_plans(binom5, threshold, planner.STRATEGIES, m=7))
+    inverted = []
+    real = quadrature.CumulativeIntegral.inverse
+
+    def inverse(self, targets):
+        inverted.append(targets)
+        return real(self, targets)
+
+    monkeypatch.setattr(quadrature.CumulativeIntegral, "inverse", inverse)
+    assert _plan_bits(planner._build_plans(binom5, threshold, planner.STRATEGIES, m=7)) == cold
+    assert inverted == []
+    planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
+    assert _plan_bits(planner._build_plans(binom5, threshold, planner.STRATEGIES, m=7)) == cold
+    assert len(inverted) == 2
+
+
+def test_a_new_cell_count_replaces_the_kept_grid(cheb5, thr):
+    total, cum = cumulative_weight(cheb5, thr)
+    eight = place_grid(cum, total, 8)
+    assert place_grid(cum, total, 8) is eight
+    bits, old = eight.tobytes(), weakref.ref(eight)
+    nine = place_grid(cum, total, 9)
+    assert cum.grid_slot == [((total, 9), nine)]
+    del eight
+    assert old() is None
+    again = place_grid(cum, total, 8)
+    assert again.tobytes() == bits and cum.grid_slot[0][1] is again
+
+
+@pytest.mark.parametrize("model", ["binomial5", "constant"])
+def test_plan_grids_are_read_only(model, binom5, thr):
+    # every strategy's grid, a guided grid's uniform fallback included
+    # (a constant field has no density), is read-only, so a kept grid
+    # cannot be written through a plan
+    model = binom5 if model == "binomial5" else ts.chebyshev_model(0)
+    plans = planner._build_plans(model, thr, planner.STRATEGIES, m=7)
+    assert [p.uniform_fallback for p in plans] == [model.n_terms == 1, False, model.n_terms == 1]
+    for plan in plans:
+        with pytest.raises(ValueError, match="read-only"):
+            plan.grid[1] = 0.0
+
+
+def test_a_zero_mass_raises_on_every_call(cheb5, thr):
+    total, cum = cumulative_weight(cheb5, thr)
+    place_grid(cum, total, 4)
+    for _ in range(2):
+        with pytest.raises(DegenerateDensityError, match="mass 0.0 is not positive"):
+            place_grid(cum, 0.0, 4)
+        assert cum.grid_slot == [None]
 
 
 def test_failure_bound_values():

@@ -21,8 +21,6 @@ import os
 import pickle
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +175,9 @@ def _pool_map(tasks, processes, basis_table):
     the error raised, unless it was kept from an earlier call: a worker
     can die between calls, and the tasks then run once more on a new pool.
     """
+    # the pool's modules (multiprocessing among them) load on the first pooled pass only
+    from concurrent.futures import process
+
     key = (processes, os.getpid(), basis_table)
     with _pool_lock:
         while True:
@@ -184,10 +185,10 @@ def _pool_map(tasks, processes, basis_table):
             fresh = entry is None or entry[0] != key
             if fresh:
                 _close_pool()
-                _pool_slot[0] = (key, ProcessPoolExecutor(max_workers=processes))
+                _pool_slot[0] = (key, process.ProcessPoolExecutor(max_workers=processes))
             try:
                 return list(_pool_slot[0][1].map(_trial_chunk, tasks))
-            except BrokenProcessPool:
+            except process.BrokenProcessPool:
                 _close_pool()
                 if fresh:
                     raise
@@ -423,26 +424,62 @@ def emit_table(header, rows, output, fmt, meta=None, tail=()):
     a ConfigError.
     """
     if fmt == "json":
-        end = [_json_cell(v) for v in tail]
-        payload = {
-            "version": __version__,
-            "meta": meta or {},
-            "columns": header,
-            "rows": [[_json_cell(v) for v in row] + end for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = {"version": __version__, "meta": meta or {}, "columns": header}
+        cells = [[_json_cell(v) for v in row] for row in rows]
+        chunks = _json_chunks(payload, cells, [_json_cell(v) for v in tail])
     else:
         buf = io.StringIO()
         write_csv(buf, header, rows, tail)
-        text = buf.getvalue()
+        chunks = [buf.getvalue()]
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {output}: {exc.strerror}") from None
+
+
+# table rows as the indented document nests them, by json's C encoder,
+# which json takes only without an indent: the item separator carries the
+# newline and indent of a row's cells; each call encodes a block of rows,
+# so no text of the whole table is ever formed
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+_JSON_ROWS_PER_CALL = 4096
+
+
+def _json_chunks(payload, rows, tail):
+    """``json.dumps(document, indent=2, sort_keys=True) + "\\n"`` as a list of strings.
+
+    The document is ``payload`` with ``rows``, each row followed by the
+    cells of ``tail``. With an indent, ``json`` encodes in pure Python,
+    value by value; the rows are encoded instead by its C encoder, whose
+    item separator puts each cell on its own line at a row cell's indent.
+    A row is a list of scalar cells (``_json_cell``, as in the CSV), and
+    JSON text holds no raw newline inside a string, so "]", the separator
+    and "[" meet only between two rows: there the encoded ``tail`` and the
+    indented break between rows go in. A table with an empty row is
+    encoded in pure Python. The other values are small and encoded as
+    before, their lines indented one level more.
+    """
+    document = {**payload, "rows": rows}
+    chunks = []
+    for i, key in enumerate(sorted(document)):
+        chunks.append(("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": ")
+        if key == "rows" and rows and all(rows):
+            end = ",\n      " + _ROWS_ENCODER.encode(tail)[1:-1] if tail else ""
+            between = end + "\n    ],\n    [\n      "
+            chunks.append("[\n    [\n      ")
+            for lo in range(0, len(rows), _JSON_ROWS_PER_CALL):
+                text = _ROWS_ENCODER.encode(rows[lo : lo + _JSON_ROWS_PER_CALL])
+                chunks += [between] * (lo > 0) + [text[2:-2].replace("],\n      [", between)]
+            chunks.append(end + "\n    ]\n  ]")
+        else:
+            value = [row + tail for row in rows] if key == "rows" else document[key]
+            chunks.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+    chunks.append("\n}\n")
+    return chunks
 
 
 def _json_cell(v):

@@ -6,8 +6,9 @@ sampling grids and success guarantees:
 * the topology-guided grid splits [a, b] into M pieces of equal
   integral of C^(1/3), which balances the per-cell probability of an
   undetected sign flip;
-* the resulting success bound is 1 - K^3 / M^2 with K the total
-  cube-root mass, to leading order in 1/M;
+* the resulting success rate is estimated as 1 - K^3 / M^2 with K the
+  total cube-root mass, to leading order in 1/M (an estimate, not a lower
+  bound: see ``failure_bound``);
 * the matching uniform-grid bound replaces the local density by its
   maximum, which is what makes guided grids pay off for strongly
   inhomogeneous processes.
@@ -167,7 +168,13 @@ def _uniform_grid(a: float, b: float, m: int) -> np.ndarray:
 
 
 def failure_bound(total: float, m: int) -> float:
-    """Leading-order success bound 1 - K^3 / M^2, clamped to [0, 1]."""
+    """Leading-order estimate 1 - K^3 / M^2 of the success rate, clamped to [0, 1].
+
+    It is not a lower bound at small M: over 10^6 paths, Chebyshev n=5
+    with a zero threshold at M = 8 matches at 0.95487, 12.6 standard
+    errors below the estimate's 0.95749; at M = 16 and above the gap is
+    within 2 standard errors.
+    """
     if total < 0.0:
         raise ValueError("cube-root mass must be nonnegative")
     if m < 1:
@@ -250,8 +257,9 @@ class SamplingPlan:
     total_weight : float
         K, the integral of the cube-rooted sampling density.
     bound : float
-        Leading-order success bound for the topology-guided rule at
-        this K and M, clamped to [0, 1].
+        Leading-order estimate 1 - K^3 / M^2 of the topology-guided
+        rule's success rate at this K and M, clamped to [0, 1]; not a
+        lower bound at small M (see :func:`failure_bound`).
     bound_vacuous : bool
         True when the unclamped bound was negative.
     uniform_fallback : bool

@@ -44,13 +44,19 @@ _ROOT_XTOL = 1e-12
 _SCAN_POINTS_PER_ZERO = 4096
 # scan_counts settles a row from its values at every _SCAN_CELL-th scan
 # point (a power of two, so every chord weight (m - l) / s is exact) and
-# computes in full only the cells the chord bound cannot certify; it takes
-# rows in blocks of at most _SCAN_BLOCK_VALUES coarse values, and every
-# cell is read through _cell_systems in batches of at most that many system
-# values; a batch costs two ufunc calls per Chebyshev row however few its
-# points, so 32 steps, which halve the points of the computed cells, beat
-# 64 at Chebyshev n=64 (16 costs the block scan more)
-_SCAN_CELL = 32
+# splits each cell the chord bound cannot certify into sub-cells of
+# _SCAN_SUBCELL steps (a power of two dividing s, so every sub-cell weight
+# q s' / s is exact too), certified from the same chord at their ends; it
+# computes in full only the open sub-cells. It takes rows in blocks of at
+# most _SCAN_BLOCK_VALUES coarse values, and every cell or sub-cell is read
+# through _cell_systems in batches of at most that many system values.
+# 64-step cells halve the coarse values and tables of 32-step ones, which
+# the binomial-5 block scan needs; whole 64-step cells doubled the points
+# computed for four Chebyshev-64 paths (10,205 against 5,214), and 8-step
+# sub-cells halve them instead (2,763). 32-step cells with 8-step
+# sub-cells are faster there but slower on binomial-5
+_SCAN_CELL = 64
+_SCAN_SUBCELL = 8
 _SCAN_BLOCK_VALUES = 1 << 16
 
 # the last scan_counts scan, as one (key, (points, bounds, coarse, chord))
@@ -78,8 +84,8 @@ def _buffer(slot, shape):
     overlap, so they share the three: the coarse pass of ``scan_counts``
     holds a block's coarse values, certification bounds and smaller end
     magnitudes in them, the cell pass a system batch (``_cell_systems``,
-    as the table build does), the cells' copied columns and their values
-    (``_cell_values``). A buffer grows to the largest shape asked of it
+    as the table build does), the sub-cells' copied columns and their
+    values (``_cell_values``). A buffer grows to the largest shape asked of it
     and never shrinks; the array is valid until the next request for the
     same slot in the same thread.
     """
@@ -199,23 +205,24 @@ def _polish_roots(diff, lo, hi, flo, fhi):
         lo[todo], hi[todo], flo[todo], fhi[todo] = new_l, new_h, fl, fh
 
 
-def _cell_systems(model, threshold, points, cells):
-    """The threshold system on each of ``cells``, a batch of whole cells at a time.
+def _cell_systems(model, threshold, points, cells, width):
+    """The threshold system on each of ``cells``, cells of ``width`` steps, a batch at a time.
 
-    Cell i reads the s + 1 positions i s, ..., i s + s (s = _SCAN_CELL),
+    Cell i reads the width + 1 positions i w, ..., i w + w (w = ``width``:
+    _SCAN_CELL for the scan's cells, _SCAN_SUBCELL for their sub-cells),
     position p at scan point min(p, R - 1), so the last cell repeats the
     final scan point where the scan ends first. Yields (lo, system) for
-    consecutive batches of at most _SCAN_BLOCK_VALUES // ((K + 1)(s + 1))
+    consecutive batches of at most _SCAN_BLOCK_VALUES // ((K + 1)(w + 1))
     cells, ``system[k, c, q]`` being row k at position q of cell
     ``cells[lo + c]``. Each system is written into this thread's buffer
     0 (``_buffer``), so it is valid only until the next batch.
     """
-    rows, positions = model.n_terms + 1, np.arange(_SCAN_CELL + 1)
+    rows, positions = model.n_terms + 1, np.arange(width + 1)
     step = max(1, _SCAN_BLOCK_VALUES // (rows * positions.size))
     for lo in range(0, len(cells), step):
         batch = cells[lo : lo + step]
         # mode="clip" reads a position past the last scan point at the last one
-        x = points.take(batch[:, None] * _SCAN_CELL + positions, mode="clip").ravel()
+        x = points.take(batch[:, None] * width + positions, mode="clip").ravel()
         system = threshold_system(model, threshold, x, out=_buffer(0, (rows, x.size)))
         yield lo, system.reshape(rows, batch.size, positions.size)
 
@@ -224,7 +231,7 @@ def _chord_tables(model, threshold, points):
     """The row bounds, coarse columns and chord-error table of a scan.
 
     Cell i spans the positions l_i = i s to r_i = l_i + s of
-    ``_cell_systems``. ``coarse`` holds the threshold system's columns at
+    ``_cell_systems`` (s = _SCAN_CELL). ``coarse`` holds the threshold system's columns at
     l_0, l_1, ... and R - 1, so cell i ends at coarse columns i and i + 1,
     and ``bounds`` each system row's largest |value| over every scan point.
     ``chord[k, i]`` bounds, in exact arithmetic on the system's values, how
@@ -246,7 +253,7 @@ def _chord_tables(model, threshold, points):
     chord = np.empty((rows, cells))
     bounds = np.full(rows, -np.inf)
     t = np.arange(s) / s
-    for lo, system in _cell_systems(model, threshold, points, np.arange(cells)):
+    for lo, system in _cell_systems(model, threshold, points, np.arange(cells), s):
         hi = lo + system.shape[1]
         left, right = system[:, :, 0], system[:, :, -1]
         if not lo:
@@ -350,18 +357,32 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     scan point), and B_ji = sum_k |lhs_jk| chord[k, i]
     bounds how far u - mu strays from its chord inside cell i. Cell i is
     certified when F(l_i) and F(r_i) have one sign and both are at least
-    _DEGENERATE_TOL + 3 d_j + B_ji in size (that sum's rounding covered).
-    The proof is one line: the exact u - mu at any point of the cell is
-    within B_ji of a point of the chord, which lies between the exact end
-    values, themselves within d_j / 2 of F; so the exact value clears
-    _DEGENERATE_TOL + 2.5 d_j with F's sign, and every float evaluation,
-    block or per-path, clears _DEGENERATE_TOL + 2 d_j. A certified cell
-    thus has no sign change and meets the settle rule. Every other cell
-    of a row whose coarse values meet the settle rule is computed in
-    full, for its sign changes and smallest |value|, from the system
-    evaluated at that cell's points alone (``_cell_values``). s = 32
-    leaves about one computed cell per zero on the benchmark models, and
-    a few percent of the values; the full system is never built.
+    c_ji = _DEGENERATE_TOL + 3 d_j + B_ji in size (that sum's rounding
+    covered). The proof is one line: the exact u - mu at any point of the
+    cell is within B_ji of a point of the chord, which lies between the
+    exact end values, themselves within d_j / 2 of F; so the exact value
+    clears _DEGENERATE_TOL + 2.5 d_j with F's sign, and every float
+    evaluation, block or per-path, clears _DEGENERATE_TOL + 2 d_j. A
+    certified cell thus has no sign change and meets the settle rule.
+
+    Every other cell splits into s / s' sub-cells of s' = _SCAN_SUBCELL
+    steps, sub-cell q spanning the positions l_i + q s' to
+    l_i + (q + 1) s', each certified from the cell's bound
+    (``_open_subcells``) when the float chord F(l_i) + w (F(r_i) - F(l_i))
+    has one sign at its two ends (w = q s' / s and (q + 1) s' / s, both
+    exact) and clears c_ji there with a margin for the chord's own
+    roundings. The proof is one line too: every exact value in the
+    sub-cell lies within B_ji of the exact chord, so within B_ji + d_j / 2
+    of the chord through F (whose ends are each within d_j / 2), which is
+    linear and so keeps one sign in the sub-cell and clears c_ji there;
+    so the exact value clears _DEGENERATE_TOL + 2.5 d_j, every block or
+    per-path evaluation clears _DEGENERATE_TOL + 2 d_j, and no sign change
+    lies inside the sub-cell. Every sub-cell left open, of a row whose
+    coarse values meet the settle rule, is computed in full, for its sign
+    changes and smallest |value|, from the system evaluated at that
+    sub-cell's points alone (``_cell_values``). s = 64 and s' = 8 leave
+    about one or two computed sub-cells per zero on the benchmark models,
+    and a few percent of the values; the full system is never built.
 
     With b the number of sign changes and p0 whether u - mu > 0 at a, a
     settled row's counts are zero_count = b, beta0_pos = (b + 1 + p0) // 2
@@ -378,8 +399,9 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     lhs = fold_coefficients(coeffs)
     first = np.zeros(paths, dtype=bool)
     slack = np.empty(paths)
-    # the (cell, row) pairs the chord bound leaves uncertified
-    pairs = [np.empty((2, 0), dtype=np.intp)]
+    # the (cell, row) pairs the chord bound leaves uncertified, and their
+    # (F(l), F(r), c) columns
+    pairs, bars = [np.empty((2, 0), dtype=np.intp)], [np.empty((3, 0))]
     # rows are taken in equal blocks of at most _SCAN_BLOCK_VALUES coarse values
     blocks = -(-paths * coarse.shape[1] // _SCAN_BLOCK_VALUES)
     height = max(1, -(-paths // max(1, blocks)))
@@ -401,14 +423,24 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
             # a row whose slack is not finite is never settled: none of its cells is computed
             uncertified &= np.isfinite(slack[block, None])
             cells, rows = np.divmod(np.flatnonzero(uncertified.T), len(f))
+            # each open cell's two end values, signs restored, and its c
+            at = rows * size.shape[1] + cells
+            sides = np.stack([at, at + 1])
+            signed = size.take(sides)
+            np.negative(signed, out=signed, where=~above.take(sides))
             pairs.append(np.stack([cells, rows + lo]))
+            bars.append(np.vstack([signed, clear.take(at - rows)]))
             first[block] = above[:, 0]
-        # every block's cells at once, ordered by cell, so that rows share their evaluation
         cells, rows = np.concatenate(pairs, axis=1)
-        order = np.argsort(cells, kind="stable")
+        pair, q = np.nonzero(_open_subcells(*np.concatenate(bars, axis=1)))
+        # every block's open sub-cells at once, ordered by sub-cell, so that rows share their evaluation
+        subcells = cells[pair] * (_SCAN_CELL // _SCAN_SUBCELL) + q
+        order = np.argsort(subcells, kind="stable")
         changes = np.zeros(paths, dtype=np.int64)
         smallest = np.full(paths, np.inf)
-        for j, values in _cell_values(lhs, model, threshold, points, rows[order], cells[order]):
+        for j, values in _cell_values(
+            lhs, model, threshold, points, rows[pair[order]], subcells[order], _SCAN_SUBCELL
+        ):
             above = values > 0.0
             flips = np.flatnonzero(above[:, 1:] != above[:, :-1]) // (values.shape[1] - 1)
             changes += np.bincount(j[flips], minlength=paths)
@@ -417,34 +449,64 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
     return (changes + 1 + first) // 2, (changes + 2 - first) // 2, changes, settled
 
 
-def _cell_values(lhs, model, threshold, points, rows, cells):
-    """u - mu over whole scan cells: cell ``cells[p]`` of row ``rows[p]``, a batch at a time.
+def _open_subcells(left, right, need):
+    """Which _SCAN_SUBCELL-step sub-cells of open cells the cells' chords leave open.
+
+    Pair p is a cell of s = _SCAN_CELL steps whose row has the block
+    values left[p] and right[p] at the cell's ends and must clear
+    need[p] (c_ji of ``scan_counts``). Sub-cell q spans the weights
+    w = q s' / s to (q + 1) s' / s of the cell (s' = _SCAN_SUBCELL, so
+    every w is exact), and at each of its ends the float chord
+    G = left + w (right - left) is evaluated. G lies within 8 u M of the
+    chord through left and right, M = max(|left|, |right|): its three
+    roundings add under 7.1 u M, and gradual underflow at most half a
+    smallest subnormal, far below u M wherever a sub-cell can be
+    certified, as there (1 + 8 u) M >= |G| >= need > _DEGENERATE_TOL. A
+    sub-cell is certified when its two G have one sign and both are at
+    least need + 16 u M in size, that sum taken in floats; the second
+    8 u M covers the sum's rounding, since need <= (1 + 9 u) M wherever
+    |G| clears it. Returns a boolean (pairs, s / s') array, True where a
+    sub-cell is left open.
+    """
+    w = np.arange(_SCAN_CELL // _SCAN_SUBCELL + 1) * (_SCAN_SUBCELL / _SCAN_CELL)
+    chord = (right - left)[:, None] * w
+    chord += left[:, None]
+    bar = np.maximum(np.abs(left), np.abs(right))
+    bar *= 16.0 * _UNIT_ROUNDOFF
+    bar += need
+    above = chord > 0.0
+    clears = np.abs(chord, out=chord) >= bar[:, None]
+    return (above[:, 1:] != above[:, :-1]) | ~(clears[:, 1:] & clears[:, :-1])
+
+
+def _cell_values(lhs, model, threshold, points, rows, cells, width):
+    """u - mu over whole cells of ``width`` steps: cell ``cells[p]`` of row ``rows[p]``, a batch at a time.
 
     ``cells`` is ascending. Yields (the batch's rows, their values) in the
-    order of the pairs, one row of values per cell at its s + 1 positions
-    of ``_cell_systems``, whose clamped positions repeat the final scan
-    point and so add no sign change and no smaller |value|. Each distinct
-    cell is evaluated once; a pair's values are its row of ``lhs`` times a
-    copy of its cell's columns, made for at most a batch's capacity of
-    pairs at a time, so no copy exceeds _SCAN_BLOCK_VALUES values. The
-    copies and the values are written into this thread's buffers 1 and 2
-    (``_buffer``), so each yielded array is valid only until the next
-    batch.
+    order of the pairs, one row of values per cell at its width + 1
+    positions of ``_cell_systems``, whose clamped positions repeat the
+    final scan point and so add no sign change and no smaller |value|.
+    Each distinct cell is evaluated once; a pair's values are its row of
+    ``lhs`` times a copy of its cell's columns, made for at most a
+    batch's capacity of pairs at a time, so no copy exceeds
+    _SCAN_BLOCK_VALUES values. The copies and the values are written into
+    this thread's buffers 1 and 2 (``_buffer``), so each yielded array is
+    valid only until the next batch.
     """
     # each pair's index among the distinct cells
     new = np.diff(cells, prepend=-1) != 0
     distinct, which = cells[new], np.cumsum(new) - 1
-    for lo, system in _cell_systems(model, threshold, points, distinct):
-        terms, batch, width = system.shape
-        step = max(1, _SCAN_BLOCK_VALUES // (terms * width))
+    for lo, system in _cell_systems(model, threshold, points, distinct, width):
+        terms, batch, positions = system.shape
+        step = max(1, _SCAN_BLOCK_VALUES // (terms * positions))
         first, last = np.searchsorted(which, [lo, lo + batch])
         for sub in range(first, last, step):
             part = slice(sub, min(sub + step, last))
             j = rows[part]
             # the indices lie in range; mode="raise" would buffer the whole output
-            gather = _buffer(1, (terms, len(j), width))
+            gather = _buffer(1, (terms, len(j), positions))
             columns = np.take(system, which[part] - lo, axis=1, out=gather, mode="clip")
-            values = _buffer(2, (len(j), 1, width))
+            values = _buffer(2, (len(j), 1, positions))
             yield j, np.matmul(lhs[j, None, :], columns.transpose(1, 0, 2), out=values)[:, 0]
 
 

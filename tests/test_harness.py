@@ -7,7 +7,7 @@ import os
 import signal
 import sys
 import types
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, process
 from dataclasses import replace
 from multiprocessing.connection import wait
 
@@ -199,7 +199,7 @@ def test_unpicklable_custom_model_needs_one_worker(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ConfigError, match="workers=1"):
         harness.trial_pass(model, ts.threshold_zero(), [], 1100, 1, 256, workers=2)
 
@@ -223,7 +223,7 @@ def test_pool_never_exceeds_the_chunk_count(monkeypatch, cheb5, thr):
         def shutdown(self, wait=True):
             pass
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", RecordingPool)
     for workers, trials, want in ((500, 1024, 2), (2, 1536, 2), (3, 1100, 3)):
         harness.trial_pass(cheb5, thr, [], trials, 1, 16, workers=workers)
         assert started[-1] == want
@@ -456,6 +456,40 @@ def test_emit_table_json_structure(tmp_path):
     assert doc["columns"] == ["x", "y"]
     assert doc["rows"] == [[1.0, None]]
     assert doc["meta"]["command"] == "demo"
+
+
+# (rows, tail) tables whose JSON must be json.dumps(..., indent=2)'s bytes
+JSON_TABLES = {
+    "mixed cells": (
+        [
+            [0, 1.5, float("nan"), None, True, np.bool_(False), np.int64(7), np.float64(-0.0)],
+            [1, float("inf"), 1e-300, "a, b", 'say "hi"', "],\n      [", "ünïcødé ✓", "tab\there"],
+        ],
+        (),
+    ),
+    "empty table": ([], ("tail", 1.0)),
+    "tail": ([[i, i / 7.0] for i in range(11)], ("topology", 7, float("nan"), False, "x, y")),
+    "empty rows": ([[], [1.0], []], (2,)),
+    "one cell": ([["only"]], ()),
+}
+
+
+@pytest.mark.parametrize("table", sorted(JSON_TABLES))
+@pytest.mark.parametrize("rows_per_call", [4096, 3])
+def test_emit_table_json_is_the_indented_dump(table, rows_per_call, tmp_path, monkeypatch):
+    # the rows are encoded a block at a time by json's C encoder, yet the
+    # file holds exactly the bytes of the pure-Python indented dump, with
+    # numpy scalars as Python ones, NaN as null and the tail after every row
+    rows, tail = JSON_TABLES[table]
+    monkeypatch.setattr(harness, "_JSON_ROWS_PER_CALL", rows_per_call)
+    header = [f"c{i}" for i in range(len(rows[0]) + len(tail))] if rows and rows[0] else ["c"]
+    meta = {"command": "demo", "config": {"model": {"family": "chebyshev, ü"}}}
+    out = tmp_path / "table.json"
+    emit_table(header, rows, str(out), "json", meta=meta, tail=tail)
+    cells = [[harness._json_cell(v) for v in list(row) + list(tail)] for row in rows]
+    payload = {"version": ts.__version__, "meta": meta, "columns": header, "rows": cells}
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert out.read_bytes() == want.encode("utf-8")
 
 
 def test_experiment_and_zero_tables(cheb5, binom5):

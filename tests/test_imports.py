@@ -23,7 +23,10 @@ code that only tests call belongs in the tests.
 Importing the package, building a Chebyshev-64 model and placing a grid
 from its zero density leave ``numpy.polynomial`` unimported: that is the
 set-up and planning of a run that builds no threshold, and an eager
-import would add to its start-up time.
+import would add to its start-up time. Likewise importing the package and
+its command line leaves the process pool's modules
+(``concurrent.futures.process`` and ``multiprocessing``) unimported: only
+a pooled trial pass needs them.
 """
 import ast
 import os
@@ -176,6 +179,19 @@ def test_self_and_attribute_references_keep_nothing_alive():
     assert _references(tree) == {"n", "path", "m", "planner", "place_grid"}
 
 
+def _run_fresh(script):
+    """The stdout of ``script`` run by a fresh interpreter that imports the package from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    )
+    return out.stdout
+
+
 def test_import_and_planning_leave_numpy_polynomial_unloaded():
     script = (
         "import sys\n"
@@ -186,12 +202,14 @@ def test_import_and_planning_leave_numpy_polynomial_unloaded():
         "planner.place_grid(cumulative, zeros, 16)\n"
         "print('numpy.polynomial' in sys.modules)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    assert _run_fresh(script).split() == ["False", "False"]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    script = (
+        "import sys\n"
+        "import toposample\n"
+        "import toposample.cli\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, check=True, timeout=120, env=env,
-    )
-    assert out.stdout.split() == ["False", "False"]
+    assert _run_fresh(script).split() == ["[]"]

@@ -8,6 +8,7 @@ import json
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,23 +177,36 @@ def _cells(resolution):
     return [(lo, min(lo + s, resolution - 1)) for lo in range(0, resolution - 1, s)]
 
 
+def _subcells(resolution):
+    # (first, last) scan point of each sub-cell, sub-cell q of cell i at
+    # index i (s / s') + q; sub-cells past the last point read it alone
+    sub, end = topology._SCAN_SUBCELL, resolution - 1
+    return [
+        (min(at, end), min(at + sub, end))
+        for lo, _ in _cells(resolution)
+        for at in range(lo, lo + topology._SCAN_CELL, sub)
+    ]
+
+
 @pytest.mark.parametrize("family", sorted(MODELS))
 def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
     # each path is scanned once: one block product of its row (c, -1) with
     # the coarse columns of the scan system, so the threshold rides in the
     # product as one more row, then products of the same row with the
-    # system evaluated at the points of the cells the chord bound does not
-    # certify, never more than _SCAN_BLOCK_VALUES system values at a time,
-    # for the tables as for the cells; a settled
+    # system evaluated at the points of the sub-cells the chord bound does
+    # not certify, never more than _SCAN_BLOCK_VALUES system values at a
+    # time, for the tables as for the sub-cells; a settled
     # row has the signs of path.value - threshold.value at every point
-    # computed (no zero among them), keeps one sign across every cell left
-    # uncomputed, has no per-path value below the oracle's tolerance, and
+    # computed (no zero among them), keeps one sign across every sub-cell
+    # left uncomputed (that of its coarse values, across a whole cell left
+    # uncomputed), has no per-path value below the oracle's tolerance, and
     # its counts are the oracle's
     model, threshold, resolution = MODELS[family], THRESHOLDS["cubic_shift"], 9000
     coeffs = sample_coefficients(model, 9, range(20))
     want = _oracle_counts(model, threshold, coeffs, resolution)
     xs = np.linspace(*model.domain, resolution)
-    cells = _cells(resolution)
+    cells, subcells = _cells(resolution), _subcells(resolution)
+    per_cell = topology._SCAN_CELL // topology._SCAN_SUBCELL
     ends = [lo for lo, _ in cells] + [resolution - 1]
     block, cell_values = topology.block_minus_threshold, topology._cell_values
     coarse, refined, evaluated = [], [], []
@@ -206,12 +220,13 @@ def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
         evaluated.append(x.size)
         return threshold_system(model, threshold, x, out)
 
-    def recording_cells(lhs, model, threshold, points, rows, which):
+    def recording_cells(lhs, model, threshold, points, rows, which, width):
+        assert width == topology._SCAN_SUBCELL
         done = 0
-        for j, values in cell_values(lhs, model, threshold, points, rows, which):
+        for j, values in cell_values(lhs, model, threshold, points, rows, which, width):
             assert len(j) * (model.n_terms + 1) * values.shape[1] <= topology._SCAN_BLOCK_VALUES
-            for row, cell, v in zip(lhs[j], which[done : done + len(j)], values):
-                refined.append((row[:-1].tobytes(), int(cell), v.copy()))
+            for row, sub, v in zip(lhs[j], which[done : done + len(j)], values):
+                refined.append((row[:-1].tobytes(), int(sub), v.copy()))
             done += len(j)
             yield j, values
 
@@ -228,28 +243,31 @@ def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
             scans[row.tobytes()] = v
     assert list(scans) == [c.tobytes() for c in coeffs]
     computed = {}
-    for row, cell, v in refined:
-        computed.setdefault(row, {})[cell] = v
+    for row, sub, v in refined:
+        computed.setdefault(row, {})[sub] = v
     for j, c in enumerate(coeffs):
         per_path = SamplePath(model, c).value(xs) - threshold.value(xs)
         if not settled[j]:
             continue
         scan = scans[c.tobytes()]
         assert np.array_equal(np.sign(scan), np.sign(per_path[ends])) and np.all(scan != 0.0)
-        for i, (lo, hi) in enumerate(cells):
-            cell = per_path[lo : hi + 1]
-            v = computed.get(c.tobytes(), {}).get(i)
-            if v is None:  # certified: one sign, that of both ends
-                assert np.all(np.sign(cell) == np.sign(scan[i]))
+        mine = computed.get(c.tobytes(), {})
+        for k, (lo, hi) in enumerate(subcells):
+            sub = per_path[lo : hi + 1]
+            v = mine.get(k)
+            if v is None:  # certified: one sign
+                assert np.all(np.sign(sub) == np.sign(sub[0]))
+                if not any(i // per_cell == k // per_cell for i in mine):
+                    assert np.sign(sub[0]) == np.sign(scan[k // per_cell])
                 continue
-            inside = v[: cell.size]  # a short last cell repeats the final point
-            assert np.array_equal(np.sign(inside), np.sign(cell)) and np.all(inside != 0.0)
-            assert np.all(v[cell.size :] == inside[-1])
+            inside = v[: sub.size]  # a short last sub-cell repeats the final point
+            assert np.array_equal(np.sign(inside), np.sign(sub)) and np.all(inside != 0.0)
+            assert np.all(v[sub.size :] == inside[-1])
         assert np.abs(per_path).min() >= _DEGENERATE_TOL
         assert (pos[j], neg[j], zero_count[j], False) == want[j]
     assert np.count_nonzero(settled) >= 15
-    # the cells computed in full hold under a tenth of the scan's values
-    assert 0 < len(refined) * (topology._SCAN_CELL + 1) <= 0.1 * resolution * len(coeffs)
+    # the sub-cells computed in full hold under a tenth of the scan's values
+    assert 0 < len(refined) * (topology._SCAN_SUBCELL + 1) <= 0.1 * resolution * len(coeffs)
 
 
 @pytest.mark.parametrize(
@@ -261,10 +279,10 @@ def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
     ids=["binomial", "chebyshev"],
 )
 def test_scan_computes_a_tenth_of_the_values(model, threshold, resolution, monkeypatch):
-    # over 2048 paths, the values computed per path (cell ends, plus whole
-    # cells the chord bound leaves open) stay under a tenth of the scan,
-    # and the scan settles as many rows as a full-resolution scan whose
-    # every block value is checked against the settle rule
+    # over 2048 paths, the values computed per path (cell ends, plus the
+    # whole sub-cells the chord bound leaves open) stay under a tenth of
+    # the scan, and the scan settles as many rows as a full-resolution
+    # scan whose every block value is checked against the settle rule
     coeffs = sample_coefficients(model, 2024, range(2048))
     cell_values, computed = topology._cell_values, []
 
@@ -344,11 +362,13 @@ def test_a_warm_scan_allocates_no_batch_sized_array(case, limit_kib):
     assert peak < limit_kib * 1024
 
 
-def _edge_resolutions(s):
-    # for cells of s steps: a short first cell, one exact cell, a last cell
-    # of one step, two cells and a last one of one step, and longer scans
-    # ending in a short cell or on a cell end, none below the scan's floor
-    edges = (s - 1, s, s + 1, s + 2, 2 * s + 1, 2 * s + 2, 1000, 4097)
+def _edge_resolutions(s, sub):
+    # for cells of s steps and sub-cells of sub: a short first cell, one
+    # exact cell, a last cell of one step, a last cell of one whole
+    # sub-cell and of one step more, two cells and a last one of one step,
+    # and longer scans ending in a short cell or on a cell end, none below
+    # the scan's floor
+    edges = (s - 1, s, s + 1, s + 2, s + sub + 1, s + sub + 2, 2 * s + 1, 2 * s + 2, 1000, 4097)
     return sorted({max(3, r) for r in edges})
 
 
@@ -364,40 +384,56 @@ def _crossing_after(model, threshold, row, resolution, index):
 
 
 def _on_the_edge(kind, model, threshold, row, resolution, where):
-    cells = _cells(resolution)
-    lo, hi = cells[where % len(cells)]
-    if kind == "first step":  # a sign change between a cell's first two points
+    # the cell or sub-cell pushed on: "sub ..." pushes pick a sub-cell
+    # that has at least one step inside the scan
+    if kind.startswith("sub "):
+        spans = [(lo, hi) for lo, hi in _subcells(resolution) if lo < hi]
+    else:
+        spans = _cells(resolution)
+    lo, hi = spans[where % len(spans)]
+    if kind.endswith("first step"):  # a sign change between its first two points
         return _crossing_after(model, threshold, row, resolution, lo)
-    if kind == "last step":  # and between its last two
+    if kind.endswith("last step"):  # and between its last two
         return _crossing_after(model, threshold, row, resolution, hi - 1)
+    if kind == "sub zero":  # an exact zero at a sub-cell end
+        return _zero_at_scan_point(model, threshold, row, resolution, hi if where % 2 else lo)
     # an exact zero at a coarse point: a cell's first point, or the last point
     index = resolution - 1 if where % 2 else lo
     return _zero_at_scan_point(model, threshold, row, resolution, index)
 
 
-@pytest.mark.parametrize("cell", (2, 8, 32, 64))
+# (s, s') pairs; each id names s, and s' too where it is not min(s, 8)
+WIDTHS = [
+    pytest.param(2, 2, id="2"),
+    pytest.param(8, 8, id="8"),
+    pytest.param(32, 8, id="32"),
+    pytest.param(64, 8, id="64"),
+    pytest.param(64, 1, id="64-sub1"),
+]
+PUSHES = ["first step", "last step", "coarse zero", "sub first step", "sub last step", "sub zero"]
+
+
+@pytest.mark.parametrize("cell, subcell", WIDTHS)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     family=st.sampled_from(sorted(MODELS)),
     kind=st.sampled_from(sorted(THRESHOLDS)),
-    edge=st.integers(0, 7),
+    edge=st.integers(0, 9),
     seed=st.integers(0, 2**64 - 1),
     paths=st.integers(1, 12),
-    pushed=st.lists(
-        st.tuples(st.sampled_from(["first step", "last step", "coarse zero"]), st.integers(0, 10**6)),
-        max_size=4,
-    ),
+    pushed=st.lists(st.tuples(st.sampled_from(PUSHES), st.integers(0, 10**6)), max_size=4),
     offset=st.sampled_from((0.0, 1.0, -1.0)),
 )
-def test_certified_cells_hold_at_their_edges(cell, family, kind, edge, seed, paths, pushed, offset):
+def test_certified_cells_hold_at_their_edges(cell, subcell, family, kind, edge, seed, paths, pushed, offset):
     # rows pushed onto the certificate's edge (a sign change at a cell's
-    # first or last step, an exact zero at a coarse point), scans whose
-    # last cell is short or one step long, and coarse values off by a
-    # whole slack d in either direction, beyond what a block product may
-    # be: every row's counts are the per-path oracle's, and so are those
-    # of every settled row of the scan itself, at every cell width s
+    # or a sub-cell's first or last step, an exact zero at a coarse point
+    # or a sub-cell end), scans whose last cell is short, one step or one
+    # sub-cell long, and coarse values off by a whole slack d in either
+    # direction, beyond what a block product may be: every row's counts
+    # are the per-path oracle's, and so are those of every settled row of
+    # the scan itself, at every cell width s and sub-cell width s'
     model, threshold = MODELS[family], THRESHOLDS[kind]
-    resolutions = _edge_resolutions(cell)
+    resolutions = _edge_resolutions(cell, subcell)
     resolution = resolutions[edge % len(resolutions)]
 
     def off_by_offset(*args, **kwargs):
@@ -408,6 +444,7 @@ def test_certified_cells_hold_at_their_edges(cell, family, kind, edge, seed, pat
     with pytest.MonkeyPatch.context() as patch:
         # the slot's key does not hold s, so each width starts from an empty slot
         patch.setattr(topology, "_SCAN_CELL", cell)
+        patch.setattr(topology, "_SCAN_SUBCELL", subcell)
         patch.setattr(topology, "_scan_slot", [None])
         coeffs = sample_coefficients(model, seed, range(paths))
         for push, where in pushed:
@@ -420,6 +457,44 @@ def test_certified_cells_hold_at_their_edges(cell, family, kind, edge, seed, pat
     assert block == want
     for j in np.flatnonzero(settled):
         assert (pos[j], neg[j], zero_count[j], False) == want[j]
+
+
+def _exact_chord(left, right, w):
+    return Fraction(left) + Fraction(w) * (Fraction(right) - Fraction(left))
+
+
+@pytest.mark.parametrize("cell, subcell", WIDTHS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    ends=st.tuples(
+        *[st.floats(1e-9, 1e9) | st.floats(0.5, 2.0) for _ in range(2)],
+        *[st.booleans() for _ in range(2)],
+    ),
+    at=st.integers(0, 64),
+    scale=st.sampled_from((1.0, 1.0 - 2.0**-52, 0.5, 0.0)),
+)
+def test_certified_subcells_clear_their_bound_in_exact_arithmetic(cell, subcell, ends, at, scale):
+    # the sub-cell certificate in exact rational arithmetic: where the
+    # float chord certifies a sub-cell, the chord through the cell's end
+    # values has one sign at both of the sub-cell's ends and clears the
+    # bound there, so (being linear) all along it. The bound is set to
+    # the float chord's size at one sub-cell end, where dropping the
+    # rounding margin would certify a chord the exact one falls short of
+    left, right, flip_left, flip_right = ends
+    left, right = (-left if flip_left else left), (-right if flip_right else right)
+    per_cell = cell // subcell
+    w = np.arange(per_cell + 1) * (subcell / cell)
+    chord = left + w * (right - left)
+    need = scale * abs(chord[at % (per_cell + 1)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology, "_SCAN_CELL", cell)
+        patch.setattr(topology, "_SCAN_SUBCELL", subcell)
+        open_ = topology._open_subcells(np.array([left]), np.array([right]), np.array([need]))[0]
+    assert open_.shape == (per_cell,)
+    for q in np.flatnonzero(~open_):
+        exact = [_exact_chord(left, right, w[q]), _exact_chord(left, right, w[q + 1])]
+        assert exact[0] * exact[1] > 0
+        assert min(abs(e) for e in exact) >= Fraction(need)
 
 
 def _min_near(model, threshold, row, resolution, where):

@@ -484,6 +484,11 @@ def _json_chunks(payload, rows, tail):
 
 def _json_cell(v):
     """A table cell as a JSON value: numpy scalars as Python ones, NaN as null."""
+    # plain Python cells, most of a long table, skip the isinstance chain
+    if type(v) is float:
+        return None if v != v else v
+    if type(v) is int or type(v) is str:
+        return v
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):

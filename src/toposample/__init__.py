@@ -67,6 +67,7 @@ from .harness import (
     ExperimentResult,
     ZeroCountResult,
     compare_strategies,
+    forget,
     run_experiment,
     zero_count_experiment,
 )
@@ -114,6 +115,7 @@ __all__ = [
     "compare_strategies",
     "ZeroCountResult",
     "zero_count_experiment",
+    "forget",
     "orthant_weight",
     "EigenExpansion",
     "eigen_expansion_check",

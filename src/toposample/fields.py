@@ -184,6 +184,18 @@ def basis_key(model: FieldModel) -> tuple:
     return (model.family, model.n_terms, domain, model.period, model.basis_table)
 
 
+# every value the package keeps between calls at module level, one
+# (key, value) entry per kind: the scan tables of the last scan_counts call
+# ("scan", topology._scan_tables), the cube-root mass ("weight",
+# planner.cumulative_weight) and the zero mass ("zeros", planner._zero_mass).
+# A key holds every bit that fixes its value, so equal models and thresholds
+# built or unpickled separately share an entry and none can match a stale
+# one. Each kind holds its last entry alone, and a new key evicts it, so the
+# two integrals of one compare_strategies call never evict each other.
+# harness.forget empties them all
+_kept = dict.fromkeys(("scan", "weight", "zeros"))
+
+
 def kept_value(slots, kind, key, build):
     """The value ``build()`` made for ``key``, kept in ``slots[kind]`` between calls.
 
@@ -192,8 +204,8 @@ def kept_value(slots, kind, key, build):
     emptied before ``build`` runs, so the old value and the new one are
     never alive together, and holds the new entry only once ``build`` has
     returned: a build that raises leaves the slot empty, and the next
-    call builds, and raises, again. The scan entry and the planner's
-    integrals keep their values through it.
+    call builds, and raises, again. Every kind of ``_kept`` keeps its
+    value through it, and so does each integral's last grid.
     """
     entry = slots[kind]
     if entry is None or entry[0] != key:
@@ -886,6 +898,19 @@ def _horner(c, x):
     return c0
 
 
+def _derivative(c, order):
+    """The ``order``-th derivative of the ascending-power polynomial ``c``.
+
+    The steps of ``numpy.polynomial.polynomial.polyder``, bit for bit,
+    without importing it or paying its per-call set-up.
+    """
+    if c.size <= order:
+        return c[:1] * 0
+    for _ in range(order):
+        c = c[1:] * np.arange(1, c.size)
+    return c
+
+
 @dataclass(frozen=True, eq=False)
 class ThresholdFn:
     """Deterministic threshold level mu with two derivatives.
@@ -907,8 +932,8 @@ class ThresholdFn:
         if not np.all(np.isfinite(c)):
             raise ValueError("threshold coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "_d1", np.polynomial.polynomial.polyder(c))
-        object.__setattr__(self, "_d2", np.polynomial.polynomial.polyder(c, 2))
+        object.__setattr__(self, "_d1", _derivative(c, 1))
+        object.__setattr__(self, "_d2", _derivative(c, 2))
 
     def __setstate__(self, state):
         # as for FieldModel, so ``_d1`` and ``_d2`` stay in step

@@ -33,6 +33,8 @@ from .fields import (
     FieldModel,
     SamplePath,
     ThresholdFn,
+    _kept,
+    _philox_offsets,
     block_minus_threshold,
     fold_coefficients,
     magnitude_bounds,
@@ -49,7 +51,13 @@ from .planner import (
     cumulative_weight,
     expected_zero_count,
 )
-from .topology import cubical_beta0, default_oracle_resolution, oracle_beta0, scan_counts
+from .topology import (
+    _workspace,
+    cubical_beta0,
+    default_oracle_resolution,
+    oracle_beta0,
+    scan_counts,
+)
 
 _TRIAL_CHUNK = 512
 
@@ -78,7 +86,7 @@ def _chunk_counts(model, threshold, coeffs, resolution):
     settles most rows from their scan signs; ``oracle_beta0`` runs on
     the rest, so its errors are raised as they would be for that path.
     Each such call evaluates its path's whole scan and frees it on
-    return; the scan slot keeps only the block scan's tables.
+    return; the kept ``"scan"`` entry holds only the block scan's tables.
     """
     pos, neg, zero_count, settled = scan_counts(model, threshold, coeffs, resolution)
     degenerate = np.zeros(len(coeffs), dtype=bool)
@@ -162,7 +170,7 @@ def _run_chunked(tasks, workers):
 # process forked by the caller off its parent's pool; the custom basis
 # table gives a model whose callables were defined after the pool forked
 # a pool forked after them, whose workers can unpickle them. A pass holds
-# the lock from its key check to its last result.
+# the lock from its key check to its last result. forget() closes the pool
 _pool_slot = [None]
 _pool_lock = threading.RLock()
 
@@ -203,6 +211,23 @@ def _close_pool():
         entry, _pool_slot[0] = _pool_slot[0], None
         if entry is not None and entry[0][1] == os.getpid():
             entry[1].shutdown()
+
+
+def forget():
+    """Empty all the state the process keeps between calls.
+
+    That is every kind of ``fields._kept`` (the scan tables and the two
+    planner integrals, each integral with its last grid), the worker
+    pool, which is shut down, the calling thread's scan work buffers and
+    the Philox offsets. Results do not change: the next call builds what
+    it needs again, as a process's first call does. Another thread's
+    buffers stay until that thread ends, and a call that runs meanwhile
+    in another thread may keep its value again.
+    """
+    _kept.update(dict.fromkeys(_kept))
+    _close_pool()
+    _workspace.__init__()  # this thread's buffers, as a new thread starts with them
+    _philox_offsets.cache_clear()
 
 
 def _experiment_result(plan, trials, seed, valid, counts) -> ExperimentResult:

@@ -27,6 +27,7 @@ from .fields import (
     FAMILY_BUILDERS,
     FieldModel,
     ThresholdFn,
+    _kept,
     basis_key,
     kept_value,
     threshold_zero,
@@ -37,14 +38,6 @@ from .quadrature import CumulativeIntegral, cumulative_integral, golden_max
 from .quadrature import adaptive_simpson, bisect_increasing  # noqa: F401
 
 STRATEGIES = ("topology", "uniform", "density")
-
-# the kept integrals, one (key, (total, cumulative)) entry per kind: the
-# cube-root mass ("weight") and the zero mass ("zeros"), so the two
-# integrals of one compare_strategies call never evict each other. A key
-# holds every bit that fixes its integrand, so equal models and
-# thresholds built or unpickled separately share an entry and none can
-# match a stale one
-_integral_slots = {"weight": None, "zeros": None}
 
 
 def sampling_density_fn(model: FieldModel, threshold: ThresholdFn):
@@ -84,28 +77,15 @@ def _integrand_key(model: FieldModel) -> tuple:
     return (basis_key(model), cov.shape, cov.tobytes())
 
 
-def _kept_integral(kind, key, fn, model):
-    """(total, cumulative) of ``fn`` over the model's domain, integrated once per key.
-
-    ``fields.kept_value`` keeps the entry for ``kind``: a call whose key
-    matches reads it back and evaluates nothing, and an integral that
-    raises leaves the slot empty, so the next call raises again.
-    """
-
-    def build():
-        return cumulative_integral(fn, model.a, model.b)
-
-    return kept_value(_integral_slots, kind, key, build)
-
-
 def cumulative_weight(model: FieldModel, threshold: ThresholdFn):
     """Total cube-root mass K and its cumulative F(x) = int_a^x C^(1/3).
 
     The integral runs over the model's domain [a, b] with the sampling
-    density C of ``threshold``. It is kept between calls: a model and a
-    threshold whose basis, coefficient covariance and threshold
-    coefficients have the bits of the last ones integrated return the
-    same (total, cumulative) again without a density call.
+    density C of ``threshold``. It is kept between calls, as the
+    ``"weight"`` entry of ``fields._kept``: a model and a threshold whose
+    basis, coefficient covariance and threshold coefficients have the
+    bits of the last ones integrated return the same (total, cumulative)
+    again without a density call.
 
     Returns
     -------
@@ -120,7 +100,7 @@ def cumulative_weight(model: FieldModel, threshold: ThresholdFn):
         return np.cbrt(density(x))
 
     key = (_integrand_key(model), threshold.coeffs.tobytes())
-    return _kept_integral("weight", key, weight, model)
+    return kept_value(_kept, "weight", key, lambda: cumulative_integral(weight, model.a, model.b))
 
 
 def place_grid(cumulative: CumulativeIntegral, total: float, m: int) -> np.ndarray:
@@ -137,7 +117,10 @@ def place_grid(cumulative: CumulativeIntegral, total: float, m: int) -> np.ndarr
     through ``fields.kept_value``), keyed on (total, m): a call that
     repeats the last one's total and m returns the same array without
     inverting. A grid that raises leaves the slot empty, so the next
-    call raises again.
+    call raises again. The grid is not a kind of ``fields._kept``: each
+    integral holds its own, so the topology and density grids of one
+    ``compare_strategies`` call never evict each other, and a grid goes
+    with its integral, also when ``harness.forget`` empties ``_kept``.
     """
     if m < 1:
         raise ValueError("grid needs at least one interval")
@@ -238,7 +221,9 @@ def _zero_mass(model: FieldModel):
     Kept between calls like ``cumulative_weight``'s, keyed on the model's
     basis and coefficient covariance alone.
     """
-    return _kept_integral("zeros", _integrand_key(model), zero_density_fn(model), model)
+    density = zero_density_fn(model)
+    key = _integrand_key(model)
+    return kept_value(_kept, "zeros", key, lambda: cumulative_integral(density, model.a, model.b))
 
 
 @dataclass(frozen=True)

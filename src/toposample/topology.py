@@ -27,6 +27,7 @@ from .fields import (
     _UNIT_ROUNDOFF,
     SamplePath,
     ThresholdFn,
+    _kept,
     basis_key,
     block_minus_threshold,
     blocked_product,
@@ -58,12 +59,6 @@ _SCAN_POINTS_PER_ZERO = 4096
 _SCAN_CELL = 64
 _SCAN_SUBCELL = 8
 _SCAN_BLOCK_VALUES = 1 << 16
-
-# the last scan_counts scan, as one (key, (points, bounds, coarse, chord))
-# entry: the scan points, row bounds, coarse columns and chord-error table;
-# the key holds everything that fixes the values (see _scan_tables), so
-# equal models and thresholds share an entry and none can match a stale one
-_scan_slot = [None]
 
 
 class _Workspace(threading.local):
@@ -277,9 +272,10 @@ def _scan_tables(model, threshold, resolution):
     domain; the rest is built by ``_chord_tables``. Paths with the same
     basis and threshold share the scan, so its tables are built once per
     basis, threshold and resolution, also across models and thresholds
-    built or unpickled separately. ``fields.kept_value`` keeps the slot, so
-    two scans are never alive at once and a scan is held only when it is
-    whole. Every array is read-only.
+    built or unpickled separately. They are kept as the ``"scan"`` entry of
+    ``fields._kept``, through ``fields.kept_value``, so two scans are never
+    alive at once and a scan is held only when it is whole. Every array is
+    read-only.
     """
     # the system's values depend on the basis and the threshold's bits
     # (so -0.0 and 0.0 differ), never on the coefficient variances
@@ -292,7 +288,7 @@ def _scan_tables(model, threshold, resolution):
             array.flags.writeable = False
         return tables
 
-    return kept_value(_scan_slot, 0, key, build)
+    return kept_value(_kept, "scan", key, build)
 
 
 def oracle_beta0(path: SamplePath, threshold: ThresholdFn, resolution: int) -> OracleCount:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample import harness, planner
 
 # one line per acceptance criterion, printed after the test run
 ACCEPTANCE_LINES = []
@@ -36,24 +35,17 @@ def acceptance_record():
 
 
 @pytest.fixture(autouse=True)
-def close_worker_pool():
-    """Close the kept worker pool after each test.
+def forget_kept_state():
+    """Start and end each test with nothing kept: ``ts.forget()`` before and after.
 
-    A pool forked while a test's monkeypatch was active would otherwise
-    carry the patch into later tests.
+    Each test then runs cold, whatever ran before it. A value kept, or a
+    pool forked, while a test's monkeypatch was active would otherwise
+    carry the patch into later tests; the fixture is set up before a
+    test's monkeypatch and torn down after it is undone.
     """
+    ts.forget()
     yield
-    harness._close_pool()
-
-
-@pytest.fixture(autouse=True)
-def forget_planner_integrals():
-    """Empty the planner's kept integrals before each test.
-
-    An integral kept while an earlier test's monkeypatch of ``quadrature``
-    or ``density`` was active would otherwise be read back here.
-    """
-    planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
+    ts.forget()
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 import toposample as ts
-from toposample import planner
 from toposample.fields import sample_coefficients
 from toposample.topology import scan_counts
 
@@ -42,10 +41,6 @@ def test_tracer_installs_and_restores_every_target():
 QUADRATURE = ("quadrature.adaptive_simpson.calls", "quadrature.integrand_points", "quadrature.panels")
 
 
-def _forget_integrals():
-    planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
-
-
 def test_traced_trial_pass_counts_are_repeatable():
     # two traced compare_strategies calls per case, as in the
     # compare_binom5 workload but small: each grid is graded once per
@@ -53,8 +48,8 @@ def test_traced_trial_pass_counts_are_repeatable():
     # the counts unsettled, and every count the benchmark requires to
     # repeat is equal across the calls. At amplitude 1e-6 the periodic
     # paths often have a scan value below the oracle's 1e-9 tolerance.
-    # Each of those traced calls starts with no kept integral, so both
-    # integrate; then a warm pair, in perfbench/run.py's order (an
+    # Each of those traced calls starts from nothing kept (``ts.forget()``),
+    # so both integrate; then a warm pair, in perfbench/run.py's order (an
     # untraced call first), reads both integrals back and repeats a zero
     # quadrature count.
     cases = (
@@ -76,7 +71,7 @@ def test_traced_trial_pass_counts_are_repeatable():
     for model, threshold, m in cases:
         metrics, graded = [], []
         for _ in range(2):
-            _forget_integrals()
+            ts.forget()
             metric, grids = traced()
             metrics.append(metric)
             graded.append(grids)

@@ -1,5 +1,6 @@
 """The README's command line, config file and library examples stay valid,
-and its library API list is the package's ``__all__``."""
+its library API list is the package's ``__all__``, and its list of the
+state a process keeps names every kind of ``fields._kept``."""
 import re
 import shlex
 from pathlib import Path
@@ -52,6 +53,11 @@ def test_readme_config_example_loads(tmp_path):
 def test_readme_library_api_is_the_export_list():
     section = README.split("## Library API", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"`(\w+)`", section)) == set(ts.__all__)
+
+
+def test_readme_kept_state_lists_every_kind():
+    section = README.split("**State a process keeps**", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r'`_kept\["(\w+)"\]`', section)) == set(ts.fields._kept)
 
 
 def test_readme_library_example_runs(capsys):

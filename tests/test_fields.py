@@ -221,7 +221,7 @@ def test_unpickled_models_and_thresholds_keep_read_only_arrays():
         assert back._factor.tobytes() == model._factor.tobytes()
         bits = []
         for each, each_threshold in ((model, threshold), (back, pickle.loads(pickle.dumps(threshold)))):
-            planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
+            ts.forget()
             total, _ = planner.cumulative_weight(each, each_threshold)
             grids = [ts.build_plan(each, each_threshold, s, m=7).grid for s in ("topology", "density")]
             bits.append((total.hex(), *(g.tobytes() for g in grids)))
@@ -607,6 +607,24 @@ def test_threshold_values_equal_polyval_bit_for_bit():
                 got, want = fn(x), polyval(x, coeffs)
                 assert type(got) is type(want)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_threshold_derivatives_equal_polyder_bit_for_bit():
+    # coefficient vectors of every length up to 9, with signed zeros and
+    # magnitudes from 1e-300 to 1e300; a derivative past the last power is
+    # the constant term times 0, a signed zero
+    polyder = np.polynomial.polynomial.polyder
+    rng = np.random.default_rng(27)
+    for size in range(1, 10):
+        coeffs = rng.standard_normal((400, size)) * 10.0 ** rng.integers(-300, 301, (400, size))
+        coeffs[rng.random((400, size)) < 0.2] = 0.0
+        coeffs *= rng.choice([-1.0, 1.0], (400, size))
+        for c in coeffs:
+            thr = ts.ThresholdFn(c)
+            for got, order in ((thr._d1, 1), (thr._d2, 2)):
+                want = polyder(c, order)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_basis_values_are_the_jet_value_rows(cheb5, cosine5, binom5, mode5):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample import harness, planner, quadrature, topology
+from toposample import fields, harness, planner, quadrature, topology
 from toposample.config import ExperimentConfig
 from toposample.errors import ConfigError
 from toposample.harness import (
@@ -315,6 +315,64 @@ def test_custom_basis_defined_after_the_pool_started(binom5, monkeypatch):
     model = ts.custom_model(module.TABLE, (-1.0, 1.0))
     assert _zeros(model, 2) == _zeros(model, 1)
     assert [p.exitcode for p in old_workers] == [0, 0]
+
+
+def _csv_bytes(compare, zeros):
+    buf = io.StringIO()
+    header, _ = experiment_table(compare[0][1])
+    write_csv(buf, header, [experiment_table(result)[1][0] for _, result in compare])
+    write_csv(buf, *zero_count_table(zeros))
+    return buf.getvalue().encode()
+
+
+def _nothing_kept():
+    # every kind, the pool, this thread's scan buffers and the Philox offsets
+    return (
+        set(fields._kept.values()) == {None}
+        and multiprocessing.active_children() == []
+        and all(buffer.size == 0 for buffer in topology._workspace.buffers)
+        and fields._philox_offsets.cache_info().currsize == 0
+    )
+
+
+def test_forget_empties_the_kept_state_and_the_next_calls_rebuild(binom5, monkeypatch):
+    # warm pooled compare and zeros calls keep a scan, two integrals and a
+    # pool; forget() empties them all, and the next calls build the scan
+    # tables and both integrals again, to the warm calls' results and bytes
+    built = []
+
+    def counted(name, fn):
+        return lambda *args: built.append(name) or fn(*args)
+
+    monkeypatch.setattr(topology, "_chord_tables", counted("tables", topology._chord_tables))
+    monkeypatch.setattr(planner, "cumulative_integral", counted("integral", planner.cumulative_integral))
+    threshold = ts.threshold_cubic_shift(0.5)
+
+    def calls():
+        compare = ts.compare_strategies(binom5, threshold, m=7, trials=1100, seed=3, workers=2)
+        zeros = ts.zero_count_experiment(binom5, trials=64, seed=3)
+        return compare, zeros, [result.plan.grid.tobytes() for _, result in compare]
+
+    calls()
+    cold = sorted(built)
+    assert cold == ["integral", "integral", "tables"]
+    warm = calls()
+    assert sorted(built) == cold and len(multiprocessing.active_children()) == 2
+    ts.forget()
+    assert _nothing_kept()
+    built.clear()
+    again = calls()
+    assert sorted(built) == cold
+    assert _csv_bytes(*again[:2]) == _csv_bytes(*warm[:2]) and again[2] == warm[2]
+    assert again[1] == warm[1]
+
+
+def test_forget_with_nothing_kept_does_nothing():
+    # the fixture has forgotten everything; two more calls change nothing
+    assert _nothing_kept()
+    for _ in range(2):
+        ts.forget()
+        assert _nothing_kept()
 
 
 def _count_planner_work(monkeypatch):

@@ -20,11 +20,17 @@ package outside its own body, is exported in ``__all__``, or is a name
 the benchmark's tracer wraps (``perfbench/tracing.TARGETS``): library
 code that only tests call belongs in the tests.
 
-Importing the package, building a Chebyshev-64 model and placing a grid
-from its zero density leave ``numpy.polynomial`` unimported: that is the
-set-up and planning of a run that builds no threshold, and an eager
-import would add to its start-up time. Likewise importing the package and
-its command line leaves the process pool's modules
+Every ``fields.kept_value`` call keeps its value as a kind of the one
+inventory, ``fields._kept``, which ``forget()`` empties, except the grid
+``planner.place_grid`` keeps on its integral: a slot of its own would be
+state that ``forget()`` misses.
+
+Importing the package, building a Chebyshev-64 model, placing a grid
+from its zero density and building every kind of threshold leave
+``numpy.polynomial`` unimported: that is the set-up and planning of a
+run, and an eager import would add to its start-up time. Likewise
+importing the package and its command line, and calling ``forget()``
+with nothing kept, leave the process pool's modules
 (``concurrent.futures.process`` and ``multiprocessing``) unimported: only
 a pooled trial pass needs them.
 """
@@ -95,16 +101,21 @@ def test_no_broad_exception_handlers(path):
     assert _broad_handlers(path) == []
 
 
-def _call_sites(path, name):
-    """Each call of ``name`` in ``path``, as the top-level statement that holds it."""
+def _calls(path, name):
+    """Each call of ``name`` in ``path``, with the top-level statement that holds it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [
-        f"{path.name}:{getattr(statement, 'name', statement.lineno)}"
+        (f"{path.name}:{getattr(statement, 'name', statement.lineno)}", node)
         for statement in tree.body
         for node in ast.walk(statement)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
     ]
+
+
+def _call_sites(path, name):
+    """Each call of ``name`` in ``path``, as the top-level statement that holds it."""
+    return [site for site, _ in _calls(path, name)]
 
 
 def test_one_process_pool_construction():
@@ -114,6 +125,18 @@ def test_one_process_pool_construction():
 
 def test_topology_reads_the_threshold_system_at_one_site():
     assert _call_sites(PACKAGE / "topology.py", "threshold_system") == ["topology.py:_cell_systems"]
+
+
+def test_every_kept_value_is_a_kind_of_the_one_inventory():
+    calls = [
+        (site, ast.unparse(node.args[0]), node.args[1])
+        for path in ALL_MODULES
+        for site, node in _calls(path, "kept_value")
+    ]
+    grids = [site for site, slots, _ in calls if slots == "cumulative.grid_slot"]
+    assert grids == ["planner.py:place_grid"]
+    kinds = [(slots, getattr(kind, "value", None)) for site, slots, kind in calls if site not in grids]
+    assert kinds and all(slots == "_kept" and kind in ts.fields._kept for slots, kind in kinds), kinds
 
 
 def _module_aliases(tree):
@@ -201,8 +224,11 @@ def test_import_and_planning_leave_numpy_polynomial_unloaded():
         "zeros, cumulative = planner._zero_mass(ts.chebyshev_model(64))\n"
         "planner.place_grid(cumulative, zeros, 16)\n"
         "print('numpy.polynomial' in sys.modules)\n"
+        "ts.threshold_zero(), ts.threshold_constant(0.3), ts.threshold_cubic_shift(0.5)\n"
+        "ts.threshold_polynomial([0.1, -0.2, 0.05]).jet(0.5)\n"
+        "print('numpy.polynomial' in sys.modules)\n"
     )
-    assert _run_fresh(script).split() == ["False", "False"]
+    assert _run_fresh(script).split() == ["False", "False", "False"]
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -210,6 +236,7 @@ def test_import_leaves_the_process_pool_unloaded():
         "import sys\n"
         "import toposample\n"
         "import toposample.cli\n"
+        "toposample.forget()\n"
         "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
     )
     assert _run_fresh(script).split() == ["[]"]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import toposample as ts
 from toposample import planner, quadrature
 from toposample.errors import DegenerateDensityError, NonFiniteDensityError
+from toposample.fields import _kept
 from toposample.planner import (
     cumulative_weight,
     expected_zero_count,
@@ -250,7 +251,7 @@ def test_a_warm_plan_inverts_nothing(binom5, monkeypatch):
     monkeypatch.setattr(quadrature.CumulativeIntegral, "inverse", inverse)
     assert _plan_bits(planner._build_plans(binom5, threshold, planner.STRATEGIES, m=7)) == cold
     assert inverted == []
-    planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
+    ts.forget()
     assert _plan_bits(planner._build_plans(binom5, threshold, planner.STRATEGIES, m=7)) == cold
     assert len(inverted) == 2
 
@@ -444,10 +445,6 @@ KEY_MODELS = {
 }
 
 
-def _forget_integrals():
-    planner._integral_slots.update(dict.fromkeys(planner._integral_slots))
-
-
 def _integral_bits(integral):
     total, cumulative = integral
     tables = (cumulative._left, cumulative._right, cumulative._prefix, cumulative._values)
@@ -483,7 +480,7 @@ def test_kept_integrals_recompute_when_a_key_bit_changes(family, monkeypatch):
             warm = _integral_bits(fn(*args))
             assert len(integrals) == before + 1
             assert _integral_bits(fn(*args)) == warm and len(integrals) == before + 1
-            _forget_integrals()
+            ts.forget()
             assert _integral_bits(fn(*args)) == warm
 
 
@@ -492,12 +489,12 @@ def test_an_integral_that_raises_leaves_its_slot_empty(binom5, thr):
     for _ in range(2):
         with pytest.raises(NonFiniteDensityError):
             cumulative_weight(ts.binomial_model(120), thr)
-        assert planner._integral_slots["weight"] is None
+        assert _kept["weight"] is None
     planner._zero_mass(binom5)
     for _ in range(2):
         with pytest.raises(NonFiniteDensityError):
             expected_zero_count(ts.binomial_model(200))
-        assert planner._integral_slots["zeros"] is None
+        assert _kept["zeros"] is None
 
 
 def test_kept_panel_arrays_are_read_only(cheb5, thr):

@@ -11,7 +11,7 @@ import pytest
 
 import toposample as ts
 from toposample import topology
-from toposample.fields import SamplePath, basis_values, threshold_system
+from toposample.fields import SamplePath, _kept, basis_values, threshold_system
 from toposample.topology import (
     admissibility_failure_bound,
     cubical_beta0,
@@ -252,15 +252,15 @@ def _coarse_ends(resolution):
 
 
 def _assert_scan_is_the_oracle(model, threshold, coeffs, resolution):
-    # every row scan_counts settles has the oracle's counts, and the slot
-    # holds the tables of this scan's threshold system, which is returned
+    # every row scan_counts settles has the oracle's counts, and the kept
+    # scan holds the tables of this scan's threshold system, which is returned
     pos, neg, zero_count, settled = topology.scan_counts(model, threshold, coeffs, resolution)
     assert settled.any()
     for j in np.flatnonzero(settled):
         count = oracle_beta0(SamplePath(model, coeffs[j]), threshold, resolution)
         assert (pos[j], neg[j], zero_count[j]) == (count.beta0_pos, count.beta0_neg, count.zero_count)
         assert not count.degenerate
-    points, bounds, coarse, _ = topology._scan_slot[0][1]
+    points, bounds, coarse, _ = _kept["scan"][1]
     xs = np.linspace(*model.domain, resolution)
     system = threshold_system(model, threshold, xs)
     assert points.tobytes() == xs.tobytes()
@@ -283,16 +283,15 @@ def test_scan_basis_is_never_stale(cheb5):
 
 
 def _spy_scan_builders(monkeypatch):
-    # from an empty slot: what the slot holds at every chord-table build,
-    # and the number of points of every system evaluation
+    # what the kept scan holds at every chord-table build (each test starts
+    # with it empty), and the number of points of every system evaluation
     builds, points = [], []
     chord_tables, system = topology._chord_tables, topology.threshold_system
 
     def recording(*args):
-        builds.append(topology._scan_slot[0])
+        builds.append(_kept["scan"])
         return chord_tables(*args)
 
-    monkeypatch.setattr(topology, "_scan_slot", [None])
     monkeypatch.setattr(topology, "_chord_tables", recording)
     monkeypatch.setattr(
         topology,
@@ -311,18 +310,17 @@ def _assert_read_only(*arrays):
 
 def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypatch):
     # the tables of the one scan entry: one build per change of basis,
-    # each into an emptied slot, kept across paths and published whole;
+    # each into an emptied entry, kept across paths and published whole;
     # the oracle leaves the entry alone
     builds, _ = _spy_scan_builders(monkeypatch)
     entries = []
     for model, stream in ((cheb5, 0), (cheb5, 1), (binom5, 0), (binom5, 1), (cheb5, 2)):
         coeffs = ts.fields.sample_coefficients(model, 5, [stream])
         topology.scan_counts(model, thr, coeffs, 640)
-        entries.append(topology._scan_slot[0])
+        entries.append(_kept["scan"])
     assert builds == [None] * 3
     assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, True, False]
-    assert len(topology._scan_slot) == 1
-    key, tables = topology._scan_slot[0]
+    key, tables = _kept["scan"]
     assert len(tables) == 4
     points, bounds, coarse, chord = tables
     xs = np.linspace(*cheb5.domain, 640)
@@ -331,12 +329,12 @@ def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypat
     system = threshold_system(cheb5, thr, xs)
     assert points.tobytes() == xs.tobytes()
     assert np.array_equal(bounds, np.abs(system).max(axis=1))  # zero row: -0.0
-    # 639 steps make nineteen full cells of 32 and a last one of 31
+    # 639 steps make nine full cells of 64 and a last one of 63
     ends = _coarse_ends(640)
     assert coarse.tobytes() == np.ascontiguousarray(system[:, ends]).tobytes()
     assert chord.shape == (cheb5.n_terms + 1, len(ends) - 1) and np.all(chord > 0.0)
     oracle_beta0(ts.sample_path(cheb5, seed=5, stream=3), thr, 640)
-    assert topology._scan_slot[0] is entries[-1]
+    assert _kept["scan"] is entries[-1]
     _assert_read_only(points, bounds, coarse, chord)
 
 
@@ -351,7 +349,7 @@ def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5, monkeypatc
     entries = []
     for model, threshold, stream in runs:
         topology.scan_counts(model, threshold, ts.fields.sample_coefficients(model, 5, [stream]), 640)
-        entries.append(topology._scan_slot[0])
+        entries.append(_kept["scan"])
     assert builds == [None] * 4
     assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, False, True, True, False]
     ends = _coarse_ends(640)
@@ -360,8 +358,7 @@ def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5, monkeypatc
     line_coarse = line_tables[2]
     assert line_coarse[-1].tobytes() == line.value(np.linspace(*binom5.domain, 640)[ends]).tobytes()
     # a degree-0 threshold rides in the product as its own row too
-    assert len(topology._scan_slot) == 1
-    key, (_, bounds, coarse, chord) = topology._scan_slot[0]
+    key, (_, bounds, coarse, chord) = _kept["scan"]
     assert key[1] == ts.threshold_constant(0.3).coeffs.tobytes()
     assert bounds[-1] == 0.3
     # a constant row lies on its chords: only the rounding cover is left
@@ -388,7 +385,7 @@ def _custom_table():
     ],
 )
 def test_equal_bases_share_one_scan_basis(same, build, monkeypatch):
-    # the slot is keyed on what fixes the system's values, not on the
+    # the scan is keyed on what fixes the system's values, not on the
     # model object or its variances, so a kept worker that unpickles a new
     # model for every task builds the tables once; another basis is always
     # rebuilt
@@ -401,13 +398,11 @@ def test_equal_bases_share_one_scan_basis(same, build, monkeypatch):
     builds, _ = _spy_scan_builders(monkeypatch)
     threshold = ts.threshold_zero()
     topology.scan_counts(first, threshold, ts.fields.sample_coefficients(first, 3, range(4)), 513)
-    entry = topology._scan_slot[0]
     other = build()
     assert other is not first
     coeffs = ts.fields.sample_coefficients(other, 3, range(4, 8))
     _assert_scan_is_the_oracle(other, threshold, coeffs, 513)
     assert len(builds) == (1 if same else 2)
-    assert (topology._scan_slot[0] is entry) == same
 
 
 def test_unpickled_tasks_share_one_scan_system(binom5, monkeypatch):
@@ -437,12 +432,11 @@ def test_scan_system_folds_every_threshold_once(binom5, threshold, monkeypatch):
     builds, _ = _spy_scan_builders(monkeypatch)
     coeffs = ts.fields.sample_coefficients(binom5, 4, range(3))
     system = _assert_scan_is_the_oracle(binom5, threshold, coeffs, 640)
-    entry = topology._scan_slot[0]
     xs = np.linspace(*binom5.domain, 640)
     assert system.tobytes() == np.vstack([basis_values(binom5, xs), threshold.value(xs)]).tobytes()
     topology.scan_counts(binom5, threshold, coeffs, 640)
     oracle_beta0(SamplePath(binom5, coeffs[1]), threshold, 640)
-    assert topology._scan_slot[0] is entry and len(builds) == 1
+    assert len(builds) == 1
 
 
 def test_scan_system_is_built_without_a_basis_copy():
@@ -462,8 +456,8 @@ def test_scan_system_is_built_without_a_basis_copy():
 def test_oracle_callers_build_no_chord_table(binom5, monkeypatch):
     # verify_match and the per-path oracle, which the trial engine runs on
     # the rows its scan cannot settle, evaluate their own scan: they build
-    # no table and no threshold system, and leave the scan slot as they
-    # found it, empty or holding another scan's tables
+    # no table and no threshold system, and a scan after them reads back
+    # the tables kept before them
     builds, points = _spy_scan_builders(monkeypatch)
     threshold = ts.threshold_cubic_shift(0.5)
     plan = ts.build_plan(binom5, threshold, "uniform", m=7)
@@ -472,12 +466,15 @@ def test_oracle_callers_build_no_chord_table(binom5, monkeypatch):
         verify_match(ts.sample_path(binom5, 3, 0), threshold, plan, resolution=2048)
         oracle_beta0(ts.sample_path(binom5, 3, 1), threshold, 2048)
 
+    coeffs = ts.fields.sample_coefficients(binom5, 3, range(2))
     call_the_oracle()
-    assert topology._scan_slot == [None] and builds == [] and points == []
-    topology.scan_counts(binom5, threshold, ts.fields.sample_coefficients(binom5, 3, range(2)), 2048)
-    entry, evaluated = topology._scan_slot[0], len(points)
+    assert builds == [] and points == []
+    topology.scan_counts(binom5, threshold, coeffs, 2048)
+    evaluated = len(points)
     call_the_oracle()
-    assert topology._scan_slot[0] is entry and builds == [None] and len(points) == evaluated
+    assert builds == [None] and len(points) == evaluated
+    topology.scan_counts(binom5, threshold, coeffs, 2048)
+    assert builds == [None]
 
 
 def test_scan_counts_never_builds_the_full_system(monkeypatch):
@@ -491,18 +488,17 @@ def test_scan_counts_never_builds_the_full_system(monkeypatch):
         topology.scan_counts(model, threshold, coeffs, resolution)
     assert builds == [None]
     assert points and max(points) * (model.n_terms + 1) <= topology._SCAN_BLOCK_VALUES
-    assert len(topology._scan_slot[0][1]) == 4  # the points and three tables
+    assert len(_kept["scan"][1]) == 4  # the points and three tables
 
 
-def test_chebyshev64_scan_holds_no_full_system(monkeypatch):
-    # four Chebyshev-64 paths at the default 151,552 scan points, from an
-    # empty slot: the full system would be 66 x 151,552 doubles, 76 MiB;
-    # the points and tables are 6.2 MB and each evaluated block 512 KiB
+def test_chebyshev64_scan_holds_no_full_system():
+    # four Chebyshev-64 paths at the default 151,552 scan points, from
+    # nothing kept: the full system would be 66 x 151,552 doubles, 76 MiB;
+    # the points and tables are 3.7 MB and each evaluated block 512 KiB
     model, threshold = ts.chebyshev_model(64), ts.threshold_zero()
     resolution = default_oracle_resolution(model)
     assert resolution == 151552
     coeffs = ts.fields.sample_coefficients(model, 3100, range(4))
-    monkeypatch.setattr(topology, "_scan_slot", [None])
     tracemalloc.start()
     try:
         settled = topology.scan_counts(model, threshold, coeffs, resolution)[3]
@@ -513,16 +509,15 @@ def test_chebyshev64_scan_holds_no_full_system(monkeypatch):
     assert peak < 16e6
 
 
-def test_chebyshev64_fallbacks_keep_no_full_system(monkeypatch):
+def test_chebyshev64_fallbacks_keep_no_full_system():
     # the trial engine on four Chebyshev-64 rows at 151,552 scan points,
     # two of them scaled far below the oracle's tolerance so that they fall
-    # back to it, from an empty slot: each fallback's 79 MB scan is freed
-    # on return, and the slot keeps the 6.2 MB of tables alone
+    # back to it, from nothing kept: each fallback's 79 MB scan is freed
+    # on return, and the kept scan holds the 3.7 MB of tables alone
     model, threshold = ts.chebyshev_model(64), ts.threshold_zero()
     resolution = default_oracle_resolution(model)
     coeffs = ts.fields.sample_coefficients(model, 3100, range(4))
     coeffs[1:3] *= 1e-12
-    monkeypatch.setattr(topology, "_scan_slot", [None])
     tracemalloc.start()
     try:
         ts.harness._chunk_counts(model, threshold, coeffs, resolution)
@@ -530,18 +525,17 @@ def test_chebyshev64_fallbacks_keep_no_full_system(monkeypatch):
     finally:
         tracemalloc.stop()
     assert current < 16e6
-    assert len(topology._scan_slot[0][1]) == 4  # the points and three tables
+    assert len(_kept["scan"][1]) == 4  # the points and three tables
     settled = topology.scan_counts(model, threshold, coeffs, resolution)[3]
     assert settled.tolist() == [True, False, False, True]
 
 
-def test_scan_rejects_a_basis_that_is_not_pointwise(monkeypatch):
+def test_scan_rejects_a_basis_that_is_not_pointwise():
     # a basis measured from the first point of whatever array it is given
     # gives the column two table blocks share two sets of bits
     zero = (np.zeros_like, np.zeros_like, np.zeros_like)
     shifted = (lambda x: x - x[0], np.ones_like, np.zeros_like)
     model = ts.custom_model([(np.ones_like, *zero[1:]), shifted], (0.0, 1.0))
-    monkeypatch.setattr(topology, "_scan_slot", [None])
     coeffs = ts.fields.sample_coefficients(model, 5, range(4))
     with pytest.raises(ValueError, match="not pointwise"):
         topology.scan_counts(model, ts.threshold_zero(), coeffs, 65536)
@@ -549,7 +543,7 @@ def test_scan_rejects_a_basis_that_is_not_pointwise(monkeypatch):
     assert topology.scan_counts(pointwise, ts.threshold_zero(), coeffs, 65536)[3].all()
 
 
-def test_scan_rejects_a_basis_whose_bits_depend_on_array_position(monkeypatch):
+def test_scan_rejects_a_basis_whose_bits_depend_on_array_position():
     # every cell end inside the scan is evaluated twice, as one cell's
     # right end and the next cell's left end, at neighbouring array
     # positions, so a term added at odd positions alone shows even when the
@@ -557,14 +551,13 @@ def test_scan_rejects_a_basis_whose_bits_depend_on_array_position(monkeypatch):
     square = (lambda x: x * x + (np.arange(x.size) % 2) * 1e-13, lambda x: 2.0 * x, np.ones_like)
     table = [(np.ones_like, np.zeros_like, np.zeros_like), (lambda x: x, np.ones_like, np.zeros_like), square]
     model = ts.custom_model(table, (0.0, 1.0))
-    monkeypatch.setattr(topology, "_scan_slot", [None])
     coeffs = ts.fields.sample_coefficients(model, 5, range(4))
     with pytest.raises(ValueError, match="not pointwise"):
         topology.scan_counts(model, ts.threshold_zero(), coeffs, 1000)
 
 
 def test_scan_basis_is_not_built_at_import():
-    code = "from toposample import topology; assert topology._scan_slot == [None]"
+    code = "from toposample import fields; assert set(fields._kept.values()) == {None}"
     # the child imports the same package as this process, installed or not
     env = {**os.environ, "PYTHONPATH": str(Path(ts.__file__).resolve().parent.parent)}
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)

@@ -47,8 +47,9 @@ THRESHOLDS = {
     "cubic_shift": ts.threshold_cubic_shift(0.5),
 }
 # 3 points is the smallest scan (one cell, clamped after two steps); 65
-# points make two cells of 32 steps, and 9000 end in a cell of 7
-RESOLUTIONS = (3, 4, 65, 1000, 4096, 9000)
+# points make one whole cell of 64 steps, 129 two, 66 end in a cell of
+# one step, and 9000 in a cell of 39
+RESOLUTIONS = (3, 4, 65, 66, 129, 1000, 4096, 9000)
 
 
 def _oracle_counts(model, threshold, coeffs, resolution):
@@ -441,11 +442,11 @@ def test_certified_cells_hold_at_their_edges(cell, subcell, family, kind, edge, 
         values += offset * slack[:, None]
         return values, slack
 
+    # the kept scan's key does not hold s, so each width starts from nothing kept
+    ts.forget()
     with pytest.MonkeyPatch.context() as patch:
-        # the slot's key does not hold s, so each width starts from an empty slot
         patch.setattr(topology, "_SCAN_CELL", cell)
         patch.setattr(topology, "_SCAN_SUBCELL", subcell)
-        patch.setattr(topology, "_scan_slot", [None])
         coeffs = sample_coefficients(model, seed, range(paths))
         for push, where in pushed:
             j = where % paths

@@ -679,7 +679,10 @@ _SMALLEST_SUBNORMAL = 2.0 ** -1074
 _SCALE_LIMIT = np.finfo(float).max / 2.0
 # the most multiply-adds one matrix product takes: OpenBLAS runs a product
 # of at most 2^18 on one thread and splits a larger one across threads,
-# which made a 4 x 65 x 8192 product 18 times slower on a busy 2-core host
+# which made a 4 x 65 x 8192 product 18 times slower on a busy 2-core host.
+# blocked_product cuts a wider product into column blocks of all its rows
+# (up to 16), so the 4 x 66 x 2,370 coarse product of four Chebyshev-64
+# paths runs as 3 of 4 x 66 x <= 992 and reads its table once
 _PRODUCT_MULADDS = 1 << 18
 
 
@@ -691,9 +694,11 @@ def fold_coefficients(coeffs):
 def blocked_product(lhs, rhs, out=None):
     """``lhs @ rhs``, in blocks of at most _PRODUCT_MULADDS multiply-adds each.
 
-    A block is whole rows while a row fits; a longer row is split into
-    columns, at most 16 rows by as many columns as fit, so a wide ``rhs``
-    is read once per 16 rows rather than once per row. Given ``out``, a
+    A block is whole rows while 16 of them, or all of ``lhs``, fit;
+    otherwise it is at most 16 rows by as many columns as fit, so a wide
+    ``rhs`` is read once per 16 rows rather than once per row or per few
+    rows. The summation order of a value may change with the blocks, which
+    the rounding slack of ``block_minus_threshold`` covers. Given ``out``, a
     float array of the product's shape, the product is written into it
     and ``out`` returned.
     """
@@ -701,7 +706,7 @@ def blocked_product(lhs, rhs, out=None):
     if out is None:
         out = np.empty((len(lhs), points))
     rows, cols = _PRODUCT_MULADDS // max(1, inner * points), points
-    if rows == 0:
+    if rows < min(len(lhs), 16):
         rows = min(len(lhs), 16)
         cols = max(1, _PRODUCT_MULADDS // max(1, inner * rows))
     for lo in range(0, len(lhs), rows):

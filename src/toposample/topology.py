@@ -78,9 +78,9 @@ def _buffer(slot, shape):
     these, so a warm scan maps no fresh pages. A scan's two passes never
     overlap, so they share the three: the coarse pass of ``scan_counts``
     holds a block's coarse values, certification bounds and smaller end
-    magnitudes in them, the cell pass a system batch (``_cell_systems``,
-    as the table build does), the sub-cells' copied columns and their
-    values (``_cell_values``). A buffer grows to the largest shape asked of it
+    magnitudes in them, the cell pass a system batch and its points
+    (``_cell_systems``, as the table build does) and the sub-cells' values
+    (``_cell_values``). A buffer grows to the largest shape asked of it
     and never shrinks; the array is valid until the next request for the
     same slot in the same thread.
     """
@@ -206,18 +206,20 @@ def _cell_systems(model, threshold, points, cells, width):
     Cell i reads the width + 1 positions i w, ..., i w + w (w = ``width``:
     _SCAN_CELL for the scan's cells, _SCAN_SUBCELL for their sub-cells),
     position p at scan point min(p, R - 1), so the last cell repeats the
-    final scan point where the scan ends first. Yields (lo, system) for
-    consecutive batches of at most _SCAN_BLOCK_VALUES // ((K + 1)(w + 1))
-    cells, ``system[k, c, q]`` being row k at position q of cell
-    ``cells[lo + c]``. Each system is written into this thread's buffer
-    0 (``_buffer``), so it is valid only until the next batch.
+    final scan point where the scan ends first. ``cells`` may repeat and
+    come in any order. Yields (lo, system) for consecutive batches of at
+    most _SCAN_BLOCK_VALUES // ((K + 1)(w + 1)) cells, ``system[k, c, q]``
+    being row k at position q of cell ``cells[lo + c]``. Each system is
+    written into this thread's buffer 0 and its points into buffer 1
+    (``_buffer``), so it is valid only until the next batch.
     """
     rows, positions = model.n_terms + 1, np.arange(width + 1)
     step = max(1, _SCAN_BLOCK_VALUES // (rows * positions.size))
     for lo in range(0, len(cells), step):
         batch = cells[lo : lo + step]
         # mode="clip" reads a position past the last scan point at the last one
-        x = points.take(batch[:, None] * width + positions, mode="clip").ravel()
+        x = _buffer(1, (batch.size, positions.size))
+        x = points.take(batch[:, None] * width + positions, mode="clip", out=x).ravel()
         system = threshold_system(model, threshold, x, out=_buffer(0, (rows, x.size)))
         yield lo, system.reshape(rows, batch.size, positions.size)
 
@@ -429,18 +431,15 @@ def scan_counts(model, threshold: ThresholdFn, coeffs, resolution: int):
             first[block] = above[:, 0]
         cells, rows = np.concatenate(pairs, axis=1)
         pair, q = np.nonzero(_open_subcells(*np.concatenate(bars, axis=1)))
-        # every block's open sub-cells at once, ordered by sub-cell, so that rows share their evaluation
+        # every block's open sub-cells at once, each evaluated for its own row
         subcells = cells[pair] * (_SCAN_CELL // _SCAN_SUBCELL) + q
-        order = np.argsort(subcells, kind="stable")
         changes = np.zeros(paths, dtype=np.int64)
         smallest = np.full(paths, np.inf)
-        for j, values in _cell_values(
-            lhs, model, threshold, points, rows[pair[order]], subcells[order], _SCAN_SUBCELL
-        ):
+        for j, values in _cell_values(lhs, model, threshold, points, rows[pair], subcells, _SCAN_SUBCELL):
             above = values > 0.0
             flips = np.flatnonzero(above[:, 1:] != above[:, :-1]) // (values.shape[1] - 1)
             changes += np.bincount(j[flips], minlength=paths)
-            np.minimum.at(smallest, j, np.abs(values).min(axis=1))
+            np.minimum.at(smallest, j, np.abs(values, out=values).min(axis=1))
     settled = np.isfinite(slack) & (smallest >= _DEGENERATE_TOL + slack)
     return (changes + 1 + first) // 2, (changes + 2 - first) // 2, changes, settled
 
@@ -478,32 +477,21 @@ def _open_subcells(left, right, need):
 def _cell_values(lhs, model, threshold, points, rows, cells, width):
     """u - mu over whole cells of ``width`` steps: cell ``cells[p]`` of row ``rows[p]``, a batch at a time.
 
-    ``cells`` is ascending. Yields (the batch's rows, their values) in the
-    order of the pairs, one row of values per cell at its width + 1
-    positions of ``_cell_systems``, whose clamped positions repeat the
-    final scan point and so add no sign change and no smaller |value|.
-    Each distinct cell is evaluated once; a pair's values are its row of
-    ``lhs`` times a copy of its cell's columns, made for at most a
-    batch's capacity of pairs at a time, so no copy exceeds
-    _SCAN_BLOCK_VALUES values. The copies and the values are written into
-    this thread's buffers 1 and 2 (``_buffer``), so each yielded array is
-    valid only until the next batch.
+    Yields (the batch's rows, their values) in the order of the pairs, one
+    row of values per pair at its cell's width + 1 positions of
+    ``_cell_systems``, whose clamped positions repeat the final scan point
+    and so add no sign change and no smaller |value|. Every pair's cell
+    is evaluated at its own points, so a cell that several rows need is
+    evaluated once per row, to the same bits (the basis is pointwise),
+    and a pair's values are its row of ``lhs`` times its own columns,
+    with nothing copied. The values are written into this thread's
+    buffer 2 (``_buffer``), so each yielded array is valid only until the
+    next batch.
     """
-    # each pair's index among the distinct cells
-    new = np.diff(cells, prepend=-1) != 0
-    distinct, which = cells[new], np.cumsum(new) - 1
-    for lo, system in _cell_systems(model, threshold, points, distinct, width):
-        terms, batch, positions = system.shape
-        step = max(1, _SCAN_BLOCK_VALUES // (terms * positions))
-        first, last = np.searchsorted(which, [lo, lo + batch])
-        for sub in range(first, last, step):
-            part = slice(sub, min(sub + step, last))
-            j = rows[part]
-            # the indices lie in range; mode="raise" would buffer the whole output
-            gather = _buffer(1, (terms, len(j), positions))
-            columns = np.take(system, which[part] - lo, axis=1, out=gather, mode="clip")
-            values = _buffer(2, (len(j), 1, positions))
-            yield j, np.matmul(lhs[j, None, :], columns.transpose(1, 0, 2), out=values)[:, 0]
+    for lo, system in _cell_systems(model, threshold, points, cells, width):
+        j = rows[lo : lo + system.shape[1]]
+        values = _buffer(2, (len(j), 1, system.shape[2]))
+        yield j, np.matmul(lhs[j, None, :], system.transpose(1, 0, 2), out=values)[:, 0]
 
 
 def default_oracle_resolution(model) -> int:

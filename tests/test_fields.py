@@ -477,17 +477,23 @@ def test_block_minus_threshold_splits_large_products(monkeypatch):
     monkeypatch.setattr(np, "matmul", recording)
     got, slack = block_minus_threshold(fold_coefficients(coeffs), system, magnitude_bounds(system))
     monkeypatch.undo()
-    assert [s[0] for s in shapes] == [3, 3, 3, 1]
+    # 3 whole rows fit in 2^18, fewer than the 10 rows, so every block
+    # carries all 10 rows over at most 2^18 / (10 x 66) = 397 columns
+    assert shapes == [(10, 66, 397), (10, 66, 397), (10, 66, 206)]
     assert all(m * k * n <= 1 << 18 for m, k, n in shapes)
     for j, c in enumerate(coeffs):
         assert np.all(np.abs(got[j] - SamplePath(model, c).value(xs)) <= slack[j])
 
 
-def test_blocked_product_splits_a_long_row_by_columns(monkeypatch):
-    # a row over the budget is taken in column blocks of all (at most 16)
-    # rows, which read the wide factor once, not once per row
+@pytest.mark.parametrize("points", [5000, 2370], ids=["over-a-row", "coarse-cheb64"])
+def test_blocked_product_splits_a_long_row_by_columns(points, monkeypatch):
+    # fewer whole rows than the block's (at most 16) fit the budget, so
+    # the product is taken in column blocks of all its rows, which read
+    # the wide factor once, not once per row: a row over the budget, and
+    # the 4 x 66 x 2,370 coarse product of four Chebyshev-64 paths at
+    # 151,552 scan points, where one row fits but two do not
     rng = np.random.default_rng(3)
-    lhs, rhs = rng.normal(size=(4, 66)), rng.normal(size=(66, 5000))
+    lhs, rhs = rng.normal(size=(4, 66)), rng.normal(size=(66, points))
     shapes = []
     matmul = np.matmul
 
@@ -498,7 +504,7 @@ def test_blocked_product_splits_a_long_row_by_columns(monkeypatch):
     monkeypatch.setattr(np, "matmul", recording)
     got = blocked_product(lhs, rhs)
     monkeypatch.undo()
-    assert {s[0] for s in shapes} == {4} and sum(s[2] for s in shapes) == 5000
+    assert {s[0] for s in shapes} == {4} and sum(s[2] for s in shapes) == points
     assert all(m * k * n <= 1 << 18 for m, k, n in shapes)
     assert np.allclose(got, lhs @ rhs, rtol=0.0, atol=1e-12)
 
@@ -731,16 +737,17 @@ POINTWISE_MODELS = {
 )
 def test_threshold_system_is_pointwise(family, resolution, start, length, gathered):
     # the scan evaluates the system on tiles of its points, a block of cells
-    # or the gathered points of scattered cells, and certifies them with
-    # tables built from other tiles: every basis must give each point the
-    # bits it has in the full grid, whatever tile it is evaluated in
+    # or the gathered points of scattered cells, repeated and in any order
+    # (a sub-cell is evaluated once per row that needs it), and certifies
+    # them with tables built from other tiles: every basis must give each
+    # point the bits it has in the full grid, whatever tile it is evaluated in
     model = POINTWISE_MODELS[family]
     threshold = ts.threshold_cubic_shift(0.5)
     xs = np.linspace(*model.domain, resolution)
     full = threshold_system(model, threshold, xs)
     start %= resolution
     if gathered:
-        index = np.unique(np.random.default_rng(start).integers(0, resolution, length))
+        index = np.random.default_rng(start).integers(0, resolution, length)
     else:
         index = np.arange(start, min(start + length, resolution))
     tile = threshold_system(model, threshold, xs[index])

@@ -343,13 +343,30 @@ def test_threads_scanning_at_once_get_their_serial_counts(case):
     assert got == [[counts] * 8 for counts in want]
 
 
+@pytest.mark.parametrize("case", sorted(WORKLOAD_SCANS))
+def test_a_block_scan_is_its_rows_scanned_alone(case):
+    # a row's counts do not depend on the rows it is scanned with: the
+    # block's four arrays equal, byte for byte, those of every row scanned
+    # on its own and stacked, also for a block whose rows repeat, so that
+    # several rows need the same sub-cells
+    model, threshold, paths, resolution = WORKLOAD_SCANS[case]
+    coeffs = sample_coefficients(model, 28, range(paths))
+    alone = [scan_counts(model, threshold, row[None], resolution) for row in coeffs]
+    want = [np.concatenate(arrays) for arrays in zip(*alone)]
+    got = scan_counts(model, threshold, coeffs, resolution)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    repeated = np.repeat(np.arange(paths), 3)[::-1]
+    got = scan_counts(model, threshold, coeffs[repeated], resolution)
+    assert [a.tobytes() for a in got] == [a[repeated].tobytes() for a in want]
+
+
 @pytest.mark.parametrize("case, limit_kib", [("chebyshev64", 256), ("binomial5", 512)])
 def test_a_warm_scan_allocates_no_batch_sized_array(case, limit_kib):
     # once its thread's buffers have served one scan, a scan of the same
     # shape writes every batch-sized temporary (a system batch of up to
-    # 512 KiB, the gathered cells, the block products) into them, so what
-    # it allocates peaks well under one batch (numpy reports its data
-    # buffers to tracemalloc)
+    # 512 KiB and its points, the sub-cells' values, the block products)
+    # into them, so what it allocates peaks well under one batch (numpy
+    # reports its data buffers to tracemalloc)
     model, threshold, paths, resolution = WORKLOAD_SCANS[case]
     coeffs = sample_coefficients(model, 24, range(paths))
     want = [a.tobytes() for a in scan_counts(model, threshold, coeffs, resolution)]

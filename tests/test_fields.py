@@ -485,28 +485,28 @@ def test_block_minus_threshold_splits_large_products(monkeypatch):
         assert np.all(np.abs(got[j] - SamplePath(model, c).value(xs)) <= slack[j])
 
 
-@pytest.mark.parametrize("points", [5000, 2370], ids=["over-a-row", "coarse-cheb64"])
-def test_blocked_product_splits_a_long_row_by_columns(points, monkeypatch):
+def test_blocked_product_splits_a_long_row_by_columns(monkeypatch):
     # fewer whole rows than the block's (at most 16) fit the budget, so
     # the product is taken in column blocks of all its rows, which read
     # the wide factor once, not once per row: a row over the budget, and
     # the 4 x 66 x 2,370 coarse product of four Chebyshev-64 paths at
     # 151,552 scan points, where one row fits but two do not
     rng = np.random.default_rng(3)
-    lhs, rhs = rng.normal(size=(4, 66)), rng.normal(size=(66, points))
-    shapes = []
     matmul = np.matmul
+    for points in (5000, 2370):
+        lhs, rhs = rng.normal(size=(4, 66)), rng.normal(size=(66, points))
+        shapes = []
 
-    def recording(a, b, out=None):
-        shapes.append((a.shape[0], a.shape[1], b.shape[1]))
-        return matmul(a, b, out=out)
+        def recording(a, b, out=None):
+            shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+            return matmul(a, b, out=out)
 
-    monkeypatch.setattr(np, "matmul", recording)
-    got = blocked_product(lhs, rhs)
-    monkeypatch.undo()
-    assert {s[0] for s in shapes} == {4} and sum(s[2] for s in shapes) == points
-    assert all(m * k * n <= 1 << 18 for m, k, n in shapes)
-    assert np.allclose(got, lhs @ rhs, rtol=0.0, atol=1e-12)
+        monkeypatch.setattr(np, "matmul", recording)
+        got = blocked_product(lhs, rhs)
+        monkeypatch.undo()
+        assert {s[0] for s in shapes} == {4} and sum(s[2] for s in shapes) == points
+        assert all(m * k * n <= 1 << 18 for m, k, n in shapes)
+        assert np.allclose(got, lhs @ rhs, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

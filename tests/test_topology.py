@@ -283,7 +283,7 @@ def test_scan_basis_is_never_stale(cheb5):
 
 
 def _spy_scan_builders(monkeypatch):
-    # what the kept scan holds at every chord-table build (each test starts
+    # what the kept scan holds at every table build (each test starts
     # with it empty), and the number of points of every system evaluation
     builds, points = [], []
     chord_tables, system = topology._chord_tables, topology.threshold_system
@@ -322,7 +322,7 @@ def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypat
     assert [a is b for a, b in zip(entries, entries[1:])] == [True, False, True, False]
     key, tables = _kept["scan"]
     assert len(tables) == 4
-    points, bounds, coarse, chord = tables
+    points, bounds, coarse, rho = tables
     xs = np.linspace(*cheb5.domain, 640)
     domain = tuple(v.hex() for v in cheb5.domain)
     assert key == (("chebyshev", 6, domain, None, None), thr.coeffs.tobytes(), 640)
@@ -332,10 +332,10 @@ def test_scan_basis_slot_holds_one_read_only_entry(cheb5, binom5, thr, monkeypat
     # 639 steps make nine full cells of 64 and a last one of 63
     ends = _coarse_ends(640)
     assert coarse.tobytes() == np.ascontiguousarray(system[:, ends]).tobytes()
-    assert chord.shape == (cheb5.n_terms + 1, len(ends) - 1) and np.all(chord > 0.0)
+    assert rho.shape == (cheb5.n_terms + 1, len(ends) - 1) and np.all(rho > 0.0)
     oracle_beta0(ts.sample_path(cheb5, seed=5, stream=3), thr, 640)
     assert _kept["scan"] is entries[-1]
-    _assert_read_only(points, bounds, coarse, chord)
+    _assert_read_only(points, bounds, coarse, rho)
 
 
 def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5, monkeypatch):
@@ -358,12 +358,12 @@ def test_scan_threshold_slot_holds_one_read_only_entry(cheb5, binom5, monkeypatc
     line_coarse = line_tables[2]
     assert line_coarse[-1].tobytes() == line.value(np.linspace(*binom5.domain, 640)[ends]).tobytes()
     # a degree-0 threshold rides in the product as its own row too
-    key, (_, bounds, coarse, chord) = _kept["scan"]
+    key, (_, bounds, coarse, rho) = _kept["scan"]
     assert key[1] == ts.threshold_constant(0.3).coeffs.tobytes()
     assert bounds[-1] == 0.3
-    # a constant row lies on its chords: only the rounding cover is left
-    assert np.all(coarse[-1] == 0.3) and np.all(chord[-1] < 1e-14)
-    _assert_read_only(coarse[-1], bounds, coarse, chord)
+    # a constant row lies on its bent chords: only the rounding cover is left
+    assert np.all(coarse[-1] == 0.3) and np.all(rho[-1] < 1e-14)
+    _assert_read_only(coarse[-1], bounds, coarse, rho)
 
 
 def _custom_table():

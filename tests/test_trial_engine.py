@@ -194,7 +194,7 @@ def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
     # each path is scanned once: one block product of its row (c, -1) with
     # the coarse columns of the scan system, so the threshold rides in the
     # product as one more row, then products of the same row with the
-    # system evaluated at the points of the sub-cells the chord bound does
+    # system evaluated at the points of the sub-cells the two passes do
     # not certify, never more than _SCAN_BLOCK_VALUES system values at a
     # time, for the tables as for the sub-cells; a settled
     # row has the signs of path.value - threshold.value at every point
@@ -281,7 +281,7 @@ def test_scan_rows_are_path_value_minus_threshold(family, monkeypatch):
 )
 def test_scan_computes_a_tenth_of_the_values(model, threshold, resolution, monkeypatch):
     # over 2048 paths, the values computed per path (cell ends, plus the
-    # whole sub-cells the chord bound leaves open) stay under a tenth of
+    # whole sub-cells the certificates leave open) stay under a tenth of
     # the scan, and the scan settles as many rows as a full-resolution
     # scan whose every block value is checked against the settle rule
     coeffs = sample_coefficients(model, 2024, range(2048))
@@ -426,6 +426,7 @@ WIDTHS = [
     pytest.param(8, 8, id="8"),
     pytest.param(32, 8, id="32"),
     pytest.param(64, 8, id="64"),
+    pytest.param(64, 4, id="64-sub4"),
     pytest.param(64, 1, id="64-sub1"),
 ]
 PUSHES = ["first step", "last step", "coarse zero", "sub first step", "sub last step", "sub zero"]
@@ -477,8 +478,10 @@ def test_certified_cells_hold_at_their_edges(cell, subcell, family, kind, edge, 
         assert (pos[j], neg[j], zero_count[j], False) == want[j]
 
 
-def _exact_chord(left, right, w):
-    return Fraction(left) + Fraction(w) * (Fraction(right) - Fraction(left))
+def _exact_bent_chord(left, right, bend, w):
+    # G(w) = left + w (right - left) - w (1 - w) bend / 2, in exact arithmetic
+    left, right, bend, w = (Fraction(v) for v in (left, right, bend, w))
+    return left + w * (right - left) - w * (1 - w) * bend / 2
 
 
 @pytest.mark.parametrize("cell, subcell", WIDTHS)
@@ -488,31 +491,129 @@ def _exact_chord(left, right, w):
         *[st.floats(1e-9, 1e9) | st.floats(0.5, 2.0) for _ in range(2)],
         *[st.booleans() for _ in range(2)],
     ),
+    curve=st.sampled_from((0.0, 1.0, -1.0)) | st.floats(-16.0, 16.0),
     at=st.integers(0, 64),
     scale=st.sampled_from((1.0, 1.0 - 2.0**-52, 0.5, 0.0)),
 )
-def test_certified_subcells_clear_their_bound_in_exact_arithmetic(cell, subcell, ends, at, scale):
-    # the sub-cell certificate in exact rational arithmetic: where the
-    # float chord certifies a sub-cell, the chord through the cell's end
-    # values has one sign at both of the sub-cell's ends and clears the
-    # bound there, so (being linear) all along it. The bound is set to
-    # the float chord's size at one sub-cell end, where dropping the
-    # rounding margin would certify a chord the exact one falls short of
+def test_certified_subcells_clear_their_bound_in_exact_arithmetic(cell, subcell, ends, curve, at, scale):
+    # the sub-cell certificate in exact rational arithmetic. A cell's bound
+    # T may be as small as (1 + 9 u) (A + |D| / 8) (D the cell's bend); where
+    # the float bent chord G(w) = left + w (right - left) - w (1 - w) D / 2
+    # certifies a sub-cell [w0, w1], the exact G has one sign at both ends
+    # and clears A + |D| (w1 - w0)^2 / 8 there, so, as G bulges from its
+    # chord by at most |D| (w1 - w0)^2 / 8, the exact G keeps that sign and
+    # clears A all along the sub-cell, its turning point included. T is set
+    # from the float G's size at one sub-cell end, where dropping the
+    # rounding margin would certify a G the exact one falls short of
     left, right, flip_left, flip_right = ends
     left, right = (-left if flip_left else left), (-right if flip_right else right)
+    bend = curve * max(abs(left), abs(right))
     per_cell = cell // subcell
-    w = np.arange(per_cell + 1) * (subcell / cell)
-    chord = left + w * (right - left)
-    need = scale * abs(chord[at % (per_cell + 1)])
+    width = subcell / cell
+    w = np.arange(per_cell + 1) * width
+    g = w * (right - left) + left - (0.5 * w * (1.0 - w)) * bend
+    bound = scale * abs(g[at % (per_cell + 1)]) + abs(bend) * (0.125 * (1.0 - width * width))
+    # the coarse pass's A holds _DEGENERATE_TOL, so T is never below that plus |D| / 8
+    bound = max(bound, (_DEGENERATE_TOL + 0.125 * abs(bend)) * (1.0 + 2.0**-48))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(topology, "_SCAN_CELL", cell)
         patch.setattr(topology, "_SCAN_SUBCELL", subcell)
-        open_ = topology._open_subcells(np.array([left]), np.array([right]), np.array([need]))[0]
+        open_ = topology._open_subcells(*(np.array([v]) for v in (left, right, bound, bend)))[0]
     assert open_.shape == (per_cell,)
+    u = Fraction(2) ** -53
+    # the largest A that T allows
+    least = Fraction(bound) / (1 + 9 * u) - abs(Fraction(bend)) / 8
+    assert least > _DEGENERATE_TOL
+    bulge = abs(Fraction(bend)) * Fraction(width) ** 2 / 8
     for q in np.flatnonzero(~open_):
-        exact = [_exact_chord(left, right, w[q]), _exact_chord(left, right, w[q + 1])]
+        exact = [_exact_bent_chord(left, right, bend, w[q + e]) for e in (0, 1)]
         assert exact[0] * exact[1] > 0
-        assert min(abs(e) for e in exact) >= Fraction(need)
+        assert min(abs(e) for e in exact) >= least + bulge
+        if bend:  # G's turning point, where it lies inside the sub-cell
+            turn = Fraction(1, 2) - (Fraction(right) - Fraction(left)) / Fraction(bend)
+            if w[q] < turn < w[q + 1]:
+                inside = _exact_bent_chord(left, right, bend, turn)
+                assert inside * exact[0] > 0 and abs(inside) >= least
+
+
+def _exact_bends(coarse):
+    # each cell's bend in exact arithmetic: the mean of the second
+    # differences at its two ends, one-sided at the first and last coarse
+    # points, and 0 with fewer than three coarse points
+    cells = len(coarse) - 1
+    if cells < 2:
+        return [Fraction(0)] * cells
+    second = [coarse[x - 1] - 2 * coarse[x] + coarse[x + 1] for x in range(1, cells)]
+    second = [second[0], *second, second[-1]]
+    return [(second[i] + second[i + 1]) / 2 for i in range(cells)]
+
+
+@pytest.mark.parametrize("kind", sorted(THRESHOLDS))
+@pytest.mark.parametrize("family", sorted(MODELS))
+def test_residual_table_and_certificates_hold_on_small_scans(family, kind, monkeypatch):
+    # at scans of one cell, of two (the second one step long) and of five:
+    # rho bounds every system row's exact residual from its bent chord,
+    # and every cell and sub-cell the scan certifies keeps one per-path
+    # sign and clears 1e-9 + 2 d there, for rows scaled down towards the
+    # tolerance too
+    model, threshold = MODELS[family], THRESHOLDS[kind]
+    s, sub = topology._SCAN_CELL, topology._SCAN_SUBCELL
+    pass_args, computed = [], []
+    cell_pass, cell_values = topology._cell_pass, topology._cell_values
+
+    def recording_pass(*args):
+        pass_args.append(args)
+        return cell_pass(*args)
+
+    def recording_values(lhs, model, threshold, points, rows, which, width):
+        computed.append((rows.copy(), which.copy()))
+        return cell_values(lhs, model, threshold, points, rows, which, width)
+
+    monkeypatch.setattr(topology, "_cell_pass", recording_pass)
+    monkeypatch.setattr(topology, "_cell_values", recording_values)
+    base = sample_coefficients(model, 31, range(8))
+    coeffs = np.concatenate([base, base * 1e-6, base * 1e-8])
+    for resolution in (65, 66, 300):
+        points, bounds, coarse, rho = topology._scan_tables(model, threshold, resolution)
+        system = _scan_system(model, threshold, resolution)
+        ends = _cells(resolution)
+        for k, row in enumerate(system):
+            exact = [Fraction(v) for v in row]
+            bends = _exact_bends([Fraction(v) for v in coarse[k]])
+            for i, (lo, hi) in enumerate(ends):
+                for m in range(lo, lo + s):
+                    t = Fraction(m - lo, s)
+                    bent = exact[lo] + t * (exact[hi] - exact[lo]) - t * (1 - t) * bends[i] / 2
+                    assert abs(bent - exact[min(m, resolution - 1)]) <= rho[k, i]
+        pass_args.clear(), computed.clear()
+        scan_counts(model, threshold, coeffs, resolution)
+        (args,) = pass_args
+        open_cells = set(zip(args[5].tolist(), args[4].tolist()))
+        done = {(j, c) for rows, which in computed for j, c in zip(rows.tolist(), which.tolist())}
+        slack = block_minus_threshold(fold_coefficients(coeffs), coarse, bounds)[1]
+        for j, c in enumerate(coeffs):
+            values = SamplePath(model, c).value(points) - threshold.value(points)
+            spans = [(lo, hi + 1) for i, (lo, hi) in enumerate(ends) if (j, i) not in open_cells]
+            for i in (i for r, i in open_cells if r == j):
+                spans += [
+                    (min(at, resolution - 1), min(at + sub, resolution - 1) + 1)
+                    for q, at in enumerate(range(i * s, i * s + s, sub))
+                    if (j, i * s // sub + q) not in done
+                ]
+            for lo, hi in spans:
+                inside = values[lo:hi]
+                assert np.all(np.sign(inside) == np.sign(inside[0]))
+                assert np.abs(inside).min() >= _DEGENERATE_TOL + 2.0 * slack[j]
+
+
+@pytest.mark.parametrize("kind", sorted(THRESHOLDS))
+@pytest.mark.parametrize("family", sorted(MODELS))
+def test_no_scan_table_entry_is_subnormal(family, kind):
+    # subnormal operands slow the block products many times over; the
+    # residual table's underflow cover is the smallest normal double
+    for resolution in RESOLUTIONS:
+        for table in topology._scan_tables(MODELS[family], THRESHOLDS[kind], resolution):
+            assert not np.any((table != 0.0) & (np.abs(table) < np.finfo(float).tiny))
 
 
 def _min_near(model, threshold, row, resolution, where):

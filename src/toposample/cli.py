@@ -6,6 +6,11 @@ spelled out in full, and ``orthant-check`` rejects a flag its ``--mode``
 does not read. Results go to ``--output`` as CSV or JSON, or to
 stdout when no path is given.
 
+Every command runs through ``main``: it finds the keys the command
+reads, merges the config file with the flags, resolves the
+[experiment] values, calls the command for its ``Table`` and emits it.
+A command neither reads the file nor writes output itself.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (degenerate model, non-finite density, failed factorization), 4 a
 requested validation check did not hold.
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from .config import (
 from .density import density_profile
 from .errors import ConfigError, ToposampleError
 from .harness import (
+    PLAN_COLUMNS,
     compare_strategies,
     emit_table,
     experiment_table,
@@ -79,6 +86,8 @@ COMMAND_KEYS = {
     "scaling": ("family", "p") + _OUT,
     "orthant-check": _MODEL + _THRESHOLD + ("trials", "seed") + _OUT,
 }
+# the [experiment] defaults of a command that differ from ExperimentConfig's
+COMMAND_DEFAULTS = {"scaling": {"p": 0.95}, "orthant-check": {"trials": 100000}}
 
 # the flags each orthant-check mode reads, besides --config and _OUT;
 # a flag given to a mode that does not read it is a configuration error
@@ -92,16 +101,50 @@ _DEFAULT_SPACINGS = "0.0625,0.03125,0.015625,0.0078125,0.00390625,0.001953125"
 _SECTION_OF = {key: section for section, keys in CONFIG_KEYS.items() for key in keys}
 
 
+class Table(NamedTuple):
+    """A command's result: what ``main`` emits and how it exits.
+
+    Every row ends with the cells of ``tail``; ``meta`` joins the command
+    and its config in the JSON meta; ``failure`` names the requested
+    validation check that did not hold (exit 4), or is None.
+    """
+
+    header: list
+    rows: list
+    tail: tuple = ()
+    meta: dict = {}
+    failure: str | None = None
+
+
 def _flag(key):
     return "--threshold" if key == "kind" else "--" + key.replace("_", "-")
 
 
-def _merge_sections(args) -> dict:
-    """Config file sections with command line overrides applied."""
+def _keys_read(args):
+    """The keys and flags ``args.command`` reads; a flag it does not read is a ConfigError.
+
+    The parser offers each command only the flags of ``COMMAND_KEYS``,
+    but ``orthant-check`` reads only those of its ``--mode``.
+    """
+    if args.command != "orthant-check":
+        return COMMAND_KEYS[args.command]
+    reads = _ORTHANT_MODE_FLAGS[args.mode] + _OUT
+    stray = [
+        _flag(key)
+        for key in COMMAND_KEYS["orthant-check"] + ("x", "spacings", "shift")
+        if key not in reads and getattr(args, key) is not None
+    ]
+    if stray:
+        raise ConfigError(f"--mode {args.mode} does not read {', '.join(stray)}")
+    return reads
+
+
+def _merge_sections(args, keys) -> dict:
+    """Config file sections with the flags of the config keys among ``keys`` applied."""
     sections = read_config_file(args.config) if args.config else {}
-    for key in COMMAND_KEYS[args.command]:
+    for key in keys:
         value = getattr(args, key)
-        if value is not None:
+        if value is not None and key in _SECTION_OF:
             sections.setdefault(_SECTION_OF[key], {})[key] = str(value)
     return sections
 
@@ -112,43 +155,26 @@ def _model_threshold(sections):
     return model, threshold
 
 
-def _meta(sections, command):
-    return {"command": command, "config": sections}
-
-
-def cmd_density(args) -> int:
-    sections = _merge_sections(args)
+def cmd_density(args, sections, run) -> Table:
     model, threshold = _model_threshold(sections)
-    run = resolve_experiment(sections, COMMAND_KEYS["density"])
     if args.grid_size < 2:
         raise ConfigError("--grid-size must be at least 2")
-    header, rows = profile_dump(model, threshold, args.grid_size)
-    emit_table(header, rows, run["output"], run["format"], _meta(sections, "density"))
-    return 0
+    return Table(*profile_dump(model, threshold, args.grid_size))
 
 
-def cmd_grid(args) -> int:
-    sections = _merge_sections(args)
+def cmd_grid(args, sections, run) -> Table:
     config = build_experiment_config(sections, COMMAND_KEYS["grid"])
     plan = build_plan(
         config.model, config.threshold, config.strategy, m=config.m, p=config.p
     )
-    header = [
-        "index", "x", "strategy", "m", "total_weight", "bound",
-        "bound_vacuous", "uniform_fallback",
-    ]
     # the plan's own cells are the same on every row, so they are formatted once
-    tail = [plan.strategy, plan.m, plan.total_weight, plan.bound,
-            plan.bound_vacuous, plan.uniform_fallback]
+    columns = PLAN_COLUMNS + ("uniform_fallback",)
     rows = [[i, x] for i, x in enumerate(plan.grid.tolist())]
-    emit_table(header, rows, config.output, config.fmt, _meta(sections, "grid"), tail)
-    return 0
+    return Table(["index", "x", *columns], rows, [getattr(plan, name) for name in columns])
 
 
-def cmd_bound(args) -> int:
-    sections = _merge_sections(args)
+def cmd_bound(args, sections, run) -> Table:
     model, threshold = _model_threshold(sections)
-    run = resolve_experiment(sections, COMMAND_KEYS["bound"])
     m, p = run["m"], run["p"]
     if m is None and p is None:
         raise ConfigError("bound needs --m, --p, or both")
@@ -167,32 +193,26 @@ def cmd_bound(args) -> int:
             peak,
             uniform_bound_samples(peak, model.b - model.a, p),
         ]
-    emit_table(header, [row], run["output"], run["format"], _meta(sections, "bound"))
-    return 0
+    return Table(header, [row])
 
 
-def cmd_experiment(args) -> int:
-    sections = _merge_sections(args)
+def cmd_experiment(args, sections, run) -> Table:
     config = build_experiment_config(sections, COMMAND_KEYS["experiment"])
     result = run_experiment(config)
-    header, rows = experiment_table(result)
-    emit_table(header, rows, config.output, config.fmt, _meta(sections, "experiment"))
+    failure = None
     if config.validate and not result.plan.bound_vacuous:
-        # guarantee applies to each sign's component count separately
-        target = result.plan.bound
-        ok = True
+        # compare each sign's match rate with the plan's leading-order
+        # estimate 1 - K^3/M^2 less 3 SE; the estimate is not a bound, so
+        # at small M and large trial counts a correct run can fail this
         for matched in (result.matches_pos, result.matches_neg):
             rate = matched / result.valid if result.valid else 0.0
             slack = 3.0 * math.sqrt(max(rate * (1.0 - rate), 1e-12) / max(result.valid, 1))
-            ok = ok and rate >= target - slack
-        if not ok:
-            print("validation failed: match rate below guarantee", file=sys.stderr)
-            return 4
-    return 0
+            if rate < result.plan.bound - slack:
+                failure = "match rate more than 3 standard errors below the leading-order estimate"
+    return Table(*experiment_table(result), failure=failure)
 
 
-def cmd_compare(args) -> int:
-    sections = _merge_sections(args)
+def cmd_compare(args, sections, run) -> Table:
     if "strategy" in sections.get("experiment", {}):
         raise ConfigError("compare runs every strategy; remove experiment.strategy")
     config = build_experiment_config(sections, COMMAND_KEYS["compare"])
@@ -206,34 +226,25 @@ def cmd_compare(args) -> int:
         workers=config.workers,
         p=config.p,
     )
-    header, _ = experiment_table(results[0][1])
-    rows = [experiment_table(res)[1][0] for _, res in results]
-    emit_table(header, rows, config.output, config.fmt, _meta(sections, "compare"))
-    return 0
+    tables = [experiment_table(result) for _, result in results]
+    return Table(tables[0][0], [rows[0] for _, rows in tables])
 
 
-def cmd_zeros(args) -> int:
-    sections = _merge_sections(args)
-    model = build_model(sections.get("model", {}))
-    run = resolve_experiment(sections, COMMAND_KEYS["zeros"])
+def cmd_zeros(args, sections, run) -> Table:
     result = zero_count_experiment(
-        model,
+        build_model(sections.get("model", {})),
         run["trials"],
         run["seed"],
         oracle_resolution=run["oracle_resolution"],
         workers=run["workers"],
     )
-    header, rows = zero_count_table(result)
-    emit_table(header, rows, run["output"], run["format"], _meta(sections, "zeros"))
-    if run["validate"]:
-        if not abs(result.mean_zeros - result.expected) <= 4.0 * result.stderr:
-            print("validation failed: mean zero count far from prediction", file=sys.stderr)
-            return 4
-    return 0
+    far = run["validate"] and not abs(result.mean_zeros - result.expected) <= 4.0 * result.stderr
+    return Table(
+        *zero_count_table(result), failure="mean zero count far from prediction" if far else None
+    )
 
 
-def cmd_scaling(args) -> int:
-    sections = _merge_sections(args)
+def cmd_scaling(args, sections, run) -> Table:
     family = _choose(sections.get("model", {}), "model", "family", SIZED_FAMILY_KEYS)
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
@@ -243,39 +254,15 @@ def cmd_scaling(args) -> int:
         raise ConfigError("scaling needs --n-list")
     if min(n_list) < 0:
         raise ConfigError("--n-list sizes must be nonnegative")
-    run = resolve_experiment(sections, COMMAND_KEYS["scaling"], p="0.95")
-    p = run["p"]
-    sections.setdefault("experiment", {})["p"] = str(p)  # the output's meta records the p in use
-    rows_data = scaling_study(family, n_list, p)
-    header = [
-        "n",
-        "expected_zeros",
-        "samples_topology",
-        "samples_uniform",
-        "total_weight",
-    ]
-    rows = [
-        [r.n, r.expected_zeros, r.samples_topology, r.samples_uniform, r.total_weight]
-        for r in rows_data
-    ]
-    emit_table(header, rows, run["output"], run["format"], _meta(sections, "scaling"))
-    return 0
+    # the output's meta records the p in use
+    sections.setdefault("experiment", {})["p"] = str(run["p"])
+    header = ["n", "expected_zeros", "samples_topology", "samples_uniform", "total_weight"]
+    study = scaling_study(family, n_list, run["p"])
+    rows = [[getattr(row, name) for name in header] for row in study]
+    return Table(header, rows)
 
 
-def cmd_orthant_check(args) -> int:
-    reads = _ORTHANT_MODE_FLAGS[args.mode]
-    stray = [
-        _flag(key)
-        for key in COMMAND_KEYS["orthant-check"] + ("x", "spacings", "shift")
-        if key not in reads + _OUT and getattr(args, key) is not None
-    ]
-    if stray:
-        raise ConfigError(f"--mode {args.mode} does not read {', '.join(stray)}")
-    sections = _merge_sections(args)
-    run = resolve_experiment(sections, reads + _OUT, trials="100000")
-    output, fmt = run["output"], run["format"]
-    meta = _meta(sections, "orthant-check")
-
+def cmd_orthant_check(args, sections, run) -> Table:
     if args.mode == "weight":
         if args.shift is None:
             raise ConfigError("weight mode needs --shift")
@@ -290,8 +277,7 @@ def cmd_orthant_check(args) -> int:
         if len(shift) == 3:
             header += ["weight_closed_form", "pair_sum", "pair_identity"]
             row += [orthant_weight_closed3(shift), weight + mirrored, orthant_weight_pair3(shift)]
-        emit_table(header, [row], output, fmt, meta)
-        return 0
+        return Table(header, [row])
 
     model, threshold = _model_threshold(sections)
     x = args.x
@@ -315,12 +301,9 @@ def cmd_orthant_check(args) -> int:
             [s.spacing, *(s.observed[name] for name in EIGEN_QUANTITIES), *s.angles]
             for s in report.steps
         ]
-        meta = dict(meta, predicted=report.predicted, orders=report.orders)
-        emit_table(header, rows, output, fmt, meta)
-        return 0
+        return Table(header, rows, meta={"predicted": report.predicted, "orders": report.orders})
 
     # Monte Carlo crossover probability against the rate prediction
-    trials, seed = run["trials"], run["seed"]
     rate = float(density_profile(model, threshold, x, strict=True).crossover_rate[0])
     header = [
         "x",
@@ -334,7 +317,7 @@ def cmd_orthant_check(args) -> int:
     ]
     rows = []
     for spacing in spacings:
-        est = crossover_probability_mc(model, threshold, x, spacing, trials, seed)
+        est = crossover_probability_mc(model, threshold, x, spacing, run["trials"], run["seed"])
         predicted = rate * spacing**3
         rows.append(
             [
@@ -348,8 +331,7 @@ def cmd_orthant_check(args) -> int:
                 est.estimate / predicted if predicted > 0 else float("nan"),
             ]
         )
-    emit_table(header, rows, output, fmt, meta)
-    return 0
+    return Table(header, rows)
 
 
 _COMMANDS = {
@@ -405,9 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: read its keys, call it, emit its table, map the outcome to an exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        keys = _keys_read(args)
+        sections = _merge_sections(args, keys)
+        run = resolve_experiment(sections, keys, **COMMAND_DEFAULTS.get(args.command, {}))
+        table = args.func(args, sections, run)
+        meta = {"command": args.command, "config": sections, **table.meta}
+        emit_table(table.header, table.rows, run["output"], run["format"], meta, table.tail)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -416,12 +404,13 @@ def main(argv=None) -> int:
         # requested sizes (a resolution, a grid size) make too large
         print(f"config error: the requested sizes do not fit in memory ({exc})", file=sys.stderr)
         return 2
-    except ToposampleError as exc:
+    except (ToposampleError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    if table.failure is None:
+        return 0
+    print(f"validation failed: {table.failure}", file=sys.stderr)
+    return 4
 
 
 if __name__ == "__main__":

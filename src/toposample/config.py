@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -49,17 +49,6 @@ from .fields import (
     threshold_zero,
 )
 from .planner import STRATEGIES
-
-# the keys each config section accepts; each subcommand offers a flag for
-# the keys it reads (cli.COMMAND_KEYS)
-CONFIG_KEYS = {
-    "model": ("family", "n", "amplitudes", "period"),
-    "threshold": ("kind", "tau", "coefficients"),
-    "experiment": (
-        "strategy", "m", "p", "trials", "seed", "oracle_resolution",
-        "workers", "output", "format", "validate",
-    ),
-}
 
 
 def read_config_file(path: str) -> dict[str, dict[str, str]]:
@@ -211,46 +200,37 @@ def _resolution(raw: str, name: str) -> int | None:
     return resolution if resolution > 0 else None
 
 
-# each [experiment] key: parse(raw, name), which also checks the value,
-# and the raw default used when the key is absent (None: value None)
+# each [experiment] key's parse(raw, name), which also checks the value
 _EXPERIMENT_KEYS = {
-    "strategy": (_one_of(STRATEGIES, "unknown strategy {value!r}"), "topology"),
-    "m": (_checked(_need_int, lambda m: m >= 1, "be at least 1"), None),
-    "p": (_checked(_need_float, lambda p: 0.0 <= p < 1.0, "lie in [0, 1)"), None),
-    "trials": (_checked(_need_int, lambda n: n >= 1, "be positive"), "10000"),
+    "strategy": _one_of(STRATEGIES, "unknown strategy {value!r}"),
+    "m": _checked(_need_int, lambda m: m >= 1, "be at least 1"),
+    "p": _checked(_need_float, lambda p: 0.0 <= p < 1.0, "lie in [0, 1)"),
+    "trials": _checked(_need_int, lambda n: n >= 1, "be positive"),
     # the seeds coefficient_rng accepts
-    "seed": (_checked(_need_int, lambda s: 0 <= s < 2**64, "lie in [0, 2^64)"), None),
-    "oracle_resolution": (_resolution, None),
-    "workers": (_checked(_need_int, lambda n: n >= 1, "be at least 1"), "1"),
-    "output": (lambda raw, name: raw, None),
-    "format": (_one_of(("csv", "json"), "{name} must be csv or json"), "csv"),
-    "validate": (lambda raw, name: raw.lower() in ("1", "true", "yes", "on"), "false"),
+    "seed": _checked(_need_int, lambda s: 0 <= s < 2**64, "lie in [0, 2^64)"),
+    "oracle_resolution": _resolution,
+    "workers": _checked(_need_int, lambda n: n >= 1, "be at least 1"),
+    "output": lambda raw, name: raw,
+    "format": _one_of(("csv", "json"), "{name} must be csv or json"),
+    "validate": lambda raw, name: raw.lower() in ("1", "true", "yes", "on"),
 }
 
-
-def resolve_experiment(sections, keys, **defaults) -> dict:
-    """Typed values of the [experiment] keys among ``keys``.
-
-    ``keys`` are the config keys a command reads; the [experiment] keys
-    not among them are neither parsed nor returned. An absent key takes
-    its raw default from ``defaults``, else from the key table. A read
-    seed is required: only commands that draw random paths read it.
-    """
-    exp = sections.get("experiment", {})
-    values = {}
-    for key in keys:
-        if key in _EXPERIMENT_KEYS:
-            parse, default = _EXPERIMENT_KEYS[key]
-            raw = exp.get(key, defaults.get(key, default))
-            values[key] = None if raw is None else parse(raw, f"experiment.{key}")
-    if "seed" in values and values["seed"] is None:
-        raise ConfigError("this command draws random paths; provide --seed")
-    return values
+# the keys each config section accepts; each subcommand offers a flag for
+# the keys it reads (cli.COMMAND_KEYS)
+CONFIG_KEYS = {
+    "model": ("family", "n", "amplitudes", "period"),
+    "threshold": ("kind", "tau", "coefficients"),
+    "experiment": tuple(_EXPERIMENT_KEYS),
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a correctness experiment needs, resolved and typed."""
+    """Everything a correctness experiment needs, resolved and typed.
+
+    Its defaults are those of the absent [experiment] keys; ``fmt`` holds
+    the ``format`` key.
+    """
 
     model: FieldModel
     threshold: ThresholdFn
@@ -264,6 +244,35 @@ class ExperimentConfig:
     output: str | None = None
     fmt: str = "csv"
     validate: bool = False
+
+
+_DEFAULTS = {
+    "format" if field.name == "fmt" else field.name: field.default
+    for field in dataclass_fields(ExperimentConfig)
+}
+
+
+def resolve_experiment(sections, keys, **defaults) -> dict:
+    """Typed values of the [experiment] keys among ``keys``.
+
+    ``keys`` are the config keys a command reads; the [experiment] keys
+    not among them are neither parsed nor returned. An absent key takes
+    the typed default ``defaults[key]``, else its ``ExperimentConfig``
+    field's default. A read seed is required: only commands that draw
+    random paths read it.
+    """
+    exp = sections.get("experiment", {})
+    values = {}
+    for key in keys:
+        if key in _EXPERIMENT_KEYS:
+            raw = exp.get(key)
+            if raw is None:
+                values[key] = defaults.get(key, _DEFAULTS[key])
+            else:
+                values[key] = _EXPERIMENT_KEYS[key](raw, f"experiment.{key}")
+    if "seed" in values and values["seed"] is None:
+        raise ConfigError("this command draws random paths; provide --seed")
+    return values
 
 
 def build_experiment_config(sections: dict[str, dict[str, str]], keys) -> ExperimentConfig:

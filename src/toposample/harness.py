@@ -21,7 +21,7 @@ import os
 import pickle
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -60,6 +60,8 @@ from .topology import (
 )
 
 _TRIAL_CHUNK = 512
+# the plan's columns of a result table, which grid rows end with too
+PLAN_COLUMNS = ("strategy", "m", "total_weight", "bound", "bound_vacuous")
 
 
 @dataclass(frozen=True)
@@ -524,61 +526,14 @@ def _json_cell(v):
 
 
 def experiment_table(result: ExperimentResult) -> tuple[list[str], list[list]]:
-    header = [
-        "strategy",
-        "m",
-        "total_weight",
-        "bound",
-        "bound_vacuous",
-        "trials",
-        "valid",
-        "matches_pos",
-        "matches_neg",
-        "matches_both",
-        "degenerate",
-        "correctness",
-        "stderr",
-        "seed",
-    ]
-    plan = result.plan
-    row = [
-        plan.strategy,
-        plan.m,
-        plan.total_weight,
-        plan.bound,
-        plan.bound_vacuous,
-        result.trials,
-        result.valid,
-        result.matches_pos,
-        result.matches_neg,
-        result.matches_both,
-        result.degenerate,
-        result.correctness,
-        result.stderr,
-        result.seed,
-    ]
-    return header, [row]
+    """One row: the plan's ``PLAN_COLUMNS``, then the other fields of ``result`` in field order."""
+    names = [field.name for field in dataclass_fields(result) if field.name != "plan"]
+    row = [getattr(result.plan, name) for name in PLAN_COLUMNS]
+    return [*PLAN_COLUMNS, *names], [row + [getattr(result, name) for name in names]]
 
 
 def zero_count_table(result: ZeroCountResult) -> tuple[list[str], list[list]]:
-    header = [
-        "trials",
-        "valid",
-        "degenerate",
-        "mean_zeros",
-        "stderr",
-        "expected_zeros",
-        "rel_gap",
-        "seed",
-    ]
-    row = [
-        result.trials,
-        result.valid,
-        result.degenerate,
-        result.mean_zeros,
-        result.stderr,
-        result.expected,
-        result.rel_gap,
-        result.seed,
-    ]
-    return header, [row]
+    """One row of ``result``'s fields in field order, ``expected`` headed ``expected_zeros``."""
+    names = [field.name for field in dataclass_fields(result)]
+    header = ["expected_zeros" if name == "expected" else name for name in names]
+    return header, [[getattr(result, name) for name in names]]

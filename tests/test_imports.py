@@ -13,7 +13,9 @@ The package constructs a ``ProcessPoolExecutor`` at exactly one site,
 the kept worker pool in ``harness``: a second site would start pools
 that its slot neither reuses nor closes. Likewise ``topology`` calls
 ``threshold_system`` at exactly one site, ``_cell_systems``, the one
-function that maps a scan cell to its points.
+function that maps a scan cell to its points. And ``cli`` merges the
+config file with the flags and emits a table at one site each,
+``main``, which runs every command.
 
 Every module-level function and class is referenced somewhere in the
 package outside its own body, is exported in ``__all__``, or is a name
@@ -121,6 +123,11 @@ def _call_sites(path, name):
 def test_one_process_pool_construction():
     sites = [site for path in ALL_MODULES for site in _call_sites(path, "ProcessPoolExecutor")]
     assert len(sites) == 1, sites
+
+
+def test_cli_merges_and_emits_at_one_site():
+    for name in ("_merge_sections", "emit_table"):
+        assert _call_sites(PACKAGE / "cli.py", name) == ["cli.py:main"], name
 
 
 def test_topology_reads_the_threshold_system_at_one_site():

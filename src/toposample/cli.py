@@ -163,7 +163,7 @@ def cmd_density(args, sections, run) -> Table:
 
 
 def cmd_grid(args, sections, run) -> Table:
-    config = build_experiment_config(sections, COMMAND_KEYS["grid"])
+    config = build_experiment_config(sections, run)
     plan = build_plan(
         config.model, config.threshold, config.strategy, m=config.m, p=config.p
     )
@@ -197,7 +197,7 @@ def cmd_bound(args, sections, run) -> Table:
 
 
 def cmd_experiment(args, sections, run) -> Table:
-    config = build_experiment_config(sections, COMMAND_KEYS["experiment"])
+    config = build_experiment_config(sections, run)
     result = run_experiment(config)
     failure = None
     if config.validate and not result.plan.bound_vacuous:
@@ -215,7 +215,7 @@ def cmd_experiment(args, sections, run) -> Table:
 def cmd_compare(args, sections, run) -> Table:
     if "strategy" in sections.get("experiment", {}):
         raise ConfigError("compare runs every strategy; remove experiment.strategy")
-    config = build_experiment_config(sections, COMMAND_KEYS["compare"])
+    config = build_experiment_config(sections, run)
     results = compare_strategies(
         config.model,
         config.threshold,

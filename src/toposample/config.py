@@ -275,18 +275,17 @@ def resolve_experiment(sections, keys, **defaults) -> dict:
     return values
 
 
-def build_experiment_config(sections: dict[str, dict[str, str]], keys) -> ExperimentConfig:
-    """Resolve raw config sections into an ExperimentConfig.
+def build_experiment_config(sections: dict[str, dict[str, str]], values) -> ExperimentConfig:
+    """An ExperimentConfig from the [model] and [threshold] sections and ``values``.
 
-    ``keys`` are the config keys the caller reads (see
-    :func:`resolve_experiment`); unread fields keep their defaults.
-    Exactly one of experiment.m and experiment.p must be present.
+    ``values`` are the typed [experiment] values that
+    :func:`resolve_experiment` returned for the keys the caller reads;
+    unread fields keep their defaults. Exactly one of experiment.m and
+    experiment.p must be present.
     """
     model = build_model(sections.get("model", {}))
     threshold = build_threshold(sections.get("threshold"))
-    values = resolve_experiment(sections, keys)
     if (values.get("m") is None) == (values.get("p") is None):
         raise ConfigError("exactly one of experiment.m and experiment.p is required")
-    if "format" in values:
-        values["fmt"] = values.pop("format")
+    values = {"fmt" if key == "format" else key: value for key, value in values.items()}
     return ExperimentConfig(model=model, threshold=threshold, **values)

@@ -47,8 +47,6 @@ import numpy as np
 
 from .errors import FactorizationError, NonFiniteDensityError
 
-FAMILIES = ("chebyshev", "cosine", "periodic", "binomial", "unit", "custom")
-
 # relative slack for domain membership checks
 _DOMAIN_TOL = 1e-9
 # positive-semidefiniteness tolerance, relative to the largest variance
@@ -313,46 +311,40 @@ def custom_model(basis_table, domain, variances=None, covariance=None) -> FieldM
     )
 
 
-# Each family has a value function (model, x, b0) that fills the
-# (n_terms, len(x)) array b0 its caller passes in and returns it, a
-# first-derivative function (model, x, b0) -> b1 and a second-derivative
-# function (model, x, b0, b1) -> b2, so callers that need fewer
-# derivatives skip the rest of the work, and the values can be written
-# straight into a larger table.
+# Each family has one jet function (model, x, b0, order) that fills the
+# (n_terms, len(x)) array b0 its caller passes in with the basis values
+# and returns the list [b0, b1, ..., b_order] of the values and their
+# first ``order`` derivatives, order 0, 1 or 2. A caller that needs fewer
+# derivatives asks for a lower order and skips the rest of the work, and
+# the values can be written straight into a larger table. ``_jets`` is
+# the one reader of the family table.
 
 
 # each power is the one below it times x, so a point's values depend on
 # that point alone: np.power rounds differently on short arrays than on
 # long ones, which would make a tile of points differ from the same points
-# of a longer grid. The row loops here take each table's rows once, as a
-# list of views: indexing a row costs more than the arithmetic of a short
-# one
-def _monomial_values(model, x, b0):
+# of a longer grid. The d-th derivative of x^k is k!/(k - d)! x^(k - d).
+# The row loops here take each table's rows once, as a list of views:
+# indexing a row costs more than the arithmetic of a short one
+def _monomial_jets(model, x, b0, order):
     b0[0] = 1.0
     p = list(b0)
     for k in range(1, model.n_terms):
         np.multiply(p[k - 1], x, out=p[k])
-    return b0
+    jets = [b0]
+    for d in range(1, order + 1):
+        jets.append(np.zeros_like(b0))
+        rows = list(jets[d])
+        for k in range(d, model.n_terms):
+            np.multiply(float(math.perm(k, d)), p[k - d], out=rows[k])
+    return jets
 
 
-def _monomial_d1(model, x, b0):
-    b1 = np.zeros_like(b0)
-    p, d = list(b0), list(b1)
-    for k in range(1, model.n_terms):
-        np.multiply(float(k), p[k - 1], out=d[k])
-    return b1
-
-
-def _monomial_d2(model, x, b0, b1):
-    b2 = np.zeros_like(b0)
-    p, dd = list(b0), list(b2)
-    for k in range(2, model.n_terms):
-        np.multiply(k * (k - 1.0), p[k - 2], out=dd[k])
-    return b2
-
-
-# T_k = 2x T_{k-1} - T_{k-2}, each row written in place with 2x formed once
-def _chebyshev_values(model, x, b0):
+# T_k = 2x T_{k-1} - T_{k-2}, each row written in place with 2x formed
+# once, and its derivatives T_k^(d) = 2x T_{k-1}^(d) + 2d T_{k-1}^(d-1)
+# - T_{k-2}^(d): finite at the endpoints, unlike differentiating
+# cos(k arccos x)
+def _chebyshev_jets(model, x, b0, order):
     b0[0] = 1.0
     if model.n_terms > 1:
         b0[1] = x
@@ -360,37 +352,21 @@ def _chebyshev_values(model, x, b0):
     for k in range(2, model.n_terms):
         np.multiply(x2, t[k - 1], out=t[k])
         np.subtract(t[k], t[k - 2], out=t[k])
-    return b0
-
-
-# three-term recurrences for T_k' and T_k''; finite at the endpoints,
-# unlike differentiating cos(k arccos x)
-def _chebyshev_d1(model, x, b0):
-    b1 = np.empty_like(b0)
-    b1[0] = 0.0
-    if model.n_terms > 1:
-        b1[1] = 1.0
-    x2, term = 2.0 * x, np.empty_like(x)
-    t, d = list(b0), list(b1)
-    for k in range(2, model.n_terms):
-        np.multiply(2.0, t[k - 1], out=term)
-        np.multiply(x2, d[k - 1], out=d[k])
-        np.add(term, d[k], out=d[k])
-        np.subtract(d[k], d[k - 2], out=d[k])
-    return b1
-
-
-def _chebyshev_d2(model, x, b0, b1):
-    b2 = np.empty_like(b0)
-    b2[:2] = 0.0
-    x2, term = 2.0 * x, np.empty_like(x)
-    d, dd = list(b1), list(b2)
-    for k in range(2, model.n_terms):
-        np.multiply(4.0, d[k - 1], out=term)
-        np.multiply(x2, dd[k - 1], out=dd[k])
-        np.add(term, dd[k], out=dd[k])
-        np.subtract(dd[k], dd[k - 2], out=dd[k])
-    return b2
+    jets = [b0]
+    if order:
+        term = np.empty_like(x)
+    for d in range(1, order + 1):
+        jets.append(np.empty_like(b0))
+        lower, rows = list(jets[d - 1]), list(jets[d])
+        jets[d][:2] = 0.0
+        if d == 1:
+            jets[1][1:2] = 1.0  # T_1' = 1
+        for k in range(2, model.n_terms):
+            np.multiply(2.0 * d, lower[k - 1], out=term)
+            np.multiply(x2, rows[k - 1], out=rows[k])
+            np.add(term, rows[k], out=rows[k])
+            np.subtract(rows[k], rows[k - 2], out=rows[k])
+    return jets
 
 
 def _reduce_half_turns(t):
@@ -403,82 +379,56 @@ def _reduce_half_turns(t):
     return 1.0 - 2.0 * parity, np.pi * (t - n)
 
 
-def _cosine_values(model, x, b0):
+def _cosine_jets(model, x, b0, order):
     k = np.arange(model.n_terms, dtype=float)[:, None]
     sign, angle = _reduce_half_turns(k * x[None, :])
-    return np.multiply(sign, np.cos(angle), out=b0)
+    jets = [np.multiply(sign, np.cos(angle), out=b0)]
+    if order >= 1:
+        jets.append(-(k * np.pi) * (sign * np.sin(angle)))
+    if order == 2:
+        jets.append(-((k * np.pi) ** 2) * b0)
+    return jets
 
 
-def _cosine_d1(model, x, b0):
-    k = np.arange(model.n_terms, dtype=float)[:, None]
-    sign, angle = _reduce_half_turns(k * x[None, :])
-    return -(k * np.pi) * (sign * np.sin(angle))
-
-
-def _cosine_d2(model, x, b0, b1):
-    k = np.arange(model.n_terms, dtype=float)[:, None]
-    return -((k * np.pi) ** 2) * b0
-
-
-def _periodic_values(model, x, b0):
+def _periodic_jets(model, x, b0, order):
     # rows: 1, then the cosine and sine waves of each frequency k >= 1
-    b0[0] = 1.0
+    jets = [b0] + [np.empty_like(b0) for _ in range(order)]
+    for d, rows in enumerate(jets):
+        rows[0] = 0.0 if d else 1.0
     tx = x / model.period
     for k in range(1, (model.n_terms + 1) // 2):
         sign, angle = _reduce_half_turns((2.0 * k) * tx)
-        b0[2 * k - 1] = sign * np.cos(angle)
-        b0[2 * k] = sign * np.sin(angle)
-    return b0
+        i, w = 2 * k - 1, 2.0 * np.pi * k / model.period
+        b0[i] = sign * np.cos(angle)
+        b0[i + 1] = sign * np.sin(angle)
+        if order >= 1:
+            jets[1][i], jets[1][i + 1] = -w * b0[i + 1], w * b0[i]
+        if order == 2:
+            jets[2][i : i + 2] = -(w ** 2) * b0[i : i + 2]
+    return jets
 
 
-def _periodic_d1(model, x, b0):
-    b1 = np.empty_like(b0)
-    b1[0] = 0.0
-    for k in range(1, (model.n_terms + 1) // 2):
-        w = 2.0 * np.pi * k / model.period
-        i = 2 * k - 1
-        b1[i], b1[i + 1] = -w * b0[i + 1], w * b0[i]
-    return b1
+def _custom_jets(model, x, b0, order):
+    jets = [b0] + [np.empty_like(b0) for _ in range(order)]
+    for k, entry in enumerate(model.basis_table):
+        for rows, f in zip(jets, entry):
+            rows[k] = f(x)
+    return jets
 
 
-def _periodic_d2(model, x, b0, b1):
-    b2 = np.empty_like(b0)
-    b2[0] = 0.0
-    for k in range(1, (model.n_terms + 1) // 2):
-        w = 2.0 * np.pi * k / model.period
-        i = 2 * k - 1
-        b2[i], b2[i + 1] = -(w ** 2) * b0[i], -(w ** 2) * b0[i + 1]
-    return b2
-
-
-def _custom_values(model, x, b0):
-    for k, (f, _, _) in enumerate(model.basis_table):
-        b0[k] = f(x)
-    return b0
-
-
-def _custom_d1(model, x, b0):
-    b1 = np.empty_like(b0)
-    for k, (_, df, _) in enumerate(model.basis_table):
-        b1[k] = df(x)
-    return b1
-
-
-def _custom_d2(model, x, b0, b1):
-    b2 = np.empty_like(b0)
-    for k, (_, _, ddf) in enumerate(model.basis_table):
-        b2[k] = ddf(x)
-    return b2
-
-
-_BASIS_ROWS = {
-    "chebyshev": (_chebyshev_values, _chebyshev_d1, _chebyshev_d2),
-    "cosine": (_cosine_values, _cosine_d1, _cosine_d2),
-    "periodic": (_periodic_values, _periodic_d1, _periodic_d2),
-    "binomial": (_monomial_values, _monomial_d1, _monomial_d2),
-    "unit": (_monomial_values, _monomial_d1, _monomial_d2),
-    "custom": (_custom_values, _custom_d1, _custom_d2),
+_BASIS_JETS = {
+    "chebyshev": _chebyshev_jets,
+    "cosine": _cosine_jets,
+    "periodic": _periodic_jets,
+    "binomial": _monomial_jets,
+    "unit": _monomial_jets,
+    "custom": _custom_jets,
 }
+FAMILIES = tuple(_BASIS_JETS)
+
+
+def _jets(model, x, b0, order):
+    return _BASIS_JETS[model.family](model, x, b0, order)
 
 
 def _domain_points(model, x):
@@ -493,27 +443,26 @@ def basis_values(model: FieldModel, x) -> np.ndarray:
     The first array of :func:`basis_jets`, without the derivative work.
     """
     x = _domain_points(model, x)
-    return _BASIS_ROWS[model.family][0](model, x, np.empty((model.n_terms, x.size)))
+    return _jets(model, x, np.empty((model.n_terms, x.size)), 0)[0]
 
 
 def basis_jets(model: FieldModel, x, order: int = 2) -> tuple[np.ndarray, ...]:
     """Values and the first ``order`` derivatives of every basis function.
 
-    ``order`` is 1 or 2; returns ``order + 1`` arrays of shape
+    ``order`` is 0, 1 or 2; returns ``order + 1`` arrays of shape
     (n_terms, len(x)), values first.
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     x = _domain_points(model, x)
-    values, first, second = _BASIS_ROWS[model.family]
-    b0 = values(model, x, np.empty((model.n_terms, x.size)))
-    b1 = first(model, x, b0)
-    return (b0, b1) if order == 1 else (b0, b1, second(model, x, b0, b1))
+    return tuple(_jets(model, x, np.empty((model.n_terms, x.size)), order))
 
 
 def threshold_system(model: FieldModel, threshold: ThresholdFn, x, out=None) -> np.ndarray:
     """Basis values with the threshold's values as one more row, shape (n_terms + 1, len(x)).
 
-    The family's value function writes the basis rows in place, so
-    ``system[:-1]`` holds the bits of ``basis_values(model, x)`` and no
+    The family's jet function writes the basis rows in place at order 0,
+    so ``system[:-1]`` holds the bits of ``basis_values(model, x)`` and no
     basis is copied; ``system[-1]`` is ``threshold.value(x)``. So u - mu
     of the path with coefficients c is the product of (c, -1) with the
     system, and ``c @ system[:-1] - system[-1]`` is bit for bit
@@ -522,7 +471,7 @@ def threshold_system(model: FieldModel, threshold: ThresholdFn, x, out=None) -> 
     """
     x = _domain_points(model, x)
     system = np.empty((model.n_terms + 1, x.size)) if out is None else out
-    _BASIS_ROWS[model.family][0](model, x, system[:-1])
+    _jets(model, x, system[:-1], 0)
     system[-1] = threshold.value(x)
     return system
 

@@ -180,12 +180,17 @@ _pool_lock = threading.RLock()
 def _pool_map(tasks, processes, basis_table):
     """``_trial_chunk`` over ``tasks`` on the kept pool, results in task order.
 
-    The first call starts the pool and later calls with the same key
-    reuse it, so its workers stay warm. A pool that breaks is closed and
-    the error raised, unless it was kept from an earlier call: a worker
-    can die between calls, and the tasks then run once more on a new pool.
+    The first call of a process starts the pool and later calls with the
+    same key (worker count, process id, custom basis table) reuse it, so
+    its workers stay warm; a custom basis defined after the pool forked
+    gets a pool forked after it. The pool stays open until ``forget()``
+    closes it or the process exits. The pool's modules (``concurrent.futures.process``,
+    and with it ``multiprocessing``) are imported by that first call, so
+    importing the package or its command line, or a one-worker run, never
+    loads them. A pool that breaks is closed and the error raised, unless
+    it was kept from an earlier call: a worker can die between calls, and
+    the tasks then run once more on a new pool.
     """
-    # the pool's modules (multiprocessing among them) load on the first pooled pass only
     from concurrent.futures import process
 
     key = (processes, os.getpid(), basis_table)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample import planner, quadrature
+from toposample import config, planner, quadrature
 from toposample.cli import _ORTHANT_MODE_FLAGS, _OUT, COMMAND_KEYS, main
 from toposample.config import CONFIG_KEYS
 
@@ -233,6 +233,26 @@ def test_experiment_validate_failure_exit_code(capsys):
         "--validate",
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("command", ["grid", "experiment", "compare"])
+def test_experiment_keys_are_parsed_once_per_run(capsys, monkeypatch, command):
+    parses = []
+
+    def counted(key, parse):
+        def parse_and_count(raw, name):
+            parses.append(key)
+            return parse(raw, name)
+        return parse_and_count
+
+    for key in ("m", "trials"):
+        monkeypatch.setitem(config._EXPERIMENT_KEYS, key, counted(key, config._EXPERIMENT_KEYS[key]))
+    argv = [command, "--family", "chebyshev", "--n", "3", "--m", "6"]
+    if command != "grid":
+        argv += ["--trials", "2", "--seed", "1"]
+    code, _, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sorted(parses) == (["m"] if command == "grid" else ["m", "trials"])
 
 
 def test_experiment_missing_seed_is_config_error(capsys):

@@ -10,6 +10,7 @@ from toposample.config import (
     build_model,
     build_threshold,
     read_config_file,
+    resolve_experiment,
 )
 from toposample.errors import ConfigError
 
@@ -122,12 +123,16 @@ SEEDED = CONFIG_KEYS["experiment"]
 UNSEEDED = tuple(key for key in SEEDED if key != "seed")
 
 
+def _experiment_config(sections, keys):
+    return build_experiment_config(sections, resolve_experiment(sections, keys))
+
+
 def test_build_experiment_config():
     sections = {
         "model": {"family": "chebyshev", "n": "5"},
         "experiment": {"trials": "500", "seed": "3", "p": "0.9", "workers": "2"},
     }
-    config = build_experiment_config(sections, SEEDED)
+    config = _experiment_config(sections, SEEDED)
     assert config.model.family == "chebyshev"
     assert config.p == 0.9 and config.m is None
     assert config.trials == 500 and config.seed == 3 and config.workers == 2
@@ -137,34 +142,34 @@ def test_build_experiment_config():
 def test_build_experiment_config_errors():
     base = {"model": {"family": "chebyshev", "n": "4"}}
     with pytest.raises(ConfigError):
-        build_experiment_config({**base, "experiment": {"seed": "1"}}, SEEDED)
+        _experiment_config({**base, "experiment": {"seed": "1"}}, SEEDED)
     with pytest.raises(ConfigError):
-        build_experiment_config(
+        _experiment_config(
             {**base, "experiment": {"seed": "1", "m": "4", "p": "0.9"}}, SEEDED
         )
     with pytest.raises(ConfigError):
-        build_experiment_config({**base, "experiment": {"m": "0", "seed": "1"}}, SEEDED)
+        _experiment_config({**base, "experiment": {"m": "0", "seed": "1"}}, SEEDED)
     with pytest.raises(ConfigError):
-        build_experiment_config({**base, "experiment": {"p": "1.0", "seed": "1"}}, SEEDED)
+        _experiment_config({**base, "experiment": {"p": "1.0", "seed": "1"}}, SEEDED)
     with pytest.raises(ConfigError):
-        build_experiment_config(
+        _experiment_config(
             {**base, "experiment": {"m": "4", "trials": "0", "seed": "1"}}, SEEDED
         )
     with pytest.raises(ConfigError):
-        build_experiment_config(
+        _experiment_config(
             {**base, "experiment": {"m": "4", "strategy": "sideways"}}, UNSEEDED
         )
     with pytest.raises(ConfigError):
-        build_experiment_config(
+        _experiment_config(
             {**base, "experiment": {"m": "4", "format": "xml"}}, UNSEEDED
         )
     with pytest.raises(ConfigError):
-        build_experiment_config(
+        _experiment_config(
             {**base, "experiment": {"m": "4", "workers": "0"}}, UNSEEDED
         )
     for resolution in ("1", "2"):
         with pytest.raises(ConfigError):
-            build_experiment_config(
+            _experiment_config(
                 {**base, "experiment": {"m": "4", "oracle_resolution": resolution}}, UNSEEDED
             )
 
@@ -176,7 +181,7 @@ def test_every_experiment_key_has_one_parse():
 def test_validate_flag_parsing():
     base = {"model": {"family": "chebyshev", "n": "4"}}
     for raw, want in (("true", True), ("1", True), ("on", True), ("false", False), ("no", False)):
-        config = build_experiment_config(
+        config = _experiment_config(
             {**base, "experiment": {"m": "4", "validate": raw}}, UNSEEDED
         )
         assert config.validate is want

@@ -9,7 +9,7 @@ import pytest
 
 import toposample as ts
 from toposample.cli import COMMAND_KEYS, build_parser, main
-from toposample.config import build_experiment_config, read_config_file
+from toposample.config import build_experiment_config, read_config_file, resolve_experiment
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -45,7 +45,8 @@ def test_readme_config_example_loads(tmp_path):
     (text,) = _blocks("ini")
     path = tmp_path / "run.ini"
     path.write_text(text, encoding="utf-8")
-    config = build_experiment_config(read_config_file(str(path)), COMMAND_KEYS["experiment"])
+    sections = read_config_file(str(path))
+    config = build_experiment_config(sections, resolve_experiment(sections, COMMAND_KEYS["experiment"]))
     assert config.model.family == "chebyshev"
     assert (config.m, config.trials, config.seed) == (8, 10000, 7)
 

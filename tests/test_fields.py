@@ -544,10 +544,34 @@ def test_first_order_jet_is_the_full_jet_prefix(cheb5, cosine5, binom5, mode5):
         assert list(first) == ["x", "r00", "r10", "r11", "minor33"]
         for key, value in first.items():
             assert value.tobytes() == full[key].tobytes()
-        first_jets = basis_jets(model, xs, order=1)
-        assert len(first_jets) == 2
-        for got, want in zip(first_jets, basis_jets(model, xs)):
-            assert got.tobytes() == want.tobytes()
+        full_jets = basis_jets(model, xs)
+        for order in (0, 1):
+            jets = basis_jets(model, xs, order=order)
+            assert len(jets) == order + 1
+            for got, want in zip(jets, full_jets):
+                assert got.tobytes() == want.tobytes()
+        # the jet functions stop at the second derivative
+        with pytest.raises(ValueError, match="order"):
+            basis_jets(model, xs, order=3)
+
+
+def test_trig_families_reduce_half_turns_once_per_frequency(monkeypatch):
+    calls, reduce_half_turns = [], fields._reduce_half_turns
+
+    def counted(t):
+        calls.append(t.shape)
+        return reduce_half_turns(t)
+
+    monkeypatch.setattr(fields, "_reduce_half_turns", counted)
+    cosine, periodic = ts.cosine_model(5), ts.periodic_model([0.5, 1.0, 0.25, 2.0])
+    xs = np.linspace(0.0, 1.0, 33)
+    for order in (0, 1, 2):
+        calls.clear()
+        basis_jets(cosine, xs, order=order)
+        assert calls == [(6, 33)]
+        calls.clear()
+        basis_jets(periodic, xs, order=order)
+        assert calls == [(33,)] * 3
 
 
 def test_threshold_functions():
@@ -658,9 +682,9 @@ SYSTEM_MODELS = {
 @pytest.mark.parametrize("points", [3, 513, 9000])
 @pytest.mark.parametrize("family", sorted(SYSTEM_MODELS))
 def test_threshold_system_holds_the_basis_bits(family, points):
-    # the basis rows are written in place by the same value function, so
-    # they are byte for byte the basis values and the jet's value rows;
-    # the last row is the threshold's values
+    # the basis rows are written in place by the family's one jet
+    # function at order 0, so they are byte for byte the basis values and
+    # the jet's value rows; the last row is the threshold's values
     model = SYSTEM_MODELS[family]
     xs = np.linspace(*model.domain, points)
     threshold = ts.threshold_cubic_shift(0.5)

@@ -15,7 +15,10 @@ that its slot neither reuses nor closes. Likewise ``topology`` calls
 ``threshold_system`` at exactly one site, ``_cell_systems``, the one
 function that maps a scan cell to its points. And ``cli`` merges the
 config file with the flags and emits a table at one site each,
-``main``, which runs every command.
+``main``, which runs every command. The family table of basis jet
+functions, ``fields._BASIS_JETS``, is subscripted at one site,
+``fields._jets``, so values, jets and the scan system take their rows
+from one function per family.
 
 Every module-level function and class is referenced somewhere in the
 package outside its own body, is exported in ``__all__``, or is a name
@@ -132,6 +135,17 @@ def test_cli_merges_and_emits_at_one_site():
 
 def test_topology_reads_the_threshold_system_at_one_site():
     assert _call_sites(PACKAGE / "topology.py", "threshold_system") == ["topology.py:_cell_systems"]
+
+
+def test_fields_reads_the_family_table_at_one_site():
+    sites = [
+        f"{path.name}:{getattr(statement, 'name', statement.lineno)}"
+        for path in ALL_MODULES
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "_BASIS_JETS"
+    ]
+    assert sites == ["fields.py:_jets"]
 
 
 def test_every_kept_value_is_a_kind_of_the_one_inventory():

@@ -206,7 +206,7 @@ _EXPERIMENT_KEYS = {
     "m": _checked(_need_int, lambda m: m >= 1, "be at least 1"),
     "p": _checked(_need_float, lambda p: 0.0 <= p < 1.0, "lie in [0, 1)"),
     "trials": _checked(_need_int, lambda n: n >= 1, "be positive"),
-    # the seeds coefficient_rng accepts
+    # the seeds a Philox stream key accepts (fields._check_key_part)
     "seed": _checked(_need_int, lambda s: 0 <= s < 2**64, "lie in [0, 2^64)"),
     "oracle_resolution": _resolution,
     "workers": _checked(_need_int, lambda n: n >= 1, "be at least 1"),

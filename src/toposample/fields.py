@@ -40,8 +40,10 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
+import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -404,7 +406,9 @@ def _periodic_jets(model, x, b0, order):
         if order >= 1:
             jets[1][i], jets[1][i + 1] = -w * b0[i + 1], w * b0[i]
         if order == 2:
-            jets[2][i : i + 2] = -(w ** 2) * b0[i : i + 2]
+            # a float64, so that w^2 of a tiny period overflows to inf, as
+            # the arrays do, where a Python float raises OverflowError
+            jets[2][i : i + 2] = -(np.float64(w) ** 2) * b0[i : i + 2]
     return jets
 
 
@@ -703,25 +707,14 @@ def block_minus_threshold(lhs, system, bounds, out=None):
 
 
 def _check_key_part(name, v):
+    """``v`` as an int in [0, 2^64): TypeError unless it is an integer, ValueError outside."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {v!r}") from None
     if not 0 <= v < 2**64:
         raise ValueError(f"{name} must lie in [0, 2^64), got {v}")
-
-
-def _philox_key(seed: int, stream: int) -> np.ndarray:
-    _check_key_part("seed", seed)
-    _check_key_part("stream", stream)
-    return np.array([seed, stream], dtype=np.uint64)
-
-
-def coefficient_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, stream).
-
-    Distinct streams are independent, and the draw for a given pair does
-    not depend on evaluation order, which keeps parallel trial loops
-    schedule-invariant. Seed and stream must lie in [0, 2^64), so that
-    no two pairs share a generator; anything else raises ValueError.
-    """
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+    return v
 
 
 class _PhiloxTail(ctypes.Structure):
@@ -750,80 +743,99 @@ _PhiloxKey = ctypes.c_uint64 * 2
 # empty, zeroed buffer
 _ZERO_COUNTER = (ctypes.c_uint64 * 4)()
 _FRESH_TAIL = _PhiloxTail(buffer_pos=4)
+# the key a thread's generator is built with, two distinct nonzero words,
+# so that no view of the key or the counter read in the other's place
+# passes the check
+_CHECK_KEY = (1, 2)
 
 
-@cache
-def _philox_offsets() -> tuple[int, int, int] | None:
-    """Offsets of a Philox generator's state, counter and key from ``id(bitgen)``.
+class _Local(threading.local):
+    """What each thread keeps between calls: the scan's work buffers and its generator.
 
-    Found once per process from one probe generator: its ``philox_state``
-    through the public ``bitgen.ctypes.state_address``, the counter and
-    key through the struct's own pointers. All three are members of the
-    generator object, so the offsets hold for every Philox of the
-    process, and finding them per call would cost more than the draws of
-    a short block. None when a pointer leads outside the object, which
-    is then never followed.
+    ``buffers`` are the block scan's three batch buffers
+    (``topology._buffer``). ``draw`` is None until the thread's first draw
+    (``_thread_draw``), then its Philox generator's state, counter and key
+    views and the generator's ``standard_normal``, which holds the
+    generator alive as long as the views are. ``forget()`` resets the
+    calling thread's with ``__init__``, as a new thread starts with them.
     """
-    probe = np.random.Philox(0)
-    base, size = id(probe), type(probe).__basicsize__
-    address = probe.ctypes.state_address
-    state = _PhiloxState.from_address(address)
-    offsets = tuple(p - base for p in (address, state.ctr or 0, state.key or 0))
-    ends = (ctypes.sizeof(_PhiloxState), 32, 16)
-    if not all(0 <= offset <= size - end for offset, end in zip(offsets, ends)):
-        return None
-    return offsets
+
+    def __init__(self):
+        self.buffers = [np.empty(0)] * 3
+        self.draw = None
 
 
-def _philox_struct(bitgen, seed: int):
-    """The state, counter and key stream word of ``bitgen``, freshly keyed to (seed, 0).
+_local = _Local()
 
-    Raises RuntimeError unless they read as numpy keyed them: key
-    (seed, 0), a zero counter and an empty buffer. The three are views
-    into ``bitgen`` that do not keep it alive, so the caller holds it
-    while it writes through them.
+
+def _thread_draw():
+    """This thread's Philox generator, as ``(state, counter, key, standard_normal)``.
+
+    Built on the thread's first draw and kept in ``_local.draw``. Its
+    ``philox_state`` is read through numpy's public
+    ``bitgen.ctypes.state_address``, the counter and key through the
+    struct's own pointers, which are followed only when they lie inside
+    the generator object. Raises RuntimeError before any draw unless
+    they do and the views read what numpy keyed: key ``_CHECK_KEY``, a
+    zero counter and an empty buffer.
     """
-    offsets = _philox_offsets()
-    if offsets is not None:
-        base = id(bitgen)
-        state = _PhiloxState.from_address(base + offsets[0])
-        counter = _PhiloxCounter.from_address(base + offsets[1])
-        key = _PhiloxKey.from_address(base + offsets[2])
-        if key[:] == [seed, 0] and counter.words[:] == [0, 0, 0, 0] and state.tail.buffer_pos == 4:
-            return state, counter, ctypes.c_uint64.from_address(base + offsets[2] + 8)
+    if _local.draw is not None:
+        return _local.draw
+    bitgen = np.random.Philox(key=_CHECK_KEY)
+    base, size = id(bitgen), type(bitgen).__basicsize__
+    state = _PhiloxState.from_address(bitgen.ctypes.state_address)
+    if all(base <= p <= base + size - n for p, n in ((state.ctr or 0, 32), (state.key or 0, 16))):
+        counter = _PhiloxCounter.from_address(state.ctr)
+        key = _PhiloxKey.from_address(state.key)
+        fresh = counter.words[:] == [0, 0, 0, 0] and state.tail.buffer_pos == 4
+        if fresh and tuple(key) == _CHECK_KEY:
+            _local.draw = state, counter, key, np.random.Generator(bitgen).standard_normal
+            return _local.draw
     raise RuntimeError(
         f"numpy {np.__version__}'s Philox state does not have the layout "
-        "sample_coefficients re-keys in place"
+        "the generator is re-keyed through"
     )
+
+
+def _normals(seed: int, streams, size: int) -> np.ndarray:
+    """Standard normals of the Philox streams (seed, s) for s in ``streams``, ``size`` per row.
+
+    Row j is bit for bit ``Generator(Philox(key=(seed, streams[j])))
+    .standard_normal(size)``, and a seed or stream that is not an integer
+    in [0, 2^64) raises its TypeError or ValueError before anything is
+    drawn. The thread's one generator (``_thread_draw``) serves every row.
+    Philox is counter-based, so moving the generator to stream s only
+    writes its key (seed, s), a zero counter and an empty buffer in place
+    into numpy's ``philox_state`` (the seed word once per call, the rest
+    before each draw), which then holds what a generator freshly keyed to
+    (seed, s) holds, at a fraction of the cost of building one or setting
+    its state dict.
+    """
+    seed = _check_key_part("seed", seed)
+    streams = list(streams)
+    if streams and not (
+        set(map(type, streams)) == {int} and min(streams) >= 0 and max(streams) < 2**64
+    ):
+        streams = [_check_key_part("stream", stream) for stream in streams]
+    state, counter, key, draw = _thread_draw()
+    out = np.empty((len(streams), size))
+    key[0] = seed
+    for row, stream in zip(out, streams):
+        key[1] = stream
+        counter.words = _ZERO_COUNTER
+        state.tail = _FRESH_TAIL
+        draw(out=row)
+    return out
 
 
 def sample_coefficients(model: FieldModel, seed: int, streams) -> np.ndarray:
     """Coefficient vectors of the paths (seed, s) for s in ``streams``, one row each.
 
-    Row j is bit for bit the draw of ``coefficient_rng(seed, streams[j])``
-    times the model's covariance factor, and a seed or stream outside
-    [0, 2^64) raises its ValueError before anything is drawn. One
-    generator serves every row. Philox is counter-based, so moving it to
-    stream s only writes the key's stream word, a zero counter and an
-    empty buffer: before each draw these are written in place into
-    numpy's ``philox_state``, which then holds what a generator freshly
-    keyed to (seed, s) holds, at a fraction of the cost of setting its
-    state dict. The struct is checked once the generator is keyed, and a
-    layout other than the one written raises RuntimeError before any draw.
+    Row j is the standard normals of the Philox stream (seed, streams[j])
+    (``_normals``, which gives their bits and checks) times the model's
+    covariance factor.
     """
-    streams = list(streams)
-    bitgen = np.random.Philox(key=_philox_key(seed, 0))
-    if streams and not (min(streams) >= 0 and max(streams) < 2**64):
-        for stream in streams:
-            _check_key_part("stream", stream)
-    state, counter, key_word = _philox_struct(bitgen, seed)
-    draw = np.random.Generator(bitgen).standard_normal
-    out = np.empty((len(streams), model.n_terms))
-    for row, stream in zip(out, streams):
-        key_word.value = stream
-        counter.words = _ZERO_COUNTER
-        state.tail = _FRESH_TAIL
-        draw(out=row)
+    out = _normals(seed, streams, model.n_terms)
     factor = model._factor
     if factor.ndim == 1:
         out *= factor

@@ -34,7 +34,7 @@ from .fields import (
     SamplePath,
     ThresholdFn,
     _kept,
-    _philox_offsets,
+    _local,
     block_minus_threshold,
     fold_coefficients,
     magnitude_bounds,
@@ -52,7 +52,6 @@ from .planner import (
     expected_zero_count,
 )
 from .topology import (
-    _workspace,
     cubical_beta0,
     default_oracle_resolution,
     oracle_beta0,
@@ -225,16 +224,16 @@ def forget():
 
     That is every kind of ``fields._kept`` (the scan tables and the two
     planner integrals, each integral with its last grid), the worker
-    pool, which is shut down, the calling thread's scan work buffers and
-    the Philox offsets. Results do not change: the next call builds what
-    it needs again, as a process's first call does. Another thread's
-    buffers stay until that thread ends, and a call that runs meanwhile
-    in another thread may keep its value again.
+    pool, which is shut down, and what the calling thread keeps in
+    ``fields._local``: its scan work buffers and its Philox generator.
+    Results do not change: the next call builds what it needs again, as
+    a process's first call does. Another thread's buffers and generator
+    stay until that thread ends, and a call that runs meanwhile in
+    another thread may keep its value again.
     """
     _kept.update(dict.fromkeys(_kept))
     _close_pool()
-    _workspace.__init__()  # this thread's buffers, as a new thread starts with them
-    _philox_offsets.cache_clear()
+    _local.__init__()  # as a new thread starts
 
 
 def _experiment_result(plan, trials, seed, valid, counts) -> ExperimentResult:

@@ -22,8 +22,8 @@ from .errors import NondegeneracyError, NonFiniteDensityError, NotPositiveDefini
 from .fields import (
     FieldModel,
     ThresholdFn,
+    _normals,
     basis_values,
-    coefficient_rng,
     correlation,
     jet_tables,
 )
@@ -340,13 +340,19 @@ def eigen_expansion_check(
                 for j in range(3)
             ]
         )
-        observed = (
-            w[0] / d ** 4, w[1] / d ** 2, w[2], np.prod(w) / d ** 6,
-            proj[0] / d ** 2, proj[1] / d, proj[2],
-        )
-        steps.append(
-            EigenStep(d, angles, {k: float(v) for k, v in zip(EIGEN_QUANTITIES, observed)})
-        )
+        # at a tiny spacing d^4 or d^6 underflows, and its ratio is not finite
+        with np.errstate(all="ignore"):
+            observed = dict(zip(EIGEN_QUANTITIES, map(float, (
+                w[0] / d ** 4, w[1] / d ** 2, w[2], np.prod(w) / d ** 6,
+                proj[0] / d ** 2, proj[1] / d, proj[2],
+            ))))
+        bad = [name for name, v in observed.items() if not math.isfinite(v)]
+        if bad:
+            raise NonFiniteDensityError(
+                f"observed {', '.join(bad)} not finite at spacing {d:g}; "
+                "a power of the spacing leaves double precision"
+            )
+        steps.append(EigenStep(d, angles, observed))
 
     ds = [s.spacing for s in steps]
     orders = {}
@@ -373,9 +379,10 @@ def crossover_probability_from(
 ) -> CrossoverEstimate:
     """Estimate P(double crossover) for a given three-point model.
 
-    Trials are drawn in fixed-size chunks, one counter-based stream per
-    chunk, so the count is reproducible under any parallel split of the
-    chunks.
+    Trials are drawn in fixed-size chunks, chunk c from the Philox
+    stream (seed, c) (``fields._normals``, which raises for a seed that
+    is not an integer in [0, 2^64)), so the count is reproducible under
+    any parallel split of the chunks.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -385,7 +392,7 @@ def crossover_probability_from(
     n_chunks = (trials + _MC_CHUNK - 1) // _MC_CHUNK
     for chunk in range(n_chunks):
         count = min(_MC_CHUNK, trials - chunk * _MC_CHUNK)
-        z = coefficient_rng(seed, chunk).standard_normal((3, count))
+        z = _normals(seed, [chunk], 3 * count).reshape(3, count)
         vals = chol @ z - tau[:, None]
         hits += int(np.count_nonzero(double_crossover(*vals)))
     p = hits / trials

@@ -22,7 +22,7 @@ import numpy as np
 
 from .density import _CROSSOVER_FRACTION as _CROSSOVER_FRACTION_OF_DENSITY
 from .density import density_profile, zero_density
-from .errors import DegenerateDensityError
+from .errors import DegenerateDensityError, NonFiniteDensityError
 from .fields import (
     FAMILY_BUILDERS,
     FieldModel,
@@ -189,15 +189,22 @@ def uniform_bound_samples(peak_rate: float, length: float, p: float) -> int:
 
     ``peak_rate`` is the maximum of the crossover rate (3/4 of the
     sampling density) over the domain; the bound it yields is
-    1 - (4/3) peak_rate length^3 / M^2.
+    1 - (4/3) peak_rate length^3 / M^2. A count that is not finite, as
+    when length^3 overflows, raises NonFiniteDensityError.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("target probability must lie in [0, 1)")
     if peak_rate < 0.0:
         raise ValueError("peak rate must be nonnegative")
-    m = math.ceil(
-        math.sqrt(4.0 * peak_rate * length ** 3 / (3.0 * (1.0 - p))) - 1e-12
-    )
+    try:
+        m = math.ceil(
+            math.sqrt(4.0 * peak_rate * length ** 3 / (3.0 * (1.0 - p))) - 1e-12
+        )
+    except OverflowError:
+        raise NonFiniteDensityError(
+            f"the uniform sample count for p={p:g} over length {length:g} is not finite; "
+            "it overflows double precision"
+        ) from None
     return max(m, 1)
 
 

@@ -16,7 +16,6 @@ double crossover in a cell.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +26,7 @@ from .fields import (
     SamplePath,
     ThresholdFn,
     _kept,
+    _local,
     basis_key,
     block_minus_threshold,
     blocked_product,
@@ -60,21 +60,12 @@ _SCAN_BLOCK_VALUES = 1 << 16
 _SMALLEST_NORMAL = 2.0 ** -1022
 
 
-class _Workspace(threading.local):
-    """The block scan's three batch buffers, one set per thread, kept while the thread lives."""
-
-    def __init__(self):
-        self.buffers = [np.empty(0)] * 3
-
-
-_workspace = _Workspace()
-
-
 def _buffer(slot, shape):
     """This thread's float buffer ``slot`` (0, 1 or 2), as a C-contiguous array of ``shape``.
 
     Every batch-sized temporary of the block scan is written into one of
-    these, so a warm scan maps no fresh pages. A scan's two passes never
+    the three, kept per thread in ``fields._local``, so a warm scan maps
+    no fresh pages. A scan's two passes never
     overlap, so they share the three: the coarse pass (``_coarse_pass``)
     holds a block's coarse values, certification bounds and bends in
     them, the cell pass (``_cell_pass``) a system batch and its points
@@ -84,9 +75,9 @@ def _buffer(slot, shape):
     same slot in the same thread.
     """
     size = math.prod(shape)
-    flat = _workspace.buffers[slot]
+    flat = _local.buffers[slot]
     if flat.size < size:
-        flat = _workspace.buffers[slot] = np.empty(size)
+        flat = _local.buffers[slot] = np.empty(size)
     return flat[:size].reshape(shape)
 
 

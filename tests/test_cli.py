@@ -585,13 +585,17 @@ def test_eigen_mode_layout(capsys):
         ),
         ("density", "--family", "binomial", "--n", "2000"),
         ("scaling", "--family", "binomial", "--n-list", "4,1000000000000000"),
+        ("orthant-check", *CHEB5, "--mode", "eigen", "--spacings", "1e-100"),
     ],
-    ids=["bound", "density", "eigen", "variances", "variances_huge_n"],
+    ids=["bound", "density", "eigen", "variances", "variances_huge_n", "eigen_spacing_underflow"],
 )
 def test_overflowing_jet_is_numerical_error(capsys, argv):
     # the correlation jet of binomial n >= 103 overflows double precision at
     # x = -3, and from n = 1030 on the variances themselves; those are
-    # checked before any is formed, so a huge n fails at once
+    # checked before any is formed, so a huge n fails at once. At spacing
+    # 1e-100 the eigen ratios' d^4 and d^6 underflow instead; an error
+    # exits with no table and, as the suite turns warnings into errors,
+    # with no RuntimeWarning
     code, out, err = _run(capsys, *argv)
     assert code == 3
     assert out == ""

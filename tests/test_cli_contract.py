@@ -141,6 +141,12 @@ def _exit_code(argv):
           "--seed", "7", "--oracle-resolution", "3", "--validate", "--format", "json"])
 @example(["zeros", "--family", "cosine", "--n", "5", "--trials", "8", "--seed", "0",
           "--oracle-resolution", "3", "--validate"])
+# three argvs whose numbers overflow double precision, each an exit 3: a
+# periodic second derivative (w^2 for a tiny period) and the uniform
+# count of `bound --p` (length^3 for a long domain)
+@example(["density", "--family", "periodic", "--amplitudes", "0,1,1", "--period", "1e-200"])
+@example(["grid", "--family", "periodic", "--amplitudes", "1,1", "--period", "1e-300", "--m", "3"])
+@example(["bound", "--family", "periodic", "--amplitudes", "0,1,1", "--period", "1e120", "--p", "0.9"])
 def test_every_argv_ends_in_a_documented_exit_code(argv):
     code, err = _exit_code(argv)
     assert code in (0, 2, 3, 4), (code, err)

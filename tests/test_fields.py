@@ -1,6 +1,8 @@
 """Basis jets, correlation jets, sample paths, thresholds."""
 import ctypes
 import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,6 @@ from toposample.fields import (
     basis_values,
     block_minus_threshold,
     blocked_product,
-    coefficient_rng,
     correlation,
     fold_coefficients,
     jet_tables,
@@ -267,33 +268,11 @@ def test_sample_path_evaluation(binom5):
     assert path.value(xs) == pytest.approx(want, rel=1e-13)
 
 
-def test_coefficient_rng_streams():
-    a = coefficient_rng(123, 0).standard_normal(4)
-    b = coefficient_rng(123, 0).standard_normal(4)
-    c = coefficient_rng(123, 1).standard_normal(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
-@pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 1])
-def test_coefficient_rng_rejects_values_outside_64_bits(bad):
-    # masking to 64 bits made seed 2^64 + 1 draw seed 1's paths
-    with pytest.raises(ValueError, match="seed must lie in"):
-        coefficient_rng(bad, 0)
-    with pytest.raises(ValueError, match="stream must lie in"):
-        coefficient_rng(1, bad)
-
-
-def test_coefficient_rng_keeps_the_key_of_every_64_bit_seed():
-    for seed, stream in ((0, 0), (1, 7), (2**64 - 1, 2**64 - 1)):
-        key = np.array([seed, stream], dtype=np.uint64)
-        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(3)
-        assert coefficient_rng(seed, stream).standard_normal(3).tobytes() == want.tobytes()
-
-
 def _draw(model, seed, stream):
-    # one path's draw as coefficient_rng gives it, scaled by the factor
-    z = coefficient_rng(seed, stream).standard_normal(model.n_terms)
+    # one path's draw from a generator freshly keyed to (seed, stream),
+    # scaled by the factor
+    key = np.array([seed, stream], dtype=np.uint64)
+    z = np.random.Generator(np.random.Philox(key=key)).standard_normal(model.n_terms)
     factor = model._factor
     return factor * z if factor.ndim == 1 else factor @ z
 
@@ -314,7 +293,17 @@ def test_sample_coefficients_are_the_per_path_draws(cheb5, binom5):
     assert sample_coefficients(cheb5, 1, []).shape == (0, cheb5.n_terms)
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64])
+@pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 1])
+def test_coefficient_rng_rejects_values_outside_64_bits(cheb5, bad):
+    # the coefficient generator's key is checked where one path is drawn;
+    # masking to 64 bits would make seed 2^64 + 1 draw seed 1's paths
+    with pytest.raises(ValueError, match="seed must lie in"):
+        ts.sample_path(cheb5, bad, 0)
+    with pytest.raises(ValueError, match="stream must lie in"):
+        ts.sample_path(cheb5, 1, bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 2**64 + 1])
 def test_sample_coefficients_rejects_values_outside_64_bits(cheb5, bad):
     with pytest.raises(ValueError, match="stream must lie in"):
         sample_coefficients(cheb5, 1, [0, 1, bad])
@@ -334,6 +323,28 @@ def test_sample_coefficients_names_the_first_bad_stream(cheb5, monkeypatch):
     with pytest.raises(ValueError, match="seed must lie in"):
         sample_coefficients(cheb5, -1, [2**64])
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "seed, streams, name",
+    [(1.5, [0], "seed"), (2.0, [0], "seed"), (np.float64(2), [0], "seed"), (2, [1, 0.5], "stream")],
+)
+def test_a_seed_or_stream_that_is_not_an_integer_raises_before_any_draw(
+    cheb5, seed, streams, name, monkeypatch
+):
+    built = []
+    monkeypatch.setattr(np.random, "Generator", lambda *args: built.append(args))
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        sample_coefficients(cheb5, seed, streams)
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        ts.sample_path(cheb5, seed, streams[-1])
+    assert built == []
+
+
+def test_numpy_integers_and_bools_draw_their_stream(cheb5):
+    for seed, stream in ((np.uint64(2**64 - 1), np.int64(3)), (np.int32(7), True), (False, np.uint8(2))):
+        row = sample_coefficients(cheb5, seed, [stream])[0]
+        assert row.tobytes() == _draw(cheb5, int(seed), int(stream)).tobytes()
 
 
 def _state_fields(state):
@@ -375,6 +386,10 @@ def test_every_reset_leaves_a_freshly_keyed_state(cheb5, seed, monkeypatch):
         assert _state_fields(state) == _state_fields(fresh)
 
 
+class _KeyAndCounterSwapped(ctypes.Structure):
+    _fields_ = [("key", ctypes.c_void_p), ("ctr", ctypes.c_void_p), ("tail", fields._PhiloxTail)]
+
+
 class _TailOneWordLate(ctypes.Structure):
     _fields_ = [
         ("ctr", ctypes.c_void_p),
@@ -384,37 +399,89 @@ class _TailOneWordLate(ctypes.Structure):
     ]
 
 
-def _misread(how, monkeypatch):
-    state, counter, key = fields._philox_offsets()
-    if how == "pointer_outside_the_object":
-        monkeypatch.setattr(fields, "_philox_offsets", lambda: None)
-    elif how == "key_and_counter_swapped":
-        monkeypatch.setattr(fields, "_philox_offsets", lambda: (state, key, counter))
-    else:
-        monkeypatch.setattr(fields, "_PhiloxState", _TailOneWordLate)
+# read one word late, both "pointers" are the buffer position and the
+# buffer's first word, neither of them inside the generator
+class _PointersOneWordLate(ctypes.Structure):
+    _fields_ = [("pad", ctypes.c_uint64 * 2), ("ctr", ctypes.c_void_p), ("key", ctypes.c_void_p)]
 
 
-@pytest.mark.parametrize(
-    "how", ["pointer_outside_the_object", "key_and_counter_swapped", "tail_one_word_late"]
-)
+_MISREAD = {
+    "pointer_outside_the_object": _PointersOneWordLate,
+    "key_and_counter_swapped": _KeyAndCounterSwapped,
+    "tail_one_word_late": _TailOneWordLate,
+}
+
+
+@pytest.mark.parametrize("how", sorted(_MISREAD))
 def test_a_misread_philox_layout_raises_before_any_draw(cheb5, how, monkeypatch):
+    # the thread's generator is checked when it is built, on its first
+    # draw, and a misread raises before any Generator is built
     built = []
-    _misread(how, monkeypatch)
+    monkeypatch.setattr(fields, "_PhiloxState", _MISREAD[how])
     monkeypatch.setattr(np.random, "Generator", lambda *args: built.append(args))
     with pytest.raises(RuntimeError, match="Philox state does not have the layout"):
         sample_coefficients(cheb5, 5, [0, 1])
-    assert built == []
+    assert built == [] and fields._local.draw is None
 
 
-def test_the_layout_probe_follows_no_pointer_outside_the_object(monkeypatch):
-    # read one word late, both "pointers" are the buffer position and
-    # the buffer's first word, neither of them inside the generator
-    class PointersOneWordLate(ctypes.Structure):
-        _fields_ = [("pad", ctypes.c_uint64 * 2), ("ctr", ctypes.c_void_p), ("key", ctypes.c_void_p)]
+def test_the_layout_probe_follows_no_pointer_outside_the_object(cheb5, monkeypatch):
+    followed = []
 
-    assert fields._philox_offsets() is not None
-    monkeypatch.setattr(fields, "_PhiloxState", PointersOneWordLate)
-    assert fields._philox_offsets.__wrapped__() is None
+    class Spy:
+        def __init__(self, real):
+            self.real = real
+
+        def from_address(self, address):
+            followed.append(address)
+            return self.real.from_address(address)
+
+    monkeypatch.setattr(fields, "_PhiloxCounter", Spy(fields._PhiloxCounter))
+    monkeypatch.setattr(fields, "_PhiloxKey", Spy(fields._PhiloxKey))
+    sample_coefficients(cheb5, 5, [0])
+    assert len(followed) == 2
+    followed.clear()
+    ts.forget()
+    monkeypatch.setattr(fields, "_PhiloxState", _PointersOneWordLate)
+    with pytest.raises(RuntimeError, match="Philox state does not have the layout"):
+        sample_coefficients(cheb5, 5, [0])
+    assert followed == []
+
+
+def test_a_thread_builds_its_generator_once(cheb5, monkeypatch):
+    built = []
+    real = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda **kw: built.append(kw) or real(**kw))
+    for seed in range(3):
+        sample_coefficients(cheb5, seed, range(4))
+    assert len(built) == 1
+
+
+def test_threads_drawing_at_once_get_the_per_path_bits(cheb5):
+    # each thread keeps its own generator: four threads re-keying and
+    # drawing at once, switching as often as the interpreter lets them,
+    # each read back the draws of fresh generators
+    streams = [*range(40), 2**64 - 1]
+    start, got = threading.Barrier(4), [[] for _ in range(4)]
+
+    def draw(i):
+        start.wait()
+        for _ in range(20):
+            got[i].append(sample_coefficients(cheb5, i, streams).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed, rows in enumerate(got):
+        want = np.array([_draw(cheb5, seed, stream) for stream in streams]).tobytes()
+        assert rows == [want] * 20
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -317,22 +317,36 @@ def test_custom_basis_defined_after_the_pool_started(binom5, monkeypatch):
     assert [p.exitcode for p in old_workers] == [0, 0]
 
 
-def _csv_bytes(compare, zeros):
+def _csv_bytes(compare, zeros=None):
     buf = io.StringIO()
     header, _ = experiment_table(compare[0][1])
     write_csv(buf, header, [experiment_table(result)[1][0] for _, result in compare])
-    write_csv(buf, *zero_count_table(zeros))
+    if zeros is not None:
+        write_csv(buf, *zero_count_table(zeros))
     return buf.getvalue().encode()
 
 
 def _nothing_kept():
-    # every kind, the pool, this thread's scan buffers and the Philox offsets
+    # every kind, the pool, and this thread's scan buffers and generator
     return (
         set(fields._kept.values()) == {None}
         and multiprocessing.active_children() == []
-        and all(buffer.size == 0 for buffer in topology._workspace.buffers)
-        and fields._philox_offsets.cache_info().currsize == 0
+        and all(buffer.size == 0 for buffer in fields._local.buffers)
+        and fields._local.draw is None
     )
+
+
+def test_a_pool_forked_after_a_draw_gives_the_serial_bytes(binom5):
+    # the workers fork with the parent thread's kept generator, which
+    # every stream re-keys, so their draws are those of a serial run
+    threshold = ts.threshold_cubic_shift(0.5)
+    ts.sample_path(binom5, seed=9, stream=5)
+    assert fields._local.draw is not None
+    pooled = ts.compare_strategies(binom5, threshold, m=7, trials=1100, seed=3, workers=2)
+    assert len(multiprocessing.active_children()) == 2
+    ts.forget()
+    serial = ts.compare_strategies(binom5, threshold, m=7, trials=1100, seed=3, workers=1)
+    assert _csv_bytes(pooled) == _csv_bytes(serial)
 
 
 def test_forget_empties_the_kept_state_and_the_next_calls_rebuild(binom5, monkeypatch):

@@ -11,7 +11,9 @@ fallback value instead of its exit code.
 
 The package constructs a ``ProcessPoolExecutor`` at exactly one site,
 the kept worker pool in ``harness``: a second site would start pools
-that its slot neither reuses nor closes. Likewise ``topology`` calls
+that its slot neither reuses nor closes. Likewise the package builds a
+``numpy.random.Philox`` at one site, ``fields._thread_draw``, which makes
+each thread's one generator, and ``topology`` calls
 ``threshold_system`` at exactly one site, ``_cell_systems``, the one
 function that maps a scan cell to its points. And ``cli`` merges the
 config file with the flags and emits a table at one site each,
@@ -126,6 +128,12 @@ def _call_sites(path, name):
 def test_one_process_pool_construction():
     sites = [site for path in ALL_MODULES for site in _call_sites(path, "ProcessPoolExecutor")]
     assert len(sites) == 1, sites
+
+
+def test_one_philox_construction():
+    # the thread's kept generator: every stream is that generator re-keyed
+    sites = [site for path in ALL_MODULES for site in _call_sites(path, "Philox")]
+    assert sites == ["fields.py:_thread_draw"]
 
 
 def test_cli_merges_and_emits_at_one_site():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import toposample as ts
-from toposample.errors import NotPositiveDefiniteError
+from toposample.errors import NonFiniteDensityError, NotPositiveDefiniteError
 from toposample.fields import correlation, jet_tables
 from toposample.orthant import (
     LocalGaussian,
@@ -195,6 +195,13 @@ def test_eigen_expansion_structure(binom5):
     gap_first = abs(first["large_value"] - predicted["large_value"])
     gap_last = abs(last["large_value"] - predicted["large_value"])
     assert gap_last <= gap_first
+
+
+def test_eigen_expansion_rejects_ratios_that_are_not_finite(cheb5, thr):
+    # d^4 and d^6 underflow to zero at d = 1e-100, so lambda_1 / d^4 and
+    # det / d^6 would read inf and nan; no RuntimeWarning is raised either
+    with pytest.raises(NonFiniteDensityError, match="small_ratio, det_ratio not finite at spacing 1e-100"):
+        ts.eigen_expansion_check(cheb5, thr, 0.0, [0.25, 1e-100])
 
 
 def test_eigen_expansion_predictions_from_jet(mode5):

@@ -98,24 +98,33 @@ def _chunk_counts(model, threshold, coeffs, resolution):
     return pos, neg, zero_count, degenerate
 
 
-def _grid_values(coeffs, system):
-    """u - mu on one grid for every coefficient row, each with the per-path signs.
+def _grid_values(coeffs, systems):
+    """u - mu on every grid for every coefficient row, each with the per-path signs.
 
-    ``system`` is the grid's ``threshold_system``. One matrix product of
-    the rows (c, -1) with it gives the block; a row with a value its
-    rounding slack cannot clear (within the slack of zero, or not finite)
-    is recomputed as that path's own product
-    ``c @ system[:-1] - system[-1]``, bit for bit
-    ``path.value(grid) - threshold.value(grid)``. So every value's sign,
-    zero included, is the per-path one, which is all ``cubical_beta0``
-    reads.
+    ``systems`` holds each grid's ``threshold_system``, built on that
+    grid's points alone. Returns the values with the grids side by side,
+    grid g's in the columns from ``starts[g]`` on, and ``starts``. One
+    matrix product of the rows (c, -1) with the systems stacked by
+    columns gives the block, with one rounding slack per row over all the
+    grids' columns; a (row, grid) pair with a value that slack cannot
+    clear (within the slack of zero, or not finite) is recomputed as that
+    path's own product on that grid's system, ``c @ system[:-1] -
+    system[-1]``, bit for bit ``path.value(grid) - threshold.value(grid)``.
+    So every value's sign, zero included, is the per-path one, which is
+    all ``cubical_beta0`` reads.
     """
+    widths = [system.shape[1] for system in systems]
+    starts = np.cumsum([0] + widths[:-1])
+    stacked = np.hstack(systems)
     values, slack = block_minus_threshold(
-        fold_coefficients(coeffs), system, magnitude_bounds(system)
+        fold_coefficients(coeffs), stacked, magnitude_bounds(stacked)
     )
-    for j in np.flatnonzero(~(np.abs(values) > slack[:, None]).all(axis=1)):
-        values[j] = coeffs[j] @ system[:-1] - system[-1]
-    return values
+    rows, columns = np.divmod(np.flatnonzero(~(np.abs(values) > slack[:, None])), stacked.shape[1])
+    grids = np.searchsorted(starts, columns, side="right") - 1
+    for j, g in dict.fromkeys(zip(rows.tolist(), grids.tolist())):
+        system = systems[g]
+        values[j, starts[g] : starts[g] + widths[g]] = coeffs[j] @ system[:-1] - system[-1]
+    return values, starts
 
 
 def _trial_chunk(args):
@@ -123,8 +132,8 @@ def _trial_chunk(args):
 
     The chunk's coefficients are drawn as one block and counted by
     ``_chunk_counts``. Each grid's threshold system is built once per
-    chunk, its values for every path come from one matrix product
-    (``_grid_values``), and they are graded in one
+    chunk, the values of every grid for every path come from one matrix
+    product (``_grid_values``), and all grids are graded in one
     ``cubical_beta0`` call. Only counts are read, so no root is polished.
 
     Returns the chunk's counts as one (1 + grids) x 3 int64 array: row 0
@@ -138,85 +147,177 @@ def _trial_chunk(args):
     zeros = zero_count[valid]
     counts = np.empty((1 + len(grids), 3), dtype=np.int64)
     counts[0] = zeros.size, zeros.sum(), (zeros * zeros).sum()
-    for g, grid in enumerate(grids, 1):
-        values = _grid_values(coeffs, threshold_system(model, threshold, grid))
-        grid_pos, grid_neg = cubical_beta0(values)
-        mp = valid & (grid_pos == pos)
-        mn = valid & (grid_neg == neg)
-        counts[g] = [np.count_nonzero(m) for m in (mp, mn, mp & mn)]
+    if grids:
+        systems = [threshold_system(model, threshold, grid) for grid in grids]
+        grid_pos, grid_neg = cubical_beta0(*_grid_values(coeffs, systems))
+        for g in range(len(grids)):
+            mp = valid & (grid_pos[g] == pos)
+            mn = valid & (grid_neg[g] == neg)
+            counts[1 + g] = [np.count_nonzero(m) for m in (mp, mn, mp & mn)]
     return counts
 
 
 def _run_chunked(tasks, workers):
     """``_trial_chunk`` over ``tasks``, results in task order regardless of pool.
 
-    Raises ConfigError before any pool starts when the tasks cannot be
-    sent to worker processes, as with a custom model built on lambdas.
+    Each task is pickled once, for the pool; a task that cannot be is a
+    ConfigError raised before any worker starts, as for a custom model
+    built on lambdas.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [_trial_chunk(t) for t in tasks]
     try:
-        pickle.dumps(tasks[0])
+        payloads = [pickle.dumps(t, pickle.HIGHEST_PROTOCOL) for t in tasks]
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         raise ConfigError(
             f"the model cannot be sent to worker processes ({exc}); "
             "it needs workers=1"
         ) from None
-    # a fork pool starts every worker at once, so never more than chunks
-    return _pool_map(tasks, min(workers, len(tasks)), tasks[0][0].basis_table)
+    # every worker starts at once, so never more than chunks
+    return _pool_map(tasks, payloads, min(workers, len(tasks)), tasks[0][0].basis_table)
 
 
 # the worker pool kept between pooled trial passes, as one
-# ((processes, pid, basis_table), pool) entry. The process id keeps a
-# process forked by the caller off its parent's pool; the custom basis
-# table gives a model whose callables were defined after the pool forked
-# a pool forked after them, whose workers can unpickle them. A pass holds
-# the lock from its key check to its last result. forget() closes the pool
+# ((processes, pid, basis_table), workers) entry, each worker a
+# (process, parent end of its pipe) pair. The process id keeps a process
+# forked by the caller off its parent's pool; the custom basis table
+# gives a model whose callables were defined after the pool forked a pool
+# forked after them, whose workers can unpickle them. A pass holds the
+# lock from its key check to its last result. forget() closes the pool
 _pool_slot = [None]
 _pool_lock = threading.RLock()
 
 
-def _pool_map(tasks, processes, basis_table):
+def _pool_map(tasks, payloads, processes, basis_table):
     """``_trial_chunk`` over ``tasks`` on the kept pool, results in task order.
 
-    The first call of a process starts the pool and later calls with the
-    same key (worker count, process id, custom basis table) reuse it, so
-    its workers stay warm; a custom basis defined after the pool forked
-    gets a pool forked after it. The pool stays open until ``forget()``
-    closes it or the process exits. The pool's modules (``concurrent.futures.process``,
-    and with it ``multiprocessing``) are imported by that first call, so
-    importing the package or its command line, or a one-worker run, never
-    loads them. A pool that breaks is closed and the error raised, unless
-    it was kept from an earlier call: a worker can die between calls, and
-    the tasks then run once more on a new pool.
-    """
-    from concurrent.futures import process
+    ``payloads`` holds each task pickled. The first call of a process
+    starts the pool, ``processes`` forked workers that each serve one
+    duplex pipe (``_serve``), and later calls with the same key (worker
+    count, process id, custom basis table) reuse it, so its workers stay
+    warm; a custom basis defined after the pool forked gets a pool forked
+    after it. The pool stays open until ``forget()`` closes it or the
+    process exits. ``multiprocessing`` is imported by that first call, so
+    importing the package or its command line, or a one-worker run,
+    never loads it.
 
+    The tasks are dealt by ``_gather``. A worker whose task raises ends
+    itself without a word, which closes its pipe, and a pipe found closed
+    on receive or send means a broken pool. A broken pool is closed. If it
+    was kept from an earlier call (a worker can die between calls), the
+    tasks without a result run once more on a new pool; if it was new,
+    they run here, in task order, so the caller gets the error a
+    one-worker run raises (chunks are deterministic). Any other exit
+    with tasks in flight, an interrupt or a failed fork say, closes the
+    pool too, so no later pass can read a stale result.
+    """
     key = (processes, os.getpid(), basis_table)
+    results = [None] * len(tasks)
     with _pool_lock:
         while True:
-            entry = _pool_slot[0]
-            fresh = entry is None or entry[0] != key
-            if fresh:
-                _close_pool()
-                _pool_slot[0] = (key, process.ProcessPoolExecutor(max_workers=processes))
+            fresh = _pool_slot[0] is None or _pool_slot[0][0] != key
+            done = False
             try:
-                return list(_pool_slot[0][1].map(_trial_chunk, tasks))
-            except process.BrokenProcessPool:
-                _close_pool()
                 if fresh:
-                    raise
+                    _close_pool()
+                    _pool_slot[0] = (key, [])
+                    _start_pool(processes, _pool_slot[0][1])
+                _gather([pipe for _, pipe in _pool_slot[0][1]], payloads, results)
+                done = True
+            except (EOFError, ConnectionError):
+                pass  # a worker's pipe closed: the pool is broken
+            finally:
+                if not done:
+                    _close_pool()
+            if done:
+                return results
+            if fresh:
+                return [_trial_chunk(t) if r is None else r for t, r in zip(tasks, results)]
+
+
+def _gather(pipes, payloads, results):
+    """Run each task whose entry of ``results`` is None on the workers at ``pipes``.
+
+    The tasks are dealt in task order, first one to each worker, then
+    the next one to whichever worker returns a result first, and each
+    result is stored at its task's index, so the caller sums them in
+    chunk order. EOFError or ConnectionError means a worker's pipe closed.
+    """
+    from multiprocessing.connection import wait
+
+    todo = iter([i for i, result in enumerate(results) if result is None])
+    dealt = {}
+
+    def deal(pipe):
+        i = next(todo, None)
+        if i is not None:
+            dealt[pipe] = i
+            pipe.send_bytes(payloads[i])
+
+    for pipe in pipes:
+        deal(pipe)
+    while dealt:
+        for pipe in wait(list(dealt)):
+            results[dealt.pop(pipe)] = pickle.loads(pipe.recv_bytes())
+            deal(pipe)
+
+
+def _start_pool(processes, workers):
+    """Fork ``processes`` workers, appending each to ``workers`` as a
+    (process, parent end of its duplex pipe) pair as soon as it starts."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    for _ in range(processes):
+        parent, child = context.Pipe()
+        inherited = [pipe for _, pipe in workers] + [parent]
+        # a daemon, so that a worker still waiting when the interpreter
+        # exits is ended by multiprocessing's exit handler, not joined
+        process = context.Process(target=_serve, args=(child, inherited), daemon=True)
+        process.start()
+        child.close()
+        workers.append((process, parent))
+
+
+def _serve(pipe, inherited):
+    """A worker: answer each pickled task on ``pipe`` with its pickled counts until told to stop.
+
+    The worker first closes the parent's pipe ends it inherited through
+    the fork, so it sees the end of its own pipe when the parent closes
+    it. An empty message stops it with exit code 0. Any exception, the
+    task's own included, ends it at once with exit code 1: no traceback
+    is printed, and the parent, finding its pipe closed, treats the pool
+    as broken.
+    """
+    for end in inherited:
+        end.close()
+    code = 1
+    try:
+        while payload := pipe.recv_bytes():
+            pipe.send_bytes(pickle.dumps(_trial_chunk(pickle.loads(payload)), pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _close_pool():
-    """Shut the kept pool down and empty its slot.
+    """Stop the kept pool's workers, join them and empty the slot.
 
-    A pool inherited through fork belongs to the parent and is only dropped.
+    Each live worker is sent the stop message before any is joined. A
+    pool inherited through fork belongs to the parent and is only dropped.
     """
     with _pool_lock:
         entry, _pool_slot[0] = _pool_slot[0], None
-        if entry is not None and entry[0][1] == os.getpid():
-            entry[1].shutdown()
+        if entry is None or entry[0][1] != os.getpid():
+            return
+        for _, pipe in entry[1]:
+            try:
+                pipe.send_bytes(b"")
+            except ConnectionError:
+                pass  # the worker has already ended
+            pipe.close()
+        for process, _ in entry[1]:
+            process.join()
 
 
 def forget():
@@ -224,8 +325,9 @@ def forget():
 
     That is every kind of ``fields._kept`` (the scan tables and the two
     planner integrals, each integral with its last grid), the worker
-    pool, which is shut down, and what the calling thread keeps in
-    ``fields._local``: its scan work buffers and its Philox generator.
+    pool, whose workers are stopped and joined, and what the calling
+    thread keeps in ``fields._local``: its scan work buffers and its
+    Philox generator.
     Results do not change: the next call builds what it needs again, as
     a process's first call does. Another thread's buffers and generator
     stay until that thread ends, and a call that runs meanwhile in

@@ -68,7 +68,8 @@ def _buffer(slot, shape):
     no fresh pages. A scan's two passes never
     overlap, so they share the three: the coarse pass (``_coarse_pass``)
     holds a block's coarse values, certification bounds and bends in
-    them, the cell pass (``_cell_pass``) a system batch and its points
+    them, the cell pass (``_cell_pass``) first the open cells' bent chords
+    (``_open_subcells``), then a system batch and its points
     (``_cell_systems``, as the table build does) and the sub-cells' values
     (``_cell_values``). A buffer grows to the largest shape asked of it
     and never shrinks; the array is valid until the next request for the
@@ -81,7 +82,7 @@ def _buffer(slot, shape):
     return flat[:size].reshape(shape)
 
 
-def cubical_beta0(values):
+def cubical_beta0(values, starts=None):
     """Component counts of the grid approximations from point values.
 
     ``values`` holds u - mu at the grid points and must be finite (a NaN
@@ -91,18 +92,31 @@ def cubical_beta0(values):
     (the final point's degenerate cell included), so the count is the
     number of runs. A vector gives a pair of ints; a 2-D array is read
     as one grid per row and gives a pair of integer arrays.
+
+    Given ``starts``, the first positions of several grids laid side by
+    side along the last axis (0 first, strictly increasing), each grid's
+    runs are counted on it alone, and each count gains a leading axis,
+    one entry per grid.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] < 1:
         raise ValueError("grid values must form a nonempty vector, or rows of one")
     if not np.isfinite(v).all():
         raise ValueError("grid values must be finite")
-
-    def runs(f):
-        return f[..., 0] + np.count_nonzero(f[..., 1:] > f[..., :-1], axis=-1)
-
-    pos, neg = runs(v >= 0.0), runs(v <= 0.0)
-    return (int(pos), int(neg)) if v.ndim == 1 else (pos, neg)
+    edges = np.zeros(1, dtype=np.intp) if starts is None else np.asarray(starts, dtype=np.intp)
+    if not (edges.ndim == 1 and edges.size and edges[0] == 0 and edges[-1] < v.shape[-1]
+            and (edges[1:] > edges[:-1]).all()):
+        raise ValueError("grid starts must rise from 0 within the last axis")
+    # both sets at once: a run begins at a flagged point that starts its
+    # grid or follows an unflagged point
+    flags = np.stack([v >= 0.0, v <= 0.0])
+    begins = np.empty_like(flags)
+    np.greater(flags[..., 1:], flags[..., :-1], out=begins[..., 1:])
+    begins[..., edges] = flags[..., edges]
+    pos, neg = np.moveaxis(np.add.reduceat(begins, edges, axis=-1, dtype=np.intp), -1, 1)
+    if starts is not None:
+        return pos, neg
+    return (int(pos[0]), int(neg[0])) if v.ndim == 1 else (pos[0], neg[0])
 
 
 def double_crossover(v_left, v_mid, v_right):
@@ -573,22 +587,33 @@ def _open_subcells(left, right, bound, bend):
     when its two G have one sign and both are at least its bound plus
     16 u M' in size, that sum taken in floats; the second 8 u M' covers
     the sum's roundings, as the sum is at most |G|. Returns a boolean
-    (pairs, s / s') array, True where a sub-cell is left open.
+    (pairs, s / s') array, True where a sub-cell is left open. Pairs are
+    taken in batches of at most _SCAN_BLOCK_VALUES chord values, each
+    batch's chords and bend terms written into this thread's buffers 0
+    and 1 (``_buffer``), which ``_cell_values`` takes only once this
+    returns.
     """
     width = _SCAN_SUBCELL / _SCAN_CELL
     # one row per sub-cell end, one column per pair
     w = np.arange(_SCAN_CELL // _SCAN_SUBCELL + 1)[:, None] * width
-    chord = w * (right - left)
-    chord += left
-    chord -= (0.5 * w * (1.0 - w)) * bend
-    size = np.abs(bend)
-    bar = np.maximum(np.abs(left), np.abs(right))
-    bar += 0.125 * size
-    bar *= 16.0 * _UNIT_ROUNDOFF
-    bar += bound - size * (0.125 * (1.0 - width * width))
-    above = chord > 0.0
-    clears = np.abs(chord, out=chord) >= bar
-    return ((above[1:] != above[:-1]) | ~(clears[1:] & clears[:-1])).T
+    bent = 0.5 * w * (1.0 - w)
+    opened = np.empty((len(left), len(w) - 1), dtype=bool)
+    step = max(1, _SCAN_BLOCK_VALUES // len(w))
+    for lo in range(0, len(left), step):
+        l, r, b, d = (column[lo : lo + step] for column in (left, right, bound, bend))
+        shape = (len(w), len(l))
+        chord = np.multiply(w, r - l, out=_buffer(0, shape))
+        chord += l
+        chord -= np.multiply(bent, d, out=_buffer(1, shape))
+        size = np.abs(d)
+        bar = np.maximum(np.abs(l), np.abs(r))
+        bar += 0.125 * size
+        bar *= 16.0 * _UNIT_ROUNDOFF
+        bar += b - size * (0.125 * (1.0 - width * width))
+        above = chord > 0.0
+        clears = np.abs(chord, out=chord) >= bar
+        opened[lo : lo + step] = ((above[1:] != above[:-1]) | ~(clears[1:] & clears[:-1])).T
+    return opened
 
 
 def _cell_values(lhs, model, threshold, points, rows, cells, width):

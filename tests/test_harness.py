@@ -7,8 +7,9 @@ import os
 import signal
 import sys
 import types
-from concurrent.futures import ThreadPoolExecutor, process
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from multiprocessing import connection
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -189,44 +190,41 @@ def test_compare_rows_equal_single_strategy_runs(binom5, workers):
         assert replace(row, plan=None) == replace(single, plan=None)
 
 
+def _count_forks(monkeypatch, limit):
+    """A list that gains one entry for each worker process the pool builds;
+    building more than ``limit`` fails before that worker starts."""
+    fork = type(multiprocessing.get_context("fork"))
+    built = []
+
+    class CountedProcess(fork.Process):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            assert len(built) <= limit, f"more than {limit} worker processes were started"
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fork, "Process", CountedProcess)
+    return built
+
+
 def test_unpicklable_custom_model_needs_one_worker(monkeypatch):
     table = (
         (lambda x: np.ones_like(x), np.zeros_like, np.zeros_like),
         (lambda x: x, np.ones_like, np.zeros_like),
     )
     model = ts.custom_model(table, (-1.0, 1.0))
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(process, "ProcessPoolExecutor", no_pool)
+    built = _count_forks(monkeypatch, 0)
     with pytest.raises(ConfigError, match="workers=1"):
         harness.trial_pass(model, ts.threshold_zero(), [], 1100, 1, 256, workers=2)
+    assert built == []
 
 
 def test_pool_never_exceeds_the_chunk_count(monkeypatch, cheb5, thr):
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-        def shutdown(self, wait=True):
-            pass
-
-    monkeypatch.setattr(process, "ProcessPoolExecutor", RecordingPool)
+    built = _count_forks(monkeypatch, 3)
     for workers, trials, want in ((500, 1024, 2), (2, 1536, 2), (3, 1100, 3)):
+        ts.forget()
+        built.clear()
         harness.trial_pass(cheb5, thr, [], trials, 1, 16, workers=workers)
-        assert started[-1] == want
+        assert len(built) == want == len(multiprocessing.active_children())
 
 
 def _worker_pids():
@@ -276,6 +274,57 @@ def test_threads_share_the_kept_pool(binom5):
             assert len(_worker_pids()) in (2, 3)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_raising_chunk_raises_the_one_worker_error_and_prints_nothing(binom5, monkeypatch, capfd):
+    # patched before the pool forks, so the workers run the patched chunk;
+    # the second and third of three chunks raise, and the pooled pass
+    # raises the second's error, as a one-worker run does
+    chunk = harness._trial_chunk
+
+    def failing(args):
+        if args[5] > 0:
+            raise ValueError(f"chunk from trial {args[5]} failed")
+        return chunk(args)
+
+    monkeypatch.setattr(harness, "_trial_chunk", failing)
+    with pytest.raises(ValueError) as serial:
+        _zeros(binom5, 1)
+    with pytest.raises(ValueError) as pooled:
+        _zeros(binom5, 2)
+    assert (type(pooled.value), str(pooled.value)) == (type(serial.value), str(serial.value))
+    assert str(serial.value) == "chunk from trial 512 failed"
+    assert _worker_pids() == []
+    assert "Traceback" not in capfd.readouterr().err
+    monkeypatch.undo()
+    assert _zeros(binom5, 2) == _zeros(binom5, 1)
+
+
+def test_an_interrupted_pass_closes_its_pool(binom5, monkeypatch):
+    # an interrupt while chunks are in flight closes the pool, so the next
+    # pass starts a new one and reads no result of the interrupted one
+    want = _zeros(binom5, 1)
+    real = connection.wait
+    interrupts = [KeyboardInterrupt]
+
+    def interrupted(*args, **kwargs):
+        if interrupts:
+            raise interrupts.pop()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connection, "wait", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _zeros(binom5, 2)
+    assert harness._pool_slot[0] is None and _worker_pids() == []
+    assert _zeros(binom5, 2) == want
+
+
+def test_forget_stops_every_worker_cleanly(binom5):
+    _zeros(binom5, 3)
+    workers = multiprocessing.active_children()
+    assert len(workers) == 3
+    ts.forget()
+    assert [p.exitcode for p in workers] == [0, 0, 0]
 
 
 _LATE_BASIS = """

@@ -9,16 +9,16 @@ No module catches broadly: a bare ``except:``, ``except Exception`` or
 ``except BaseException`` would turn a numerical failure into a silent
 fallback value instead of its exit code.
 
-The package constructs a ``ProcessPoolExecutor`` at exactly one site,
-the kept worker pool in ``harness``: a second site would start pools
-that its slot neither reuses nor closes. Likewise the package builds a
-``numpy.random.Philox`` at one site, ``fields._thread_draw``, which makes
-each thread's one generator, and ``topology`` calls
-``threshold_system`` at exactly one site, ``_cell_systems``, the one
-function that maps a scan cell to its points. And ``cli`` merges the
-config file with the flags and emits a table at one site each,
-``main``, which runs every command. The family table of basis jet
-functions, ``fields._BASIS_JETS``, is subscripted at one site,
+The package constructs worker processes at exactly one site,
+``harness._start_pool``, which forks the kept worker pool: a second site
+would start workers that the pool's slot neither reuses nor closes.
+Likewise the package builds a ``numpy.random.Philox`` at one site,
+``fields._thread_draw``, which makes each thread's one generator, and
+``topology`` calls ``threshold_system`` at exactly one site,
+``_cell_systems``, the one function that maps a scan cell to its points.
+And ``cli`` merges the config file with the flags and emits a table at
+one site each, ``main``, which runs every command. The family table of
+basis jet functions, ``fields._BASIS_JETS``, is subscripted at one site,
 ``fields._jets``, so values, jets and the scan system take their rows
 from one function per family.
 
@@ -37,9 +37,9 @@ from its zero density and building every kind of threshold leave
 ``numpy.polynomial`` unimported: that is the set-up and planning of a
 run, and an eager import would add to its start-up time. Likewise
 importing the package and its command line, and calling ``forget()``
-with nothing kept, leave the process pool's modules
-(``concurrent.futures.process`` and ``multiprocessing``) unimported: only
-a pooled trial pass needs them.
+with nothing kept, leave the process pool's module (``multiprocessing``)
+unimported: only a pooled trial pass needs it. The package never imports
+``concurrent.futures``.
 """
 import ast
 import os
@@ -126,8 +126,8 @@ def _call_sites(path, name):
 
 
 def test_one_process_pool_construction():
-    sites = [site for path in ALL_MODULES for site in _call_sites(path, "ProcessPoolExecutor")]
-    assert len(sites) == 1, sites
+    sites = [site for path in ALL_MODULES for site in _call_sites(path, "Process")]
+    assert sites == ["harness.py:_start_pool"]
 
 
 def test_one_philox_construction():
@@ -261,11 +261,16 @@ def test_import_and_planning_leave_numpy_polynomial_unloaded():
 
 
 def test_import_leaves_the_process_pool_unloaded():
+    # and a pooled pass loads multiprocessing but never concurrent.futures
     script = (
         "import sys\n"
         "import toposample\n"
         "import toposample.cli\n"
         "toposample.forget()\n"
-        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+        "pool = {'concurrent.futures', 'multiprocessing'}\n"
+        "print(sorted(pool & set(sys.modules)))\n"
+        "toposample.zero_count_experiment(toposample.binomial_model(5), 1100, 4, 512, workers=2)\n"
+        "toposample.forget()\n"
+        "print(sorted(pool & set(sys.modules)))\n"
     )
-    assert _run_fresh(script).split() == ["[]"]
+    assert _run_fresh(script).split() == ["[]", "['multiprocessing']"]

@@ -54,6 +54,12 @@ def test_cubical_beta0_validation():
             cubical_beta0(np.array([1.0, bad, 1.0]))
         with pytest.raises(ValueError, match="finite"):
             cubical_beta0(np.array([[1.0, 2.0, 1.0], [1.0, bad, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            cubical_beta0(np.array([[1.0, 2.0, 1.0], [1.0, bad, 1.0]]), [0, 2])
+    # grid starts rise from 0 and stay inside the last axis
+    for starts in ([], [1], [0, 0], [0, 2, 1], [0, 3], [[0, 1]]):
+        with pytest.raises(ValueError, match="starts"):
+            cubical_beta0(np.ones((2, 3)), starts)
 
 
 def test_cubical_beta0_rows_are_the_vector_counts():
@@ -67,6 +73,23 @@ def test_cubical_beta0_rows_are_the_vector_counts():
     assert cubical_beta0(np.zeros((0, 4)))[0].shape == (0,)
     one = cubical_beta0(np.array([1.0, -1.0, 1.0]))
     assert one == (2, 1) and all(type(c) is int for c in one)
+
+
+def test_cubical_beta0_grids_side_by_side_are_each_grid_counted_alone():
+    # a run never continues across two grids: flagged points on both sides
+    # of a boundary count once in each grid
+    rng = np.random.default_rng(9)
+    for widths in ((1,), (3, 1), (1, 1, 1), (8, 8, 8), (2, 33, 1, 7)):
+        starts = np.cumsum((0,) + widths[:-1])
+        values = rng.integers(-1, 2, size=(50, sum(widths))) * rng.random((50, sum(widths)))
+        pos, neg = cubical_beta0(values, starts)
+        assert pos.shape == neg.shape == (len(widths), 50)
+        for g, (lo, width) in enumerate(zip(starts, widths)):
+            alone = cubical_beta0(values[:, lo : lo + width])
+            assert pos[g].tolist() == alone[0].tolist() and neg[g].tolist() == alone[1].tolist()
+        vector = cubical_beta0(values[0], starts)
+        assert [vector[0].tolist(), vector[1].tolist()] == [pos[:, 0].tolist(), neg[:, 0].tolist()]
+    assert cubical_beta0(np.ones((2, 4)), [0, 2])[0].tolist() == [[1, 1], [1, 1]]
 
 
 def test_double_crossover_truth_table():
@@ -656,9 +679,9 @@ def test_scan_threshold_is_never_stale(cheb5):
 
 
 def test_chunk_grading_is_path_value_minus_threshold(binom5, monkeypatch):
-    # every grid of a compare run is graded once per chunk, on a block
-    # whose signs (> 0, < 0 and == 0) are those of path.value -
-    # threshold.value
+    # every grid of a compare run is graded in one call per chunk, on a
+    # block of the grids side by side whose signs (> 0, < 0 and == 0) are
+    # those of path.value - threshold.value on each grid
     threshold, seed, trials = ts.threshold_cubic_shift(0.5), 13, 600
     graded, grids = [], []
     chunk = ts.harness._trial_chunk
@@ -667,19 +690,21 @@ def test_chunk_grading_is_path_value_minus_threshold(binom5, monkeypatch):
         grids.append(args[2])
         return chunk(args)
 
-    def recording_beta0(values):
-        graded.append(np.array(values))
-        return cubical_beta0(values)
+    def recording_beta0(values, starts=None):
+        graded.append((np.array(values), np.array(starts)))
+        return cubical_beta0(values, starts)
 
     monkeypatch.setattr(ts.harness, "_trial_chunk", recording_chunk)
     monkeypatch.setattr(ts.harness, "cubical_beta0", recording_beta0)
     ts.compare_strategies(binom5, threshold, m=7, trials=trials, seed=seed, oracle_resolution=512)
     assert len(grids) == 2 and grids[0] is grids[1]  # two chunks: 512 and 88 paths
-    assert len(graded) == 3 * len(grids)
-    starts = [0, 0, 0, 512, 512, 512]
-    for grid, start, block in zip(grids[0] * 2, starts, graded):
-        assert block.shape == (512 if start == 0 else 88, grid.size)
+    assert len(graded) == len(grids)
+    widths = [grid.size for grid in grids[0]]
+    for start, (block, starts) in zip([0, 512], graded):
+        assert starts.tolist() == np.cumsum([0] + widths[:-1]).tolist()
+        assert block.shape == (512 if start == 0 else 88, sum(widths))
         for j, values in enumerate(block):
             path = ts.sample_path(binom5, seed, stream=start + j)
-            want = path.value(grid) - threshold.value(grid)
-            assert np.array_equal(np.sign(values), np.sign(want))
+            for grid, lo in zip(grids[0], starts):
+                want = path.value(grid) - threshold.value(grid)
+                assert np.array_equal(np.sign(values[lo : lo + grid.size]), np.sign(want))

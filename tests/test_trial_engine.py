@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toposample as ts
-from toposample import harness, topology
+from toposample import fields, harness, topology
 from toposample.cli import main as cli_main
 from toposample.fields import (
     SamplePath,
@@ -360,13 +360,13 @@ def test_a_block_scan_is_its_rows_scanned_alone(case):
     assert [a.tobytes() for a in got] == [a[repeated].tobytes() for a in want]
 
 
-@pytest.mark.parametrize("case, limit_kib", [("chebyshev64", 256), ("binomial5", 512)])
+@pytest.mark.parametrize("case, limit_kib", [("chebyshev64", 256), ("binomial5", 320)])
 def test_a_warm_scan_allocates_no_batch_sized_array(case, limit_kib):
     # once its thread's buffers have served one scan, a scan of the same
     # shape writes every batch-sized temporary (a system batch of up to
-    # 512 KiB and its points, the sub-cells' values, the block products)
-    # into them, so what it allocates peaks well under one batch (numpy
-    # reports its data buffers to tracemalloc)
+    # 512 KiB and its points, the sub-cells' chords and values, the block
+    # products) into them, so what it allocates peaks well under one batch
+    # (numpy reports its data buffers to tracemalloc)
     model, threshold, paths, resolution = WORKLOAD_SCANS[case]
     coeffs = sample_coefficients(model, 24, range(paths))
     want = [a.tobytes() for a in scan_counts(model, threshold, coeffs, resolution)]
@@ -482,6 +482,23 @@ def _exact_bent_chord(left, right, bend, w):
     # G(w) = left + w (right - left) - w (1 - w) bend / 2, in exact arithmetic
     left, right, bend, w = (Fraction(v) for v in (left, right, bend, w))
     return left + w * (right - left) - w * (1 - w) * bend / 2
+
+
+def test_open_subcells_of_a_pair_do_not_depend_on_its_batch(monkeypatch):
+    # pairs are taken in batches that fit the scan's work buffers; a pair's
+    # open sub-cells are the same in any batch, and alone
+    rng = np.random.default_rng(5)
+    left, right = rng.standard_normal((2, 23))
+    bend = rng.standard_normal(23)
+    bound = 0.3 + 0.125 * np.abs(bend)
+    whole = topology._open_subcells(left, right, bound, bend)
+    assert whole.shape == (23, 16) and 0 < whole.sum() < whole.size
+    alone = [topology._open_subcells(*(v[[p]] for v in (left, right, bound, bend)))[0] for p in range(23)]
+    assert np.array_equal(whole, alone)
+    monkeypatch.setattr(topology, "_SCAN_BLOCK_VALUES", 17 * 5)  # batches of 5 pairs
+    ts.forget()  # this thread's buffers start empty
+    assert np.array_equal(topology._open_subcells(left, right, bound, bend), whole)
+    assert all(buffer.size <= 17 * 5 for buffer in fields._local.buffers[:2])
 
 
 @pytest.mark.parametrize("cell, subcell", WIDTHS)
@@ -686,17 +703,20 @@ def test_rows_near_the_tolerance_fall_back(family, kind, resolution, seed, paths
 
 @pytest.mark.parametrize("shift", [0.0, 0.5, -0.5])
 def test_grid_values_recompute_rows_the_slack_cannot_clear(shift, monkeypatch):
-    # u - mu = x has an exact zero at the grid point 0, and u - mu =
-    # x + 1e-20 the value 1e-20 there, far inside its slack: those rows are
-    # the per-path products, bit for bit, and every other row is the block
-    # product, also when the block is off by half its slack (as a block
-    # product may be), which would otherwise move the zero off 0
+    # u - mu = x has an exact zero at the first grid's point 0, and u - mu =
+    # x + 1e-20 the value 1e-20 there, far inside its slack: on that grid
+    # those rows are the per-path products, bit for bit, and every other
+    # (row, grid) pair, those rows on the second grid included, is the
+    # block product of the grids side by side, also when the block is off
+    # by half its slack (as a block product may be), which would otherwise
+    # move the zero off 0
     model, threshold = ts.unit_model(5), ts.threshold_cubic_shift(0.0)
-    grid = np.array([-3.0, -1.0, 0.0, 2.0, 3.0])
+    grids = [np.array([-3.0, -1.0, 0.0, 2.0, 3.0]), np.array([1.0, 2.5])]
     coeffs = sample_coefficients(model, 3, range(8))
     coeffs[2] = _line([0.0, 2.0, 0.0, -1.0], 1025)  # u - mu = x
     coeffs[5] = _line([1e-20, 2.0, 0.0, -1.0], 1025)
-    system = threshold_system(model, threshold, grid)
+    systems = [threshold_system(model, threshold, grid) for grid in grids]
+    stacked = np.hstack(systems)
     exact = block_minus_threshold
 
     def off_by_shift(*args, **kwargs):
@@ -704,14 +724,17 @@ def test_grid_values_recompute_rows_the_slack_cannot_clear(shift, monkeypatch):
         return values + shift * slack[:, None], slack
 
     monkeypatch.setattr(harness, "block_minus_threshold", off_by_shift)
-    block, slack = off_by_shift(fold_coefficients(coeffs), system, magnitude_bounds(system))
-    got = harness._grid_values(coeffs, system)
+    block, slack = off_by_shift(fold_coefficients(coeffs), stacked, magnitude_bounds(stacked))
+    got, starts = harness._grid_values(coeffs, systems)
+    assert starts.tolist() == [0, 5]
     for j, c in enumerate(coeffs):
-        per_path = SamplePath(model, c).value(grid) - threshold.value(grid)
-        assert np.array_equal(np.sign(got[j]), np.sign(per_path))
-        recomputed = j in (2, 5)
-        assert got[j].tobytes() == (per_path if recomputed else block[j]).tobytes()
-        assert recomputed == bool(np.any(np.abs(block[j]) <= slack[j]))
+        for g, grid in enumerate(grids):
+            columns = slice(starts[g], starts[g] + grid.size)
+            per_path = SamplePath(model, c).value(grid) - threshold.value(grid)
+            assert np.array_equal(np.sign(got[j, columns]), np.sign(per_path))
+            recomputed = (j, g) in ((2, 0), (5, 0))
+            assert got[j, columns].tobytes() == (per_path if recomputed else block[j, columns]).tobytes()
+            assert recomputed == bool(np.any(np.abs(block[j, columns]) <= slack[j]))
     assert got[2, 2] == 0.0 and got[5, 2] == 1e-20
 
 
